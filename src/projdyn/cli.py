@@ -36,7 +36,7 @@ import os
 import sys
 
 from projdyn import compat, curvclass, polyintegrals, screens, young
-from projdyn.exactlin import FormatError
+from projdyn.exactlin import FormatError, tensor_from_json
 from projdyn.polynomials import Poly
 
 
@@ -94,7 +94,10 @@ def _parse_floats(text, what):
 # subcommands
 
 def cmd_young_dim(args):
-    rows = [int(r) for r in args.rows.split(",")]
+    try:
+        rows = [int(r) for r in args.rows.split(",")]
+    except ValueError as exc:
+        raise InputError("--rows: expected comma-separated integers") from exc
     tableau = young.YoungTableau(rows, args.numbering)
     if args.numbering == "vertical":
         dim = len(young.imAS_basis(tableau, args.dim))
@@ -105,8 +108,6 @@ def cmd_young_dim(args):
 
 
 def cmd_young_check(args):
-    from projdyn.exactlin import tensor_from_json
-
     tableau = young.YoungTableau.from_json(_load_json(args.tableau, "tableau"))
     tensor = tensor_from_json(_load_json(args.tensor, "tensor"))
     if tableau.numbering == "vertical":
@@ -234,21 +235,10 @@ def cmd_project(args):
 
 def cmd_screen_find(args):
     form = curvclass.CurvatureForm.from_json(_load_json(args.input, "curvature form"))
-    if curvclass.kernel_of_form(form):
-        if form.tensor.is_zero():
-            _emit(_dump({"error": "zero_form"}), args.output)
-            return 1
-        kernel_basis, inner_form, complement = compat.quotient_form(form)
-        if inner_form.dim == 2:
-            inner = compat.ScreenReport("dim2", log=["dimension 2: no structure statement"])
-        else:
-            inner = compat.find_compatible_screen(inner_form)
-        report = compat.ScreenReport(
-            "cylindric", {"complement": complement}, ["nontrivial kernel: cylindric reduction"],
-            inner=inner, kernel_basis=kernel_basis,
-        )
-    else:
-        report = compat.find_compatible_screen(form)
+    if form.tensor.is_zero():
+        _emit(_dump({"error": "zero_form"}), args.output)
+        return 1
+    report = compat.screen_find(form)
     _emit(_dump(report.to_json()), args.output)
     return 1 if report.verdict == "incompatible" else 0
 

@@ -23,18 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from projdyn import screens as sc
 from projdyn.curvclass import (
     CurvatureForm,
     KernelNotTrivialError,
     classify_curvature_form,
     kernel_of_form,
+    witnesses_to_json,
 )
-from projdyn.exactlin import (
-    format_rational,
-    kernel,
-    rat,
-    rref,
-)
+from projdyn.exactlin import Tensor, accumulate, format_rational, kernel, rat, rref
 from projdyn.polynomials import NotPolynomialError, Poly
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
@@ -202,19 +199,6 @@ def self_force_float(system, j, x, y):
     return system.forces[j].evaluate_float(list(x) + list(y))
 
 
-def chart_restrict(poly: Poly, d: int, axis: int) -> Poly:
-    """Restrict an ambient (q, v) polynomial to the flat chart q_axis = 1,
-    v_axis = 0, renumbering the remaining coordinates."""
-    chart = [i for i in range(d) if i != axis]
-    n = len(chart)
-    images = []
-    for i in range(d):
-        images.append(Poly.const(2 * n, 1) if i == axis else Poly.variable(chart.index(i), 2 * n))
-    for i in range(d):
-        images.append(Poly.zero(2 * n) if i == axis else Poly.variable(n + chart.index(i), 2 * n))
-    return poly.substitute(images)
-
-
 def chart_extend(poly: Poly, d: int, axis: int) -> Poly:
     """Embed a chart polynomial into the ambient doubled variables."""
     chart = [i for i in range(d) if i != axis]
@@ -255,12 +239,8 @@ class QuadraticIntegral:
         elif force is not None:
             if probe is None:
                 raise ValueError("numeric validation needs a probe state (q0, v0, t_span)")
-            from projdyn import screens as sc
-
             q0, v0, t_span = probe
             traj = sc.integrate(screen, force, q0, v0, t_span, tol=min(tol * 1e-2, 1e-10))
-            d = screen.dim
-            axis = None
             vals = [
                 self.G.evaluate_float(list(q) + list(v))
                 for q, v in zip(traj.qs, traj.vs)
@@ -299,14 +279,7 @@ def _image_two_form_polys(form: CurvatureForm):
         exps = [0] * (2 * d)
         exps[u] += 1
         exps[d + v] += 1
-        key = (w, x)
-        out.setdefault(key, {})
-        k = tuple(exps)
-        s = out[key].get(k, Fraction(0)) + val
-        if s:
-            out[key][k] = s
-        else:
-            del out[key][k]
+        accumulate(out.setdefault((w, x), {}), tuple(exps), val)
     return {key: Poly(2 * d, terms) for key, terms in out.items()}
 
 
@@ -444,8 +417,6 @@ def quotient_form(form: CurvatureForm):
         if all(i in complement for i in idx):
             new_idx = tuple(complement.index(i) for i in idx)
             entries[new_idx] = val
-    from projdyn.exactlin import Tensor
-
     inner = CurvatureForm(Tensor(m, 4, entries))
     if kernel_of_form(inner):
         raise ArithmeticError("induced form kept a nontrivial kernel")
@@ -470,16 +441,7 @@ class ScreenReport:
         return f"ScreenReport({self.verdict!r})"
 
     def to_json(self):
-        out = {"verdict": self.verdict, "log": self.log, "witnesses": {}}
-        for key, val in self.witnesses.items():
-            if isinstance(val, (list, tuple)) and val and isinstance(val[0], (list, tuple)):
-                out["witnesses"][key] = [[format_rational(x) for x in row] for row in val]
-            elif isinstance(val, (list, tuple)):
-                out["witnesses"][key] = [format_rational(x) for x in val]
-            elif isinstance(val, (int, Fraction)):
-                out["witnesses"][key] = format_rational(val)
-            else:
-                out["witnesses"][key] = val
+        out = {"verdict": self.verdict, "log": self.log, "witnesses": witnesses_to_json(self.witnesses)}
         if self.kernel_basis is not None:
             out["kernel"] = [[format_rational(x) for x in vec] for vec in self.kernel_basis]
         if self.inner is not None:
@@ -488,8 +450,6 @@ class ScreenReport:
 
     def screen(self):
         """Materialize the found screen as a screens.Screen object."""
-        from projdyn import screens as sc
-
         if self.verdict == "quadric":
             return sc.QuadraticRootScreen(self.witnesses["g"])
         if self.verdict == "hyperplane":
@@ -524,8 +484,6 @@ def find_compatible_screen(form: CurvatureForm) -> ScreenReport:
     if rep.case == "metric":
         B = rep.witnesses["B"]
         lam = Fraction(rep.witnesses["epsilon"]) * rep.witnesses["scale"]
-        from projdyn import screens as sc
-
         screen = sc.QuadraticRootScreen(B)
         if not compatibility_check(form, screen):
             raise ArithmeticError("quadric screen failed the exact compatibility identity")
@@ -533,8 +491,6 @@ def find_compatible_screen(form: CurvatureForm) -> ScreenReport:
         return ScreenReport("quadric", {"g": B, "lambda": lam}, log)
     if rep.case == "flat":
         phi = rep.witnesses["phi"]
-        from projdyn import screens as sc
-
         screen = sc.LinearFormScreen(phi)
         if not compatibility_check(form, screen):
             raise ArithmeticError("hyperplane screen failed the exact compatibility identity")
@@ -550,6 +506,26 @@ def find_compatible_screen(form: CurvatureForm) -> ScreenReport:
             log,
         )
     raise ArithmeticError(f"unexpected classification case {rep.case!r}")
+
+
+def screen_find(form: CurvatureForm) -> ScreenReport:
+    """Screen finder for a nonzero curvature form of any kernel: a
+    nontrivial kernel is quotiented out (the cylindric reduction, with the
+    verdict on the induced form attached as ``inner``), otherwise the form
+    is classified directly."""
+    kernel_basis, inner_form, complement = quotient_form(form)
+    if not kernel_basis:
+        return find_compatible_screen(form)
+    return ScreenReport(
+        "cylindric",
+        witnesses={"complement": complement},
+        log=[
+            f"nontrivial kernel of dimension {len(kernel_basis)}: cylindric reduction"
+            f" onto coordinates {complement}"
+        ],
+        inner=find_compatible_screen(inner_form),
+        kernel_basis=kernel_basis,
+    )
 
 
 def hamiltonian_test(T, screen=None) -> ScreenReport:
@@ -587,31 +563,13 @@ def hamiltonian_test(T, screen=None) -> ScreenReport:
     bh = BiHomogeneousPoly.from_poly(R, d, 2)
     form = CurvatureForm.from_antisymmetric(to_antisymmetric(bh))
     log.append("pair-antisymmetric carrier built; symmetry class verified")
-    ker = kernel_of_form(form)
-    if ker:
-        if form.tensor.is_zero():
-            return ScreenReport(
-                "incompatible",
-                witnesses={"reason": "zero_form"},
-                log=log + ["the homogenized term vanishes"],
-            )
-        kernel_basis, inner_form, complement = quotient_form(form)
-        log.append(
-            f"nontrivial kernel of dimension {len(kernel_basis)}: cylindric reduction"
-            f" onto coordinates {complement}"
-        )
-        if inner_form.dim == 2:
-            inner_report = ScreenReport("dim2", log=["dimension 2: no structure statement"])
-        else:
-            inner_report = find_compatible_screen(inner_form)
+    if form.tensor.is_zero():
         return ScreenReport(
-            "cylindric",
-            witnesses={"complement": complement},
-            log=log,
-            inner=inner_report,
-            kernel_basis=kernel_basis,
+            "incompatible",
+            witnesses={"reason": "zero_form"},
+            log=log + ["the homogenized term vanishes"],
         )
-    report = find_compatible_screen(form)
+    report = screen_find(form)
     report.log = log + report.log
     return report
 
@@ -623,8 +581,6 @@ def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, to
     """Integrate free motion and a parallel-transported tangent vector w
     (w' = lambda q keeping dh(w) = 0) along it; returns the maximal drift of
     the quadratic value R(q, w), which stays constant on a compatible pair."""
-    from projdyn import screens as sc
-
     d = screen.dim
     diag = form.diagonal_poly()
 

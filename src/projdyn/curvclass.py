@@ -25,6 +25,7 @@ from projdyn.exactlin import (
     FormatError,
     Multivector,
     Tensor,
+    accumulate,
     basis_multivector,
     contract,
     contract_multivector,
@@ -38,6 +39,8 @@ from projdyn.exactlin import (
     rat,
     solve,
     support,
+    tensor_from_json,
+    tensor_to_json,
     wedge,
 )
 from projdyn.polyintegrals import AntisymmetricForm
@@ -180,11 +183,7 @@ def preserves_decomposables(R: BivectorMap) -> bool:
                 key = (tuple(sorted(xm)), tuple(sorted(ym)))
                 acc = coeffs.setdefault(key, {})
                 for idx, val in w.coords.items():
-                    s = acc.get(idx, Fraction(0)) + sign * val
-                    if s:
-                        acc[idx] = s
-                    else:
-                        del acc[idx]
+                    accumulate(acc, idx, sign * val)
     return all(not acc for acc in coeffs.values())
 
 
@@ -255,6 +254,24 @@ def wedge_power_map(R: BivectorMap, p: int) -> WedgePowerMap:
 # ---------------------------------------------------------------------------
 # classification of decomposability-preserving maps
 
+def witnesses_to_json(witnesses: dict) -> dict:
+    """Serialize report witnesses: multivectors as JSON, rationals (alone,
+    in vectors or in matrices) as 'p/q' strings, anything else as is."""
+    out = {}
+    for key, val in witnesses.items():
+        if isinstance(val, Multivector):
+            out[key] = multivector_to_json(val)
+        elif isinstance(val, (list, tuple)) and val and isinstance(val[0], (list, tuple)):
+            out[key] = [[format_rational(x) for x in row] for row in val]
+        elif isinstance(val, (list, tuple)):
+            out[key] = [format_rational(x) for x in val]
+        elif isinstance(val, (int, Fraction)):
+            out[key] = format_rational(val)
+        else:
+            out[key] = val
+    return out
+
+
 class ClassificationReport:
     """Case tag plus exact witnesses; every witness satisfies its defining
     identity (re-verified before the report is produced)."""
@@ -268,19 +285,7 @@ class ClassificationReport:
         return f"ClassificationReport(case={self.case!r})"
 
     def to_json(self):
-        out = {"case": self.case, "checks": self.checks, "witnesses": {}}
-        for key, val in self.witnesses.items():
-            if isinstance(val, Multivector):
-                out["witnesses"][key] = multivector_to_json(val)
-            elif isinstance(val, (list, tuple)) and val and isinstance(val[0], (list, tuple)):
-                out["witnesses"][key] = [[format_rational(x) for x in row] for row in val]
-            elif isinstance(val, (list, tuple)):
-                out["witnesses"][key] = [format_rational(x) for x in val]
-            elif isinstance(val, (int, Fraction)):
-                out["witnesses"][key] = format_rational(val)
-            else:
-                out["witnesses"][key] = val
-        return out
+        return {"case": self.case, "checks": self.checks, "witnesses": witnesses_to_json(self.witnesses)}
 
 
 def _normalize(vec):
@@ -521,16 +526,12 @@ class CurvatureForm:
         return self.form.diagonal_poly()
 
     def to_json(self):
-        from projdyn.exactlin import tensor_to_json
-
         out = tensor_to_json(self.tensor)
         out["symmetry"] = "riemann"
         return out
 
     @classmethod
     def from_json(cls, obj):
-        from projdyn.exactlin import tensor_from_json
-
         if obj.get("symmetry") != "riemann":
             raise FormatError("curvature form: expected {'symmetry': 'riemann'}")
         return cls(tensor_from_json(obj))

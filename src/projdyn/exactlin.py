@@ -51,6 +51,21 @@ def format_rational(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def accumulate(out: dict, key, val) -> None:
+    """Add val at key of a sparse dict, keeping its canonical form: no
+    stored value is zero, so a sum that cancels removes the key and a zero
+    val never creates one."""
+    old = out.get(key)
+    if old is not None:
+        val = old + val
+        if not val:
+            del out[key]
+            return
+    elif not val:
+        return
+    out[key] = val
+
+
 def parse_rational(s: str) -> Fraction:
     try:
         f = Fraction(s)
@@ -117,11 +132,7 @@ class Tensor:
                 raise ValueError(f"index {idx} has length {len(idx)}, expected {order}")
             if any(i < 0 or i >= dim for i in idx):
                 raise ValueError(f"index {idx} out of range for dim {dim}")
-            v = rat(val)
-            if v:
-                clean[idx] = clean.get(idx, Fraction(0)) + v
-                if not clean[idx]:
-                    del clean[idx]
+            accumulate(clean, idx, rat(val))
         self.entries = clean
 
     @classmethod
@@ -143,11 +154,7 @@ class Tensor:
         self._check_compatible(other)
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            s = out.get(idx, Fraction(0)) + val
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+            accumulate(out, idx, val)
         return Tensor._raw(self.dim, self.order, out)
 
     def __sub__(self, other):
@@ -192,12 +199,7 @@ class Tensor:
             idx = [0] * self.order
             for k, pos in enumerate(sigma):
                 idx[pos] = jdx[k]
-            key = tuple(idx)
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, tuple(idx), val)
         return Tensor._raw(self.dim, self.order, out)
 
     def transpose_slots(self, m: int, n: int):
@@ -230,12 +232,7 @@ class Tensor:
             c = vec[idx[slot]]
             if not c:
                 continue
-            key = idx[:slot] + idx[slot + 1:]
-            s = out.get(key, Fraction(0)) + val * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, idx[:slot] + idx[slot + 1:], val * c)
         return Tensor(self.dim, self.order - 1, out)
 
     def contract_slots(self, assignment: dict):
@@ -248,16 +245,6 @@ class Tensor:
 
 def basis_tensor(dim: int, idx) -> Tensor:
     return Tensor(dim, len(idx), {tuple(idx): Fraction(1)})
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    if a.dim != b.dim:
-        raise ValueError("tensor dim mismatch")
-    out = {}
-    for ia, va in a.entries.items():
-        for ib, vb in b.entries.items():
-            out[ia + ib] = out.get(ia + ib, Fraction(0)) + va * vb
-    return Tensor(a.dim, a.order + b.order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +272,7 @@ class Multivector:
             key, sign = sort_with_sign(idx)
             if sign == 0:
                 continue
-            v = rat(val) * sign
-            if v:
-                s = clean.get(key, Fraction(0)) + v
-                if s:
-                    clean[key] = s
-                else:
-                    del clean[key]
+            accumulate(clean, key, rat(val) * sign)
         self.coords = clean
 
     def _check_compatible(self, other):
@@ -302,11 +283,7 @@ class Multivector:
         self._check_compatible(other)
         out = dict(self.coords)
         for idx, val in other.coords.items():
-            s = out.get(idx, Fraction(0)) + val
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+            accumulate(out, idx, val)
         return Multivector(self.dim, self.grade, out)
 
     def __sub__(self, other):
@@ -364,13 +341,8 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     for ia, va in a.coords.items():
         for ib, vb in b.coords.items():
             key, sign = sort_with_sign(ia + ib)
-            if sign == 0:
-                continue
-            s = out.get(key, Fraction(0)) + va * vb * sign
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            if sign:
+                accumulate(out, key, va * vb * sign)
     return Multivector(a.dim, grade, out)
 
 
@@ -400,13 +372,7 @@ def contract(xi, m: Multivector) -> Multivector:
             c = xi[i]
             if not c:
                 continue
-            key = idx[:pos] + idx[pos + 1:]
-            term = val * c * (1 if pos % 2 == 0 else -1)
-            s = out.get(key, Fraction(0)) + term
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, idx[:pos] + idx[pos + 1:], val * c * (1 if pos % 2 == 0 else -1))
     return Multivector(m.dim, m.grade - 1, out)
 
 
@@ -431,15 +397,8 @@ def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
             rest = tuple(i for i in t_idx if i not in s_set)
             # parity of the shuffle putting (s_idx, rest) into sorted order t_idx
             _, sign = sort_with_sign(s_idx + rest)
-            if sign == 0:
-                continue
-            key = rest
-            term = sval * tval * sign
-            acc = out.get(key, Fraction(0)) + term
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+            if sign:
+                accumulate(out, rest, sval * tval * sign)
     return Multivector(pi.dim, omega.grade - pi.grade, out)
 
 
@@ -670,11 +629,7 @@ class SparseEchelon:
                 return vec, lead
             c = vec[lead]
             for k, v in row.items():
-                s = vec.get(k, Fraction(0)) - c * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
+                accumulate(vec, k, -c * v)
         return vec, None
 
     def insert(self, vec) -> bool:
@@ -689,11 +644,7 @@ class SparseEchelon:
             c = row.get(lead)
             if c:
                 for k, v in red.items():
-                    s = row.get(k, Fraction(0)) - c * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+                    accumulate(row, k, -c * v)
         self.pivots[lead] = red
         return True
 
@@ -723,17 +674,10 @@ def intersect_spans(spans):
     for basis in spans:
         if not basis:
             return []  # intersection with the zero space
-        for xi in kernel_of_span(basis):
-            ann_rows.append(xi)
+        ann_rows.extend(kernel(basis))
     if not ann_rows:
         return [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
     return kernel(ann_rows)
-
-
-def kernel_of_span(basis):
-    """Covectors annihilating span(basis): kernel of the matrix whose ROWS
-    are the basis vectors (pairing xi(v) = sum v_i xi_i)."""
-    return kernel(basis)
 
 
 def sum_of_spans(spans):
@@ -762,6 +706,9 @@ def _entries_from_json(obj, what):
     seen = set()
     entries = {}
     for item in obj["entries"]:
+        for key in ("idx", "val"):
+            if not isinstance(item, dict) or key not in item:
+                raise FormatError(f"{what}: entry missing key {key!r}")
         idx = tuple(item["idx"])
         if idx in seen:
             raise FormatError(f"{what}: duplicate idx {list(idx)}")
@@ -772,7 +719,10 @@ def _entries_from_json(obj, what):
 
 def tensor_from_json(obj) -> Tensor:
     dim, order, entries = _entries_from_json(obj, "tensor")
-    return Tensor(dim, order, entries)
+    try:
+        return Tensor(dim, order, entries)
+    except ValueError as exc:
+        raise FormatError(f"tensor: {exc}") from exc
 
 
 def multivector_to_json(m: Multivector) -> dict:
@@ -788,7 +738,10 @@ def multivector_from_json(obj) -> Multivector:
     for idx in entries:
         if list(idx) != sorted(set(idx)):
             raise FormatError(f"multivector: idx {list(idx)} is not strictly increasing")
-    return Multivector(dim, grade, entries)
+    try:
+        return Multivector(dim, grade, entries)
+    except ValueError as exc:
+        raise FormatError(f"multivector: {exc}") from exc
 
 
 def dumps(obj) -> str:

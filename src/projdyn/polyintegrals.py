@@ -23,7 +23,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from projdyn.exactlin import Tensor, mat_inverse, mat_mul, rat
+import numpy as np
+
+from projdyn.exactlin import SparseEchelon, Tensor, accumulate, kernel, mat_inverse, mat_mul, rat
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.young import YoungTableau, antisymmetrizer_element, apply_element, check_imAS
 
@@ -73,8 +75,6 @@ def impulsion_poly_basis(dim: int, b: int):
     basis of the polynomial first integrals of free motion of degree b."""
     pairs = list(itertools.combinations(range(dim), 2))
     pls = {pr: plucker(dim, *pr) for pr in pairs}
-    from projdyn.exactlin import SparseEchelon
-
     echelon = SparseEchelon()
     basis = []
     for combo in itertools.combinations_with_replacement(pairs, b):
@@ -169,12 +169,7 @@ def poly_from_polar(T: Tensor, b: int) -> Poly:
         exps = [0] * (2 * dim)
         for slot, i in enumerate(idx):
             exps[i if slot < b else dim + i] += 1
-        key = tuple(exps)
-        s = out.get(key, Fraction(0)) + val
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+        accumulate(out, tuple(exps), val)
     return Poly(2 * dim, out)
 
 
@@ -255,12 +250,7 @@ class AntisymmetricForm:
             for k in range(self.b):
                 exps[idx[2 * k]] += 1
                 exps[dim + idx[2 * k + 1]] += 1
-            key = tuple(exps)
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, tuple(exps), val)
         return Poly(2 * dim, out)
 
     def value(self, idx) -> Fraction:
@@ -291,8 +281,6 @@ class AntisymmetricForm:
 
     def kernel(self):
         """Vectors u with the form vanishing whenever u fills the first slot."""
-        from projdyn.exactlin import kernel as mat_kernel
-
         rows = {}
         for idx, val in self.tensor.entries.items():
             rows.setdefault(idx[1:], {})[idx[0]] = val
@@ -301,7 +289,7 @@ class AntisymmetricForm:
             mat.append([cols.get(i, Fraction(0)) for i in range(self.dim)])
         if not mat:
             return [[Fraction(1) if j == i else Fraction(0) for j in range(self.dim)] for i in range(self.dim)]
-        return mat_kernel(mat)
+        return kernel(mat)
 
 
 def pair_tableau(b: int) -> YoungTableau:
@@ -349,7 +337,6 @@ def _substitute_sqrt(poly: Poly, images) -> SqrtElem:
     base = images[0].base
     nv = base.nvars
     out = SqrtElem.from_poly(Poly.zero(nv), base)
-    cache = {}
     for exps, coef in poly.terms.items():
         term = SqrtElem.from_poly(Poly.const(nv, coef), base)
         for i, e in enumerate(exps):
@@ -414,8 +401,6 @@ class HomogenizedIntegral:
         self.poly = poly
 
     def __call__(self, q, v) -> float:
-        import numpy as np
-
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
         h = self.screen.value(q)

@@ -14,9 +14,10 @@ function field whenever S is not a perfect square.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from projdyn.exactlin import FormatError, format_rational, parse_rational, rat
+from projdyn.exactlin import FormatError, accumulate, format_rational, parse_rational, rat
 
 
 class NotPolynomialError(ArithmeticError):
@@ -37,13 +38,7 @@ class Poly:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = rat(coef)
-            if c:
-                s = clean.get(exps, Fraction(0)) + c
-                if s:
-                    clean[exps] = s
-                else:
-                    del clean[exps]
+            accumulate(clean, exps, rat(coef))
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
@@ -79,11 +74,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            s = out.get(exps, Fraction(0)) + coef
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            accumulate(out, exps, coef)
         return Poly(self.nvars, out)
 
     __radd__ = __add__
@@ -106,12 +97,7 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -155,12 +141,7 @@ class Poly:
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            s = out.get(key, Fraction(0)) + coef * e
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, exps[:i] + (e - 1,) + exps[i + 1:], coef * e)
         return Poly(self.nvars, out)
 
     def degree(self) -> int:
@@ -266,14 +247,9 @@ class Poly:
             if any(d < 0 for d in diff):
                 raise NotPolynomialError("division left a remainder")
             c = rem[lead_r] / cd
-            quot[diff] = quot.get(diff, Fraction(0)) + c
+            accumulate(quot, diff, c)
             for e2, c2 in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(diff, e2))
-                s = rem.get(key, Fraction(0)) - c * c2
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
+                accumulate(rem, tuple(a + b for a, b in zip(diff, e2)), -c * c2)
         return Poly(self.nvars, quot)
 
     # -- presentation -------------------------------------------------------------
@@ -336,11 +312,6 @@ class SqrtElem:
         nv = p.nvars
         return cls(p, Poly.zero(nv), Poly.const(nv, 1), base)
 
-    @classmethod
-    def sqrt(cls, base: Poly):
-        nv = base.nvars
-        return cls(Poly.zero(nv), Poly.const(nv, 1), Poly.const(nv, 1), base)
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.P.nvars, other)
@@ -374,9 +345,6 @@ class SqrtElem:
             self.base,
         )
 
-    def div_poly(self, d: Poly):
-        return SqrtElem(self.P, self.Q, self.D * d, self.base)
-
     def diff(self, i: int) -> "SqrtElem":
         """Partial derivative; ds/dx_i = (d base/dx_i) / (2 s)."""
         S = self.base
@@ -399,8 +367,6 @@ class SqrtElem:
         return self.P.exact_div(self.D)
 
     def evaluate_float(self, point) -> float:
-        import math
-
         s = math.sqrt(self.base.evaluate_float(point))
         return (self.P.evaluate_float(point) + self.Q.evaluate_float(point) * s) / self.D.evaluate_float(point)
 

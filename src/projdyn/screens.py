@@ -222,6 +222,12 @@ def screen_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("screen: expected an object with 'kind'")
     kind = obj["kind"]
+    builtin = {"flat": flat_screen, "sphere": sphere_screen, "hyperboloid": hyperboloid_screen}
+    required = {"linear": "phi", "quadratic_root": "g", **dict.fromkeys(builtin, "dim")}
+    if not isinstance(kind, str) or kind not in required:
+        raise FormatError(f"screen: unknown kind {kind!r}")
+    if required[kind] not in obj:
+        raise FormatError(f"screen: kind {kind!r} needs key {required[kind]!r}")
     if kind == "linear":
         return LinearFormScreen([parse_rational(x) for x in obj["phi"]])
     if kind == "quadratic_root":
@@ -229,13 +235,7 @@ def screen_from_json(obj):
             [[parse_rational(x) for x in row] for row in obj["g"]],
             sheet=obj.get("sheet"),
         )
-    if kind == "flat":
-        return flat_screen(int(obj["dim"]))
-    if kind == "sphere":
-        return sphere_screen(int(obj["dim"]))
-    if kind == "hyperboloid":
-        return hyperboloid_screen(int(obj["dim"]))
-    raise FormatError(f"screen: unknown kind {kind!r}")
+    return builtin[kind](int(obj["dim"]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +482,6 @@ class TrajectorySample:
         h01 = -2 * s**3 + 3 * s**2
         h11 = s**3 - s**2
         return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-    def dense_states(self, n):
-        ts = np.linspace(self.times[0], self.times[-1], n)
-        return ts, np.array([self.interpolate(t) for t in ts])
 
     # -- CSV ----------------------------------------------------------------
 

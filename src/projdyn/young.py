@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from projdyn.exactlin import FormatError, SparseEchelon, Tensor, perm_sign
+from projdyn.exactlin import FormatError, SparseEchelon, Tensor, accumulate, perm_sign
 
 
 class NumberingError(ValueError):
@@ -164,16 +164,10 @@ def antisymmetrizer_element(tableau: YoungTableau) -> dict:
 def compose_elements(g: dict, h: dict) -> dict:
     """Convolution with L_g . L_h = L_{g*h}: (g*h) applies h first."""
     out = {}
-    get_out = out.get
     for sigma, cg in g.items():
         getter = sigma.__getitem__
         for tau, ch in h.items():
-            comp = tuple(map(getter, tau))
-            s = get_out(comp, 0) + cg * ch
-            if s:
-                out[comp] = s
-            else:
-                del out[comp]
+            accumulate(out, tuple(map(getter, tau)), cg * ch)
     return out
 
 
@@ -191,17 +185,10 @@ def apply_element(g: dict, t: Tensor) -> Tensor:
             inv[pos] = k
         inverses.append((tuple(inv), coef))
     out = {}
-    get_out = out.get
-    zero = Fraction(0)
     for jdx, val in t.entries.items():
         getter = jdx.__getitem__
         for inv, coef in inverses:
-            key = tuple(map(getter, inv))
-            s = get_out(key, zero) + val * coef
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, tuple(map(getter, inv)), val * coef)
     return Tensor._raw(t.dim, t.order, out)
 
 
@@ -457,12 +444,7 @@ def vanishing_diagonal_test(tableau: YoungTableau, t: Tensor) -> bool:
         for slot, i in enumerate(idx):
             pair = (depth_of_slot[slot], i)
             mono[pair] = mono.get(pair, 0) + 1
-        key = tuple(sorted(mono.items()))
-        s = coeffs.get(key, Fraction(0)) + val
-        if s:
-            coeffs[key] = s
-        else:
-            del coeffs[key]
+        accumulate(coeffs, tuple(sorted(mono.items())), val)
     return not coeffs
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from projdyn.cli import main
 
 
@@ -41,6 +43,38 @@ def test_young_check_member_and_non_member(capsys):
 def test_young_check_bad_schema_exits_2(capsys):
     code, _ = run(capsys, "young-check", "--tableau", '{"rows": [2,2]}', "--tensor", '{"dim": 2}')
     assert code == 2
+
+
+_PAIR_TABLEAU = json.dumps({"rows": [1, 1], "numbering": "vertical"})
+_TERM = {"vars": ["q0", "q1", "q2", "v0", "v1", "v2"],
+         "terms": [{"exps": [0, 0, 0, 1, 1, 0], "coef": "1/1"}]}
+
+
+def _tensor(*entries):
+    return json.dumps({"dim": 2, "order": 2, "entries": list(entries)})
+
+
+def _term_on(screen):
+    return json.dumps({"screen": screen, "T": _TERM})
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 1]})],
+                 id="tensor-entry-without-val"),
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"val": "1/1"})],
+                 id="tensor-entry-without-idx"),
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 2], "val": "1/1"})],
+                 id="tensor-index-out-of-range"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "flat"})], id="screen-without-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear"})], id="screen-without-phi"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "quadratic_root"})], id="screen-without-g"),
+    pytest.param(["young-dim", "--rows", "2,x", "--dim", "3"], id="non-integer-row-length"),
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code = main(argv)  # an escaping exception would fail the test with its traceback
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_classify_wedge_square(capsys, tmp_path):

@@ -20,6 +20,7 @@ from projdyn.compat import (
     parallel_transport_check,
     presymplectic_check,
     quotient_form,
+    screen_find,
     xvar,
     yvar,
 )
@@ -29,7 +30,7 @@ from projdyn.curvclass import (
     flat_form_tensor,
     metric_form_tensor,
 )
-from projdyn.exactlin import kernel, same_subspace
+from projdyn.exactlin import Tensor, kernel, same_subspace
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import ScreenIntegral, qvar, vvar
 
@@ -317,6 +318,19 @@ def test_hamiltonian_test_cylindric_reduction():
     assert same_subspace(rep.kernel_basis, [[0, 0, 1, 0]])
     assert rep.inner.verdict == "hyperplane"
     assert rep.inner.witnesses["g"] == [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
+
+
+def test_screen_find_is_the_kernel_branch_of_hamiltonian_test():
+    rep = hamiltonian_test(ScreenIntegral(sc.flat_screen(4), vvar(0, 4) * vvar(1, 4)))
+    form = CurvatureForm(metric_form_tensor([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    found = screen_find(form)
+    assert found.verdict == "cylindric" and found.inner.verdict == "dim2"
+    assert found.log == ["nontrivial kernel of dimension 2: cylindric reduction onto coordinates [0, 1]"]
+    assert rep.log[-1] == "nontrivial kernel of dimension 1: cylindric reduction onto coordinates [0, 1, 3]"
+    euclid = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert screen_find(euclid).to_json() == find_compatible_screen(euclid).to_json()
+    with pytest.raises(ValueError):
+        screen_find(CurvatureForm(Tensor(3, 4, {})))
 
 
 def test_hamiltonian_test_incompatible_pbb_element():

@@ -1,6 +1,8 @@
 """Exterior algebra, interior products, and exact elimination."""
 
+import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from projdyn.exactlin import (
     wedge,
     wedge_power,
 )
+from projdyn.polynomials import Poly
 
 
 def frac_vec(rng, dim, span=4):
@@ -304,6 +307,121 @@ def test_tensor_equality_normalization():
     a = Tensor(2, 2, {(0, 1): Fraction(1, 2)})
     b = Tensor(2, 2, {(0, 1): Fraction(2, 4), (1, 1): 0})
     assert a == b
+
+
+# -- canonical form after cancellation ---------------------------------------------
+# Every sparse container stores no zero value, also when terms cancel inside
+# an operation.  Each result is compared with a dense reference that sums all
+# terms without deleting anything and drops the zeros only at the end.
+
+SMALL = st.sampled_from([Fraction(v) for v in (-2, -1, 2, 1)] + [Fraction(1, 2), Fraction(-1, 2)])
+UNIT = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+TENSOR3 = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), SMALL, max_size=8)
+BIVECTOR4 = st.dictionaries(st.sampled_from(list(itertools.combinations(range(4), 2))), SMALL, max_size=6)
+VECTOR4 = st.dictionaries(st.tuples(st.integers(0, 3)), SMALL, max_size=4)
+POLY2 = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), SMALL, min_size=1, max_size=5)
+
+
+def dense_sum(terms):
+    out = defaultdict(Fraction)
+    for key, val in terms:
+        out[key] += val
+    return {key: val for key, val in out.items() if val}
+
+
+def assert_no_zero(stored):
+    assert all(type(v) is Fraction and v for v in stored.values())
+
+
+def assert_canonical(stored, terms):
+    assert stored == dense_sum(terms)
+    assert_no_zero(stored)
+
+
+def sorted_sign(idx):
+    if len(set(idx)) < len(idx):
+        return tuple(sorted(idx)), 0
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), (-1) ** inversions
+
+
+def partly_cancelling(data, base, extra):
+    """base negated on a drawn subset of its keys, plus extra entries."""
+    keys = data.draw(st.lists(st.sampled_from(sorted(base)), unique=True)) if base else []
+    return {**data.draw(extra), **{k: -base[k] for k in keys}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_operations_keep_canonical_form(data):
+    a = data.draw(TENSOR3)
+    b = partly_cancelling(data, a, TENSOR3)
+    ta, tb = Tensor(3, 3, a), Tensor(3, 3, b)
+    assert (ta + ta.scale(-1)).entries == {}
+    assert_canonical((ta + tb).entries, list(a.items()) + list(b.items()))
+    sigma = data.draw(st.permutations(range(3)))
+    moved = []
+    for jdx, val in a.items():
+        idx = [0] * 3
+        for k, pos in enumerate(sigma):
+            idx[pos] = jdx[k]
+        moved.append((tuple(idx), val))
+    assert_canonical(ta.permute(sigma).entries, moved)
+    slot, vec = data.draw(st.integers(0, 2)), data.draw(st.lists(UNIT, min_size=3, max_size=3))
+    assert_canonical(ta.contract_slot(slot, vec).entries,
+                     [(idx[:slot] + idx[slot + 1:], val * vec[idx[slot]]) for idx, val in a.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multivector_operations_keep_canonical_form(data):
+    a = data.draw(BIVECTOR4)
+    b = partly_cancelling(data, a, BIVECTOR4)
+    ma, mb = Multivector(4, 2, a), Multivector(4, 2, b)
+    assert (ma + ma.scale(-1)).coords == {}
+    assert_canonical((ma + mb).coords, list(a.items()) + list(b.items()))
+    x, y = Multivector(4, 1, data.draw(VECTOR4)), Multivector(4, 1, data.draw(VECTOR4))
+    assert (wedge(x, y) + wedge(y, x)).coords == {}
+    terms = []
+    for ia, va in ma.coords.items():
+        for ib, vb in mb.coords.items():
+            key, sign = sorted_sign(ia + ib)
+            terms.append((key, va * vb * sign))
+    assert_canonical(wedge(ma, mb).coords, terms)
+    xi = data.draw(st.lists(UNIT, min_size=4, max_size=4))
+    terms = [(idx[:pos] + idx[pos + 1:], val * xi[i] * (-1) ** pos)
+             for idx, val in ma.coords.items() for pos, i in enumerate(idx)]
+    assert_canonical(contract(xi, ma).coords, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLY2, POLY2)
+def test_poly_operations_keep_canonical_form(a, b):
+    p, q = Poly(2, a), Poly(2, b)
+    assert (p * q - q * p).terms == {}
+    assert (p + p.scale(-1)).terms == {}
+    terms = [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()]
+    assert_canonical((p * q).terms, terms)
+    assert_canonical(p.diff(0).terms, [((e[0] - 1, e[1]), c * e[0]) for e, c in a.items() if e[0]])
+    assert_canonical((p * q).exact_div(q).terms, list(a.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), SMALL, min_size=1, max_size=4), min_size=1, max_size=4),
+       st.lists(SMALL, min_size=4, max_size=4))
+def test_sparse_echelon_keeps_canonical_form(vectors, coeffs):
+    echelon = ex.SparseEchelon()
+    for vec in vectors:
+        echelon.insert(vec)
+    dependent = dense_sum((k, c * v) for c, vec in zip(coeffs, vectors) for k, v in vec.items())
+    assert not echelon.insert(dependent)
+    assert echelon.contains(dependent)
+    rows = echelon.basis()
+    for row in rows:
+        assert_no_zero(row)
+    dense = [[vec.get(k, Fraction(0)) for k in range(5)] for vec in vectors]
+    assert echelon.rank == rank(dense)
+    assert same_subspace([[row.get(k, Fraction(0)) for k in range(5)] for row in rows], dense)
 
 
 # -- JSON ------------------------------------------------------------------------
