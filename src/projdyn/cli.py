@@ -4,7 +4,9 @@ Every subcommand validates its input, calls exactly one library pipeline,
 and writes deterministic output (JSON report or CSV trajectory): identical
 inputs give byte-identical outputs.  Exit codes: 0 success, 1 negative
 verdict or domain error, 2 malformed input.  The environment variable
-PROJDYN_TOL overrides the default numerical tolerance of 1e-10.
+PROJDYN_TOL overrides the default numerical tolerance of 1e-10; it must be a
+positive finite number.  A time span [t0, t1] needs finite ends with
+t0 <= t1.
 
 Inline JSON is accepted wherever a file path is expected (any argument
 starting with '{').  Schemas:
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,10 +48,14 @@ class InputError(ValueError):
 
 
 def _default_tol():
+    text = os.environ.get("PROJDYN_TOL", "1e-10")
     try:
-        return float(os.environ.get("PROJDYN_TOL", "1e-10"))
+        tol = float(text)
     except ValueError:
-        return 1e-10
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"PROJDYN_TOL: expected a positive finite number, got {text!r}")
+    return tol
 
 
 def _load_json(arg, what):
@@ -88,6 +95,14 @@ def _parse_floats(text, what):
         return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise InputError(f"{what}: expected comma-separated numbers") from exc
+
+
+def _check_t_span(t_span, what):
+    t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InputError(f"{what}: time span ends must be finite")
+    if t1 < t0:
+        raise InputError(f"{what}: time span [{t0}, {t1}] runs backwards")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,7 @@ def _builtin_scenario(args):
     t_span = _parse_floats(args.t_span, "--t-span")
     if len(t_span) != 2:
         raise InputError("--t-span needs exactly two numbers")
+    _check_t_span(t_span, "--t-span")
     return {
         "screen": screen,
         "force": force,
@@ -190,6 +206,7 @@ def _builtin_scenario(args):
 def _scenario(args):
     if args.scenario:
         scn = screens.scenario_from_json(_load_json(args.scenario, "scenario"))
+        _check_t_span(scn["t_span"], "scenario")
         if args.tol is not None:
             scn["tol"] = args.tol
         return scn

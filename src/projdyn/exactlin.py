@@ -614,7 +614,9 @@ class SparseEchelon:
 
     Used to compute ranks and membership for spans of tensors whose natural
     coordinates are index tuples.  Pivot choice is by the smallest label under
-    the given ordering, which makes the reduced basis canonical.
+    the given ordering, which makes the reduced basis canonical.  The stored
+    rows are only partly reduced (a row may keep entries at pivots inserted
+    before it); ``basis()`` finishes the reduction.
     """
 
     def __init__(self):
@@ -639,7 +641,7 @@ class SparseEchelon:
             return False
         inv = 1 / red[lead]
         red = {k: v * inv for k, v in red.items()}
-        # back-substitute into existing rows to keep the basis reduced
+        # clear the new pivot from the existing rows
         for piv, row in self.pivots.items():
             c = row.get(lead)
             if c:
@@ -657,7 +659,19 @@ class SparseEchelon:
         return len(self.pivots)
 
     def basis(self):
-        return [dict(row) for _, row in sorted(self.pivots.items())]
+        """The reduced echelon basis, ordered by pivot: each row is 1 at its
+        pivot and 0 at every other pivot.  It depends only on the span."""
+        reduced = {}
+        for piv in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[piv])
+            # rows of larger pivots are final and hold no other pivot, so
+            # clearing one pivot from ``row`` never brings back another
+            for k in [k for k in row if k in reduced]:
+                c = row[k]
+                for kk, v in reduced[k].items():
+                    accumulate(row, kk, -c * v)
+            reduced[piv] = row
+        return [reduced[piv] for piv in sorted(reduced)]
 
 
 def intersect_spans(spans):

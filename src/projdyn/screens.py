@@ -64,6 +64,10 @@ class Screen:
     def hessian(self, q) -> np.ndarray:
         raise NotImplementedError
 
+    def hessian_vv(self, q, v) -> float:
+        """The second derivative of h at q in direction v, v^T H(q) v."""
+        return v @ self.hessian(q) @ v
+
     def in_domain(self, q) -> bool:
         raise NotImplementedError
 
@@ -99,9 +103,12 @@ class LinearFormScreen(Screen):
     def hessian(self, q):
         return self._hess
 
+    def hessian_vv(self, q, v):
+        return 0.0
+
     def in_domain(self, q):
         q = np.asarray(q, dtype=float)
-        return bool(np.all(np.isfinite(q))) and self.value(q) > 0.0
+        return bool(np.isfinite(q).all()) and self.value(q) > 0.0
 
     def to_json(self):
         return {"kind": "linear", "dim": self.dim, "phi": [format_rational(x) for x in self.phi_exact]}
@@ -141,9 +148,17 @@ class QuadraticRootScreen(Screen):
         gq = self.gmat @ q
         return self.gmat / h - np.outer(gq, gq) / h**3
 
+    def hessian_vv(self, q, v):
+        # v^T (G/h - Gq (Gq)^T / h^3) v without forming the d x d matrix
+        q = np.asarray(q, dtype=float)
+        v = np.asarray(v, dtype=float)
+        h = self.value(q)
+        gqv = (self.gmat @ q) @ v
+        return (v @ self.gmat @ v) / h - gqv * gqv / h**3
+
     def in_domain(self, q):
         q = np.asarray(q, dtype=float)
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             return False
         if q @ self.gmat @ q <= 0.0:
             return False
@@ -182,7 +197,7 @@ class CustomScreen(Screen):
 
     def in_domain(self, q):
         q = np.asarray(q, dtype=float)
-        return bool(np.all(np.isfinite(q))) and bool(self._domain(q))
+        return bool(np.isfinite(q).all()) and bool(self._domain(q))
 
     def validate_at(self, q, tol=1e-7):
         """Numerical sanity: h(lam q) = lam h(q) and dh|_q(q) = h(q)."""
@@ -394,7 +409,7 @@ def radial_reaction(screen, q, v, fval):
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     g = screen.gradient(q)
-    return -(v @ screen.hessian(q) @ v + g @ np.asarray(fval, dtype=float)) / (g @ q)
+    return -(screen.hessian_vv(q, v) + g @ np.asarray(fval, dtype=float)) / (g @ q)
 
 
 def restrict_force(force, screen, q):
@@ -431,15 +446,24 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 class TrajectorySample:
     """Sampled trajectory on a screen: times plus (q, v) states, with the
-    stored derivatives enabling cubic Hermite interpolation between nodes."""
+    stored derivatives enabling cubic Hermite interpolation between nodes.
 
-    def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10):
+    ``stats`` holds what the integrator did (empty for samples built
+    otherwise): ``accepted`` and ``rejected`` steps, ``rhs_evals`` (force
+    evaluations), ``domain_retries`` (steps halved because a stage left the
+    validity domain), ``min_h`` (smallest accepted step other than the last,
+    which is cut to land on the end time; inf when there is none) and
+    ``max_drift`` (largest |h(q) - 1| or |dh(v)| over the samples).
+    """
+
+    def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10, stats=None):
         self.screen = screen
         self.times = np.asarray(times, dtype=float)
         self.qs = np.asarray(qs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
         self.derivs = None if derivs is None else np.asarray(derivs, dtype=float)
         self.tol = tol
+        self.stats = {} if stats is None else stats
 
     def __len__(self):
         return len(self.times)
@@ -457,9 +481,11 @@ class TrajectorySample:
         return dh, dv
 
     def check_on_screen(self, tol):
-        dh, dv = self.drift()
-        if dh > tol or dv > tol:
-            raise ValueError(f"trajectory drift {max(dh, dv):.3e} exceeds {tol:.3e}")
+        """Raise ValueError when the drift exceeds tol; return the drift."""
+        drift = max(self.drift())
+        if drift > tol:
+            raise ValueError(f"trajectory drift {drift:.3e} exceeds {tol:.3e}")
+        return drift
 
     def interpolate(self, t):
         """Cubic Hermite state at time t (requires stored derivatives)."""
@@ -501,7 +527,8 @@ class TrajectorySample:
 
     @classmethod
     def from_csv(cls, text, screen=None):
-        lines = [ln for ln in text.strip().splitlines() if ln]
+        numbered = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        lines = [ln for _, ln in numbered]
         if len(lines) < 2 or not lines[0].startswith("# screen="):
             raise FormatError("trajectory csv: missing screen header line")
         header = lines[1].split(",")
@@ -509,10 +536,13 @@ class TrajectorySample:
             raise FormatError("trajectory csv: bad column header")
         d = (len(header) - 1) // 2
         times, qs, vs = [], [], []
-        for ln in lines[2:]:
-            parts = [float(x) for x in ln.split(",")]
+        for lineno, ln in numbered[2:]:
+            try:
+                parts = [float(x) for x in ln.split(",")]
+            except ValueError as exc:
+                raise FormatError(f"trajectory csv line {lineno}: {exc}") from exc
             if len(parts) != 1 + 2 * d:
-                raise FormatError("trajectory csv: ragged row")
+                raise FormatError(f"trajectory csv line {lineno}: ragged row")
             times.append(parts[0])
             qs.append(parts[1:1 + d])
             vs.append(parts[1 + d:])
@@ -533,9 +563,14 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
 
     The initial state is renormalized onto {h = 1, dh(v) = 0}; each accepted
     step is projected back as well, so the constraint drift stays at the
-    tolerance scale.  Raises DomainExitError when the trajectory leaves the
-    screen's validity domain and StepUnderflowError near force singularities.
+    tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1],
+    DomainExitError when the trajectory leaves the screen's validity domain
+    and StepUnderflowError near force singularities.  The returned sample's
+    ``stats`` count the work done (see TrajectorySample).
     """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t0 <= t1:
+        raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not screen.in_domain(q0):
@@ -546,71 +581,81 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
         raise ValueError("initial state too far from the screen's tangent bundle")
     q0, v0 = screen.project_state(q0, v0)
     d = screen.dim
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "domain_retries": 0,
+             "min_h": math.inf, "max_drift": 0.0}
 
-    def rhs(t, y):
+    def rhs(t, y, out):
+        """Write (v, f + lambda q) at state y into the stage row out."""
         q, v = y[:d], y[d:]
         if not screen.in_domain(q):
             raise DomainExitError("trajectory left the validity domain", t)
+        stats["rhs_evals"] += 1
         fval = force(q)
-        lam = radial_reaction(screen, q, v, fval)
-        return np.concatenate([v, fval + lam * q])
+        out[:d] = v
+        out[d:] = fval + radial_reaction(screen, q, v, fval) * q
 
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
+    K = np.empty((7, 2 * d))
     y = np.concatenate([q0, v0])
     t = t0
-    k0 = rhs(t, y)
+    rhs(t, y, K[0])
     # deterministic initial step from the standard scale heuristic
     scale = tol + tol * np.abs(y)
     d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((k0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((K[0] / scale) ** 2)))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, (t1 - t0) * 0.1, max_step)
 
     times = [t]
-    qs = [y[:d].copy()]
-    vs = [y[d:].copy()]
-    derivs = [k0]
-    min_h = max(abs(t1 - t0), 1.0) * 1e-14
+    qs = [q0]
+    vs = [v0]
+    derivs = [K[0].copy()]
+    h_floor = max(abs(t1 - t0), 1.0) * 1e-14
 
     while t < t1:
         h = min(h, t1 - t)
-        if h < min_h:
+        if h < h_floor:
             raise StepUnderflowError(f"step size underflow at t = {t}", t)
-        ks = [k0]
         try:
             for i in range(1, 7):
-                yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                ks.append(rhs(t + _DP_C[i] * h, yi))
+                rhs(t + _DP_C[i] * h, y + h * (_DP_A[i] @ K[:i]), K[i])
         except DomainExitError:
             # retry with a shorter step; report only if hopeless
+            stats["domain_retries"] += 1
             h *= 0.5
-            if h < min_h:
+            if h < h_floor:
                 raise
             continue
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+        y5 = y + h * (_DP_B5 @ K)
+        y4 = y + h * (_DP_B4 @ K)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-        if not math.isfinite(err) or not np.all(np.isfinite(y5)):
+        if not math.isfinite(err) or not np.isfinite(y5).all():
             # a stage hit a singularity; shrink hard instead of trusting err
+            stats["rejected"] += 1
             h *= 0.2
-            if h < min_h:
+            if h < h_floor:
                 raise StepUnderflowError(f"state became non-finite at t = {t}", t)
             continue
         if err <= 1.0:
+            stats["accepted"] += 1
             t = t + h
+            if t < t1:
+                stats["min_h"] = min(stats["min_h"], h)
             q, v = screen.project_state(y5[:d], y5[d:])
             y = np.concatenate([q, v])
-            k0 = rhs(t, y)
+            rhs(t, y, K[0])
             times.append(t)
-            qs.append(q.copy())
-            vs.append(v.copy())
-            derivs.append(k0)
+            qs.append(q)
+            vs.append(v)
+            derivs.append(K[0].copy())
+        else:
+            stats["rejected"] += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h = min(h * min(5.0, max(0.2, factor)), max_step)
 
-    traj = TrajectorySample(screen, times, qs, vs, derivs, tol=tol)
-    traj.check_on_screen(10 * tol + 1e-14)
+    traj = TrajectorySample(screen, times, qs, vs, derivs, tol=tol, stats=stats)
+    stats["max_drift"] = traj.check_on_screen(10 * tol + 1e-14)
     return traj
 
 

@@ -58,23 +58,67 @@ def _term_on(screen):
     return json.dumps({"screen": screen, "T": _TERM})
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 1]})],
+_ORBIT = ["integrate", "--q0", "1,0,1", "--v0", "0,1,0"]
+
+
+def _scenario_spanning(t0, t1):
+    return json.dumps({"screen": {"kind": "flat", "dim": 3}, "force": {"kind": "zero"},
+                       "q0": [0, 0, 1], "v0": [1, 0, 0], "t_span": [t0, t1]})
+
+
+@pytest.mark.parametrize("argv, env", [
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 1]})], {},
                  id="tensor-entry-without-val"),
-    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"val": "1/1"})],
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"val": "1/1"})], {},
                  id="tensor-entry-without-idx"),
-    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 2], "val": "1/1"})],
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 2], "val": "1/1"})], {},
                  id="tensor-index-out-of-range"),
-    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "flat"})], id="screen-without-dim"),
-    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear"})], id="screen-without-phi"),
-    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "quadratic_root"})], id="screen-without-g"),
-    pytest.param(["young-dim", "--rows", "2,x", "--dim", "3"], id="non-integer-row-length"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "flat"})], {}, id="screen-without-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear"})], {}, id="screen-without-phi"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "quadratic_root"})], {}, id="screen-without-g"),
+    pytest.param(["young-dim", "--rows", "2,x", "--dim", "3"], {}, id="non-integer-row-length"),
+    pytest.param(_ORBIT + ["--t-span", "1,0"], {}, id="reversed-t-span"),
+    pytest.param(_ORBIT + ["--t-span", "0,inf"], {}, id="infinite-t-span"),
+    pytest.param(_ORBIT + ["--t-span", "nan,1"], {}, id="nan-t-span"),
+    pytest.param(["integrate", "--scenario", _scenario_spanning(1, 0)], {}, id="reversed-scenario-t-span"),
+    pytest.param(_ORBIT, {"PROJDYN_TOL": "abc"}, id="non-numeric-PROJDYN_TOL"),
+    pytest.param(_ORBIT, {"PROJDYN_TOL": "nan"}, id="nan-PROJDYN_TOL"),
+    pytest.param(_ORBIT, {"PROJDYN_TOL": "inf"}, id="infinite-PROJDYN_TOL"),
+    pytest.param(_ORBIT, {"PROJDYN_TOL": "0"}, id="zero-PROJDYN_TOL"),
+    pytest.param(_ORBIT, {"PROJDYN_TOL": "-1e-10"}, id="negative-PROJDYN_TOL"),
 ])
-def test_malformed_input_exits_2(capsys, argv):
+def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     code = main(argv)  # an escaping exception would fail the test with its traceback
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:") and "Traceback" not in err
+    for name in env:
+        assert name in err
+
+
+def test_integrate_empty_time_span(capsys):
+    code, out = run(capsys, *_ORBIT, "--t-span", "1,1")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3  # two header lines and the start state
+    code, out = run(capsys, "integrate", "--scenario", _scenario_spanning(1, 1))
+    assert code == 0 and len(out.strip().splitlines()) == 3
+
+
+def test_project_non_numeric_csv_cell_exits_2(capsys, tmp_path):
+    traj_path = tmp_path / "line.csv"
+    code, _ = run(capsys, *_ORBIT, "--t-span", "0,1", "--output", str(traj_path))
+    assert code == 0
+    lines = traj_path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[1] = "x"
+    lines[4] = ",".join(cells)
+    traj_path.write_text("\n".join(lines) + "\n")
+    code = main(["project", "--input", str(traj_path), "--to-screen", '{"kind": "sphere", "dim": 3}'])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and "line 5" in err
 
 
 def test_classify_wedge_square(capsys, tmp_path):

@@ -424,6 +424,34 @@ def test_sparse_echelon_keeps_canonical_form(vectors, coeffs):
     assert same_subspace([[row.get(k, Fraction(0)) for k in range(5)] for row in rows], dense)
 
 
+def echelon_basis(vectors):
+    echelon = ex.SparseEchelon()
+    for vec in vectors:
+        echelon.insert(vec)
+    return echelon.basis()
+
+
+def test_sparse_echelon_basis_is_reduced_for_later_pivot():
+    # {1: 1} enters first, so the row of pivot 0 kept an entry at label 1
+    a, b = {1: Fraction(-2)}, {0: Fraction(-2), 1: Fraction(-2)}
+    expected = [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert echelon_basis([a, b]) == expected
+    assert echelon_basis([b, a]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), SMALL, min_size=1, max_size=4), min_size=1, max_size=5)
+       .flatmap(lambda vs: st.tuples(st.just(vs), st.permutations(vs))))
+def test_sparse_echelon_basis_is_independent_of_insertion_order(pair):
+    vectors, shuffled = pair
+    rows = echelon_basis(vectors)
+    assert echelon_basis(shuffled) == rows
+    pivots = [min(row) for row in rows]
+    for row, piv in zip(rows, pivots):
+        assert row[piv] == 1
+        assert all(k not in row for k in pivots if k != piv)
+
+
 # -- JSON ------------------------------------------------------------------------
 
 def test_tensor_json_round_trip():

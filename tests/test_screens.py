@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from projdyn import screens as sc
 from projdyn.screens import (
@@ -367,3 +369,82 @@ def test_screen_json_round_trip():
         q = np.array([0.1, 0.2, 1.0, 1.0])[: screen.dim]
         if screen.in_domain(q):
             assert abs(back.value(q) - screen.value(q)) < 1e-14
+
+
+# -- integrator internals ------------------------------------------------------------------------
+
+def _quartic_screen():
+    """h(q) = (q0^4 + q1^4 + q2^4)^(1/4) on q != 0: a non-quadratic custom screen."""
+
+    def h(q):
+        return float(np.sum(q**4)) ** 0.25
+
+    def grad(q):
+        return q**3 / h(q) ** 3
+
+    def hess(q):
+        g = grad(q)
+        return np.diag(3 * q**2) / h(q) ** 3 - 3 * np.outer(g, g) / h(q)
+
+    return sc.CustomScreen(3, h, grad, hess, domain=lambda q: bool(np.any(q != 0)))
+
+
+COORD = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["flat", "sphere", "hyperboloid", "quartic"]),
+       st.lists(COORD, min_size=3, max_size=3), st.lists(COORD, min_size=3, max_size=3))
+def test_hessian_vv_matches_hessian(kind, q, v):
+    screen = {"flat": flat_screen(3), "sphere": sphere_screen(3), "hyperboloid": hyperboloid_screen(3),
+              "quartic": _quartic_screen()}[kind]
+    q, v = np.array(q), np.array(v)
+    assume(screen.in_domain(q) and screen.value(q) > 0.1)
+    hess = screen.hessian(q)
+    expected = v @ hess @ v
+    # bounds the terms that cancel in either form: H = G/h - grad grad^T / h
+    # for a quadratic screen
+    size = float(v @ v) * (np.abs(hess).max() + np.abs(screen.gradient(q)).max() ** 2 / screen.value(q))
+    assert abs(screen.hessian_vv(q, v) - expected) <= 1e-12 * size
+
+
+def test_kepler_circular_orbit_closes():
+    screen = flat_screen(3)
+    q0, v0 = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+    tol = 1e-11
+    traj = integrate(screen, kepler_force(1.0, [0.0, 0.0, 1.0]), q0, v0, (0.0, 2 * math.pi), tol=tol)
+    assert traj.times[-1] == 2 * math.pi
+    assert np.max(np.abs(traj.qs[-1] - q0)) < 1e-8
+    assert np.max(np.abs(traj.vs[-1] - v0)) < 1e-8
+    assert traj.stats["max_drift"] <= 10 * tol
+
+
+def test_integrate_stats_count_the_work():
+    calls = [0]
+    kepler = kepler_force(1.0, [0.0, 0.0, 1.0])
+
+    def counted(q):
+        calls[0] += 1
+        return kepler(q)
+
+    # an eccentric orbit at a loose tolerance, so that the controller rejects some steps
+    traj = integrate(flat_screen(3), sc.ProjectiveForceField(3, counted), [1.0, 0.0, 1.0], [0.0, 0.4, 0.0],
+                     (0.0, 3.0), tol=1e-8)
+    stats = traj.stats
+    assert stats["domain_retries"] == 0
+    assert stats["accepted"] == len(traj) - 1
+    assert stats["rejected"] > 0
+    assert stats["rhs_evals"] == calls[0]
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"]) + stats["accepted"]
+    steps = np.diff(traj.times)
+    assert stats["min_h"] == pytest.approx(np.min(steps[:-1]), rel=1e-12)
+    assert stats["max_drift"] == max(traj.drift())
+
+
+def test_integrate_time_span_direction():
+    screen, force = flat_screen(3), zero_force(3)
+    with pytest.raises(ValueError, match="t0 <= t1"):
+        integrate(screen, force, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (1.0, 0.0))
+    traj = integrate(screen, force, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (1.0, 1.0))
+    assert len(traj) == 1 and traj.stats["accepted"] == 0 and traj.stats["rhs_evals"] == 1
+
