@@ -4,8 +4,9 @@ Every subcommand validates its input, calls exactly one library pipeline,
 and writes deterministic output (JSON report or CSV trajectory): identical
 inputs give byte-identical outputs.  Exit codes: 0 success, 1 negative
 verdict or domain error, 2 malformed input.  The environment variable
-PROJDYN_TOL overrides the default numerical tolerance of 1e-10; it must be a
-positive finite number.  A time span [t0, t1] needs finite ends with
+PROJDYN_TOL overrides the default numerical tolerance of 1e-10.  Every
+tolerance (PROJDYN_TOL, --tol, a scenario's "tol", --deviation-tol) must be
+a positive finite number.  A time span [t0, t1] needs finite ends with
 t0 <= t1.
 
 Inline JSON is accepted wherever a file path is expected (any argument
@@ -47,15 +48,19 @@ class InputError(ValueError):
     pass
 
 
+def _check_tol(tol, what):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"{what}: expected a positive finite number, got {tol!r}")
+    return tol
+
+
 def _default_tol():
     text = os.environ.get("PROJDYN_TOL", "1e-10")
     try:
         tol = float(text)
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"PROJDYN_TOL: expected a positive finite number, got {text!r}")
-    return tol
+        raise InputError(f"PROJDYN_TOL: expected a positive finite number, got {text!r}") from None
+    return _check_tol(tol, "PROJDYN_TOL")
 
 
 def _load_json(arg, what):
@@ -204,9 +209,12 @@ def _builtin_scenario(args):
 
 
 def _scenario(args):
+    if args.tol is not None:
+        _check_tol(args.tol, "--tol")
     if args.scenario:
         scn = screens.scenario_from_json(_load_json(args.scenario, "scenario"))
         _check_t_span(scn["t_span"], "scenario")
+        _check_tol(scn["tol"], "scenario 'tol'")
         if args.tol is not None:
             scn["tol"] = args.tol
         return scn
@@ -274,6 +282,7 @@ def cmd_hamiltonian_test(args):
 
 
 def cmd_verify_projection(args):
+    _check_tol(args.deviation_tol, "--deviation-tol")
     scn = _scenario(args)
     to_screen = screens.screen_from_json(_load_json(args.to_screen, "target screen"))
     traj = screens.integrate(

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -89,8 +90,13 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def sort_with_sign(indices):
-    """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats."""
+@functools.lru_cache(maxsize=1 << 16)
+def sort_with_sign(indices: tuple):
+    """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats.
+
+    Memoized: wedge products ask for the same few hundred keys over and over.
+    The argument must be a tuple (it is the cache key).
+    """
     idx = list(indices)
     sign = 1
     # insertion sort with transposition counting; fine at the sizes seen here
@@ -275,6 +281,16 @@ class Multivector:
             accumulate(clean, key, rat(val) * sign)
         self.coords = clean
 
+    @classmethod
+    def _raw(cls, dim, grade, coords):
+        """Internal: wrap coords with increasing keys and nonzero Fraction
+        values without re-checking them."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.grade = grade
+        out.coords = coords
+        return out
+
     def _check_compatible(self, other):
         if self.dim != other.dim or self.grade != other.grade:
             raise ValueError("multivector dim/grade mismatch")
@@ -284,14 +300,14 @@ class Multivector:
         out = dict(self.coords)
         for idx, val in other.coords.items():
             accumulate(out, idx, val)
-        return Multivector(self.dim, self.grade, out)
+        return Multivector._raw(self.dim, self.grade, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = rat(c)
-        return Multivector(self.dim, self.grade, {idx: val * c for idx, val in self.coords.items()} if c else {})
+        return Multivector._raw(self.dim, self.grade, {idx: val * c for idx, val in self.coords.items()} if c else {})
 
     def __neg__(self):
         return self.scale(-1)
@@ -336,14 +352,14 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
         raise ValueError("multivector dim mismatch")
     grade = a.grade + b.grade
     if grade > a.dim:
-        return Multivector(a.dim, grade, {})
+        return Multivector._raw(a.dim, grade, {})
     out = {}
     for ia, va in a.coords.items():
         for ib, vb in b.coords.items():
             key, sign = sort_with_sign(ia + ib)
             if sign:
                 accumulate(out, key, va * vb * sign)
-    return Multivector(a.dim, grade, out)
+    return Multivector._raw(a.dim, grade, out)
 
 
 def wedge_power(pi: Multivector, m: int) -> Multivector:
@@ -373,7 +389,7 @@ def contract(xi, m: Multivector) -> Multivector:
             if not c:
                 continue
             accumulate(out, idx[:pos] + idx[pos + 1:], val * c * (1 if pos % 2 == 0 else -1))
-    return Multivector(m.dim, m.grade - 1, out)
+    return Multivector._raw(m.dim, m.grade - 1, out)
 
 
 def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
@@ -399,7 +415,7 @@ def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
             _, sign = sort_with_sign(s_idx + rest)
             if sign:
                 accumulate(out, rest, sval * tval * sign)
-    return Multivector(pi.dim, omega.grade - pi.grade, out)
+    return Multivector._raw(pi.dim, omega.grade - pi.grade, out)
 
 
 def is_decomposable(pi: Multivector) -> bool:

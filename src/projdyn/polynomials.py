@@ -41,6 +41,15 @@ class Poly:
             accumulate(clean, exps, rat(coef))
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, nvars, terms):
+        """Internal: wrap a term dict whose exponent tuples are valid and
+        whose coefficients are nonzero Fractions, without re-checking it."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -75,7 +84,7 @@ class Poly:
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             accumulate(out, exps, coef)
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, out)
 
     __radd__ = __add__
 
@@ -98,15 +107,15 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = rat(c)
         if not c:
-            return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return Poly._raw(self.nvars, {})
+        return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -142,7 +151,7 @@ class Poly:
             if e == 0:
                 continue
             accumulate(out, exps[:i] + (e - 1,) + exps[i + 1:], coef * e)
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, out)
 
     def degree(self) -> int:
         if not self.terms:
@@ -168,7 +177,7 @@ class Poly:
         buckets = {}
         for exps, coef in self.terms.items():
             buckets.setdefault(key(exps), {})[exps] = coef
-        return {k: Poly(self.nvars, v) for k, v in buckets.items()}
+        return {k: Poly._raw(self.nvars, v) for k, v in buckets.items()}
 
     def evaluate(self, point):
         point = [rat(x) for x in point]
@@ -216,11 +225,11 @@ class Poly:
 
     def extend(self, new_nvars, offset=0):
         """Embed into a larger variable space, shifting variables by offset."""
-        out = {}
-        for exps, coef in self.terms.items():
-            key = (0,) * offset + exps + (0,) * (new_nvars - offset - self.nvars)
-            out[key] = coef
-        return Poly(new_nvars, out)
+        pad = new_nvars - offset - self.nvars
+        if offset < 0 or pad < 0:
+            raise ValueError(f"cannot embed {self.nvars} variables at offset {offset} into {new_nvars}")
+        head, tail = (0,) * offset, (0,) * pad
+        return Poly._raw(new_nvars, {head + exps + tail: coef for exps, coef in self.terms.items()})
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient self / divisor; raises NotPolynomialError otherwise.
@@ -250,7 +259,7 @@ class Poly:
             accumulate(quot, diff, c)
             for e2, c2 in divisor.terms.items():
                 accumulate(rem, tuple(a + b for a, b in zip(diff, e2)), -c * c2)
-        return Poly(self.nvars, quot)
+        return Poly._raw(self.nvars, quot)
 
     # -- presentation -------------------------------------------------------------
 

@@ -384,6 +384,24 @@ def inverse_cube_force(dim, mu=1.0):
     )
 
 
+def _finite(value, what) -> float:
+    """A finite JSON number as a float; FormatError naming ``what`` otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise FormatError(f"{what}: expected a finite number, got {value!r}")
+    return x
+
+
+def _finite_list(value, what, length) -> list:
+    """A JSON list of ``length`` finite numbers as floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise FormatError(f"{what}: expected a list of {length} numbers, got {value!r}")
+    return [_finite(x, what) for x in value]
+
+
 def force_from_json(obj, dim):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("force: expected an object with 'kind'")
@@ -391,12 +409,19 @@ def force_from_json(obj, dim):
     if kind == "zero":
         return zero_force(dim)
     if kind == "kepler":
+        for key in ("mu", "center"):
+            if key not in obj:
+                raise FormatError(f"force: kind 'kepler' needs key {key!r}")
         reference = screen_from_json(obj["reference"]) if "reference" in obj else None
-        return kepler_force(float(obj["mu"]), obj["center"], reference)
+        return kepler_force(_finite(obj["mu"], "force 'mu'"), _finite_list(obj["center"], "force 'center'", dim),
+                            reference)
     if kind == "oscillator":
-        return oscillator_force(dim, obj.get("axis"))
+        axis = obj.get("axis")
+        if axis is not None and not (type(axis) is int and 0 <= axis < dim):
+            raise FormatError(f"force 'axis': expected an integer in [0, {dim}), got {axis!r}")
+        return oscillator_force(dim, axis)
     if kind == "inverse_cube":
-        return inverse_cube_force(dim, float(obj.get("mu", 1.0)))
+        return inverse_cube_force(dim, _finite(obj.get("mu", 1.0), "force 'mu'"))
     raise FormatError(f"force: unknown kind {kind!r}")
 
 
@@ -777,16 +802,19 @@ def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
 
 def scenario_from_json(obj):
     """{"screen": {...}, "force": {...}, "q0": [...], "v0": [...],
-    "t_span": [t0, t1], "tol": 1e-10} -> dict of constructed pieces."""
+    "t_span": [t0, t1], "tol": 1e-10} -> dict of constructed pieces.
+
+    Every number must be finite; the order of t_span and the sign of tol are
+    left to the caller."""
+    if not isinstance(obj, dict):
+        raise FormatError("scenario: expected an object")
     for key in ("screen", "force", "q0", "v0", "t_span"):
         if key not in obj:
             raise FormatError(f"scenario: missing key {key!r}")
     screen = screen_from_json(obj["screen"])
     force = force_from_json(obj["force"], screen.dim)
-    q0 = [float(x) for x in obj["q0"]]
-    v0 = [float(x) for x in obj["v0"]]
-    if len(q0) != screen.dim or len(v0) != screen.dim:
-        raise FormatError("scenario: q0/v0 length does not match the screen dimension")
-    t_span = (float(obj["t_span"][0]), float(obj["t_span"][1]))
-    tol = float(obj.get("tol", 1e-10))
+    q0 = _finite_list(obj["q0"], "scenario 'q0'", screen.dim)
+    v0 = _finite_list(obj["v0"], "scenario 'v0'", screen.dim)
+    t_span = tuple(_finite_list(obj["t_span"], "scenario 't_span'", 2))
+    tol = _finite(obj.get("tol", 1e-10), "scenario 'tol'")
     return {"screen": screen, "force": force, "q0": q0, "v0": v0, "t_span": t_span, "tol": tol}

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from projdyn.exactlin import FormatError, SparseEchelon, Tensor, accumulate, perm_sign
 
 
@@ -162,13 +164,30 @@ def antisymmetrizer_element(tableau: YoungTableau) -> dict:
 
 
 def compose_elements(g: dict, h: dict) -> dict:
-    """Convolution with L_g . L_h = L_{g*h}: (g*h) applies h first."""
+    """Convolution with L_g . L_h = L_{g*h}: (g*h) applies h first.
+
+    Each product sigma o tau is formed a whole row (all tau of h) at a time
+    as an integer gather, and keyed by its base-n code while the sums are
+    accumulated; the (sigma, tau) scan order, and so the key order of the
+    result, is that of the plain double loop.
+    """
+    if not g or not h:
+        return {}
+    n = len(next(iter(h)))
+    # base-n codes of permutations of n slots; Python ints once n**n overflows int64
+    dtype = np.int64 if n ** n < 2 ** 63 else object
+    radix = np.array([n ** k for k in range(n - 1, -1, -1)], dtype=dtype)
+    H = np.array(list(h), dtype=np.intp)
+    coefs = list(h.values())
     out = {}
     for sigma, cg in g.items():
-        getter = sigma.__getitem__
-        for tau, ch in h.items():
-            accumulate(out, tuple(map(getter, tau)), cg * ch)
-    return out
+        codes = np.asarray(sigma, dtype=np.intp)[H] @ radix
+        for code, ch in zip(codes.tolist(), coefs):
+            accumulate(out, code, cg * ch)
+    if not out:
+        return {}
+    perms = np.array(list(out), dtype=dtype)[:, None] // radix % n
+    return dict(zip(map(tuple, perms.tolist()), out.values()))
 
 
 def scale_element(g: dict, c) -> dict:
@@ -361,67 +380,55 @@ class SymmetrizedTensor:
 # ---------------------------------------------------------------------------
 # bases of the symmetry classes
 
-def _row_canonical_indices(tableau: YoungTableau, dim: int):
-    """One index tuple per orbit of the row group (sorted inside each row).
-
-    AS(e_idx) is invariant under permuting idx inside rows, so these orbits
-    are enough to span Im AS.
-    """
-    rows = tableau.row_slots()
-    n = tableau.size
-    per_row = [
-        list(itertools.combinations_with_replacement(range(dim), len(slots)))
-        for slots in rows
-    ]
-    for combo in itertools.product(*per_row):
+def _block_indices(blocks, n: int, choices):
+    """Index tuples with the values in each block of slots drawn from
+    choices(len(block)), one value tuple per block."""
+    for combo in itertools.product(*[choices(len(slots)) for slots in blocks]):
         idx = [0] * n
-        for slots, values in zip(rows, combo):
+        for slots, values in zip(blocks, combo):
             for s, v in zip(slots, values):
                 idx[s] = v
         yield tuple(idx)
 
 
-def imAS_basis(tableau: YoungTableau, dim: int):
-    """Exact basis of Im AS over a dim-dimensional space.
-
-    Applies AS to one representative basis tensor per row-group orbit and
-    extracts a column-space basis by sparse echelon reduction.
-    """
-    A = antisymmetrizer_element(tableau)
-    S = symmetrizer_element(tableau)
-    AS = compose_elements(A, S)
+def _image_basis(element: dict, dim: int, size: int, indices):
+    """Exact basis of the image of a group-algebra element: apply it to the
+    basis tensor of each index tuple and keep the results that enlarge the
+    span found so far (sparse echelon reduction)."""
     echelon = SparseEchelon()
     basis = []
-    for idx in _row_canonical_indices(tableau, dim):
-        t = apply_element(AS, Tensor(dim, tableau.size, {idx: Fraction(1)}))
+    for idx in indices:
+        t = apply_element(element, Tensor(dim, size, {idx: Fraction(1)}))
         if t.is_zero():
             continue
         if echelon.insert(t.entries):
             basis.append(t)
     return basis
+
+
+def imAS_basis(tableau: YoungTableau, dim: int):
+    """Exact basis of Im AS over a dim-dimensional space.
+
+    Applies AS to one representative basis tensor per row-group orbit (sorted
+    inside each row: AS(e_idx) is invariant under permuting idx inside rows,
+    so these orbits are enough to span Im AS).
+    """
+    AS = compose_elements(antisymmetrizer_element(tableau), symmetrizer_element(tableau))
+    indices = _block_indices(
+        tableau.row_slots(), tableau.size,
+        lambda k: itertools.combinations_with_replacement(range(dim), k),
+    )
+    return _image_basis(AS, dim, tableau.size, indices)
 
 
 def imSA_basis(tableau: YoungTableau, dim: int):
     """Exact basis of Im SA (column-canonical representatives, SA applied)."""
-    A = antisymmetrizer_element(tableau)
-    S = symmetrizer_element(tableau)
-    SA = compose_elements(S, A)
-    echelon = SparseEchelon()
-    basis = []
-    cols = tableau.column_slots()
-    n = tableau.size
-    per_col = [list(itertools.combinations(range(dim), len(slots))) for slots in cols]
-    for combo in itertools.product(*per_col):
-        idx = [0] * n
-        for slots, values in zip(cols, combo):
-            for s, v in zip(slots, values):
-                idx[s] = v
-        t = apply_element(SA, Tensor(dim, n, {tuple(idx): Fraction(1)}))
-        if t.is_zero():
-            continue
-        if echelon.insert(t.entries):
-            basis.append(t)
-    return basis
+    SA = compose_elements(symmetrizer_element(tableau), antisymmetrizer_element(tableau))
+    indices = _block_indices(
+        tableau.column_slots(), tableau.size,
+        lambda k: itertools.combinations(range(dim), k),
+    )
+    return _image_basis(SA, dim, tableau.size, indices)
 
 
 def vanishing_diagonal_test(tableau: YoungTableau, t: Tensor) -> bool:

@@ -66,6 +66,18 @@ def _scenario_spanning(t0, t1):
                        "q0": [0, 0, 1], "v0": [1, 0, 0], "t_span": [t0, t1]})
 
 
+def _scenario_with(**fields):
+    obj = {"screen": {"kind": "flat", "dim": 3}, "force": {"kind": "zero"},
+           "q0": [0, 0, 1], "v0": [1, 0, 0], "t_span": [0, 1]}
+    obj.update(fields)
+    return ["integrate", "--scenario", json.dumps(obj)]
+
+
+_KEPLER = {"kind": "kepler", "mu": 1.0, "center": [0, 0, 1]}
+_PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span", "0,1",
+               "--to-screen", '{"kind": "sphere", "dim": 3}']
+
+
 @pytest.mark.parametrize("argv, env", [
     pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": [0, 1]})], {},
                  id="tensor-entry-without-val"),
@@ -86,6 +98,21 @@ def _scenario_spanning(t0, t1):
     pytest.param(_ORBIT, {"PROJDYN_TOL": "inf"}, id="infinite-PROJDYN_TOL"),
     pytest.param(_ORBIT, {"PROJDYN_TOL": "0"}, id="zero-PROJDYN_TOL"),
     pytest.param(_ORBIT, {"PROJDYN_TOL": "-1e-10"}, id="negative-PROJDYN_TOL"),
+    pytest.param(_ORBIT + ["--tol", "0"], {}, id="zero-tol"),
+    pytest.param(_ORBIT + ["--tol", "-1"], {}, id="negative-tol"),
+    pytest.param(_ORBIT + ["--tol", "nan"], {}, id="nan-tol"),
+    pytest.param(_scenario_with(tol=0), {}, id="zero-scenario-tol"),
+    pytest.param(_scenario_with(tol="x"), {}, id="non-numeric-scenario-tol"),
+    pytest.param(_scenario_with(t_span=5), {}, id="scalar-scenario-t-span"),
+    pytest.param(_scenario_with(q0=[0, "x", 1]), {}, id="non-numeric-q0"),
+    pytest.param(_scenario_with(v0=[1, None, 0]), {}, id="non-numeric-v0"),
+    pytest.param(_scenario_with(force={"kind": "kepler", "center": [0, 0, 1]}), {}, id="kepler-without-mu"),
+    pytest.param(_scenario_with(force={"kind": "kepler", "mu": 1.0}), {}, id="kepler-without-center"),
+    pytest.param(_scenario_with(force={**_KEPLER, "mu": "x"}), {}, id="non-numeric-kepler-mu"),
+    pytest.param(_scenario_with(force={**_KEPLER, "center": [0, 1]}), {}, id="short-kepler-center"),
+    pytest.param(_scenario_with(force={"kind": "oscillator", "axis": 3}), {}, id="oscillator-axis-out-of-range"),
+    pytest.param(_PROJECTION + ["--deviation-tol", "0"], {}, id="zero-deviation-tol"),
+    pytest.param(_PROJECTION + ["--deviation-tol=-1e-6"], {}, id="negative-deviation-tol"),
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -96,6 +123,20 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     assert err.startswith("input error:") and "Traceback" not in err
     for name in env:
         assert name in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (_ORBIT + ["--tol", "0"], "--tol"),
+    (_scenario_with(tol=0), "'tol'"),
+    (_scenario_with(t_span=5), "'t_span'"),
+    (_scenario_with(q0=[0, "x", 1]), "'q0'"),
+    (_scenario_with(force={"kind": "kepler", "center": [0, 0, 1]}), "'mu'"),
+    (_scenario_with(force={"kind": "kepler", "mu": 1.0}), "'center'"),
+    (_PROJECTION + ["--deviation-tol", "0"], "--deviation-tol"),
+], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol"])
+def test_malformed_input_message_names_the_key(capsys, argv, key):
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_integrate_empty_time_span(capsys):

@@ -407,6 +407,36 @@ def test_poly_operations_keep_canonical_form(a, b):
 
 
 @settings(max_examples=60, deadline=None)
+@given(POLY2, BIVECTOR4, VECTOR4, VECTOR4, st.sampled_from([Fraction(0), Fraction(-1), Fraction(3, 2)]),
+       st.lists(UNIT, min_size=4, max_size=4))
+def test_unchecked_results_equal_their_validated_copies(a, pi, x, y, c, xi):
+    """Results built without the validating constructors are what those
+    constructors would build from them, and store no zero."""
+    p = Poly(2, a)
+    for r in (p.scale(c), p.scale(0), -p, p.diff(0), p.diff(1), p.extend(4, 1), p.extend(3)):
+        assert Poly(r.nvars, r.terms) == r
+        assert_no_zero(r.terms)
+    m = Multivector(4, 2, pi)
+    vx, vy = Multivector(4, 1, x), Multivector(4, 1, y)
+    xy = wedge(vx, vy)
+    self_cancelling = (wedge(vx, vx), wedge(xy, xy), wedge(xy, vy), m - m)
+    assert all(r.is_zero() for r in self_cancelling)
+    for r in (m.scale(c), -m, m - m.scale(c), contract(xi, m), xy) + self_cancelling:
+        assert Multivector(r.dim, r.grade, r.coords) == r
+        assert_no_zero(r.coords)
+
+
+def test_sort_with_sign_repeats_its_answers():
+    for k in range(5):
+        for idx in itertools.product(range(4), repeat=k):
+            first = ex.sort_with_sign(idx)
+            assert first == sorted_sign(idx)
+            assert ex.sort_with_sign(tuple(list(idx))) == first
+    assert ex.sort_with_sign((2, 0, 2)) == ((0, 2, 2), 0)
+    assert ex.sort_with_sign((3, 1, 2)) == ((1, 2, 3), 1)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 4), SMALL, min_size=1, max_size=4), min_size=1, max_size=4),
        st.lists(SMALL, min_size=4, max_size=4))
 def test_sparse_echelon_keeps_canonical_form(vectors, coeffs):

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdyn import young
-from projdyn.exactlin import SparseEchelon, Tensor, basis_tensor, rank
+from projdyn.exactlin import SparseEchelon, Tensor, accumulate, basis_tensor, rank
 from projdyn.young import (
     NumberingError,
     YoungTableau,
@@ -225,6 +227,35 @@ def test_group_algebra_identity_acts_correctly_on_tensors():
             t = random_tensor(rng, 3, tab.size)
             ast = apply_element(AS, t)
             assert apply_element(AS, ast) == ast.scale(lam)
+
+
+def compose_reference(g, h):
+    """The plain per-pair loop over (sigma, tau) in scan order."""
+    out = {}
+    for sigma, cg in g.items():
+        getter = sigma.__getitem__
+        for tau, ch in h.items():
+            accumulate(out, tuple(map(getter, tau)), cg * ch)
+    return out
+
+
+def group_elements(n):
+    return st.dictionaries(st.permutations(range(n)).map(tuple), st.sampled_from([-2, -1, 1, 2]), max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), group_elements(n), group_elements(n))))
+def test_compose_elements_matches_the_pairwise_loop(case):
+    n, g, h = case
+    identity, swap = tuple(range(n)), (1, 0) + tuple(range(2, n))
+    minus, plus = {identity: 1, swap: -1}, {identity: 1, swap: 1}
+    # g (1 - t) (1 + t) = g (1 - t^2) = 0: every key of the product cancels
+    cancelling = compose_reference(g, minus)
+    assert compose_reference(cancelling, plus) == {}
+    for left, right in [(g, h), (h, g), (cancelling, plus), (minus, plus), (g, {}), ({}, h)]:
+        got = compose_elements(left, right)
+        assert list(got.items()) == list(compose_reference(left, right).items())
+        assert all(type(k) is tuple and all(type(i) is int for i in k) for k in got)
 
 
 # -- membership tests ------------------------------------------------------------------
