@@ -25,8 +25,8 @@ from projdyn.exactlin import (
     FormatError,
     Multivector,
     Tensor,
-    accumulate,
     basis_multivector,
+    clear_denominators,
     contract,
     contract_multivector,
     det,
@@ -38,6 +38,7 @@ from projdyn.exactlin import (
     rank,
     rat,
     solve,
+    sort_with_sign,
     support,
     tensor_from_json,
     tensor_to_json,
@@ -163,28 +164,43 @@ def preserves_decomposables(R: BivectorMap) -> bool:
     """True iff R(x^y) ^ R(x^y) = 0 identically in (x, y).
 
     Decided exactly by expanding the 4-form-valued biquadratic polynomial in
-    the coordinates of x and y and checking every coefficient.  Sources of
-    dimension 3 always pass (every bivector there is decomposable).
+    the coordinates of x and y and checking every coefficient.  The verdict
+    is invariant under scaling R, so the expansion runs on the integer
+    matrix den * R.  The products of the images of two basis pairs commute,
+    so each unordered pair is wedged once, with weight 2 off the diagonal.
+    Sources of dimension 3 always pass (every bivector there is
+    decomposable).
     """
-    images = {pr: R.image_of_basis_pair(*pr) for pr in R.src_pairs}
+    ints, _ = clear_denominators([x for row in R.matrix for x in row])
+    ncols = len(R.src_pairs)
+    images = [
+        [(pr, ints[r * ncols + col]) for r, pr in enumerate(R.dst_pairs) if ints[r * ncols + col]]
+        for col in range(ncols)
+    ]
     coeffs = {}
-    for (a, b) in R.src_pairs:
-        for (c, d) in R.src_pairs:
-            w = wedge(images[(a, b)], images[(c, d)])
-            if w.is_zero():
-                continue
+    for k1, (a, b) in enumerate(R.src_pairs):
+        for k2 in range(k1, ncols):
+            c, d = R.src_pairs[k2]
+            weight = 1 if k1 == k2 else 2
             # p_ab p_cd = sum of signed degree-(2,2) monomials in (x, y)
-            for xm, ym, sign in (
-                ((a, c), (b, d), 1),
-                ((a, d), (b, c), -1),
-                ((b, c), (a, d), -1),
-                ((b, d), (a, c), 1),
-            ):
-                key = (tuple(sorted(xm)), tuple(sorted(ym)))
-                acc = coeffs.setdefault(key, {})
-                for idx, val in w.coords.items():
-                    accumulate(acc, idx, sign * val)
-    return all(not acc for acc in coeffs.values())
+            monomials = [
+                ((tuple(sorted(xm)), tuple(sorted(ym))), sign * weight)
+                for xm, ym, sign in (
+                    ((a, c), (b, d), 1),
+                    ((a, d), (b, c), -1),
+                    ((b, c), (a, d), -1),
+                    ((b, d), (a, c), 1),
+                )
+            ]
+            for pu, u in images[k1]:
+                for pv, v in images[k2]:
+                    idx, sign = sort_with_sign(pu + pv)
+                    if sign:
+                        uv = sign * u * v
+                        for mono, s in monomials:
+                            key = (mono, idx)
+                            coeffs[key] = coeffs.get(key, 0) + s * uv
+    return not any(coeffs.values())
 
 
 def _matchings(indices):

@@ -1,10 +1,12 @@
 """Exact rational multilinear algebra.
 
 Tensors (sparse N-linear forms), multivectors with wedge and interior
-products, and exact Gaussian elimination (rank / kernel / solve / inverse)
-over `fractions.Fraction`.  Everything here is immutable after construction
-and all operations are pure functions, so values can be shared freely
-between threads.
+products, and exact Gaussian elimination (rank / kernel / solve / inverse /
+determinant).  Values and results are `fractions.Fraction`; elimination
+clears each row's denominators once (`clear_denominators`) and runs
+fraction-free over Python ints, dividing by the pivots only at the end.
+Everything here is immutable after construction and all operations are pure
+functions, so values can be shared freely between threads.
 
 Conventions
 -----------
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -67,12 +70,26 @@ def accumulate(out: dict, key, val) -> None:
     out[key] = val
 
 
-def parse_rational(s: str) -> Fraction:
+def clear_denominators(values):
+    """Scale rationals to integers by the lcm of their denominators, once.
+
+    Returns (ints, den) with ints[k] == den * values[k].  Rank, kernel and
+    decomposability decisions are invariant under such a scaling, so they
+    can run on the ints.
+    """
+    vals = [rat(x) for x in values]
+    den = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def parse_rational(s) -> Fraction:
+    """A serialized rational: a 'p/q' string or a finite JSON number."""
+    if isinstance(s, bool) or not isinstance(s, (str, int, float, Fraction)):
+        raise FormatError(f"bad rational literal {s!r}")
     try:
-        f = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad rational literal {s!r}") from exc
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +222,7 @@ class Tensor:
             idx = [0] * self.order
             for k, pos in enumerate(sigma):
                 idx[pos] = jdx[k]
-            accumulate(out, tuple(idx), val)
+            out[tuple(idx)] = val  # a bijection on index tuples: no collisions
         return Tensor._raw(self.dim, self.order, out)
 
     def transpose_slots(self, m: int, n: int):
@@ -467,10 +484,6 @@ def support(m: Multivector):
 # ---------------------------------------------------------------------------
 # exact dense linear algebra (lists of lists of Fractions)
 
-def mat_copy(m):
-    return [[rat(x) for x in row] for row in m]
-
-
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
@@ -504,40 +517,75 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = mat_copy(matrix)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+def _int_rows(matrix):
+    """Each row scaled to integers by the lcm of its own denominators."""
+    return [clear_denominators(row)[0] for row in matrix]
+
+
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    pivot columns.
+
+    Each update is p*row - f*pivot_row with the row's content gcd divided
+    out, which keeps every row a primitive multiple of the corresponding
+    row of the rational elimination.  Afterwards row r is zero at every
+    pivot column but pivots[r], and the rows past the rank are zero.
+    """
+    nrows = len(rows)
+    cols = len(rows[0])
+    gcd = math.gcd
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
+        for i in range(r, nrows):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m, pivots
+    return pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Eliminates over integers and divides each pivot row by its pivot only
+    at the end; the reduced form is unique, so the Fraction rows are the
+    same as those of rational Gauss-Jordan.
+    """
+    if not matrix:
+        return [], []
+    rows = _int_rows(matrix)
+    pivots = _eliminate(rows)
+    zero = Fraction(0)
+    out = []
+    for r, row in enumerate(rows):
+        if r < len(pivots):
+            p = row[pivots[r]]
+            out.append([Fraction(x, p) if x else zero for x in row])
+        else:
+            out.append([zero] * len(row))
+    return out, pivots
 
 
 def rank(matrix) -> int:
     if not matrix:
         return 0
-    return len(rref(matrix)[1])
+    return len(_eliminate(_int_rows(matrix)))
 
 
 def kernel(matrix):
@@ -587,29 +635,32 @@ def mat_inverse(matrix):
 
 
 def det(matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish elimination."""
-    m = mat_copy(matrix)
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
+    """Exact determinant by Bareiss fraction-free elimination on the
+    integer-scaled rows, divided by the product of the row scales."""
+    rows, scale = [], 1
+    for row in matrix:
+        ints, den = clear_denominators(row)
+        rows.append(ints)
+        scale *= den
+    n = len(rows)
+    sign, prev = 1, 1
     for c in range(n):
-        pivot_row = None
         for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
             sign = -sign
-        out *= m[c][c]
-        inv = 1 / m[c][c]
+        prow = rows[c]
+        p = prow[c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return out * sign
+            f = rows[i][c]
+            # Bareiss: the division by the previous pivot is exact
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def subspace_echelon(vectors):
@@ -625,49 +676,64 @@ def same_subspace(a, b) -> bool:
     return subspace_echelon(a) == subspace_echelon(b)
 
 
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _eliminate_sparse(row: dict, other: dict, label) -> dict:
+    """The primitive integer row p*row - f*other, zero at ``label``, where p
+    and f are the entries of ``other`` and ``row`` there."""
+    p, f = other[label], row[label]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in other.items():
+        accumulate(out, k, -b * v)
+    return _primitive(out)
+
+
 class SparseEchelon:
     """Incremental echelon basis for sparse vectors keyed by hashable labels.
 
     Used to compute ranks and membership for spans of tensors whose natural
     coordinates are index tuples.  Pivot choice is by the smallest label under
-    the given ordering, which makes the reduced basis canonical.  The stored
-    rows are only partly reduced (a row may keep entries at pivots inserted
-    before it); ``basis()`` finishes the reduction.
+    the given ordering, which makes the reduced basis canonical.  Rows are
+    kept as primitive integer multiples of the rational rows, so reduction
+    runs over ints.  The stored rows are only partly reduced (a row may keep
+    entries at pivots inserted before it); ``basis()`` finishes the reduction
+    and divides by the pivots.
     """
 
     def __init__(self):
-        self.pivots = {}  # label -> reduced row (dict label -> Fraction)
+        self.pivots = {}  # label -> primitive integer row (dict label -> int)
 
     def _reduce(self, vec):
-        vec = {k: v for k, v in vec.items() if v}
+        ints, _ = clear_denominators(vec.values())
+        vec = {k: v for k, v in zip(vec, ints) if v}
         while vec:
             lead = min(vec)
             row = self.pivots.get(lead)
             if row is None:
-                return vec, lead
-            c = vec[lead]
-            for k, v in row.items():
-                accumulate(vec, k, -c * v)
+                return _primitive(vec), lead
+            vec = _eliminate_sparse(vec, row, lead)
         return vec, None
 
     def insert(self, vec) -> bool:
         """Reduce and insert; True if the vector enlarged the span."""
-        red, lead = self._reduce(dict(vec))
+        red, lead = self._reduce(vec)
         if lead is None:
             return False
-        inv = 1 / red[lead]
-        red = {k: v * inv for k, v in red.items()}
         # clear the new pivot from the existing rows
         for piv, row in self.pivots.items():
-            c = row.get(lead)
-            if c:
-                for k, v in red.items():
-                    accumulate(row, k, -c * v)
+            if lead in row:
+                self.pivots[piv] = _eliminate_sparse(row, red, lead)
         self.pivots[lead] = red
         return True
 
     def contains(self, vec) -> bool:
-        red, lead = self._reduce(dict(vec))
+        red, lead = self._reduce(vec)
         return lead is None
 
     @property
@@ -679,15 +745,17 @@ class SparseEchelon:
         pivot and 0 at every other pivot.  It depends only on the span."""
         reduced = {}
         for piv in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[piv])
+            row = self.pivots[piv]
             # rows of larger pivots are final and hold no other pivot, so
             # clearing one pivot from ``row`` never brings back another
             for k in [k for k in row if k in reduced]:
-                c = row[k]
-                for kk, v in reduced[k].items():
-                    accumulate(row, kk, -c * v)
+                row = _eliminate_sparse(row, reduced[k], k)
             reduced[piv] = row
-        return [reduced[piv] for piv in sorted(reduced)]
+        out = []
+        for piv in sorted(reduced):
+            p = reduced[piv][piv]
+            out.append({k: Fraction(v, p) for k, v in reduced[piv].items()})
+        return out
 
 
 def intersect_spans(spans):

@@ -25,7 +25,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import SparseEchelon, Tensor, accumulate, kernel, mat_inverse, mat_mul, rat
+from projdyn.exactlin import (
+    SparseEchelon,
+    Tensor,
+    accumulate,
+    clear_denominators,
+    kernel,
+    mat_inverse,
+    mat_mul,
+    rat,
+)
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.young import YoungTableau, antisymmetrizer_element, apply_element, check_imAS
 
@@ -185,12 +194,20 @@ def block_symmetric(T: Tensor, b: int) -> bool:
 
 def first_block_symmetrization_vanishes(T: Tensor, b: int) -> bool:
     """The defining constraint of the polar forms of P^{b,b}: symmetrizing the
-    first b+1 slots yields zero (equivalently R_S(q..q; q, v..v) = 0)."""
-    total = Tensor(T.dim, T.order, {})
-    for perm in itertools.permutations(range(b + 1)):
-        sigma = tuple(perm) + tuple(range(b + 1, 2 * b))
-        total = total + T.permute(sigma)
-    return total.is_zero()
+    first b+1 slots yields zero (equivalently R_S(q..q; q, v..v) = 0).
+
+    The symmetrized entry at idx is the sum of T over all rearrangements of
+    idx's first b+1 indices, each counted |stabilizer| > 0 times, so it
+    vanishes iff every such class sums to zero.  The class sums run in one
+    pass over the integer-scaled entries.
+    """
+    head = b + 1
+    ints, _ = clear_denominators(T.entries.values())
+    sums = {}
+    for idx, val in zip(T.entries, ints):
+        key = (tuple(sorted(idx[:head])), idx[head:])
+        sums[key] = sums.get(key, 0) + val
+    return not any(sums.values())
 
 
 class BiHomogeneousPoly:

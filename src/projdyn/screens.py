@@ -244,13 +244,28 @@ def screen_from_json(obj):
     if required[kind] not in obj:
         raise FormatError(f"screen: kind {kind!r} needs key {required[kind]!r}")
     if kind == "linear":
-        return LinearFormScreen([parse_rational(x) for x in obj["phi"]])
+        return LinearFormScreen(_rational_list(obj["phi"], "screen 'phi'"))
     if kind == "quadratic_root":
-        return QuadraticRootScreen(
-            [[parse_rational(x) for x in row] for row in obj["g"]],
-            sheet=obj.get("sheet"),
-        )
-    return builtin[kind](int(obj["dim"]))
+        g = obj["g"]
+        if not isinstance(g, list) or len(g) < 2 or any(not isinstance(row, list) or len(row) != len(g) for row in g):
+            raise FormatError(f"screen 'g': expected a square (at least 2x2) list of lists of rationals, got {g!r}")
+        gmat = [_rational_list(row, "screen 'g'") for row in g]
+        sheet = obj.get("sheet")
+        return QuadraticRootScreen(gmat, sheet=None if sheet is None else _finite_list(sheet, "screen 'sheet'", len(g)))
+    dim = obj["dim"]
+    if type(dim) is not int or dim < 2:
+        raise FormatError(f"screen 'dim': expected an integer >= 2, got {dim!r}")
+    return builtin[kind](dim)
+
+
+def _rational_list(value, what) -> list:
+    """A JSON list of at least two rationals ('p/q' strings or numbers)."""
+    if not isinstance(value, list) or len(value) < 2:
+        raise FormatError(f"{what}: expected a list of at least 2 rationals, got {value!r}")
+    try:
+        return [parse_rational(x) for x in value]
+    except FormatError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +336,8 @@ def kepler_force(mu, center, reference_screen=None):
     def f_H(x):
         delta = x - center
         r = np.linalg.norm(delta)
+        if r == 0.0:
+            raise ZeroDivisionError(f"kepler force evaluated at its center {center.tolist()}")
         return -mu * delta / r**3
 
     exact = None
@@ -378,10 +395,14 @@ def inverse_cube_force(dim, mu=1.0):
         SqrtElem(Poly.variable(i, nv).scale(-mu_r), Poly.zero(nv), D, Poly.const(nv, 1))
         for i in range(dim)
     ]
-    return ProjectiveForceField(
-        dim, lambda q: -mu * q / float(q @ q) ** 2, exact=exact,
-        name="inverse_cube", params={"mu": mu},
-    )
+
+    def func(q):
+        r2 = float(q @ q)
+        if r2 == 0.0:
+            raise ZeroDivisionError("inverse-cube force evaluated at the origin")
+        return -mu * q / r2**2
+
+    return ProjectiveForceField(dim, func, exact=exact, name="inverse_cube", params={"mu": mu})
 
 
 def _finite(value, what) -> float:
@@ -589,8 +610,9 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
     The initial state is renormalized onto {h = 1, dh(v) = 0}; each accepted
     step is projected back as well, so the constraint drift stays at the
     tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1],
-    DomainExitError when the trajectory leaves the screen's validity domain
-    and StepUnderflowError near force singularities.  The returned sample's
+    DomainExitError when the trajectory leaves the screen's validity domain,
+    StepUnderflowError near force singularities and ZeroDivisionError when
+    the force is evaluated exactly at one.  The returned sample's
     ``stats`` count the work done (see TrajectorySample).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])

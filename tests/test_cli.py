@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, determinism, and round trips."""
 
 import json
+import warnings
 
 import pytest
 
@@ -113,6 +114,12 @@ _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span"
     pytest.param(_scenario_with(force={"kind": "oscillator", "axis": 3}), {}, id="oscillator-axis-out-of-range"),
     pytest.param(_PROJECTION + ["--deviation-tol", "0"], {}, id="zero-deviation-tol"),
     pytest.param(_PROJECTION + ["--deviation-tol=-1e-6"], {}, id="negative-deviation-tol"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "flat", "dim": "x"})], {},
+                 id="non-integer-screen-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "flat", "dim": 0})], {}, id="zero-screen-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear", "phi": 5})], {}, id="scalar-screen-phi"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "quadratic_root", "g": [[1, 0, 0], [0, 1], [0, 0, 1]]})],
+                 {}, id="ragged-screen-g"),
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -137,6 +144,16 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+
+
+def test_kepler_collision_is_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["integrate", "--system", "kepler", "--q0", "0,0,1", "--v0", "0,0,0", "--t-span", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_integrate_empty_time_span(capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdyn.curvclass import (
     BivectorMap,
@@ -21,7 +23,7 @@ from projdyn.curvclass import (
     preserves_decomposables,
     wedge_power_map,
 )
-from projdyn.exactlin import basis_multivector, det, kernel, same_subspace, vector, wedge
+from projdyn.exactlin import accumulate, basis_multivector, det, kernel, same_subspace, vector, wedge
 from projdyn.polyintegrals import pair_tableau
 from projdyn.young import check_imAS
 
@@ -102,6 +104,64 @@ def test_specific_partial_map_expansion():
     pi = wedge(vector(4, [1, 0, 0, 0]), vector(4, [0, 1, 1, 0]))
     img = R.apply(pi)
     assert not wedge(img, img).is_zero()
+
+
+def preserves_by_fraction_expansion(R):
+    """The biquadratic expansion over Fraction on every ordered pair of
+    basis pairs: the reference for the integer expansion."""
+    images = {pr: R.image_of_basis_pair(*pr) for pr in R.src_pairs}
+    coeffs = {}
+    for (a, b) in R.src_pairs:
+        for (c, d) in R.src_pairs:
+            w = wedge(images[(a, b)], images[(c, d)])
+            for xm, ym, sign in (((a, c), (b, d), 1), ((a, d), (b, c), -1),
+                                 ((b, c), (a, d), -1), ((b, d), (a, c), 1)):
+                acc = coeffs.setdefault((tuple(sorted(xm)), tuple(sorted(ym))), {})
+                for idx, val in w.coords.items():
+                    accumulate(acc, idx, sign * val)
+    return all(not acc for acc in coeffs.values())
+
+
+RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7, 10**6 + 3]))
+
+
+@st.composite
+def bivector_maps(draw):
+    """Wedge squares and maps with a common wedge factor (both preserve
+    decomposables), each possibly perturbed in one entry."""
+    d = draw(st.integers(4, 5))
+    vec = st.lists(RATIONAL, min_size=d, max_size=d)
+    if draw(st.booleans()):
+        R = BivectorMap.wedge_square([draw(vec) for _ in range(d)])
+    else:
+        phi = vector(d, draw(vec))
+        R = BivectorMap.from_images(d, d, [wedge(phi, vector(d, draw(vec))) for _ in pair_basis(d)])
+    m = [list(row) for row in R.matrix]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+        m[r][c] += draw(RATIONAL)
+    return BivectorMap(d, d, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivector_maps(), RATIONAL.filter(bool))
+def test_preserves_decomposables_matches_fraction_expansion(R, c):
+    verdict = preserves_by_fraction_expansion(R)
+    assert preserves_decomposables(R) == verdict
+    scaled = BivectorMap(R.dim_src, R.dim_dst, [[c * x for x in row] for row in R.matrix])
+    assert preserves_decomposables(scaled) == verdict
+
+
+def test_preserves_decomposables_sees_both_verdicts_in_dims_4_and_5():
+    rng = random.Random(11)
+    for d in (4, 5):
+        R = BivectorMap.wedge_square([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+                                      for _ in range(d)])
+        m = [list(row) for row in R.matrix]
+        m[0][-1] += Fraction(1, 3)
+        bent = BivectorMap(d, d, m)
+        assert preserves_decomposables(R) and preserves_by_fraction_expansion(R)
+        assert not preserves_decomposables(bent) and not preserves_by_fraction_expansion(bent)
 
 
 # -- wedge power maps --------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exterior algebra, interior products, and exact elimination."""
 
 import itertools
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,169 @@ def test_det():
     assert ex.det([[1, 2], [2, 4]]) == 0
 
 
+# -- integer elimination against rational Gauss-Jordan --------------------------
+# rref, rank, det and SparseEchelon eliminate over integers after clearing
+# denominators.  The references below are the rational eliminations they
+# replaced; the reduced row echelon form is unique, so every result must
+# agree exactly.
+
+def rref_by_fractions(matrix):
+    """Gauss-Jordan over Fraction, dividing by each pivot as it is found."""
+    m = [[ex.rat(x) for x in row] for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def det_by_fractions(matrix):
+    """Determinant by rational elimination below the diagonal."""
+    m = [[ex.rat(x) for x in row] for row in matrix]
+    n = len(m)
+    sign, out = 1, Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign = -sign
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return out * sign
+
+
+def rank_mod_p(matrix, p=2**61 - 1):
+    """Rank over GF(p) of the matrix with each row's denominators cleared;
+    it equals the rank over Q unless p divides every maximal nonzero minor."""
+    mat = [[x % p for x in ex.clear_denominators(row)[0]] for row in matrix]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] * inv % p
+            mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+# small entries, many zeros, and large pairwise coprime denominators
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from([10**9 + 7, 998244353, 2**31 - 1, 3**20, 7**15])),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Zero, wide, tall, rank-deficient and duplicated-row matrices."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "dense", "rank-deficient", "duplicated-rows"]))
+    if kind == "zero":
+        return [[Fraction(0)] * cols for _ in range(rows)]
+    if kind == "rank-deficient":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        a = [[draw(ENTRY) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(ENTRY) for _ in range(cols)] for _ in range(k)]
+        return ex.mat_mul(a, b)
+    m = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    if kind == "duplicated-rows" and rows > 1:
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        m[j] = list(m[i])
+    return m
+
+
+def all_fractions(value):
+    if isinstance(value, list):
+        return all(all_fractions(x) for x in value)
+    return value is None or type(value) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_integer_elimination_matches_rational_gauss_jordan(m, data):
+    rhs = data.draw(st.lists(ENTRY, min_size=len(m), max_size=len(m)))
+    square = data.draw(matrices(square=True))
+
+    def results():
+        red, pivots = ex.rref(m)
+        return red, pivots, kernel(m), ex.solve(m, rhs), ex.mat_inverse(square)
+
+    got = results()
+    with mock.patch.object(ex, "rref", rref_by_fractions):
+        expected = results()
+    assert got == expected
+    assert all_fractions([got[0]] + list(got[2:]))
+    assert rank(m) == len(expected[1])
+    assert ex.det(square) == det_by_fractions(square)
+    assert type(ex.det(square)) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_matches_rank_mod_p(m):
+    assert rank(m) == rank_mod_p(m)
+    assert len(ex.rref(m)[1]) == rank(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), ENTRY, min_size=1, max_size=4), min_size=1, max_size=6))
+def test_sparse_echelon_matches_rational_gauss_jordan(vectors):
+    """The integer sparse echelon finds the same span increments and the same
+    reduced basis as rational Gauss-Jordan on the stacked dense rows."""
+    echelon = ex.SparseEchelon()
+    dense = []
+    for vec in vectors:
+        before = len(rref_by_fractions(dense)[1])
+        dense.append([ex.rat(vec.get(k, 0)) for k in range(5)])
+        assert echelon.insert(vec) == (len(rref_by_fractions(dense)[1]) > before)
+    red, pivots = rref_by_fractions(dense)
+    assert [[row.get(k, Fraction(0)) for k in range(5)] for row in echelon.basis()] == red[:len(pivots)]
+    assert all(echelon.contains(vec) for vec in vectors)
+
+
+@given(st.lists(ENTRY, max_size=6))
+def test_clear_denominators_scales_by_the_lcm(values):
+    ints, den = ex.clear_denominators(values)
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x, den) for x in ints] == values
+    # the least such scale: a common factor q of den and the ints would let
+    # den / q clear the denominators as well
+    assert den >= 1 and math.gcd(den, *ints) == 1
+
+
+def test_elimination_accepts_ints_and_strings():
+    m = [[2, "1/2", 0], [4, 1, "3"]]
+    assert ex.rref(m) == rref_by_fractions(m)
+    assert ex.det([[2, "1/3"], ["1/2", 1]]) == Fraction(11, 6)
+    assert ex.rref([]) == ([], []) and ex.det([]) == 1
+
+
 # -- decomposability / support / wedge powers ---------------------------------
 
 def test_decomposable_basis_bivector():
@@ -294,6 +459,33 @@ def test_tensor_permute_matches_evaluation():
     for _ in range(5):
         vecs = [frac_vec(rng, 3) for _ in range(3)]
         assert permuted.evaluate(vecs) == t.evaluate([vecs[s] for s in sigma])
+
+
+def permute_by_accumulation(t, sigma):
+    """Tensor.permute as it was written, through ``accumulate``: the
+    reference for the direct stores of the bijective version."""
+    out = {}
+    for jdx, val in t.entries.items():
+        idx = [0] * t.order
+        for k, pos in enumerate(sigma):
+            idx[pos] = jdx[k]
+        ex.accumulate(out, tuple(idx), val)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_permute_is_a_bijection_on_entries(data):
+    order = data.draw(st.integers(1, 4))
+    t = Tensor(3, order, data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * order), SMALL, max_size=10)))
+    sigma = data.draw(st.permutations(range(order)))
+    inverse = [sigma.index(k) for k in range(order)]
+    moved = t.permute(sigma)
+    reference = permute_by_accumulation(t, sigma)
+    assert moved.entries == reference and list(moved.entries) == list(reference)
+    back = moved.permute(inverse)
+    assert back == t and len(back.entries) == len(t.entries)
+    assert list(back.entries) == list(permute_by_accumulation(moved, inverse))
 
 
 def test_tensor_contract_slot():

@@ -1,10 +1,13 @@
 """Homogenization, polar/antisymmetric forms, exchange identities, gdot."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdyn import polyintegrals as pin
 from projdyn import screens as sc
@@ -167,6 +170,43 @@ def test_polar_form_squared_impulsion_passes_constraint():
     R = plucker(2, 1, 0) ** 2
     T = polar_form(R, 2, 2)
     assert pin.first_block_symmetrization_vanishes(T, 2)
+
+
+def symmetrization_by_permutation_sum(T, b):
+    """Sum of all (b+1)! permutations of the first b+1 slots, one Tensor
+    per permutation: the reference for the one-pass class sums."""
+    total = Tensor(T.dim, T.order, {})
+    for perm in itertools.permutations(range(b + 1)):
+        total = total + T.permute(tuple(perm) + tuple(range(b + 1, 2 * b)))
+    return total.is_zero()
+
+
+@functools.lru_cache(maxsize=None)
+def basis_polars(dim, b):
+    return [polar_form(p, dim, b) for p in impulsion_poly_basis(dim, b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_block_symmetrization_matches_permutation_sum(data):
+    dim, b = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 5, 10**6 + 3]))
+    T = Tensor(dim, 2 * b, {})
+    for polar in basis_polars(dim, b):
+        T = T + polar.scale(data.draw(coeff))
+    assert pin.first_block_symmetrization_vanishes(T, b)
+    idx_strategy = st.tuples(*[st.integers(0, dim - 1)] * (2 * b))
+    bent = T + Tensor(dim, 2 * b, data.draw(st.dictionaries(idx_strategy, coeff, min_size=1, max_size=3)))
+    assert pin.first_block_symmetrization_vanishes(bent, b) == symmetrization_by_permutation_sum(bent, b)
+    assert symmetrization_by_permutation_sum(T, b)
+
+
+def test_first_block_symmetrization_single_entry_never_vanishes():
+    for b in (1, 2, 3):
+        for idx in itertools.product(range(2), repeat=2 * b):
+            T = Tensor(2, 2 * b, {idx: Fraction(3, 7)})
+            assert not pin.first_block_symmetrization_vanishes(T, b)
+            assert not symmetrization_by_permutation_sum(T, b)
 
 
 # -- the antisymmetric carrier --------------------------------------------------------
