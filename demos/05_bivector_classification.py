@@ -15,7 +15,6 @@ from projdyn.curvclass import (
     CurvatureForm,
     classify_bivector_map,
     classify_curvature_form,
-    kernel_of_form,
     curvature_from_symmetric_map,
     metric_form_tensor,
     pair_basis,
@@ -48,7 +47,7 @@ print("Curvature forms: a symmetric map of the dual generates one, and the")
 print("classifier inverts the construction.")
 G = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
 form = curvature_from_symmetric_map(G)
-print("  kernel trivial?", kernel_of_form(form) == [])
+print("  kernel trivial?", form.kernel() == [])
 rep = classify_curvature_form(form)
 print("  case:", rep.case, "| recovered metric (normalized):")
 for row in rep.witnesses["B"]:

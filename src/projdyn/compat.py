@@ -28,7 +28,6 @@ from projdyn.curvclass import (
     CurvatureForm,
     KernelNotTrivialError,
     classify_curvature_form,
-    kernel_of_form,
     witnesses_to_json,
 )
 from projdyn.exactlin import Tensor, accumulate, format_rational, kernel, rat, rref
@@ -405,7 +404,7 @@ def quotient_form(form: CurvatureForm):
     """
     if form.tensor.is_zero():
         raise ValueError("the zero form has no quotient reduction")
-    ker = kernel_of_form(form)
+    ker = form.kernel()
     d = form.dim
     if not ker:
         return [], form, list(range(d))
@@ -418,7 +417,7 @@ def quotient_form(form: CurvatureForm):
             new_idx = tuple(complement.index(i) for i in idx)
             entries[new_idx] = val
     inner = CurvatureForm(Tensor(m, 4, entries))
-    if kernel_of_form(inner):
+    if inner.kernel():
         raise ArithmeticError("induced form kept a nontrivial kernel")
     return ker, inner, complement
 
@@ -477,7 +476,7 @@ def find_compatible_screen(form: CurvatureForm) -> ScreenReport:
             witnesses={"reason": "decomposability_failed"},
             log=["image 2-forms are not all decomposable: no compatible screen exists"],
         )
-    if kernel_of_form(form):
+    if form.kernel():
         raise KernelNotTrivialError("reduce through quotient_form first")
     rep = classify_curvature_form(form)
     log = [f"classification: {rep.case}"] + rep.checks

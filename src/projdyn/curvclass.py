@@ -536,6 +536,7 @@ class CurvatureForm:
         return preserves_decomposables(self.bivector_map())
 
     def kernel(self):
+        """Exact kernel of u -> R_A(u, ., ., .) as a list of basis vectors."""
         return self.form.kernel()
 
     def diagonal_poly(self):
@@ -551,11 +552,6 @@ class CurvatureForm:
         if obj.get("symmetry") != "riemann":
             raise FormatError("curvature form: expected {'symmetry': 'riemann'}")
         return cls(tensor_from_json(obj))
-
-
-def kernel_of_form(form: CurvatureForm):
-    """Exact kernel of u -> R_A(u, ., ., .) as a list of basis vectors."""
-    return form.kernel()
 
 
 def metric_form_tensor(b_matrix) -> Tensor:

@@ -6,6 +6,10 @@ q'' = f(q) + lambda q, the radial reaction lambda being recomputed from
 (q, q') at every right-hand-side evaluation so the motion stays on the
 screen; an adaptive embedded Runge-Kutta pair integrates the system in
 double precision with the constraint re-imposed after every accepted step.
+The right-hand side, the projections and the drift check read h, dh and
+v^T H v from one call, Screen.local(q, v), which shares G q among them on a
+quadric; their small products use ndarray.dot, the kernel of @ without its
+dispatch cost.
 
 The extended central projection maps states between screens while
 preserving the impulsion bivector q ^ q'.  All exact algebra lives in the
@@ -64,20 +68,37 @@ class Screen:
     def hessian(self, q) -> np.ndarray:
         raise NotImplementedError
 
+    def in_domain(self, q) -> bool:
+        q = np.asarray(q, dtype=float)
+        with np.errstate(all="ignore"):  # only the verdict is read, not the values
+            return self.local(q, q) is not None
+
+    def local(self, q, v):
+        """(h(q), dh(q), v^T H(q) v) for float arrays q, v, or None outside the
+        validity domain; the gradient is read-only.  A subclass overrides
+        in_domain, or local itself to share one evaluation of the geometry;
+        the values must equal those of value, gradient and hessian."""
+        if not self.in_domain(q):
+            return None
+        return self.value(q), self.gradient(q), v @ self.hessian(q) @ v
+
+    def _local_in_domain(self, q, v):
+        geometry = self.local(q, v)
+        if geometry is None:
+            raise ValueError("point outside the screen's validity domain")
+        return geometry
+
     def hessian_vv(self, q, v) -> float:
         """The second derivative of h at q in direction v, v^T H(q) v."""
-        return v @ self.hessian(q) @ v
-
-    def in_domain(self, q) -> bool:
-        raise NotImplementedError
+        return self._local_in_domain(np.asarray(q, dtype=float), np.asarray(v, dtype=float))[2]
 
     def project_state(self, q, v):
         """Renormalize a nearby state onto {h = 1, dh(v) = 0}."""
-        q = np.asarray(q, dtype=float) / self.value(q)
-        g = self.gradient(q)
+        q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        v = v - (g @ v) / (g @ q) * q
-        return q, v
+        q = q / self._local_in_domain(q, v)[0]
+        _, g, _ = self._local_in_domain(q, v)
+        return q, v - g.dot(v) / g.dot(q) * q
 
     def on_screen(self, q, v, tol) -> bool:
         return abs(self.value(q) - 1.0) <= tol and abs(self.gradient(q) @ v) <= tol
@@ -91,11 +112,12 @@ class LinearFormScreen(Screen):
     def __init__(self, phi):
         self.phi_exact = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12) for x in phi)
         self.phi = np.array([float(x) for x in phi], dtype=float)
+        self.phi.flags.writeable = False
         self.dim = len(self.phi)
         self._hess = np.zeros((self.dim, self.dim))
 
     def value(self, q):
-        return float(self.phi @ np.asarray(q, dtype=float))
+        return float(self.phi.dot(np.asarray(q, dtype=float)))
 
     def gradient(self, q):
         return self.phi.copy()
@@ -103,12 +125,9 @@ class LinearFormScreen(Screen):
     def hessian(self, q):
         return self._hess
 
-    def hessian_vv(self, q, v):
-        return 0.0
-
-    def in_domain(self, q):
-        q = np.asarray(q, dtype=float)
-        return bool(np.isfinite(q).all()) and self.value(q) > 0.0
+    def local(self, q, v):
+        h = float(self.phi.dot(q)) if all(map(math.isfinite, q.tolist())) else 0.0
+        return (h, self.phi, 0.0) if h > 0.0 else None
 
     def to_json(self):
         return {"kind": "linear", "dim": self.dim, "phi": [format_rational(x) for x in self.phi_exact]}
@@ -148,23 +167,16 @@ class QuadraticRootScreen(Screen):
         gq = self.gmat @ q
         return self.gmat / h - np.outer(gq, gq) / h**3
 
-    def hessian_vv(self, q, v):
+    def local(self, q, v):
+        # (q G) q as in value(): for a non-diagonal G, q G and G q can differ in the last bit
+        s = q.dot(self.gmat).dot(q) if all(map(math.isfinite, q.tolist())) else 0.0
+        if s <= 0.0 or (self.sheet is not None and self.sheet.dot(q) <= 0.0):
+            return None
+        h = math.sqrt(s)
+        gq = self.gmat.dot(q)
+        gqv = gq.dot(v)
         # v^T (G/h - Gq (Gq)^T / h^3) v without forming the d x d matrix
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = self.value(q)
-        gqv = (self.gmat @ q) @ v
-        return (v @ self.gmat @ v) / h - gqv * gqv / h**3
-
-    def in_domain(self, q):
-        q = np.asarray(q, dtype=float)
-        if not np.isfinite(q).all():
-            return False
-        if q @ self.gmat @ q <= 0.0:
-            return False
-        if self.sheet is not None and self.sheet @ q <= 0.0:
-            return False
-        return True
+        return h, gq / h, v.dot(self.gmat).dot(v) / h - gqv * gqv / h**3
 
     def to_json(self):
         return {
@@ -250,6 +262,8 @@ def screen_from_json(obj):
         if not isinstance(g, list) or len(g) < 2 or any(not isinstance(row, list) or len(row) != len(g) for row in g):
             raise FormatError(f"screen 'g': expected a square (at least 2x2) list of lists of rationals, got {g!r}")
         gmat = [_rational_list(row, "screen 'g'") for row in g]
+        if any(gmat[i][j] != gmat[j][i] for i in range(len(g)) for j in range(i)):
+            raise FormatError(f"screen 'g': expected a symmetric matrix, got {g!r}")
         sheet = obj.get("sheet")
         return QuadraticRootScreen(gmat, sheet=None if sheet is None else _finite_list(sheet, "screen 'sheet'", len(g)))
     dim = obj["dim"]
@@ -287,7 +301,8 @@ class ProjectiveForceField:
         self.params = params or {}
 
     def __call__(self, q):
-        return np.asarray(self._func(np.asarray(q, dtype=float)), dtype=float)
+        q = q if q.__class__ is np.ndarray and q.dtype == np.float64 else np.asarray(q, dtype=float)
+        return np.asarray(self._func(q), dtype=float)
 
     def check_homogeneity(self, q, tol=1e-8):
         q = np.asarray(q, dtype=float)
@@ -335,7 +350,7 @@ def kepler_force(mu, center, reference_screen=None):
 
     def f_H(x):
         delta = x - center
-        r = np.linalg.norm(delta)
+        r = math.sqrt(delta.dot(delta))
         if r == 0.0:
             raise ZeroDivisionError(f"kepler force evaluated at its center {center.tolist()}")
         return -mu * delta / r**3
@@ -453,9 +468,8 @@ def radial_reaction(screen, q, v, fval):
     """lambda(q, v) = -(hess h(v,v) + dh(f)) / dh(q); with q'' = f + lambda q
     the second derivative of h along the motion vanishes."""
     q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = screen.gradient(q)
-    return -(screen.hessian_vv(q, v) + g @ np.asarray(fval, dtype=float)) / (g @ q)
+    _, g, hvv = screen._local_in_domain(q, np.asarray(v, dtype=float))
+    return -(hvv + g @ np.asarray(fval, dtype=float)) / (g @ q)
 
 
 def restrict_force(force, screen, q):
@@ -491,7 +505,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 
 class TrajectorySample:
-    """Sampled trajectory on a screen: times plus (q, v) states, with the
+    """Sampled trajectory on a screen: times plus (q, v) states, the rows of
+    one array ``states`` (``qs`` and ``vs`` are views of its halves), with the
     stored derivatives enabling cubic Hermite interpolation between nodes.
 
     ``stats`` holds what the integrator did (empty for samples built
@@ -505,8 +520,8 @@ class TrajectorySample:
     def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10, stats=None):
         self.screen = screen
         self.times = np.asarray(times, dtype=float)
-        self.qs = np.asarray(qs, dtype=float)
-        self.vs = np.asarray(vs, dtype=float)
+        self.states = np.concatenate([np.asarray(qs, dtype=float), np.asarray(vs, dtype=float)], axis=-1)
+        self.qs, self.vs = np.split(self.states, 2, axis=-1)
         self.derivs = None if derivs is None else np.asarray(derivs, dtype=float)
         self.tol = tol
         self.stats = {} if stats is None else stats
@@ -522,8 +537,9 @@ class TrajectorySample:
         dh = 0.0
         dv = 0.0
         for q, v in zip(self.qs, self.vs):
-            dh = max(dh, abs(self.screen.value(q) - 1.0))
-            dv = max(dv, abs(self.screen.gradient(q) @ v))
+            h, g, _ = self.screen._local_in_domain(q, v)
+            dh = max(dh, abs(h - 1.0))
+            dv = max(dv, abs(g.dot(v)))
         return dh, dv
 
     def check_on_screen(self, tol):
@@ -544,10 +560,9 @@ class TrajectorySample:
         i = min(max(i, 0), len(ts) - 2)
         h = ts[i + 1] - ts[i]
         if h == 0.0:
-            return np.concatenate([self.qs[i], self.vs[i]])
+            return self.states[i].copy()
         s = (t - ts[i]) / h
-        y0 = np.concatenate([self.qs[i], self.vs[i]])
-        y1 = np.concatenate([self.qs[i + 1], self.vs[i + 1]])
+        y0, y1 = self.states[i], self.states[i + 1]
         d0, d1 = self.derivs[i], self.derivs[i + 1]
         h00 = 2 * s**3 - 3 * s**2 + 1
         h10 = s**3 - 2 * s**2 + s
@@ -566,9 +581,9 @@ class TrajectorySample:
         buf.write(f"# screen={kind} {params}\n")
         cols = ["t"] + [f"q_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
         buf.write(",".join(cols) + "\n")
-        for t, q, v in zip(self.times, self.qs, self.vs):
-            row = [t] + list(q) + list(v)
-            buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        row = ",".join(["%.17g"] * (1 + 2 * d)) + "\n"
+        for t, y in zip(self.times.tolist(), self.states.tolist()):
+            buf.write(row % (t, *y))
         return buf.getvalue()
 
     @classmethod
@@ -634,12 +649,14 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
     def rhs(t, y, out):
         """Write (v, f + lambda q) at state y into the stage row out."""
         q, v = y[:d], y[d:]
-        if not screen.in_domain(q):
+        geometry = screen.local(q, v)
+        if geometry is None:
             raise DomainExitError("trajectory left the validity domain", t)
         stats["rhs_evals"] += 1
         fval = force(q)
+        _, g, hvv = geometry
         out[:d] = v
-        out[d:] = fval + radial_reaction(screen, q, v, fval) * q
+        out[d:] = fval + (-(hvv + g.dot(fval)) / g.dot(q)) * q  # the radial reaction inline
 
     # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
     K = np.empty((7, 2 * d))
@@ -654,54 +671,56 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
     h = min(h, (t1 - t0) * 0.1, max_step)
 
     times = [t]
-    qs = [q0]
-    vs = [v0]
+    ys = [y]
     derivs = [K[0].copy()]
     h_floor = max(abs(t1 - t0), 1.0) * 1e-14
 
-    while t < t1:
-        h = min(h, t1 - t)
-        if h < h_floor:
-            raise StepUnderflowError(f"step size underflow at t = {t}", t)
-        try:
-            for i in range(1, 7):
-                rhs(t + _DP_C[i] * h, y + h * (_DP_A[i] @ K[:i]), K[i])
-        except DomainExitError:
-            # retry with a shorter step; report only if hopeless
-            stats["domain_retries"] += 1
-            h *= 0.5
+    # a non-finite stage ends in a rejected step below; numpy need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        while t < t1:
+            h = min(h, t1 - t)
             if h < h_floor:
-                raise
-            continue
-        y5 = y + h * (_DP_B5 @ K)
-        y4 = y + h * (_DP_B4 @ K)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-        if not math.isfinite(err) or not np.isfinite(y5).all():
-            # a stage hit a singularity; shrink hard instead of trusting err
-            stats["rejected"] += 1
-            h *= 0.2
-            if h < h_floor:
-                raise StepUnderflowError(f"state became non-finite at t = {t}", t)
-            continue
-        if err <= 1.0:
-            stats["accepted"] += 1
-            t = t + h
-            if t < t1:
-                stats["min_h"] = min(stats["min_h"], h)
-            q, v = screen.project_state(y5[:d], y5[d:])
-            y = np.concatenate([q, v])
-            rhs(t, y, K[0])
-            times.append(t)
-            qs.append(q)
-            vs.append(v)
-            derivs.append(K[0].copy())
-        else:
-            stats["rejected"] += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h = min(h * min(5.0, max(0.2, factor)), max_step)
+                raise StepUnderflowError(f"step size underflow at t = {t}", t)
+            try:
+                for i in range(1, 7):
+                    rhs(t + _DP_C[i] * h, y + h * _DP_A[i].dot(K[:i]), K[i])
+            except DomainExitError:
+                # retry with a shorter step; report only if hopeless
+                stats["domain_retries"] += 1
+                h *= 0.5
+                if h < h_floor:
+                    raise
+                continue
+            y5 = y + h * _DP_B5.dot(K)
+            y4 = y + h * _DP_B4.dot(K)
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+            e = (y5 - y4) / scale
+            err = math.sqrt(np.add.reduce(e * e) / (2 * d))
+            if not math.isfinite(err):
+                # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
+                # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
+                stats["rejected"] += 1
+                h *= 0.2
+                if h < h_floor:
+                    raise StepUnderflowError(f"state became non-finite at t = {t}", t)
+                continue
+            if err <= 1.0:
+                stats["accepted"] += 1
+                t = t + h
+                if t < t1:
+                    stats["min_h"] = min(stats["min_h"], h)
+                y = np.concatenate(screen.project_state(y5[:d], y5[d:]))
+                rhs(t, y, K[0])
+                times.append(t)
+                ys.append(y)
+                derivs.append(K[0].copy())
+            else:
+                stats["rejected"] += 1
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h = min(h * min(5.0, max(0.2, factor)), max_step)
 
-    traj = TrajectorySample(screen, times, qs, vs, derivs, tol=tol, stats=stats)
+    ys = np.array(ys)
+    traj = TrajectorySample(screen, times, ys[:, :d], ys[:, d:], derivs, tol=tol, stats=stats)
     stats["max_drift"] = traj.check_on_screen(10 * tol + 1e-14)
     return traj
 
@@ -714,11 +733,12 @@ def central_project_state(from_screen, to_screen, q, v):
     Q = q / k(q) and Q' = k(q) v - dk(v) q, preserving q ^ v exactly."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    k = to_screen.value(q)
-    if not np.isfinite(k) or k <= 0.0 or not to_screen.in_domain(q):
+    geometry = to_screen.local(q, v)
+    if geometry is None or not 0.0 < geometry[0] < math.inf:
+        k = to_screen.value(q)
         raise VisibilityError(f"point is not visible on the target screen (k = {k:.3e})")
-    dk = to_screen.gradient(q)
-    return q / k, k * v - (dk @ v) * q
+    k, dk, _ = geometry
+    return q / k, k * v - dk.dot(v) * q
 
 
 def bivector_coords(q, v):

@@ -120,6 +120,8 @@ _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span"
     pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear", "phi": 5})], {}, id="scalar-screen-phi"),
     pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "quadratic_root", "g": [[1, 0, 0], [0, 1], [0, 0, 1]]})],
                  {}, id="ragged-screen-g"),
+    pytest.param(_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), {},
+                 id="non-symmetric-screen-g"),
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -140,7 +142,9 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     (_scenario_with(force={"kind": "kepler", "center": [0, 0, 1]}), "'mu'"),
     (_scenario_with(force={"kind": "kepler", "mu": 1.0}), "'center'"),
     (_PROJECTION + ["--deviation-tol", "0"], "--deviation-tol"),
-], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol"])
+    (_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), "'g'"),
+], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol",
+        "screen-g-not-symmetric"])
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err

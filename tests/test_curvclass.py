@@ -16,7 +16,6 @@ from projdyn.curvclass import (
     classify_bivector_map,
     classify_curvature_form,
     flat_form_tensor,
-    kernel_of_form,
     curvature_from_symmetric_map,
     metric_form_tensor,
     pair_basis,
@@ -359,13 +358,13 @@ def test_curvature_form_rejects_asymmetric_input():
 
 def test_kernel_of_form():
     euclid = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert kernel_of_form(euclid) == []
+    assert euclid.kernel() == []
     degenerate = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
-    assert same_subspace(kernel_of_form(degenerate), [[0, 0, 1]])
+    assert same_subspace(degenerate.kernel(), [[0, 0, 1]])
     from projdyn.exactlin import Tensor
 
     zero = CurvatureForm(Tensor(3, 4, {}))
-    assert len(kernel_of_form(zero)) == 3
+    assert len(zero.kernel()) == 3
 
 
 def test_classify_euclid():
@@ -434,7 +433,7 @@ def test_curvature_from_symmetric_map_full_rank_round_trip():
     for d in (3, 4, 5):
         G = rand_symmetric_invertible(rng, d)
         form = curvature_from_symmetric_map(G)
-        assert kernel_of_form(form) == []
+        assert form.kernel() == []
         rep = classify_curvature_form(form)
         assert rep.case == "metric"
         B = rep.witnesses["B"]
@@ -449,7 +448,7 @@ def test_curvature_from_symmetric_map_rank_n_gives_flat():
     for d in (3, 4):
         G = rand_symmetric_rank(rng, d, d - 1)
         form = curvature_from_symmetric_map(G)
-        assert kernel_of_form(form) == []
+        assert form.kernel() == []
         rep = classify_curvature_form(form)
         assert rep.case == "flat"
         # [phi] = ker G
@@ -458,7 +457,7 @@ def test_curvature_from_symmetric_map_rank_n_gives_flat():
 
 def test_curvature_from_symmetric_map_low_rank_has_kernel():
     form = curvature_from_symmetric_map([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert len(kernel_of_form(form)) >= 1
+    assert len(form.kernel()) >= 1
 
 
 def test_curvature_from_symmetric_map_specific_diag():

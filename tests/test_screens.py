@@ -2,15 +2,18 @@
 
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projdyn import screens as sc
 from projdyn.screens import (
     DomainExitError,
+    StepUnderflowError,
     TrajectorySample,
     VisibilityError,
     bivector_coords,
@@ -298,6 +301,22 @@ def test_visibility_error():
         central_project_state(sphere, flat, [0.0, -1.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("target, q, k", [
+    (flat_screen(3), [1.0, 0.0, -1.0], "-1.000e+00"),  # behind the chart
+    (flat_screen(3), [1.0, 0.0, 0.0], "0.000e+00"),  # on its horizon
+    (sphere_screen(3), [0.0, 0.0, 0.0], "0.000e+00"),
+    (hyperboloid_screen(3), [0.0, 0.0, -1.0], "1.000e+00"),  # the other sheet
+    (flat_screen(3), [math.nan, 0.0, 1.0], "nan"),
+    (sphere_screen(3), [0.0, math.nan, 1.0], "nan"),
+], ids=["flat-behind", "flat-horizon", "sphere-origin", "hyperboloid-sheet", "flat-nan", "sphere-nan"])
+def test_central_projection_rejects_hidden_and_non_finite_points(target, q, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VisibilityError) as info:
+            central_project_state(sphere_screen(3), target, q, [0.0, 1.0, 0.0])
+    assert str(info.value) == f"point is not visible on the target screen (k = {k})"
+
+
 # -- trajectory projection round trips ------------------------------------------------------------
 
 def test_verify_projection_line_to_great_circle():
@@ -408,6 +427,57 @@ def test_hessian_vv_matches_hessian(kind, q, v):
     assert abs(screen.hessian_vv(q, v) - expected) <= 1e-12 * size
 
 
+LOCAL_SCREENS = {
+    "flat": lambda: flat_screen(3),
+    "sphere": lambda: sphere_screen(3),
+    "hyperboloid": lambda: hyperboloid_screen(3),
+    "non-diagonal": lambda: sc.QuadraticRootScreen([[2, 1, 0], [1, 3, Fraction(1, 2)], [0, Fraction(1, 2), -1]]),
+    "quartic": _quartic_screen,
+}
+COORD_OR_NOT_FINITE = st.one_of(COORD, st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+def _in_domain_reference(screen, q):
+    """The validity domains written out: finite q with phi q > 0, or with
+    q^T G q > 0 on the chosen sheet; a custom screen's own predicate."""
+    if isinstance(screen, sc.CustomScreen):
+        return screen.in_domain(q)
+    if not np.isfinite(q).all():
+        return False
+    if screen.kind == "linear":
+        return screen.phi @ q > 0.0
+    return q @ screen.gmat @ q > 0.0 and (screen.sheet is None or screen.sheet @ q > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(LOCAL_SCREENS)),
+       st.lists(COORD_OR_NOT_FINITE, min_size=3, max_size=3), st.lists(COORD, min_size=3, max_size=3))
+@example("sphere", [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])  # q^T G q = 0
+@example("hyperboloid", [1.0, 0.0, 0.5], [0.0, 1.0, 0.0])  # q^T G q < 0
+@example("hyperboloid", [0.3, 0.0, -1.0], [0.0, 1.0, 0.0])  # the other sheet
+@example("non-diagonal", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])  # q^T G q < 0
+@example("flat", [0.5, 0.0, -1.0], [1.0, 0.0, 0.0])  # behind the chart
+@example("quartic", [0.0, math.nan, 1.0], [1.0, 0.0, 0.0])
+def test_local_matches_the_separate_calls(kind, q, v):
+    screen = LOCAL_SCREENS[kind]()
+    q, v = np.array(q), np.array(v)
+    # h^3 underflows near the origin, where the closed forms then divide 0 by 0
+    assume(not np.isfinite(q).all() or not q.any() or np.abs(q).max() > 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry = screen.local(q, v)
+    assert (geometry is not None) == screen.in_domain(q) == _in_domain_reference(screen, q)
+    if geometry is None:
+        return
+    h, g, hvv = geometry
+    assert h == screen.value(q)
+    assert np.array_equal(g, screen.gradient(q))
+    if h > 0.1:  # the bound of test_hessian_vv_matches_hessian
+        hess = screen.hessian(q)
+        size = float(v @ v) * (np.abs(hess).max() + np.abs(g).max() ** 2 / h)
+        assert abs(hvv - v @ hess @ v) <= 1e-12 * size
+
+
 def test_kepler_circular_orbit_closes():
     screen = flat_screen(3)
     q0, v0 = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
@@ -439,6 +509,37 @@ def test_integrate_stats_count_the_work():
     steps = np.diff(traj.times)
     assert stats["min_h"] == pytest.approx(np.min(steps[:-1]), rel=1e-12)
     assert stats["max_drift"] == max(traj.drift())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_force_stops_the_integration_without_warnings(bad):
+    # also pins the step rejection on a non-finite y5: err is NaN there
+    def func(q):
+        out = np.zeros(3)
+        if q[0] > 0.5:
+            out[1] = bad
+        return out
+
+    force = sc.ProjectiveForceField(3, func)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepUnderflowError, match="state became non-finite") as info:
+            integrate(flat_screen(3), force, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (0.0, 2.0), tol=1e-10)
+    assert 0.49 < info.value.t_fail < 0.5
+
+
+def test_interpolate_at_nodes_returns_a_fresh_state():
+    traj = integrate(sphere_screen(3), zero_force(3), [0, 0, 1.0], [1.0, 0, 0], (0.0, 1.0), tol=1e-10)
+    assert np.shares_memory(traj.qs, traj.states) and np.shares_memory(traj.vs, traj.states)
+    before = traj.states.copy()
+    for i in (0, len(traj) // 2, len(traj) - 1):
+        y = traj.interpolate(traj.times[i])
+        assert np.array_equal(y, np.concatenate([traj.qs[i], traj.vs[i]]))
+        y[:] = 7.0
+    assert np.array_equal(traj.states, before)
+    single = TrajectorySample(flat_screen(3), [0.0], [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], derivs=[[1.0, 0, 0, 0, 0, 0]])
+    single.interpolate(0.0)[:] = 7.0
+    assert single.states.tolist() == [[0.0, 0.0, 1.0, 1.0, 0.0, 0.0]]
 
 
 def test_integrate_time_span_direction():
