@@ -3,11 +3,12 @@
 Every subcommand validates its input, calls exactly one library pipeline,
 and writes deterministic output (JSON report or CSV trajectory): identical
 inputs give byte-identical outputs.  Exit codes: 0 success, 1 negative
-verdict or domain error, 2 malformed input.  The environment variable
-PROJDYN_TOL overrides the default numerical tolerance of 1e-10.  Every
-tolerance (PROJDYN_TOL, --tol, a scenario's "tol", --deviation-tol) must be
-a positive finite number.  A time span [t0, t1] needs finite ends with
-t0 <= t1.
+verdict or domain error, 2 malformed input, with a message naming the JSON
+path of the bad value, e.g. "scenario['force']['center'][1]".  The builtin
+scenario flags (--screen, --dim, --system, --mu, --q0, --v0, --t-span) are
+read as a scenario JSON.  Every tolerance (PROJDYN_TOL, which overrides the
+default 1e-10, --tol, a scenario's "tol", --deviation-tol) must be a positive
+finite number; a time span [t0, t1] needs finite ends with t0 <= t1.
 
 Inline JSON is accepted wherever a file path is expected (any argument
 starting with '{').  Schemas:
@@ -29,28 +30,25 @@ starting with '{').  Schemas:
   scenario       {"screen": .., "force": .., "q0": [..], "v0": [..],
                   "t_span": [t0,t1], "tol": 1e-10}
   leading term   {"screen": .., "T": polynomial}
+  trajectory     CSV: "# screen=<kind> <screen JSON>", then
+                  "t,q_0,..,v_0,.." and one row per sample
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from projdyn import compat, curvclass, polyintegrals, screens, young
-from projdyn.exactlin import FormatError, tensor_from_json
+from projdyn.exactlin import FormatError, JsonValue, dumps, tensor_from_json
 from projdyn.polynomials import Poly
-
-
-class InputError(ValueError):
-    pass
 
 
 def _check_tol(tol, what):
     if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"{what}: expected a positive finite number, got {tol!r}")
+        raise FormatError(f"{what}: expected a positive finite number, got {tol!r}")
     return tol
 
 
@@ -59,18 +57,8 @@ def _default_tol():
     try:
         tol = float(text)
     except ValueError:
-        raise InputError(f"PROJDYN_TOL: expected a positive finite number, got {text!r}") from None
+        raise FormatError(f"PROJDYN_TOL: expected a positive finite number, got {text!r}") from None
     return _check_tol(tol, "PROJDYN_TOL")
-
-
-def _load_json(arg, what):
-    try:
-        if arg.lstrip().startswith("{"):
-            return json.loads(arg)
-        with open(arg) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{what}: {exc}") from exc
 
 
 def _read_text(arg, what):
@@ -78,7 +66,12 @@ def _read_text(arg, what):
         with open(arg) as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"{what}: {exc}") from exc
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def _load_json(arg, what):
+    """A reader named ``what`` of inline JSON (an argument starting with '{') or of the JSON file at arg."""
+    return JsonValue.parse(arg if arg.lstrip().startswith("{") else _read_text(arg, what), what)
 
 
 def _emit(text, output):
@@ -91,34 +84,18 @@ def _emit(text, output):
             sys.stdout.write("\n")
 
 
-def _dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _parse_floats(text, what):
+def _parse_list(text, what, number=float):
     try:
-        return [float(x) for x in text.split(",")]
+        return [number(x) for x in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"{what}: expected comma-separated numbers") from exc
-
-
-def _check_t_span(t_span, what):
-    t0, t1 = t_span
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise InputError(f"{what}: time span ends must be finite")
-    if t1 < t0:
-        raise InputError(f"{what}: time span [{t0}, {t1}] runs backwards")
+        raise FormatError(f"{what}: expected comma-separated numbers, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_young_dim(args):
-    try:
-        rows = [int(r) for r in args.rows.split(",")]
-    except ValueError as exc:
-        raise InputError("--rows: expected comma-separated integers") from exc
-    tableau = young.YoungTableau(rows, args.numbering)
+    tableau = young.YoungTableau.from_json({"rows": _parse_list(args.rows, "--rows", int), "numbering": args.numbering})
     if args.numbering == "vertical":
         dim = len(young.imAS_basis(tableau, args.dim))
     else:
@@ -136,12 +113,13 @@ def cmd_young_check(args):
     else:
         member = young.check_imSA(tableau, tensor)
         which = "image_of_SA"
-    _emit(_dump({"class": which, "member": member}), args.output)
+    _emit(dumps({"class": which, "member": member}), args.output)
     return 0 if member else 1
 
 
 def cmd_pbb_dim(args):
-    _emit(str(polyintegrals.dim_Pbb(args.n, args.b)), args.output)
+    n, b = JsonValue(args.n, "--n").integer(low=1), JsonValue(args.b, "--b").integer(low=1)
+    _emit(str(polyintegrals.dim_Pbb(n, b)), args.output)
     return 0
 
 
@@ -150,9 +128,9 @@ def cmd_classify(args):
     try:
         report = curvclass.classify_bivector_map(R)
     except curvclass.DecomposabilityError as exc:
-        _emit(_dump({"error": "decomposability_failed", "message": str(exc)}), args.output)
+        _emit(dumps({"error": "decomposability_failed", "message": str(exc)}), args.output)
         return 1
-    _emit(_dump(report.to_json()), args.output)
+    _emit(dumps(report.to_json()), args.output)
     return 0
 
 
@@ -161,75 +139,41 @@ def cmd_classify_curvature(args):
     try:
         report = curvclass.classify_curvature_form(form)
     except curvclass.Eq91ViolationError as exc:
-        _emit(_dump({"error": "decomposability_failed", "message": str(exc)}), args.output)
+        _emit(dumps({"error": "decomposability_failed", "message": str(exc)}), args.output)
         return 1
     except curvclass.KernelNotTrivialError as exc:
-        _emit(_dump({"error": "kernel_not_trivial", "message": str(exc)}), args.output)
+        _emit(dumps({"error": "kernel_not_trivial", "message": str(exc)}), args.output)
         return 1
-    _emit(_dump(report.to_json()), args.output)
+    _emit(dumps(report.to_json()), args.output)
     return 0
 
 
-def _builtin_scenario(args):
-    dim = args.dim
-    screen_map = {
-        "flat": screens.flat_screen,
-        "sphere": screens.sphere_screen,
-        "hyperboloid": screens.hyperboloid_screen,
-    }
-    if args.screen not in screen_map:
-        raise InputError(f"unknown builtin screen {args.screen!r}")
-    screen = screen_map[args.screen](dim)
-    center = [0.0] * dim
-    center[-1] = 1.0
-    force_map = {
-        "free": lambda: screens.zero_force(dim),
-        "kepler": lambda: screens.kepler_force(args.mu, center),
-        "oscillator": lambda: screens.oscillator_force(dim),
-    }
-    if args.system not in force_map:
-        raise InputError(f"unknown builtin system {args.system!r}")
-    force = force_map[args.system]()
-    q0 = _parse_floats(args.q0, "--q0") if args.q0 else None
-    v0 = _parse_floats(args.v0, "--v0") if args.v0 else None
-    if q0 is None or v0 is None:
-        raise InputError("builtin scenarios need --q0 and --v0")
-    t_span = _parse_floats(args.t_span, "--t-span")
-    if len(t_span) != 2:
-        raise InputError("--t-span needs exactly two numbers")
-    _check_t_span(t_span, "--t-span")
-    return {
-        "screen": screen,
-        "force": force,
-        "q0": q0,
-        "v0": v0,
-        "t_span": tuple(t_span),
-        "tol": args.tol,
-    }
-
-
 def _scenario(args):
-    if args.tol is not None:
-        _check_tol(args.tol, "--tol")
+    """The scenario of --scenario, or the one the builtin flags describe; both
+    go through screens.scenario_from_json.  --tol overrides either tolerance,
+    and PROJDYN_TOL the builtin one."""
     if args.scenario:
-        scn = screens.scenario_from_json(_load_json(args.scenario, "scenario"))
-        _check_t_span(scn["t_span"], "scenario")
-        _check_tol(scn["tol"], "scenario 'tol'")
-        if args.tol is not None:
-            scn["tol"] = args.tol
-        return scn
-    args.tol = args.tol if args.tol is not None else _default_tol()
-    return _builtin_scenario(args)
+        obj = _load_json(args.scenario, "scenario")
+    else:  # a missing --q0 or --v0 stays None, which the scenario reader rejects
+        force = {"kind": "zero" if args.system == "free" else args.system,
+                 "mu": args.mu, "center": [0.0] * (args.dim - 1) + [1.0]}
+        obj = {"screen": {"kind": args.screen, "dim": args.dim}, "force": force,
+               "q0": args.q0 and _parse_list(args.q0, "--q0"), "v0": args.v0 and _parse_list(args.v0, "--v0"),
+               "t_span": _parse_list(args.t_span, "--t-span")}
+    scn = screens.scenario_from_json(obj)
+    if args.tol is not None:
+        scn["tol"] = _check_tol(args.tol, "--tol")
+    elif not args.scenario:
+        scn["tol"] = _default_tol()
+    return scn
 
 
 def cmd_integrate(args):
     scn = _scenario(args)
     try:
-        traj = screens.integrate(
-            scn["screen"], scn["force"], scn["q0"], scn["v0"], scn["t_span"], scn["tol"]
-        )
+        traj = screens.integrate(**scn)
     except (screens.DomainExitError, screens.StepUnderflowError) as exc:
-        _emit(_dump({"error": type(exc).__name__, "message": str(exc)}), args.output)
+        _emit(dumps({"error": type(exc).__name__, "message": str(exc)}), args.output)
         return 1
     _emit(traj.to_csv(), args.output)
     return 0
@@ -237,23 +181,13 @@ def cmd_integrate(args):
 
 def cmd_project(args):
     to_screen = screens.screen_from_json(_load_json(args.to_screen, "target screen"))
-    text = _read_text(args.input, "trajectory")
-    traj = screens.TrajectorySample.from_csv(text)
-    times, qs, vs = [], [], []
-    exited = None
-    for t, q, v in zip(traj.times, traj.qs, traj.vs):
-        try:
-            Q, V = screens.central_project_state(traj.screen, to_screen, q, v)
-        except screens.VisibilityError:
-            exited = t
-            break
-        times.append(t)
-        qs.append(Q)
-        vs.append(V)
-    if not times:
-        _emit(_dump({"error": "VisibilityError", "exit_time": exited}), args.output)
+    traj = screens.TrajectorySample.from_csv(_read_text(args.input, "trajectory"))
+    projected, exited = screens.project_visible(traj, to_screen)
+    if not projected:
+        _emit(dumps({"error": "VisibilityError", "exit_time": exited}), args.output)
         return 1
-    out = screens.TrajectorySample(to_screen, times, qs, vs)
+    qs, vs = zip(*projected)
+    out = screens.TrajectorySample(to_screen, traj.times[:len(qs)], qs, vs)
     _emit(out.to_csv(), args.output)
     return 0
 
@@ -261,23 +195,21 @@ def cmd_project(args):
 def cmd_screen_find(args):
     form = curvclass.CurvatureForm.from_json(_load_json(args.input, "curvature form"))
     if form.tensor.is_zero():
-        _emit(_dump({"error": "zero_form"}), args.output)
+        _emit(dumps({"error": "zero_form"}), args.output)
         return 1
     report = compat.screen_find(form)
-    _emit(_dump(report.to_json()), args.output)
+    _emit(dumps(report.to_json()), args.output)
     return 1 if report.verdict == "incompatible" else 0
 
 
 def cmd_hamiltonian_test(args):
-    obj = _load_json(args.input, "leading term")
-    if "screen" not in obj or "T" not in obj:
-        raise InputError("expected {'screen': {...}, 'T': {...}}")
-    screen = screens.screen_from_json(obj["screen"])
-    T = Poly.from_json(obj["T"])
+    r = _load_json(args.input, "leading term")
+    screen = screens.screen_from_json(r.key("screen"))
+    T = Poly.from_json(r.key("T"))
     if T.nvars != 2 * screen.dim:
-        raise InputError("polynomial variable count must be twice the screen dimension")
+        raise r.error(f"a polynomial in {2 * screen.dim} variables, twice the screen dimension", "T")
     report = compat.hamiltonian_test(T, screen=screen)
-    _emit(_dump(report.to_json()), args.output)
+    _emit(dumps(report.to_json()), args.output)
     return 1 if report.verdict == "incompatible" else 0
 
 
@@ -285,11 +217,9 @@ def cmd_verify_projection(args):
     _check_tol(args.deviation_tol, "--deviation-tol")
     scn = _scenario(args)
     to_screen = screens.screen_from_json(_load_json(args.to_screen, "target screen"))
-    traj = screens.integrate(
-        scn["screen"], scn["force"], scn["q0"], scn["v0"], scn["t_span"], scn["tol"]
-    )
+    traj = screens.integrate(**scn)
     report = screens.verify_projection(traj, to_screen, scn["force"], tol=args.deviation_tol)
-    _emit(_dump(report.to_json()), args.output)
+    _emit(dumps(report.to_json()), args.output)
     return 0 if report.passed else 1
 
 
@@ -380,7 +310,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError) as exc:
+    except FormatError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from projdyn.exactlin import (
-    FormatError,
+    JsonValue,
     Multivector,
     Tensor,
     basis_multivector,
@@ -34,7 +34,6 @@ from projdyn.exactlin import (
     intersect_spans,
     kernel,
     multivector_to_json,
-    parse_rational,
     rank,
     rat,
     solve,
@@ -148,13 +147,10 @@ class BivectorMap:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls(
-                int(obj["dim_src"]), int(obj["dim_dst"]),
-                [[parse_rational(x) for x in row] for row in obj["matrix"]],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bivector map: {exc}") from exc
+        r = JsonValue.of(obj, "bivector map")
+        src, dst = r.integer("dim_src", low=1), r.integer("dim_dst", low=1)
+        rows = [row.rationals(n=src * (src - 1) // 2) for row in r.items("matrix", dst * (dst - 1) // 2)]
+        return cls(src, dst, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +545,9 @@ class CurvatureForm:
 
     @classmethod
     def from_json(cls, obj):
-        if obj.get("symmetry") != "riemann":
-            raise FormatError("curvature form: expected {'symmetry': 'riemann'}")
-        return cls(tensor_from_json(obj))
+        r = JsonValue.of(obj, "curvature form")
+        r.choice("symmetry", ("riemann",))
+        return cls(tensor_from_json(r))
 
 
 def metric_form_tensor(b_matrix) -> Tensor:

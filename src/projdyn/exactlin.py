@@ -32,10 +32,6 @@ class DegenerateInputError(ValueError):
     support of the zero multivector)."""
 
 
-class FormatError(ValueError):
-    """Malformed serialized data."""
-
-
 def rat(x) -> Fraction:
     """Coerce ints, strings 'p/q' and Fractions to an exact rational."""
     if isinstance(x, Fraction):
@@ -80,16 +76,6 @@ def clear_denominators(values):
     vals = [rat(x) for x in values]
     den = math.lcm(*[v.denominator for v in vals])
     return [v.numerator * (den // v.denominator) for v in vals], den
-
-
-def parse_rational(s) -> Fraction:
-    """A serialized rational: a 'p/q' string or a finite JSON number."""
-    if isinstance(s, bool) or not isinstance(s, (str, int, float, Fraction)):
-        raise FormatError(f"bad rational literal {s!r}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise FormatError(f"bad rational literal {s!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +773,144 @@ def sum_of_spans(spans):
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+class FormatError(ValueError):
+    """Malformed serialized data."""
+
+
+def parse_rational(s) -> Fraction:
+    """A serialized rational: a 'p/q' string or a finite JSON number."""
+    return JsonValue(s, "rational").rational()
+
+
+def _to_rational(x):
+    """x as a Fraction when it is a 'p/q' string or a finite number, else None."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float, Fraction)):
+        return None
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+def _to_float(x):
+    """x as a float when it is a finite JSON number, else None."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+        return float(x)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _to_int(low, high):
+    """A converter to an int (not a bool) in [low, high), and the text of what
+    it expects; cached, as the tensor and polynomial readers ask per entry."""
+    return (lambda x: x if type(x) is int and low <= x < high else None), f"an integer in [{low}, {high})"
+
+
+class JsonValue:
+    """A JSON value with its path, e.g. scenario['force']['center'][1]; every
+    reader of outside input checks what it reads through this class.
+
+    Each accessor checks this value or, given ``key``, the one under that key
+    of this object, and returns it as a plain Python value or raises
+    FormatError naming its path.  The path string is built only then: list
+    accessors check their elements without a reader each, and ``items`` walks
+    a list of objects through one reused child."""
+
+    __slots__ = ("value", "_parent", "_key")
+
+    def __init__(self, value, name, parent=None):
+        self.value = value
+        self._key = name
+        self._parent = parent
+
+    @classmethod
+    def of(cls, obj, name):
+        """obj when it is a reader already (of a nested value), else a reader of obj named ``name``."""
+        return obj if isinstance(obj, JsonValue) else cls(obj, name)
+
+    @classmethod
+    def parse(cls, text, name):
+        """A reader of JSON text; text that is not JSON is a FormatError."""
+        try:
+            return cls(json.loads(text), name)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{name}: {exc}") from exc
+
+    def path(self, key=None) -> str:
+        head = self._key if self._parent is None else self._parent.path(self._key)
+        return head if key is None else f"{head}[{key!r}]"
+
+    def error(self, expected, key=None) -> FormatError:
+        """The FormatError for this value, or for the one under a present key."""
+        got = repr(self.value if key is None else self.value[key])
+        return FormatError(f"{self.path(key)}: expected {expected}, got {got if len(got) <= 80 else got[:77] + '...'}")
+
+    def _get(self, key):
+        if key is None:
+            return self.value
+        if not isinstance(self.value, dict):
+            raise self.error("an object")
+        if key not in self.value:
+            raise FormatError(f"{self.path()}: missing key {key!r}")
+        return self.value[key]
+
+    def _read(self, key, convert, expected):
+        x = convert(self._get(key))
+        if x is None:
+            raise self.error(expected, key)
+        return x
+
+    def _read_all(self, key, n, at_least, convert, expected) -> list:
+        seq = self.sequence(key, n, at_least)
+        out = [convert(x) for x in seq]
+        if None in out:
+            raise (self if key is None else JsonValue(seq, key, self)).error(expected, out.index(None))
+        return out
+
+    def key(self, key) -> JsonValue:
+        """The value under a required key, as a reader."""
+        return JsonValue(self._get(key), key, self)
+
+    def integer(self, key=None, low=0, high=math.inf) -> int:
+        return self._read(key, *_to_int(low, high))
+
+    def integers(self, key=None, n=None, at_least=0, low=0, high=math.inf) -> tuple:
+        return tuple(self._read_all(key, n, at_least, *_to_int(low, high)))
+
+    def finite(self, key=None) -> float:
+        return self._read(key, _to_float, "a finite number")
+
+    def floats(self, key=None, n=None) -> list:
+        return self._read_all(key, n, 0, _to_float, "a finite number")
+
+    def rational(self, key=None) -> Fraction:
+        return self._read(key, _to_rational, "a rational 'p/q' or a finite number")
+
+    def rationals(self, key=None, n=None, at_least=0) -> list:
+        return self._read_all(key, n, at_least, _to_rational, "a rational 'p/q' or a finite number")
+
+    def choice(self, key, options) -> str:
+        return self._read(key, lambda x: x if isinstance(x, str) and x in options else None,
+                          "one of " + ", ".join(map(repr, options)))
+
+    def sequence(self, key=None, n=None, at_least=0):
+        """A list of exactly n values, or of at least ``at_least`` when n is None."""
+        x = self._get(key)
+        if not isinstance(x, (list, tuple)) or (len(x) != n if n is not None else len(x) < at_least):
+            length = f" of length {n}" if n is not None else f" of length >= {at_least}" if at_least else ""
+            raise self.error("a list" + length, key)
+        return x
+
+    def items(self, key=None, n=None, at_least=0):
+        """The elements of a list, each seen through one reused child reader."""
+        seq = self.sequence(key, n, at_least)
+        child = JsonValue(None, 0, self if key is None else JsonValue(seq, key, self))
+        for i, x in enumerate(seq):
+            child.value = x
+            child._key = i
+            yield child
+
+
 def tensor_to_json(t: Tensor) -> dict:
     entries = [
         {"idx": list(idx), "val": format_rational(val)}
@@ -795,32 +919,16 @@ def tensor_to_json(t: Tensor) -> dict:
     return {"dim": t.dim, "order": t.order, "entries": entries}
 
 
-def _entries_from_json(obj, what):
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what}: expected an object")
-    for key in ("dim", "order", "entries"):
-        if key not in obj:
-            raise FormatError(f"{what}: missing key {key!r}")
-    seen = set()
-    entries = {}
-    for item in obj["entries"]:
-        for key in ("idx", "val"):
-            if not isinstance(item, dict) or key not in item:
-                raise FormatError(f"{what}: entry missing key {key!r}")
-        idx = tuple(item["idx"])
-        if idx in seen:
-            raise FormatError(f"{what}: duplicate idx {list(idx)}")
-        seen.add(idx)
-        entries[idx] = parse_rational(item["val"])
-    return int(obj["dim"]), int(obj["order"]), entries
-
-
 def tensor_from_json(obj) -> Tensor:
-    dim, order, entries = _entries_from_json(obj, "tensor")
-    try:
-        return Tensor(dim, order, entries)
-    except ValueError as exc:
-        raise FormatError(f"tensor: {exc}") from exc
+    r = JsonValue.of(obj, "tensor")
+    dim, order = r.integer("dim", low=1), r.integer("order", low=0)
+    entries = {}
+    for entry in r.items("entries"):
+        idx = entry.integers("idx", order, low=0, high=dim)
+        if idx in entries:
+            raise entry.error("an idx not listed before", "idx")
+        entries[idx] = entry.rational("val")
+    return Tensor._raw(dim, order, {idx: val for idx, val in entries.items() if val})
 
 
 def multivector_to_json(m: Multivector) -> dict:
@@ -832,15 +940,14 @@ def multivector_to_json(m: Multivector) -> dict:
 
 
 def multivector_from_json(obj) -> Multivector:
-    dim, grade, entries = _entries_from_json(obj, "multivector")
-    for idx in entries:
-        if list(idx) != sorted(set(idx)):
-            raise FormatError(f"multivector: idx {list(idx)} is not strictly increasing")
-    try:
-        return Multivector(dim, grade, entries)
-    except ValueError as exc:
-        raise FormatError(f"multivector: {exc}") from exc
+    """The tensor format with strictly increasing idx lists."""
+    r = JsonValue.of(obj, "multivector")
+    t = tensor_from_json(r)
+    if any(a >= b for idx in t.entries for a, b in zip(idx, idx[1:])):
+        raise r.error("entries whose idx lists are strictly increasing", "entries")
+    return Multivector._raw(t.dim, t.order, t.entries)
 
 
 def dumps(obj) -> str:
+    """Compact JSON with sorted keys: the byte-stable form of every output."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

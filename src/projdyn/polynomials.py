@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from projdyn.exactlin import FormatError, accumulate, format_rational, parse_rational, rat
+from projdyn.exactlin import JsonValue, accumulate, format_rational, rat
 
 
 class NotPolynomialError(ArithmeticError):
@@ -284,18 +284,15 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
-            raise FormatError("polynomial: expected {'vars': [...], 'terms': [...]}")
-        nvars = len(obj["vars"])
+        r = JsonValue.of(obj, "polynomial")
+        nvars = len(r.sequence("vars"))
         terms = {}
-        for item in obj["terms"]:
-            exps = tuple(item["exps"])
-            if len(exps) != nvars:
-                raise FormatError(f"polynomial: exps {list(exps)} has wrong length")
+        for term in r.items("terms"):
+            exps = term.integers("exps", nvars, low=0)
             if exps in terms:
-                raise FormatError(f"polynomial: duplicate exps {list(exps)}")
-            terms[exps] = parse_rational(item["coef"])
-        return cls(nvars, terms)
+                raise term.error("exps not listed before", "exps")
+            terms[exps] = term.rational("coef")
+        return cls._raw(nvars, {exps: coef for exps, coef in terms.items() if coef})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import FormatError, format_rational, parse_rational
+from projdyn.exactlin import FormatError, JsonValue, dumps, format_rational
 from projdyn.polynomials import Poly, SqrtElem
 
 
@@ -245,41 +245,21 @@ def hyperboloid_screen(dim):
     return QuadraticRootScreen(g, sheet=sheet)
 
 
+_BUILTIN_SCREENS = {"flat": flat_screen, "sphere": sphere_screen, "hyperboloid": hyperboloid_screen}
+
+
 def screen_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError("screen: expected an object with 'kind'")
-    kind = obj["kind"]
-    builtin = {"flat": flat_screen, "sphere": sphere_screen, "hyperboloid": hyperboloid_screen}
-    required = {"linear": "phi", "quadratic_root": "g", **dict.fromkeys(builtin, "dim")}
-    if not isinstance(kind, str) or kind not in required:
-        raise FormatError(f"screen: unknown kind {kind!r}")
-    if required[kind] not in obj:
-        raise FormatError(f"screen: kind {kind!r} needs key {required[kind]!r}")
+    r = JsonValue.of(obj, "screen")
+    kind = r.choice("kind", ("linear", "quadratic_root", *_BUILTIN_SCREENS))
     if kind == "linear":
-        return LinearFormScreen(_rational_list(obj["phi"], "screen 'phi'"))
+        return LinearFormScreen(r.rationals("phi", at_least=2))
     if kind == "quadratic_root":
-        g = obj["g"]
-        if not isinstance(g, list) or len(g) < 2 or any(not isinstance(row, list) or len(row) != len(g) for row in g):
-            raise FormatError(f"screen 'g': expected a square (at least 2x2) list of lists of rationals, got {g!r}")
-        gmat = [_rational_list(row, "screen 'g'") for row in g]
-        if any(gmat[i][j] != gmat[j][i] for i in range(len(g)) for j in range(i)):
-            raise FormatError(f"screen 'g': expected a symmetric matrix, got {g!r}")
-        sheet = obj.get("sheet")
-        return QuadraticRootScreen(gmat, sheet=None if sheet is None else _finite_list(sheet, "screen 'sheet'", len(g)))
-    dim = obj["dim"]
-    if type(dim) is not int or dim < 2:
-        raise FormatError(f"screen 'dim': expected an integer >= 2, got {dim!r}")
-    return builtin[kind](dim)
-
-
-def _rational_list(value, what) -> list:
-    """A JSON list of at least two rationals ('p/q' strings or numbers)."""
-    if not isinstance(value, list) or len(value) < 2:
-        raise FormatError(f"{what}: expected a list of at least 2 rationals, got {value!r}")
-    try:
-        return [parse_rational(x) for x in value]
-    except FormatError as exc:
-        raise FormatError(f"{what}: {exc}") from exc
+        n = len(r.sequence("g", at_least=2))
+        g = [row.rationals(n=n) for row in r.items("g")]
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+            raise r.error("a symmetric matrix", "g")
+        return QuadraticRootScreen(g, sheet=None if r.value.get("sheet") is None else r.floats("sheet", n))
+    return _BUILTIN_SCREENS[kind](r.integer("dim", low=2))
 
 
 # ---------------------------------------------------------------------------
@@ -420,45 +400,17 @@ def inverse_cube_force(dim, mu=1.0):
     return ProjectiveForceField(dim, func, exact=exact, name="inverse_cube", params={"mu": mu})
 
 
-def _finite(value, what) -> float:
-    """A finite JSON number as a float; FormatError naming ``what`` otherwise."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise FormatError(f"{what}: expected a finite number, got {value!r}")
-    return x
-
-
-def _finite_list(value, what, length) -> list:
-    """A JSON list of ``length`` finite numbers as floats."""
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise FormatError(f"{what}: expected a list of {length} numbers, got {value!r}")
-    return [_finite(x, what) for x in value]
-
-
 def force_from_json(obj, dim):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError("force: expected an object with 'kind'")
-    kind = obj["kind"]
+    r = JsonValue.of(obj, "force")
+    kind = r.choice("kind", ("zero", "kepler", "oscillator", "inverse_cube"))
     if kind == "zero":
         return zero_force(dim)
     if kind == "kepler":
-        for key in ("mu", "center"):
-            if key not in obj:
-                raise FormatError(f"force: kind 'kepler' needs key {key!r}")
-        reference = screen_from_json(obj["reference"]) if "reference" in obj else None
-        return kepler_force(_finite(obj["mu"], "force 'mu'"), _finite_list(obj["center"], "force 'center'", dim),
-                            reference)
+        mu, center = r.finite("mu"), r.floats("center", dim)
+        return kepler_force(mu, center, screen_from_json(r.key("reference")) if "reference" in r.value else None)
     if kind == "oscillator":
-        axis = obj.get("axis")
-        if axis is not None and not (type(axis) is int and 0 <= axis < dim):
-            raise FormatError(f"force 'axis': expected an integer in [0, {dim}), got {axis!r}")
-        return oscillator_force(dim, axis)
-    if kind == "inverse_cube":
-        return inverse_cube_force(dim, _finite(obj.get("mu", 1.0), "force 'mu'"))
-    raise FormatError(f"force: unknown kind {kind!r}")
+        return oscillator_force(dim, None if r.value.get("axis") is None else r.integer("axis", low=0, high=dim))
+    return inverse_cube_force(dim, r.finite("mu") if "mu" in r.value else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +528,7 @@ class TrajectorySample:
         d = self.qs.shape[1]
         buf = io.StringIO()
         meta = self.screen.to_json()
-        kind = meta.pop("kind")
-        params = ";".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        buf.write(f"# screen={kind} {params}\n")
+        buf.write(f"# screen={meta['kind']} {dumps(meta)}\n")
         cols = ["t"] + [f"q_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
         buf.write(",".join(cols) + "\n")
         row = ",".join(["%.17g"] * (1 + 2 * d)) + "\n"
@@ -589,10 +539,9 @@ class TrajectorySample:
     @classmethod
     def from_csv(cls, text, screen=None):
         numbered = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        lines = [ln for _, ln in numbered]
-        if len(lines) < 2 or not lines[0].startswith("# screen="):
+        if len(numbered) < 2 or not numbered[0][1].startswith("# screen="):
             raise FormatError("trajectory csv: missing screen header line")
-        header = lines[1].split(",")
+        header = numbered[1][1].split(",")
         if header[0] != "t" or (len(header) - 1) % 2 != 0:
             raise FormatError("trajectory csv: bad column header")
         d = (len(header) - 1) // 2
@@ -608,15 +557,25 @@ class TrajectorySample:
             qs.append(parts[1:1 + d])
             vs.append(parts[1 + d:])
         if screen is None:
-            kind = lines[0].split()[1].split("=", 1)[1]
-            if kind == "linear":
-                # reconstructible only for the builtin flat screens
-                screen = flat_screen(d)
-            elif kind == "quadratic_root":
-                screen = sphere_screen(d)
-            else:
-                raise FormatError("trajectory csv: pass the screen explicitly")
+            screen = _screen_from_header(numbered[0][1][len("# screen="):], d)
+        if screen.dim != d:
+            raise FormatError(f"trajectory csv: {d} coordinate columns for a screen of dimension {screen.dim}")
         return cls(screen, times, qs, vs)
+
+
+def _screen_from_header(header, d):
+    """The screen of a '<kind> <screen JSON>' header.  An old header of
+    key=value Python reprs is read only as the builtin flat screen or unit sphere."""
+    kind, _, meta = header.partition(" ")
+    if meta.startswith("{"):
+        r = JsonValue.parse(meta, "trajectory csv header")
+        r.choice("kind", (kind,))
+        return screen_from_json(r)
+    for screen in (flat_screen(d), sphere_screen(d)):
+        old = screen.to_json()
+        if header == f"{old.pop('kind')} " + ";".join(f"{k}={v}" for k, v in sorted(old.items())):
+            return screen
+    raise FormatError("trajectory csv: an old header is read only for the builtin flat screen or unit sphere")
 
 
 def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
@@ -735,10 +694,26 @@ def central_project_state(from_screen, to_screen, q, v):
     v = np.asarray(v, dtype=float)
     geometry = to_screen.local(q, v)
     if geometry is None or not 0.0 < geometry[0] < math.inf:
-        k = to_screen.value(q)
+        if isinstance(to_screen, QuadraticRootScreen):  # its value has no real root where q^T G q < 0
+            s = q.dot(to_screen.gmat).dot(q)
+            k = math.copysign(math.sqrt(abs(s)), s)
+        else:
+            k = to_screen.value(q)
         raise VisibilityError(f"point is not visible on the target screen (k = {k:.3e})")
     k, dk, _ = geometry
     return q / k, k * v - dk.dot(v) * q
+
+
+def project_visible(traj, to_screen):
+    """The states (Q, Q') projected from traj's samples before the first one
+    hidden from the target screen, and that one's time (None if there is none)."""
+    projected = []
+    for t, q, v in zip(traj.times, traj.qs, traj.vs):
+        try:
+            projected.append(central_project_state(traj.screen, to_screen, q, v))
+        except VisibilityError:
+            return projected, t
+    return projected, None
 
 
 def bivector_coords(q, v):
@@ -815,14 +790,7 @@ def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
     b^2 = k(q)^-2 along the source samples.  Visibility loss mid-trajectory
     truncates the comparison and is reported.
     """
-    projected = []
-    exit_time = None
-    for t, (q, v) in zip(traj.times, zip(traj.qs, traj.vs)):
-        try:
-            projected.append(central_project_state(traj.screen, to_screen, q, v))
-        except VisibilityError:
-            exit_time = t
-            break
+    projected, exit_time = project_visible(traj, to_screen)
     total = len(traj.times)
     if not projected:
         return ProjectionReport(math.inf, tol, 0, total, exit_time)
@@ -844,19 +812,18 @@ def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
 
 def scenario_from_json(obj):
     """{"screen": {...}, "force": {...}, "q0": [...], "v0": [...],
-    "t_span": [t0, t1], "tol": 1e-10} -> dict of constructed pieces.
+    "t_span": [t0, t1], "tol": 1e-10} -> dict of constructed pieces, keyed
+    by the parameters of integrate.
 
-    Every number must be finite; the order of t_span and the sign of tol are
-    left to the caller."""
-    if not isinstance(obj, dict):
-        raise FormatError("scenario: expected an object")
-    for key in ("screen", "force", "q0", "v0", "t_span"):
-        if key not in obj:
-            raise FormatError(f"scenario: missing key {key!r}")
-    screen = screen_from_json(obj["screen"])
-    force = force_from_json(obj["force"], screen.dim)
-    q0 = _finite_list(obj["q0"], "scenario 'q0'", screen.dim)
-    v0 = _finite_list(obj["v0"], "scenario 'v0'", screen.dim)
-    t_span = tuple(_finite_list(obj["t_span"], "scenario 't_span'", 2))
-    tol = _finite(obj.get("tol", 1e-10), "scenario 'tol'")
+    Every number must be finite, with t0 <= t1 and tol > 0."""
+    r = JsonValue.of(obj, "scenario")
+    screen = screen_from_json(r.key("screen"))
+    force = force_from_json(r.key("force"), screen.dim)
+    q0, v0 = r.floats("q0", screen.dim), r.floats("v0", screen.dim)
+    t_span = tuple(r.floats("t_span", 2))
+    if t_span[1] < t_span[0]:
+        raise r.error("a time span [t0, t1] with t0 <= t1", "t_span")
+    tol = r.finite("tol") if "tol" in r.value else 1e-10
+    if tol <= 0.0:
+        raise r.error("a positive finite number", "tol")
     return {"screen": screen, "force": force, "q0": q0, "v0": v0, "t_span": t_span, "tol": tol}

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import FormatError, SparseEchelon, Tensor, accumulate, perm_sign
+from projdyn.exactlin import JsonValue, SparseEchelon, Tensor, accumulate, perm_sign
 
 
 class NumberingError(ValueError):
@@ -111,10 +111,11 @@ class YoungTableau:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls(obj["rows"], obj["numbering"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad tableau: {exc}") from exc
+        r = JsonValue.of(obj, "tableau")
+        rows = r.integers("rows", at_least=1, low=1)
+        if any(a < b for a, b in zip(rows, rows[1:])):
+            raise r.error("weakly decreasing row lengths", "rows")
+        return cls(rows, r.choice("numbering", ("horizontal", "vertical")))
 
 
 # ---------------------------------------------------------------------------

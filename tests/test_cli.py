@@ -1,9 +1,14 @@
 """CLI subcommands: exit codes, determinism, and round trips."""
 
+import contextlib
+import copy
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdyn.cli import main
 
@@ -74,9 +79,41 @@ def _scenario_with(**fields):
     return ["integrate", "--scenario", json.dumps(obj)]
 
 
+def _term_with(**fields):
+    return json.dumps({"screen": {"kind": "flat", "dim": 3}, "T": {**_TERM, **fields}})
+
+
 _KEPLER = {"kind": "kepler", "mu": 1.0, "center": [0, 0, 1]}
 _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span", "0,1",
                "--to-screen", '{"kind": "sphere", "dim": 3}']
+
+
+# malformed inputs, each with the key its message names
+_NAMED_KEYS = [
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor",
+                  json.dumps({"dim": 2, "order": 2, "entries": 5})], {}, "['entries']", id="scalar-tensor-entries"),
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor", _tensor({"idx": 5, "val": "1/1"})], {},
+                 "['idx']", id="scalar-tensor-idx"),
+    pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor",
+                  json.dumps({"dim": "x", "order": 2, "entries": []})], {}, "['dim']", id="non-integer-tensor-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_with(terms=[{"coef": "1/1"}])], {}, "'exps'",
+                 id="polynomial-term-without-exps"),
+    pytest.param(["hamiltonian-test", "--input", _term_with(vars=5)], {}, "['vars']", id="scalar-polynomial-vars"),
+    pytest.param(["hamiltonian-test", "--input", _term_with(terms=[{"exps": [0, 0, 0, 1, -1, 0], "coef": "1/1"}])],
+                 {}, "['exps']", id="negative-polynomial-exponent"),
+    pytest.param(["integrate", "--dim", "0", "--q0", "1", "--v0", "0"], {}, "['dim']", id="zero-builtin-dim"),
+    pytest.param(["integrate", "--dim", "1", "--q0", "1", "--v0", "0"], {}, "['dim']", id="one-builtin-dim"),
+    pytest.param(["integrate", "--dim", "3", "--q0", "1,0", "--v0", "0,1,0"], {}, "['q0']", id="short-builtin-q0"),
+    pytest.param(_ORBIT + ["--system", "kepler", "--mu", "nan"], {}, "['mu']", id="nan-builtin-mu"),
+    pytest.param(["young-dim", "--rows", "0", "--dim", "3"], {}, "['rows']", id="zero-row-length"),
+    pytest.param(["pbb-dim", "--n", "-1", "--b", "2"], {}, "--n", id="negative-pbb-n"),
+]
+
+
+@pytest.mark.parametrize("argv, env, key", _NAMED_KEYS)
+def test_malformed_input_message_names_its_path(capsys, argv, env, key):
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -122,6 +159,7 @@ _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span"
                  {}, id="ragged-screen-g"),
     pytest.param(_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), {},
                  id="non-symmetric-screen-g"),
+    *[pytest.param(*case.values[:2], id=case.id) for case in _NAMED_KEYS],
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -325,3 +363,88 @@ def test_json_output_round_trip(capsys, tmp_path):
 
     B = [[parse_rational(x) for x in row] for row in report["witnesses"]["B"]]
     assert B == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+_OLD_FLAT = "# screen=linear dim=3;phi=['0/1', '0/1', '1/1']"
+_OLD_HYPERBOLOID = ("# screen=quadratic_root dim=3;g=[['-1/1', '0/1', '0/1'], ['0/1', '-1/1', '0/1'], "
+                    "['0/1', '0/1', '1/1']];sheet=[0.0, 0.0, 1.0]")
+
+
+def test_project_reads_an_old_csv_header_only_for_a_builtin_screen(capsys, tmp_path):
+    path = tmp_path / "old.csv"
+    rows = "t,q_0,q_1,q_2,v_0,v_1,v_2\n0,0,0,1,1,0,0\n"
+    path.write_text(_OLD_FLAT + "\n" + rows)
+    code, out = run(capsys, "project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}')
+    assert code == 0 and out.splitlines()[2] == "0,0,0,1,1,0,0"
+    path.write_text(_OLD_HYPERBOLOID + "\n" + rows)
+    code = main(["project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}'])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("input error:") and "old header" in err
+
+
+def test_project_onto_hyperboloid_stops_at_the_visibility_exit(capsys, tmp_path):
+    path = tmp_path / "line.csv"
+    code, _ = run(capsys, "integrate", "--q0", "0,0,1", "--v0", "1,0,0", "--t-span", "0,2", "--output", str(path))
+    assert code == 0
+    code, out = run(capsys, "project", "--input", str(path), "--to-screen", '{"kind": "hyperboloid", "dim": 3}')
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith('# screen=quadratic_root {"dim":3,')
+    assert 2 < len(lines) < len(path.read_text().splitlines())
+    assert all(float(line.split(",")[0]) < 1.0 for line in lines[2:])
+
+
+# -- fuzzing ----------------------------------------------------------------------------------------
+
+def _fuzz_bases():
+    """(subcommand argv, {flag: JSON input}) for each fuzzed subcommand, from the inputs above."""
+    from projdyn.curvclass import BivectorMap, CurvatureForm, metric_form_tensor
+
+    euclid = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).to_json()
+    scenario = {"screen": {"kind": "sphere", "dim": 3}, "force": _KEPLER,
+                "q0": [0.6, 0.0, 0.8], "v0": [0.0, 1.0, 0.0], "t_span": [0, 0.1], "tol": 1e-8}
+    return [
+        (["young-check"], {"--tableau": json.loads(_PAIR_TABLEAU),
+                           "--tensor": json.loads(_tensor({"idx": [0, 1], "val": "1/1"}, {"idx": [1, 0], "val": "-1/1"}))}),
+        (["classify"], {"--input": BivectorMap.wedge_square([[1, 0, 0], [1, 2, 0], [0, 0, 1]]).to_json()}),
+        (["classify-curvature"], {"--input": euclid}),
+        (["screen-find"], {"--input": euclid}),
+        (["hamiltonian-test"], {"--input": {"screen": {"kind": "flat", "dim": 3}, "T": _TERM}}),
+        (["integrate"], {"--scenario": scenario}),
+    ]
+
+
+def _json_paths(value, path=()):
+    """Every path to a value nested inside a JSON object or list."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_FUZZ_CASES = [(argv, inputs, flag, path) for argv, inputs in _fuzz_bases()
+               for flag in inputs for path in _json_paths(inputs[flag])]
+_DROP = object()
+# dropped, retyped, out of range (small, so that no input grows the work) and non-finite
+_MUTATIONS = [_DROP, "x", None, [], {}, True, 1.5, -1, 0, 9, float("nan"), float("inf")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_FUZZ_CASES), mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_json_inputs_exit_0_1_or_2_without_traceback_or_warning(case, mutation):
+    argv, inputs, flag, path = case
+    inputs = copy.deepcopy(inputs)
+    parent = inputs[flag]
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    argv = argv + [arg for flag, value in inputs.items() for arg in (flag, json.dumps(value))]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)  # an escaping exception, a warning among them, fails the test with its traceback
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()

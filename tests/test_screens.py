@@ -365,6 +365,49 @@ def test_trajectory_csv_round_trip():
     assert text == back.to_csv() if back.derivs is None else True
 
 
+_NON_DIAGONAL = [[2, Fraction(1, 3), 0], [Fraction(1, 3), 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("screen, q0, v0", [
+    (flat_screen(3), [0.0, 0.0, 1.0], [1.0, 0.5, 0.0]),
+    (sc.LinearFormScreen([1, 0, Fraction(1, 2)]), [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    (sphere_screen(3), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+    (hyperboloid_screen(3), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]),
+    (sc.QuadraticRootScreen(_NON_DIAGONAL), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+], ids=["flat", "linear-phi", "sphere", "hyperboloid", "non-diagonal-quadric"])
+def test_trajectory_csv_round_trip_keeps_the_screen(screen, q0, v0):
+    traj = integrate(screen, zero_force(3), q0, v0, (0.0, 0.5), tol=1e-10)
+    back = TrajectorySample.from_csv(traj.to_csv())
+    assert back.screen.to_json() == screen.to_json()
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.states, traj.states)
+
+
+def test_trajectory_csv_old_header_only_for_builtin_flat_and_sphere():
+    rows = "t,q_0,q_1,q_2,v_0,v_1,v_2\n0,0,0,1,1,0,0\n"
+    flat = TrajectorySample.from_csv("# screen=linear dim=3;phi=['0/1', '0/1', '1/1']\n" + rows)
+    assert flat.screen.to_json() == flat_screen(3).to_json()
+    g = "g=[['1/1', '0/1', '0/1'], ['0/1', '1/1', '0/1'], ['0/1', '0/1', '1/1']]"
+    sphere = TrajectorySample.from_csv(f"# screen=quadratic_root dim=3;{g};sheet=None\n" + rows)
+    assert sphere.screen.to_json() == sphere_screen(3).to_json()
+    for header in ("# screen=quadratic_root dim=3;g=[['-1/1', '0/1', '0/1'], ['0/1', '-1/1', '0/1'], "
+                   "['0/1', '0/1', '1/1']];sheet=[0.0, 0.0, 1.0]",
+                   "# screen=linear dim=3;phi=['1/1', '0/1', '1/2']"):
+        with pytest.raises(sc.FormatError, match="old header"):
+            TrajectorySample.from_csv(header + "\n" + rows)
+
+
+def test_projection_onto_hyperboloid_reports_the_visibility_exit():
+    # q(t) = (t, 0, 1) has q^T G q = 1 - t^2 < 0 after t = 1, where the hyperboloid's h has no real value
+    traj = integrate(flat_screen(3), zero_force(3), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (0.0, 2.0), tol=1e-10)
+    with pytest.raises(VisibilityError, match=r"k = -1\.732e\+00"):
+        central_project_state(flat_screen(3), hyperboloid_screen(3), [2.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    report = verify_projection(traj, hyperboloid_screen(3), zero_force(3), tol=1e-6)
+    assert 1.0 <= report.exit_time <= 2.0
+    assert 0 < report.compared < report.total
+    assert report.passed, report.to_json()
+
+
 def test_scenario_json():
     obj = {
         "screen": {"kind": "sphere", "dim": 3},
