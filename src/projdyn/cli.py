@@ -8,7 +8,10 @@ path of the bad value, e.g. "scenario['force']['center'][1]".  The builtin
 scenario flags (--screen, --dim, --system, --mu, --q0, --v0, --t-span) are
 read as a scenario JSON.  Every tolerance (PROJDYN_TOL, which overrides the
 default 1e-10, --tol, a scenario's "tol", --deviation-tol) must be a positive
-finite number; a time span [t0, t1] needs finite ends with t0 <= t1.
+finite number; a time span [t0, t1] needs finite ends with t0 <= t1.  A
+screen has at most screens.MAX_SCREEN_DIM (256) dimensions.  `project` writes
+the samples before the first one hidden from the target screen and, when it
+stops early, says so in one "note:" line on stderr.
 
 Inline JSON is accepted wherever a file path is expected (any argument
 starting with '{').  Schemas:
@@ -155,8 +158,11 @@ def _scenario(args):
     if args.scenario:
         obj = _load_json(args.scenario, "scenario")
     else:  # a missing --q0 or --v0 stays None, which the scenario reader rejects
+        # the screen reader rejects a --dim out of range before it reads the
+        # force, so the center never needs more than the largest screen
+        dim = min(args.dim, screens.MAX_SCREEN_DIM)
         force = {"kind": "zero" if args.system == "free" else args.system,
-                 "mu": args.mu, "center": [0.0] * (args.dim - 1) + [1.0]}
+                 "mu": args.mu, "center": [0.0] * (dim - 1) + [1.0]}
         obj = {"screen": {"kind": args.screen, "dim": args.dim}, "force": force,
                "q0": args.q0 and _parse_list(args.q0, "--q0"), "v0": args.v0 and _parse_list(args.v0, "--v0"),
                "t_span": _parse_list(args.t_span, "--t-span")}
@@ -189,6 +195,9 @@ def cmd_project(args):
     qs, vs = zip(*projected)
     out = screens.TrajectorySample(to_screen, traj.times[:len(qs)], qs, vs)
     _emit(out.to_csv(), args.output)
+    if exited is not None:
+        sys.stderr.write(f"note: stopped at the visibility exit t = {float(exited)!r}; "
+                         f"wrote {len(qs)} of {len(traj.times)} rows\n")
     return 0
 
 

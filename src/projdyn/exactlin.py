@@ -71,9 +71,13 @@ def clear_denominators(values):
 
     Returns (ints, den) with ints[k] == den * values[k].  Rank, kernel and
     decomposability decisions are invariant under such a scaling, so they
-    can run on the ints.
+    can run on the ints.  Values that are all ints come back as they are,
+    with den 1.
     """
-    vals = [rat(x) for x in values]
+    vals = list(values)
+    if all(type(v) is int for v in vals):
+        return vals, 1
+    vals = [rat(x) for x in vals]
     den = math.lcm(*[v.denominator for v in vals])
     return [v.numerator * (den // v.denominator) for v in vals], den
 

@@ -248,18 +248,42 @@ def hyperboloid_screen(dim):
 _BUILTIN_SCREENS = {"flat": flat_screen, "sphere": sphere_screen, "hyperboloid": hyperboloid_screen}
 
 
-def screen_from_json(obj):
+# Largest screen dimension read from input (a builtin screen's "dim", the
+# length of "phi" or the size of "g").  A screen holds dim x dim matrices (a
+# dense float Hessian, an exact rational form), so a larger dim exhausts
+# memory instead of giving a result; the paper works in dimensions 3 to 6.
+MAX_SCREEN_DIM = 256
+
+
+def _screen_length(r, key):
+    """The length of the list under ``key``: a screen dimension in [2, MAX_SCREEN_DIM]."""
+    n = len(r.sequence(key, at_least=2))
+    if n > MAX_SCREEN_DIM:
+        raise r.error(f"a list of at most {MAX_SCREEN_DIM} entries", key)
+    return n
+
+
+def _read_screen(obj):
+    """Check a screen's JSON before anything is built: returns (dim, build),
+    where build() constructs the screen."""
     r = JsonValue.of(obj, "screen")
     kind = r.choice("kind", ("linear", "quadratic_root", *_BUILTIN_SCREENS))
     if kind == "linear":
-        return LinearFormScreen(r.rationals("phi", at_least=2))
+        phi = r.rationals("phi", n=_screen_length(r, "phi"))
+        return len(phi), lambda: LinearFormScreen(phi)
     if kind == "quadratic_root":
-        n = len(r.sequence("g", at_least=2))
+        n = _screen_length(r, "g")
         g = [row.rationals(n=n) for row in r.items("g")]
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise r.error("a symmetric matrix", "g")
-        return QuadraticRootScreen(g, sheet=None if r.value.get("sheet") is None else r.floats("sheet", n))
-    return _BUILTIN_SCREENS[kind](r.integer("dim", low=2))
+        sheet = None if r.value.get("sheet") is None else r.floats("sheet", n)
+        return n, lambda: QuadraticRootScreen(g, sheet=sheet)
+    dim = r.integer("dim", low=2, high=MAX_SCREEN_DIM + 1)
+    return dim, lambda: _BUILTIN_SCREENS[kind](dim)
+
+
+def screen_from_json(obj):
+    return _read_screen(obj)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +841,10 @@ def scenario_from_json(obj):
 
     Every number must be finite, with t0 <= t1 and tol > 0."""
     r = JsonValue.of(obj, "scenario")
-    screen = screen_from_json(r.key("screen"))
-    force = force_from_json(r.key("force"), screen.dim)
-    q0, v0 = r.floats("q0", screen.dim), r.floats("v0", screen.dim)
+    dim, build = _read_screen(r.key("screen"))
+    q0, v0 = r.floats("q0", dim), r.floats("v0", dim)
+    screen = build()
+    force = force_from_json(r.key("force"), dim)
     t_span = tuple(r.floats("t_span", 2))
     if t_span[1] < t_span[0]:
         raise r.error("a time span [t0, t1] with t0 <= t1", "t_span")

@@ -13,6 +13,18 @@ permutation tuples to integers), which keeps identities such as
 ASAS = lambda * AS decidable exactly and independently of the dimension of
 the underlying space.
 
+The group algebra runs on int64 arrays.  Composing two elements, acting on
+a tensor and the image bases are one action (``_Action``): an index row jdx
+and a permutation sigma with coefficient c give c * e_{jdx o sigma^-1}.
+The products become base-k integer codes, one matrix product per block of
+about 4k, and one helper, ``_sum_by_code``, sums them with the key order of
+a dict filled by ``exactlin.accumulate``: a key sits where its running sum
+last turned nonzero, so one that cancels and comes back moves to the end.
+Outputs are therefore the same dicts, in the same order, as the plain
+per-product loops.  A guard keeps every code and partial sum below 2**62;
+past it (or with non-integer coefficients) the same sums run as the per-row
+``accumulate`` loop on Python ints.
+
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
 """
@@ -24,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import JsonValue, SparseEchelon, Tensor, accumulate, perm_sign
+from projdyn.exactlin import JsonValue, SparseEchelon, Tensor, accumulate, clear_denominators, perm_sign
 
 
 class NumberingError(ValueError):
@@ -164,31 +176,134 @@ def antisymmetrizer_element(tableau: YoungTableau) -> dict:
     return elem
 
 
+# Every code, coefficient product and partial sum of the integer-array path
+# stays below this, so no int64 operation in it can wrap.
+_INT64_SAFE = 2 ** 62
+# products summed per block: the working arrays of one call stay small
+_BLOCK = 4096
+
+
+def _sum_by_code(blocks, size):
+    """Sum integer products by code, in the key order of ``accumulate``.
+
+    ``blocks`` yields (codes, values) int64 arrays in stream order, every code
+    below ``size``.  A dict filled by ``accumulate`` from the same stream holds
+    a key where its running sum last turned nonzero: a key that cancels and
+    comes back moves to the end.  The live sums are carried from block to
+    block as (code, sum, birth position) arrays; each block is merged in with
+    one stable sort by code, the carried sum ahead of the block's products.
+    Returns (codes, sums) of the nonzero sums in key order.  The caller
+    guarantees that the absolute values of all products sum below 2**62.
+    """
+    keys = sums = born = np.empty(0, dtype=np.int64)
+    seen = 0
+    # codes of at most 16 bits sort as uint16, which numpy radix-sorts
+    sort_dtype = np.uint16 if size <= 2 ** 16 else np.int64
+    for codes, vals in blocks:
+        if not len(codes):
+            continue
+        pos = np.arange(seen, seen + len(codes))
+        seen += len(codes)
+        if len(keys):
+            codes = np.concatenate((keys, codes))
+            vals = np.concatenate((sums, vals))
+            pos = np.concatenate((born, pos))
+        order = np.argsort(codes.astype(sort_dtype), kind="stable")
+        codes, vals, pos = codes[order], vals[order], pos[order]
+        # each code's products are codes[bounds[i]:bounds[i + 1]]
+        edges = np.empty(len(codes) + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+        bounds = np.flatnonzero(edges)
+        starts = bounds[:-1]
+        # running sums: one cumsum, restarted at the first product of each code
+        run = np.cumsum(vals)
+        run -= np.repeat(run[starts] - vals[starts], bounds[1:] - starts)
+        # a birth turns a zero running sum nonzero; positions rise within a
+        # code, so its last birth is the largest birth position
+        born = np.maximum.reduceat(np.where((run != 0) & (run == vals), pos, -1), starts)
+        total = run[bounds[1:] - 1]
+        live = total != 0
+        keys, sums, born = codes[starts][live], total[live], born[live]
+    order = np.argsort(born)
+    return keys[order], sums[order]
+
+
+def _max_abs(values):
+    """The largest |v| when every value is an int, else None."""
+    if not all(type(v) is int for v in values):
+        return None
+    return max(map(abs, values), default=0)
+
+
+class _Action:
+    """A group-algebra element acting on index rows: row jdx and permutation
+    sigma with coefficient c give c * e_{jdx o sigma^-1}.
+
+    Results are keyed by the base-``base`` code of the index tuple.  Integer
+    inputs inside the int64 guard run on arrays (``_sum_by_code``); anything
+    else runs the per-row ``accumulate`` loop on Python ints, with the same
+    result and key order.
+    """
+
+    def __init__(self, perms, coefs, base):
+        width = perms.shape[1]
+        self.bound = _max_abs(coefs)
+        self.fits = self.bound is not None and base ** width < _INT64_SAFE
+        self.base = base
+        self.size = base ** width
+        self.coefs = coefs
+        self.int_coefs = np.array(coefs, dtype=np.int64) if self.fits else None
+        # Python ints once the codes could overflow int64
+        self.radix = np.array([base ** k for k in range(width - 1, -1, -1)],
+                              dtype=np.int64 if self.fits else object)
+        # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
+        self.weights = self.radix[perms].T
+
+    def sum_codes(self, rows, vals):
+        """Sum vals[i] * coefs[p] at the code of rows[i] o perms[p]^-1 in the
+        scan order rows outer, perms inner; returns the codes and the list of
+        nonzero sums in the key order of ``accumulate``."""
+        rows = np.array(rows, dtype=np.int64).reshape(len(vals), -1)
+        bound = _max_abs(vals)
+        if (self.fits and bound is not None
+                and max(bound, 1) * max(self.bound, 1) * len(vals) * len(self.coefs) < _INT64_SAFE):
+            vals = np.array(vals, dtype=np.int64)
+            step = max(1, _BLOCK // len(self.coefs))
+            blocks = (((rows[r:r + step] @ self.weights).ravel(),
+                       np.multiply.outer(vals[r:r + step], self.int_coefs).ravel())
+                      for r in range(0, len(vals), step))
+            codes, sums = _sum_by_code(blocks, self.size)
+            return codes, sums.tolist()
+        out = {}
+        for row, val in zip(rows, vals):
+            for code, coef in zip((row @ self.weights).tolist(), self.coefs):
+                accumulate(out, code, val * coef)
+        return list(out), list(out.values())
+
+    def decode(self, codes):
+        """Index tuples of base-``base`` codes."""
+        digits = np.asarray(codes, dtype=self.radix.dtype)[:, None] // self.radix % self.base
+        return list(map(tuple, digits.tolist()))
+
+
 def compose_elements(g: dict, h: dict) -> dict:
     """Convolution with L_g . L_h = L_{g*h}: (g*h) applies h first.
 
-    Each product sigma o tau is formed a whole row (all tau of h) at a time
-    as an integer gather, and keyed by its base-n code while the sums are
-    accumulated; the (sigma, tau) scan order, and so the key order of the
-    result, is that of the plain double loop.
+    The product of sigma in g and tau in h is keyed at sigma o tau, which is
+    the action of tau^-1 on the index row sigma, so the sums run through
+    ``_Action`` in base n: int64 arrays in blocks when the coefficients are
+    ints inside the guard, the per-row ``accumulate`` loop otherwise.  The
+    (sigma, tau) scan order, and so the key order of the result, is that of
+    the plain double loop.
     """
     if not g or not h:
         return {}
     n = len(next(iter(h)))
-    # base-n codes of permutations of n slots; Python ints once n**n overflows int64
-    dtype = np.int64 if n ** n < 2 ** 63 else object
-    radix = np.array([n ** k for k in range(n - 1, -1, -1)], dtype=dtype)
-    H = np.array(list(h), dtype=np.intp)
-    coefs = list(h.values())
-    out = {}
-    for sigma, cg in g.items():
-        codes = np.asarray(sigma, dtype=np.intp)[H] @ radix
-        for code, ch in zip(codes.tolist(), coefs):
-            accumulate(out, code, cg * ch)
-    if not out:
-        return {}
-    perms = np.array(list(out), dtype=dtype)[:, None] // radix % n
-    return dict(zip(map(tuple, perms.tolist()), out.values()))
+    inverses = np.argsort(np.array(list(h), dtype=np.intp).reshape(len(h), n), axis=1)
+    action = _Action(inverses, list(h.values()), n)
+    codes, sums = action.sum_codes(list(g), list(g.values()))
+    return dict(zip(action.decode(codes), sums))
 
 
 def scale_element(g: dict, c) -> dict:
@@ -196,19 +311,20 @@ def scale_element(g: dict, c) -> dict:
 
 
 def apply_element(g: dict, t: Tensor) -> Tensor:
-    """Act on a tensor: (L_sigma phi)[idx] = phi[idx o sigma]."""
-    # entry jdx of phi lands at idx = jdx o sigma^-1; precompute the inverses
-    inverses = []
-    for sigma, coef in g.items():
-        inv = [0] * len(sigma)
-        for k, pos in enumerate(sigma):
-            inv[pos] = k
-        inverses.append((tuple(inv), coef))
-    out = {}
-    for jdx, val in t.entries.items():
-        getter = jdx.__getitem__
-        for inv, coef in inverses:
-            accumulate(out, tuple(map(getter, inv)), val * coef)
+    """Act on a tensor: (L_sigma phi)[idx] = phi[idx o sigma].
+
+    Entry jdx of phi lands at idx = jdx o sigma^-1.  The entries are scaled
+    to integers once (``clear_denominators``), summed by base-dim code in the
+    scan order entries outer, permutations inner (``_Action``), and divided
+    back only in the result.
+    """
+    if not g or not t.entries:
+        return Tensor._raw(t.dim, t.order, {})
+    ints, den = clear_denominators(t.entries.values())
+    perms = np.array(list(g), dtype=np.intp).reshape(len(g), t.order)
+    action = _Action(perms, list(g.values()), t.dim)
+    codes, sums = action.sum_codes(list(t.entries), ints)
+    out = {idx: Fraction(v, den) for idx, v in zip(action.decode(codes), sums)}
     return Tensor._raw(t.dim, t.order, out)
 
 
@@ -395,15 +511,22 @@ def _block_indices(blocks, n: int, choices):
 def _image_basis(element: dict, dim: int, size: int, indices):
     """Exact basis of the image of a group-algebra element: apply it to the
     basis tensor of each index tuple and keep the results that enlarge the
-    span found so far (sparse echelon reduction)."""
+    span found so far (sparse echelon reduction).
+
+    Each image is an integer row keyed by base-dim codes, whose order is the
+    order of the index tuples, so the echelon makes the same choices as on
+    tuples; only the rows it accepts become ``Fraction`` tensors.
+    """
+    perms = np.array(list(element), dtype=np.intp).reshape(len(element), size)
+    action = _Action(perms, list(element.values()), dim)
     echelon = SparseEchelon()
     basis = []
     for idx in indices:
-        t = apply_element(element, Tensor(dim, size, {idx: Fraction(1)}))
-        if t.is_zero():
-            continue
-        if echelon.insert(t.entries):
-            basis.append(t)
+        codes, sums = action.sum_codes([idx], [1])
+        row = dict(zip(np.asarray(codes).tolist(), sums))
+        if row and echelon.insert(row):
+            entries = dict(zip(action.decode(codes), map(Fraction, sums)))
+            basis.append(Tensor._raw(dim, size, entries))
     return basis
 
 

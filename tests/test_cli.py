@@ -107,6 +107,13 @@ _NAMED_KEYS = [
     pytest.param(_ORBIT + ["--system", "kepler", "--mu", "nan"], {}, "['mu']", id="nan-builtin-mu"),
     pytest.param(["young-dim", "--rows", "0", "--dim", "3"], {}, "['rows']", id="zero-row-length"),
     pytest.param(["pbb-dim", "--n", "-1", "--b", "2"], {}, "--n", id="negative-pbb-n"),
+    # a dim past screens.MAX_SCREEN_DIM is refused before any dim x dim matrix is built
+    pytest.param(["integrate", "--dim", "300000", "--q0", "1,0,1", "--v0", "0,1,0"], {}, "['dim']",
+                 id="huge-builtin-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "sphere", "dim": 300000})], {}, "['dim']",
+                 id="huge-screen-dim"),
+    pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear", "phi": [0] * 300 + [1]})], {},
+                 "['phi']", id="long-screen-phi"),
 ]
 
 
@@ -392,6 +399,24 @@ def test_project_onto_hyperboloid_stops_at_the_visibility_exit(capsys, tmp_path)
     assert lines[0].startswith('# screen=quadratic_root {"dim":3,')
     assert 2 < len(lines) < len(path.read_text().splitlines())
     assert all(float(line.split(",")[0]) < 1.0 for line in lines[2:])
+
+
+def test_project_notes_the_visibility_exit_on_stderr(capsys, tmp_path):
+    path = tmp_path / "line.csv"
+    assert run(capsys, "integrate", "--q0", "0,0,1", "--v0", "1,0,0", "--t-span", "0,2", "--output", str(path))[0] == 0
+    argv = ["project", "--input", str(path), "--to-screen", '{"kind": "hyperboloid", "dim": 3}']
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]
+    assert captured.err == f"note: stopped at the visibility exit t = 1.103086578651014; wrote {len(rows)} of 6 rows\n"
+    # stdout is the same as with --output: the note changes only stderr
+    out_path = tmp_path / "projected.csv"
+    assert main(argv + ["--output", str(out_path)]) == 0
+    assert out_path.read_text() == captured.out
+    assert capsys.readouterr() == ("", captured.err)
+    # a fully visible projection says nothing
+    assert main(["project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}']) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- fuzzing ----------------------------------------------------------------------------------------

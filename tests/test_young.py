@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from projdyn.young import (
     contract_top_of_last_columns,
     example_pair_exchange_decompose,
     imAS_basis,
+    imSA_basis,
+    scale_element,
     symmetrize_S,
     symmetrizer_element,
     vanishing_diagonal_test,
@@ -257,6 +260,143 @@ def test_compose_elements_matches_the_pairwise_loop(case):
         assert list(got.items()) == list(compose_reference(left, right).items())
         assert all(type(k) is tuple and all(type(i) is int for i in k) for k in got)
 
+
+
+def apply_reference(g, t):
+    """The plain per-product loop: entries outer, permutations inner."""
+    inverses = []
+    for sigma, coef in g.items():
+        inv = [0] * len(sigma)
+        for k, pos in enumerate(sigma):
+            inv[pos] = k
+        inverses.append((tuple(inv), coef))
+    out = {}
+    for jdx, val in t.entries.items():
+        getter = jdx.__getitem__
+        for inv, coef in inverses:
+            accumulate(out, tuple(map(getter, inv)), val * coef)
+    return out
+
+
+def cancelling_tensors(dim, order):
+    """Tensors with mixed denominators whose entries cancel under the symmetrizers
+    (an entry and its slot swap with opposite values, plus a few loose ones)."""
+    idx = st.tuples(*[st.integers(0, dim - 1)] * order)
+    val = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 7]))
+
+    def build(pairs, loose):
+        entries = {}
+        for jdx, v in pairs:
+            accumulate(entries, jdx, v)
+            accumulate(entries, (jdx[1], jdx[0]) + jdx[2:], -v)
+        for jdx, v in loose:
+            accumulate(entries, jdx, v)
+        return Tensor(dim, order, entries)
+
+    return st.builds(build, st.lists(st.tuples(idx, val), max_size=8), st.lists(st.tuples(idx, val), max_size=4))
+
+
+ELEMENT_SHAPES = [((2, 1), "vertical"), ((2, 2), "vertical"), ((2, 2), "horizontal"), ((3, 1), "horizontal")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ELEMENT_SHAPES).flatmap(
+    lambda case: st.tuples(st.just(case), cancelling_tensors(3, sum(case[0])), st.integers(0, 4))))
+def test_apply_element_matches_the_per_product_loop(case):
+    (rows, numbering), t, which = case
+    tab = YoungTableau(rows, numbering)
+    S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
+    element = [S, A, compose_elements(A, S), compose_elements(S, A), {tuple(range(tab.size)): -3}][which]
+    got = apply_element(element, t)
+    assert list(got.entries.items()) == list(apply_reference(element, t).items())
+    assert all(type(v) is Fraction for v in got.entries.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_by_code_keeps_the_accumulate_order_across_blocks(data):
+    size = data.draw(st.sampled_from([4, 50, 2 ** 16, 2 ** 17]))
+    codes = data.draw(st.lists(st.sampled_from([0, 1, 3, size - 1]), max_size=40))
+    vals = data.draw(st.lists(st.integers(-2, 2), min_size=len(codes), max_size=len(codes)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(codes)), max_size=5)))
+    bounds = [0, *cuts, len(codes)]
+    blocks = [(np.array(codes[a:b], dtype=np.int64), np.array(vals[a:b], dtype=np.int64))
+              for a, b in zip(bounds, bounds[1:])]
+    expected = {}
+    for code, val in zip(codes, vals):
+        accumulate(expected, code, val)
+    got_codes, got_sums = young._sum_by_code(blocks, size)
+    assert list(zip(got_codes.tolist(), got_sums.tolist())) == list(expected.items())
+
+
+def test_compose_elements_on_seven_boxes():
+    # 7**7 codes no longer sort as uint16: the int64 sort path
+    tab = YoungTableau((3, 2, 1, 1), "vertical")
+    S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
+    AS = compose_elements(A, S)
+    assert list(AS.items()) == list(compose_reference(A, S).items())
+    rng = random.Random(7)
+    part = dict(rng.sample(sorted(AS.items()), 40))
+    for left, right in [(part, AS), (AS, part)]:
+        assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
+
+
+def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
+    n = 4
+    big = 2 ** 62 - 1
+    perms = list(itertools.permutations(range(n)))
+    rng = random.Random(62)
+    g = {p: rng.choice([big, -big, 2 ** 31 + 1, 1]) for p in rng.sample(perms, 12)}
+    h = {p: rng.choice([big, -(2 ** 31), 3]) for p in rng.sample(perms, 12)}
+    for left, right in [(g, h), (h, g), (g, {p: 1 for p in perms})]:
+        got = compose_elements(left, right)
+        assert list(got.items()) == list(compose_reference(left, right).items())
+    # the largest product is above 2**63: int64 arithmetic would have wrapped
+    assert max(map(abs, compose_elements(g, h).values())) >= 2 ** 63
+    # four products of |c| each: c = 2**60 - 1 is just inside the guard, 2**60 just outside
+    swap = {tuple(range(n)): 1, (1, 0, 2, 3): 1}
+    for c in (2 ** 60 - 1, 2 ** 60, -(2 ** 60)):
+        edge = {tuple(range(n)): c, (0, 1, 3, 2): -c}
+        for left, right in [(edge, swap), (swap, edge)]:
+            assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
+    # twenty slots: 20**20 codes are beyond int64 whatever the coefficients
+    wide = {tuple(range(20)): 2, tuple(range(19, -1, -1)): -1, (1, 0) + tuple(range(2, 20)): 1}
+    assert list(compose_elements(wide, wide).items()) == list(compose_reference(wide, wide).items())
+    tab = YoungTableau((2, 2), "vertical")
+    t = Tensor(3, 4, {(0, 1, 2, 0): Fraction(big, 3), (1, 0, 2, 0): Fraction(-big, 5), (2, 2, 1, 0): Fraction(7)})
+    for element in (symmetrizer_element(tab), scale_element(antisymmetrizer_element(tab), big)):
+        got = apply_element(element, t)
+        assert list(got.entries.items()) == list(apply_reference(element, t).items())
+    # a non-integer coefficient also takes the loop
+    half = scale_element(symmetrizer_element(tab), Fraction(1, 2))
+    assert list(apply_element(half, t).entries.items()) == list(apply_reference(half, t).items())
+
+
+def image_basis_reference(element, dim, size, indices):
+    echelon = SparseEchelon()
+    basis = []
+    for idx in indices:
+        entries = apply_reference(element, Tensor(dim, size, {idx: Fraction(1)}))
+        if entries and echelon.insert(entries):
+            basis.append(list(entries.items()))
+    return basis
+
+
+@pytest.mark.parametrize("columns,dim", [([2, 1], 3), ([2, 1], 4), ([2, 2], 3), ([2, 2], 4), ([2, 2], 5),
+                                         ([2, 2, 2], 3), ([3, 2], 4)])
+def test_image_bases_match_the_per_product_loop(columns, dim):
+    tab = YoungTableau.from_columns(columns)
+    A, S = antisymmetrizer_element(tab), symmetrizer_element(tab)
+    indices = young._block_indices(tab.row_slots(), tab.size,
+                                   lambda k: itertools.combinations_with_replacement(range(dim), k))
+    expected = image_basis_reference(compose_reference(A, S), dim, tab.size, indices)
+    assert [list(t.entries.items()) for t in imAS_basis(tab, dim)] == expected
+    horizontal = YoungTableau(tab.columns, "horizontal")
+    A, S = antisymmetrizer_element(horizontal), symmetrizer_element(horizontal)
+    indices = young._block_indices(horizontal.column_slots(), horizontal.size,
+                                   lambda k: itertools.combinations(range(dim), k))
+    expected = image_basis_reference(compose_reference(S, A), dim, horizontal.size, indices)
+    assert [list(t.entries.items()) for t in imSA_basis(horizontal, dim)] == expected
 
 # -- membership tests ------------------------------------------------------------------
 
