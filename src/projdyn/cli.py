@@ -156,17 +156,12 @@ def _scenario(args):
     go through screens.scenario_from_json.  --tol overrides either tolerance,
     and PROJDYN_TOL the builtin one."""
     if args.scenario:
-        obj = _load_json(args.scenario, "scenario")
+        scn = screens.scenario_from_json(_load_json(args.scenario, "scenario"))
     else:  # a missing --q0 or --v0 stays None, which the scenario reader rejects
-        # the screen reader rejects a --dim out of range before it reads the
-        # force, so the center never needs more than the largest screen
-        dim = min(args.dim, screens.MAX_SCREEN_DIM)
-        force = {"kind": "zero" if args.system == "free" else args.system,
-                 "mu": args.mu, "center": [0.0] * (dim - 1) + [1.0]}
-        obj = {"screen": {"kind": args.screen, "dim": args.dim}, "force": force,
-               "q0": args.q0 and _parse_list(args.q0, "--q0"), "v0": args.v0 and _parse_list(args.v0, "--v0"),
-               "t_span": _parse_list(args.t_span, "--t-span")}
-    scn = screens.scenario_from_json(obj)
+        scn = screens.builtin_scenario(
+            args.screen, args.dim, "zero" if args.system == "free" else args.system, args.mu,
+            args.q0 and _parse_list(args.q0, "--q0"), args.v0 and _parse_list(args.v0, "--v0"),
+            _parse_list(args.t_span, "--t-span"))
     if args.tol is not None:
         scn["tol"] = _check_tol(args.tol, "--tol")
     elif not args.scenario:

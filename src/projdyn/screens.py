@@ -852,3 +852,15 @@ def scenario_from_json(obj):
     if tol <= 0.0:
         raise r.error("a positive finite number", "tol")
     return {"screen": screen, "force": force, "q0": q0, "v0": v0, "t_span": t_span, "tol": tol}
+
+
+def builtin_scenario(screen, dim, force, mu, q0, v0, t_span):
+    """scenario_from_json of a builtin screen (flat, sphere or hyperboloid)
+    of dimension dim under a builtin force; a Kepler center sits at the last
+    unit vector, the flat screen's origin.  The center is sized from dim only
+    once the screen's JSON has passed its checks."""
+    obj = {"screen": {"kind": screen, "dim": dim}, "force": {"kind": force, "mu": mu},
+           "q0": q0, "v0": v0, "t_span": t_span}
+    n, _ = _read_screen(JsonValue.of(obj, "scenario").key("screen"))
+    obj["force"]["center"] = [0.0] * (n - 1) + [1.0]
+    return scenario_from_json(obj)

@@ -249,9 +249,10 @@ class _Action:
     def __init__(self, perms, coefs, base):
         width = perms.shape[1]
         self.bound = _max_abs(coefs)
-        self.fits = self.bound is not None and base ** width < _INT64_SAFE
         self.base = base
         self.size = base ** width
+        # codes and coefficients in int64; sum_codes also bounds the sums
+        self.fits = self.bound is not None and self.bound < _INT64_SAFE and self.size < _INT64_SAFE
         self.coefs = coefs
         self.int_coefs = np.array(coefs, dtype=np.int64) if self.fits else None
         # Python ints once the codes could overflow int64

@@ -352,7 +352,11 @@ def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
         got = compose_elements(left, right)
         assert list(got.items()) == list(compose_reference(left, right).items())
     # the largest product is above 2**63: int64 arithmetic would have wrapped
-    assert max(map(abs, compose_elements(g, h).values())) >= 2 ** 63
+    gh = compose_elements(g, h)
+    assert max(map(abs, gh.values())) >= 2 ** 63
+    # coefficients that do not fit int64 at all, on either side
+    for left, right in [(g, gh), (gh, g), (gh, gh)]:
+        assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
     # four products of |c| each: c = 2**60 - 1 is just inside the guard, 2**60 just outside
     swap = {tuple(range(n)): 1, (1, 0, 2, 3): 1}
     for c in (2 ** 60 - 1, 2 ** 60, -(2 ** 60)):
@@ -364,9 +368,12 @@ def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
     assert list(compose_elements(wide, wide).items()) == list(compose_reference(wide, wide).items())
     tab = YoungTableau((2, 2), "vertical")
     t = Tensor(3, 4, {(0, 1, 2, 0): Fraction(big, 3), (1, 0, 2, 0): Fraction(-big, 5), (2, 2, 1, 0): Fraction(7)})
-    for element in (symmetrizer_element(tab), scale_element(antisymmetrizer_element(tab), big)):
-        got = apply_element(element, t)
-        assert list(got.entries.items()) == list(apply_reference(element, t).items())
+    huge = Tensor(3, 4, {(0, 1, 2, 0): Fraction(2 ** 63), (2, 2, 1, 0): Fraction(-(2 ** 70), 3)})
+    for element in (symmetrizer_element(tab), scale_element(antisymmetrizer_element(tab), big),
+                    scale_element(symmetrizer_element(tab), 2 ** 63)):
+        for tensor in (t, huge):
+            got = apply_element(element, tensor)
+            assert list(got.entries.items()) == list(apply_reference(element, tensor).items())
     # a non-integer coefficient also takes the loop
     half = scale_element(symmetrizer_element(tab), Fraction(1, 2))
     assert list(apply_element(half, t).entries.items()) == list(apply_reference(half, t).items())
