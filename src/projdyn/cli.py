@@ -9,9 +9,10 @@ scenario flags (--screen, --dim, --system, --mu, --q0, --v0, --t-span) are
 read as a scenario JSON.  Every tolerance (PROJDYN_TOL, which overrides the
 default 1e-10, --tol, a scenario's "tol", --deviation-tol) must be a positive
 finite number; a time span [t0, t1] needs finite ends with t0 <= t1.  A
-screen has at most screens.MAX_SCREEN_DIM (256) dimensions.  `project` writes
-the samples before the first one hidden from the target screen and, when it
-stops early, says so in one "note:" line on stderr.
+screen has at most screens.MAX_SCREEN_DIM (256) dimensions, and so does
+`pbb-dim --n`; `pbb-dim --b` is at most polyintegrals.MAX_PBB_DEGREE (10000).
+`project` writes the samples before the first one hidden from the target
+screen and, when it stops early, says so in one "note:" line on stderr.
 
 Inline JSON is accepted wherever a file path is expected (any argument
 starting with '{').  Schemas:
@@ -121,7 +122,8 @@ def cmd_young_check(args):
 
 
 def cmd_pbb_dim(args):
-    n, b = JsonValue(args.n, "--n").integer(low=1), JsonValue(args.b, "--b").integer(low=1)
+    n = JsonValue(args.n, "--n").integer(low=1, high=screens.MAX_SCREEN_DIM + 1)
+    b = JsonValue(args.b, "--b").integer(low=1, high=polyintegrals.MAX_PBB_DEGREE + 1)
     _emit(str(polyintegrals.dim_Pbb(n, b)), args.output)
     return 0
 

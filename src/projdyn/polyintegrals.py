@@ -60,6 +60,11 @@ def v_indices(dim):
 # ---------------------------------------------------------------------------
 # the space P^{b,b}
 
+# The largest degree `projdyn pbb-dim --b` accepts: dim_Pbb(256, 10000) has
+# 1,032 digits (Python prints ints of up to 4,300) and takes about 0.1 s.
+MAX_PBB_DEGREE = 10_000
+
+
 def dim_Pbb(n: int, b: int) -> int:
     """n (n+1)^2 (n+2)^2 ... (n+b-1)^2 (n+b) / (b! (b+1)!), exactly."""
     if n < 1 or b < 1:
@@ -351,27 +356,53 @@ def to_antisymmetric(R) -> AntisymmetricForm:
 # homogenization of screen-level integrals
 
 def _substitute_sqrt(poly: Poly, images) -> SqrtElem:
+    """poly(images) over one common denominator.
+
+    The images carry few distinct denominators (h or q^T G q for the
+    x-images, 1 or q^T G q for the w-images), so each term's denominator is a
+    product of their powers.  Each term's numerator is built from cached
+    powers of the image numerators and scaled once to the largest power of
+    every denominator; the scaled numerators are summed into one dict each.
+    """
     base = images[0].base
     nv = base.nvars
-    out = SqrtElem.from_poly(Poly.zero(nv), base)
+    one = Poly.const(nv, 1)
+    dens = []
+    for img in images:
+        if img.D != one and img.D not in dens:
+            dens.append(img.D)
+    slots = [dens.index(img.D) if img.D in dens else None for img in images]
+    nums = [SqrtElem(img.P, img.Q, one, base) for img in images]
+    cache = {}
+    terms = []
     for exps, coef in poly.terms.items():
-        term = SqrtElem.from_poly(Poly.const(nv, coef), base)
+        num = SqrtElem.from_poly(Poly.const(nv, coef), base)
+        powers = [0] * len(dens)
         for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * images[i]
-        out = out + term
-    return out
+            if e:
+                if (i, e) not in cache:
+                    cache[(i, e)] = nums[i] ** e
+                num = num * cache[(i, e)]
+                if slots[i] is not None:
+                    powers[slots[i]] += e
+        terms.append((num, powers))
+    top = [max((powers[j] for _, powers in terms), default=0) for j in range(len(dens))]
+    scales = {}
+    P, Q = {}, {}
+    for num, powers in terms:
+        gaps = tuple(t - k for t, k in zip(top, powers))
+        if gaps not in scales:
+            scales[gaps] = math.prod((d ** g for d, g in zip(dens, gaps)), start=one)
+        for part, out in ((num.P, P), (num.Q, Q)):
+            for key, val in (part * scales[gaps]).terms.items():
+                accumulate(out, key, val)
+    D = math.prod((d ** t for d, t in zip(dens, top)), start=one)
+    return SqrtElem(Poly._raw(nv, P), Poly._raw(nv, Q), D, base)
 
 
-def homogenize_polynomial(G_H: Poly, screen) -> Poly:
-    """Exact homogenization of a screen-level polynomial (ambient variables,
-    read on the tangent bundle of the screen).
-
-    Substitutes x = q / h(q) and w = <dh,q> v - <dh,v> q and clears the
-    denominators; raises NotPolynomialError when the result is not a
-    polynomial, which happens exactly when G_H is not (the restriction of) a
-    first integral of free motion.
-    """
+def _central_images(screen):
+    """The images of x_0.. and w_0.. under x = q / h(q) and
+    w = <dh,q> v - <dh,v> q, for a linear or quadratic-root screen."""
     dim = screen.dim
     nv = 2 * dim
     if screen.kind == "linear":
@@ -404,8 +435,19 @@ def homogenize_polynomial(G_H: Poly, screen) -> Poly:
         ]
     else:
         raise NotPolynomialError("exact homogenization needs a linear or quadratic-root screen")
-    value = _substitute_sqrt(G_H, x_imgs + w_imgs)
-    return value.as_poly()
+    return x_imgs + w_imgs
+
+
+def homogenize_polynomial(G_H: Poly, screen) -> Poly:
+    """Exact homogenization of a screen-level polynomial (ambient variables,
+    read on the tangent bundle of the screen).
+
+    Substitutes x = q / h(q) and w = <dh,q> v - <dh,v> q and clears the
+    denominators; raises NotPolynomialError when the result is not a
+    polynomial, which happens exactly when G_H is not (the restriction of) a
+    first integral of free motion.
+    """
+    return _substitute_sqrt(G_H, _central_images(screen)).as_poly()
 
 
 class HomogenizedIntegral:

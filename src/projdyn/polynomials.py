@@ -16,12 +16,47 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
-from projdyn.exactlin import JsonValue, accumulate, format_rational, rat
+from projdyn.exactlin import JsonValue, accumulate, clear_denominators, format_rational, rat
 
 
 class NotPolynomialError(ArithmeticError):
     """An exact computation that must produce a polynomial did not."""
+
+
+def _int_product(left, right):
+    """Sum the products of two lists of (exps, nonzero int) items by exponent
+    in the scan order left outer, right inner, keeping the key order of
+    ``accumulate``: a key sits where its running sum last turned nonzero."""
+    out = {}
+    for e1, c1 in left:
+        for e2, c2 in right:
+            key = tuple(map(add, e1, e2))
+            old = out.get(key)
+            if old is None:
+                out[key] = c1 * c2
+            else:
+                total = old + c1 * c2
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+    return out
+
+
+def _power(x, k, one):
+    """x**k by repeated squaring, starting from the unit ``one``."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 class Poly:
@@ -103,11 +138,24 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly._raw(self.nvars, out)
+        if not self.terms or not other.terms:
+            return Poly._raw(self.nvars, {})
+        mono, poly = (other, self) if len(other.terms) == 1 else (self, other)
+        if len(mono.terms) == 1:
+            # a monomial factor shifts every key: no collisions, same order
+            (shift, c), = mono.terms.items()
+            return Poly._raw(self.nvars, {tuple(map(add, e, shift)): v * c for e, v in poly.terms.items()})
+        # integer numerators over one denominator: each int sum is den times
+        # the Fraction sum, so it cancels at the same places and the key
+        # order is that of the plain accumulate loop in the same scan order
+        ints, den = clear_denominators(self.terms.values())
+        if other is self:
+            other_ints, other_den = ints, den
+        else:
+            other_ints, other_den = clear_denominators(other.terms.values())
+        out = _int_product(zip(self.terms, ints), list(zip(other.terms, other_ints)))
+        den *= other_den
+        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in out.items()})
 
     __rmul__ = __mul__
 
@@ -118,16 +166,7 @@ class Poly:
         return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Poly.const(self.nvars, 1))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,21 +246,38 @@ class Poly:
         """Full substitution: variable i is replaced by images[i] (a Poly).
 
         All images must share one variable space, which becomes the result's.
+        Runs on integer numerators: the coefficients and each cached image
+        power are cleared of denominators once, and the terms are summed in
+        one dict over their common denominator, which only scales every
+        partial sum by a positive integer (same cancellations, same key order
+        as summing the ``Fraction`` terms one by one).
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         nv = images[0].nvars
-        out = Poly.zero(nv)
+        coefs, den = clear_denominators(self.terms.values())
         cache = {}
-        for exps, coef in self.terms.items():
-            term = Poly.const(nv, coef)
+        terms = []
+        for exps, coef in zip(self.terms, coefs):
+            # the term's numerators over den times its powers' denominators
+            term, term_den = {(0,) * nv: coef}, den
             for i, e in enumerate(exps):
                 if e:
                     if (i, e) not in cache:
-                        cache[(i, e)] = images[i] ** e
-                    term = term * cache[(i, e)]
-            out = out + term
-        return out
+                        power = images[i] ** e
+                        ints, power_den = clear_denominators(power.terms.values())
+                        cache[(i, e)] = list(zip(power.terms, ints)), power_den
+                    items, power_den = cache[(i, e)]
+                    term = _int_product(term.items(), items)
+                    term_den *= power_den
+            terms.append((term, term_den))
+        common = math.lcm(*[d for _, d in terms])
+        out = {}
+        for term, term_den in terms:
+            scale = common // term_den
+            for key, val in term.items():
+                accumulate(out, key, val * scale)
+        return Poly._raw(nv, {e: Fraction(v, common) for e, v in out.items()})
 
     def extend(self, new_nvars, offset=0):
         """Embed into a larger variable space, shifting variables by offset."""
@@ -303,7 +359,11 @@ class SqrtElem:
 
     D is a nonzero polynomial; the base is shared by all elements entering an
     arithmetic operation.  No gcd normalization is performed: zero testing
-    never needs it, and sizes stay small at this package's scale.
+    never needs it, and sizes stay small at this package's scale.  A sum of
+    two elements with equal D keeps that D; only unequal denominators are
+    cross-multiplied.  So the P, Q and D of a result depend on how it was
+    summed, up to a common polynomial factor; its value, ``is_zero`` and
+    ``as_poly`` do not.
     """
 
     __slots__ = ("P", "Q", "D", "base")
@@ -329,6 +389,8 @@ class SqrtElem:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if self.D == other.D:
+            return SqrtElem(self.P + other.P, self.Q + other.Q, self.D, self.base)
         return SqrtElem(
             self.P * other.D + other.P * self.D,
             self.Q * other.D + other.Q * self.D,
@@ -350,6 +412,9 @@ class SqrtElem:
             self.D * other.D,
             self.base,
         )
+
+    def __pow__(self, k):
+        return _power(self, k, SqrtElem.from_poly(Poly.const(self.P.nvars, 1), self.base))
 
     def diff(self, i: int) -> "SqrtElem":
         """Partial derivative; ds/dx_i = (d base/dx_i) / (2 s)."""

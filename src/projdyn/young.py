@@ -282,6 +282,30 @@ class _Action:
                 accumulate(out, code, val * coef)
         return list(out), list(out.values())
 
+    def row_images(self, rows):
+        """The image of each basis row e_rows[i], one (codes, sums) pair per
+        row, each in the key order of ``accumulate``.
+
+        Inside the int64 guard the rows are summed in one ``_sum_by_code``
+        stream with row i's codes offset by i * size, so no two rows share a
+        code; the stream keeps each row's own order of births.
+        """
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        count = len(rows)
+        if not (self.fits and count * self.size < _INT64_SAFE
+                and max(self.bound, 1) * len(self.coefs) * count < _INT64_SAFE):
+            return [(np.asarray(codes).tolist(), sums)
+                    for codes, sums in (self.sum_codes([row], [1]) for row in rows)]
+        offsets = np.arange(count, dtype=np.int64) * self.size
+        codes = (rows @ self.weights + offsets[:, None]).ravel()
+        codes, sums = _sum_by_code([(codes, np.tile(self.int_coefs, count))], count * self.size)
+        owner = codes // self.size
+        order = np.argsort(owner, kind="stable")
+        codes, sums, owner = codes[order] - owner[order] * self.size, sums[order], owner[order]
+        bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+        codes, sums = codes.tolist(), sums.tolist()
+        return [(codes[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
     def decode(self, codes):
         """Index tuples of base-``base`` codes."""
         digits = np.asarray(codes, dtype=self.radix.dtype)[:, None] // self.radix % self.base
@@ -412,9 +436,10 @@ def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
         raise NumberingError("Im AS membership is a vertical-numbering query")
     _check_order(tableau, t)
     cols = tableau.column_slots()
+    negated = t.scale(-1)
     for slots in cols:
         for m, n in itertools.combinations(slots, 2):
-            if t.transpose_slots(m, n) != t.scale(-1):
+            if t.transpose_slots(m, n) != negated:
                 return False
     for k in range(len(cols) - 1):
         top_next = cols[k + 1][0]
@@ -516,18 +541,22 @@ def _image_basis(element: dict, dim: int, size: int, indices):
 
     Each image is an integer row keyed by base-dim codes, whose order is the
     order of the index tuples, so the echelon makes the same choices as on
-    tuples; only the rows it accepts become ``Fraction`` tensors.
+    tuples; only the rows it accepts become ``Fraction`` tensors.  The
+    images of a block of index tuples are summed in one call
+    (``_Action.row_images``) and reach the echelon in the tuples' order.
     """
     perms = np.array(list(element), dtype=np.intp).reshape(len(element), size)
     action = _Action(perms, list(element.values()), dim)
     echelon = SparseEchelon()
     basis = []
-    for idx in indices:
-        codes, sums = action.sum_codes([idx], [1])
-        row = dict(zip(np.asarray(codes).tolist(), sums))
-        if row and echelon.insert(row):
-            entries = dict(zip(action.decode(codes), map(Fraction, sums)))
-            basis.append(Tensor._raw(dim, size, entries))
+    indices = iter(indices)
+    step = max(1, _BLOCK // len(element))
+    while block := list(itertools.islice(indices, step)):
+        for codes, sums in action.row_images(block):
+            row = dict(zip(codes, sums))
+            if row and echelon.insert(row):
+                entries = dict(zip(action.decode(codes), map(Fraction, sums)))
+                basis.append(Tensor._raw(dim, size, entries))
     return basis
 
 

@@ -5,11 +5,13 @@ import copy
 import io
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projdyn import polyintegrals, screens
 from projdyn.cli import main
 
 
@@ -31,6 +33,12 @@ def test_pbb_dim(capsys):
     assert code == 0 and out.strip() == "6"
     code, out = run(capsys, "pbb-dim", "--n", "3", "--b", "2")
     assert code == 0 and out.strip() == "20"
+
+
+def test_pbb_dim_at_the_largest_n_and_b_prints_the_whole_answer(capsys):
+    # the largest answer stays under Python's default limit on int-to-str digits
+    code, out = run(capsys, "pbb-dim", "--n", str(screens.MAX_SCREEN_DIM), "--b", str(polyintegrals.MAX_PBB_DEGREE))
+    assert code == 0 and out.strip().isdigit() and len(out.strip()) == 1032
 
 
 def test_young_check_member_and_non_member(capsys):
@@ -166,6 +174,8 @@ def test_malformed_input_message_names_its_path(capsys, argv, env, key):
                  {}, id="ragged-screen-g"),
     pytest.param(_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), {},
                  id="non-symmetric-screen-g"),
+    pytest.param(["pbb-dim", "--n", "10000", "--b", "2000"], {}, id="huge-pbb-n"),
+    pytest.param(["pbb-dim", "--n", "3", "--b", "10001"], {}, id="huge-pbb-b"),
     *[pytest.param(*case.values[:2], id=case.id) for case in _NAMED_KEYS],
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
@@ -188,8 +198,10 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     (_scenario_with(force={"kind": "kepler", "mu": 1.0}), "'center'"),
     (_PROJECTION + ["--deviation-tol", "0"], "--deviation-tol"),
     (_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), "'g'"),
+    (["pbb-dim", "--n", "257", "--b", "2"], "--n"),
+    (["pbb-dim", "--n", "3", "--b", "10001"], "--b"),
 ], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol",
-        "screen-g-not-symmetric"])
+        "screen-g-not-symmetric", "pbb-n-past-the-screen-cap", "pbb-b-past-the-degree-cap"])
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err
@@ -473,3 +485,160 @@ def test_mutated_json_inputs_exit_0_1_or_2_without_traceback_or_warning(case, mu
         code = main(argv)  # an escaping exception, a warning among them, fails the test with its traceback
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+
+
+# -- pinned reports: the full stdout and exit code, byte for byte ----------------------
+
+def _poly_json(dim, terms):
+    """Polynomial JSON in q0.., v0.. from (q indices, v indices, coef) triples."""
+    out = []
+    for qs, vs, coef in terms:
+        exps = [0] * (2 * dim)
+        for i in qs:
+            exps[i] += 1
+        for i in vs:
+            exps[dim + i] += 1
+        out.append({"exps": exps, "coef": coef})
+    return {"vars": [f"q{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)], "terms": out}
+
+
+# the demo's (x0 w1 - x1 w0)^2 + w0^2 + w1^2
+_CHANGE_OF_SCREEN = [((0, 0), (1, 1), "1/1"), ((0, 1), (0, 1), "-2/1"), ((1, 1), (0, 0), "1/1"),
+                     ((), (0, 0), "1/1"), ((), (1, 1), "1/1")]
+_RATIONAL_G = [["2/1", "1/3", "0/1"], ["1/3", "1/1", "-1/2"], ["0/1", "-1/2", "3/2"]]
+_HAMILTONIAN_INPUTS = {
+    "flat-oscillator": ({"kind": "flat", "dim": 3}, _poly_json(3, [((), (0, 1), "1/1")])),
+    "flat-change-of-screen": ({"kind": "flat", "dim": 3}, _poly_json(3, _CHANGE_OF_SCREEN)),
+    "flat-not-an-integral": ({"kind": "flat", "dim": 3}, _poly_json(3, [((0,), (0, 1), "1/1")])),
+    "flat-cylindric": ({"kind": "flat", "dim": 4}, _poly_json(4, [((), (0, 1), "1/1")])),
+    "linear-chart": ({"kind": "linear", "phi": ["1/2", "0/1", "1/1"]}, _poly_json(3, _CHANGE_OF_SCREEN)),
+    "sphere-d3": ({"kind": "sphere", "dim": 3}, _poly_json(3, [((), (i, i), "1/1") for i in range(3)])),
+    "sphere-d4": ({"kind": "sphere", "dim": 4}, _poly_json(4, [((), (i, i), "1/1") for i in range(4)])),
+    # w^T G w + (x0 w1 - x1 w0)^2 on the quadric q^T G q = 1
+    "quadric-rational-g": ({"kind": "quadratic_root", "g": _RATIONAL_G}, _poly_json(3, [
+        ((), (0, 0), "2/1"), ((), (0, 1), "2/3"), ((), (1, 1), "1/1"), ((), (1, 2), "-1/1"), ((), (2, 2), "3/2"),
+        *_CHANGE_OF_SCREEN[:3]])),
+}
+_SCREEN_FIND_METRICS = {
+    "euclid-d3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "euclid-d4": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "cylindric": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+    "rational-g": _RATIONAL_G,
+}
+
+
+def _pinned_argv(name):
+    if name in _HAMILTONIAN_INPUTS:
+        screen, T = _HAMILTONIAN_INPUTS[name]
+        return ["hamiltonian-test", "--input", json.dumps({"screen": screen, "T": T})]
+    from projdyn.curvclass import CurvatureForm, metric_form_tensor
+
+    g = [[Fraction(x) for x in row] for row in _SCREEN_FIND_METRICS[name]]
+    return ["screen-find", "--input", json.dumps(CurvatureForm(metric_form_tensor(g)).to_json())]
+
+
+# the reports as the CLI prints them: a change here is a change of the CLI's output
+_PINNED = {
+    'flat-oscillator': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: flat",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = g(phi -| (u^v),'
+        ' phi -| (w^x)) verified on all basis tuples",'
+        '"compatibility identity re-verified exactly on the hyperplane screen"],"verdict":"hyperplane",'
+        '"witnesses":{"g":[["0/1","1/2"],["1/2","0/1"]],"lambda":"1/1","phi":["0/1","0/1","1/1"],'
+        '"tangent_basis":[["1/1","0/1","0/1"],["0/1","1/1","0/1"]]}}\n'
+    )),
+    'flat-change-of-screen': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: metric",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,'
+        'w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1"],["0/1","1/1","0/1"],["0/1","0/1","1/1"]],"lambda":"1/1"}}\n'
+    )),
+    'flat-not-an-integral': (1, (
+        '{"log":["homogenization is not polynomial: the term is not a free-motion integral"],'
+        '"verdict":"incompatible","witnesses":{"reason":"leading_term_not_free_integral"}}\n'
+    )),
+    'flat-cylindric': (0, (
+        '{"inner":{"log":["classification: flat","decomposability condition verified",'
+        '"trivial kernel verified","R(u,v;w,x) = g(phi -| (u^v),'
+        ' phi -| (w^x)) verified on all basis tuples",'
+        '"compatibility identity re-verified exactly on the hyperplane screen"],"verdict":"hyperplane",'
+        '"witnesses":{"g":[["0/1","1/2"],["1/2","0/1"]],"lambda":"1/1","phi":["0/1","0/1","1/1"],'
+        '"tangent_basis":[["1/1","0/1","0/1"],["0/1","1/1","0/1"]]}},"kernel":[["0/1","0/1","1/1",'
+        '"0/1"]],"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified",'
+        '"nontrivial kernel of dimension 1: cylindric reduction onto coordinates [0, 1, 3]"],'
+        '"verdict":"cylindric","witnesses":{"complement":["0/1","1/1","3/1"]}}\n'
+    )),
+    'linear-chart': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: metric",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,'
+        'w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","2/5"],["0/1","4/5","0/1"],["2/5","0/1","4/5"]],'
+        '"lambda":"25/16"}}\n'
+    )),
+    'sphere-d3': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: metric",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,'
+        'w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1"],["0/1","1/1","0/1"],["0/1","0/1","1/1"]],"lambda":"1/1"}}\n'
+    )),
+    'sphere-d4': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: metric",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,'
+        'w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1","0/1"],["0/1","1/1","0/1","0/1"],["0/1","0/1","1/1","0/1"],'
+        '["0/1","0/1","0/1","1/1"]],"lambda":"1/1"}}\n'
+    )),
+    'quadric-rational-g': (0, (
+        '{"log":["homogenized exactly to a biquadratic impulsion polynomial",'
+        '"pair-antisymmetric carrier built; symmetry class verified","classification: metric",'
+        '"decomposability condition verified","trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,'
+        'w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","1/6","0/1"],["1/6","43/92","-7/46"],["0/1","-7/46","21/46"]],'
+        '"lambda":"46/7"}}\n'
+    )),
+    'euclid-d3': (0, (
+        '{"log":["classification: metric","decomposability condition verified","trivial kernel verified",'
+        '"R(u,v;w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1"],["0/1","1/1","0/1"],["0/1","0/1","1/1"]],"lambda":"1/1"}}\n'
+    )),
+    'euclid-d4': (0, (
+        '{"log":["classification: metric","decomposability condition verified","trivial kernel verified",'
+        '"R(u,v;w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1","0/1"],["0/1","1/1","0/1","0/1"],["0/1","0/1","1/1","0/1"],'
+        '["0/1","0/1","0/1","1/1"]],"lambda":"1/1"}}\n'
+    )),
+    'cylindric': (0, (
+        '{"inner":{"log":["classification: metric","decomposability condition verified",'
+        '"trivial kernel verified","R(u,v;w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","0/1","0/1"],["0/1","1/1","0/1"],["0/1","0/1","1/1"]],"lambda":"1/1"}},'
+        '"kernel":[["0/1","0/1","0/1","1/1"]],'
+        '"log":["nontrivial kernel of dimension 1: cylindric reduction onto coordinates [0, 1, 2]"],'
+        '"verdict":"cylindric","witnesses":{"complement":["0/1","1/1","2/1"]}}\n'
+    )),
+    'rational-g': (0, (
+        '{"log":["classification: metric","decomposability condition verified","trivial kernel verified",'
+        '"R(u,v;w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified",'
+        '"compatibility identity re-verified exactly on the quadric screen"],"verdict":"quadric",'
+        '"witnesses":{"g":[["1/1","1/6","0/1"],["1/6","1/2","-1/4"],["0/1","-1/4","3/4"]],'
+        '"lambda":"4/1"}}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS))
+def test_report_is_byte_identical_to_the_pinned_one(capsys, name):
+    assert run(capsys, *_pinned_argv(name)) == _PINNED[name]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from projdyn import polyintegrals as pin
 from projdyn import screens as sc
-from projdyn.exactlin import Tensor
+from projdyn.exactlin import Tensor, accumulate
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
@@ -466,3 +466,91 @@ def test_reconstruct_bilinear_bivariate():
         return target.evaluate([x[0], y[0]])
 
     assert reconstruct_polynomial(oracle, 1, 1, 1, 1) == target
+
+
+# -- the polynomial layer against the plain Fraction loops -------------------------------
+
+def mul_loop(a, b):
+    """The Fraction double loop over two term dicts, in the order Poly products keep."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def pow_loop(a, k, nvars):
+    out, base = {(0,) * nvars: Fraction(1)}, a
+    while k:
+        if k & 1:
+            out = mul_loop(out, base)
+        base = mul_loop(base, base)
+        k >>= 1
+    return out
+
+
+def substitute_loop(p, images):
+    """Term by term: coefficient times cached image powers, summed as Poly additions."""
+    nvars = images[0].nvars
+    out, cache = {}, {}
+    for exps, coef in p.terms.items():
+        term = {(0,) * nvars: coef}
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in cache:
+                    cache[(i, e)] = pow_loop(images[i].terms, e, nvars)
+                term = mul_loop(term, cache[(i, e)])
+        for key, val in term.items():
+            accumulate(out, key, val)
+    return out
+
+
+MIXED = st.sampled_from([Fraction(v) for v in (1, -1, 2, -3)]
+                        + [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4)])
+POLY3 = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), MIXED, max_size=6)
+SMALL_POLY3 = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), MIXED, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(POLY3, POLY3, POLY3)
+def test_poly_products_match_the_fraction_loop(a, b, c):
+    p, q, r = Poly(3, a), Poly(3, b), Poly(3, c)
+    pairs = [(p, q), (q, p), (p, p), (p * q, r), (p + q, p - q), (p - r, (p + r) * q),
+             (p, Poly.zero(3)), (Poly.zero(3), q), (p, Poly.const(3, Fraction(-2, 3))), (Poly.const(3, 5), q)]
+    for x, y in pairs:
+        got = x * y
+        assert list(got.terms.items()) == list(mul_loop(x.terms, y.terms).items())
+        assert all(type(v) is Fraction for v in got.terms.values())
+    assert (p * q - q * p).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLY3, st.lists(SMALL_POLY3, min_size=3, max_size=3))
+def test_poly_substitute_matches_the_fraction_loop(a, images):
+    p, images = Poly(3, a), [Poly(3, t) for t in images]
+    assert list(p.substitute(images).terms.items()) == list(substitute_loop(p, images).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLY3, POLY3, POLY3, POLY3, POLY3.filter(bool))
+def test_sqrt_sum_with_equal_denominators_keeps_it(p1, q1, p2, q2, d):
+    base = Poly(3, {(1, 0, 0): Fraction(1), (0, 0, 2): Fraction(3)})
+    D = Poly(3, d)
+    a = SqrtElem(Poly(3, p1), Poly(3, q1), D, base)
+    b = SqrtElem(Poly(3, p2), Poly(3, q2), Poly(3, dict(d)), base)
+    total = a + b
+    assert total.D == D
+    # the cross-multiplied sum (P1 D + P2 D + (Q1 D + Q2 D) s) / D^2 is the same element
+    cross_P, cross_Q, cross_D = a.P * D + b.P * D, a.Q * D + b.Q * D, D * D
+    assert total.P * cross_D == cross_P * total.D
+    assert total.Q * cross_D == cross_Q * total.D
+
+
+def test_homogenization_denominator_is_a_power_of_the_quadric_form():
+    # summing with cross-multiplied denominators gave degree 4 * 32 here
+    dim = 3
+    T = qvar(0, dim) ** 30 * vvar(0, dim) ** 2 + (qvar(1, dim) ** 30 * vvar(1, dim) ** 2).scale(Fraction(1, 3))
+    value = pin._substitute_sqrt(T, pin._central_images(sc.sphere_screen(dim)))
+    assert value.D.degree() <= 2 * T.degree()
+    with pytest.raises(NotPolynomialError):
+        value.as_poly()

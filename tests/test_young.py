@@ -405,6 +405,20 @@ def test_image_bases_match_the_per_product_loop(columns, dim):
     expected = image_basis_reference(compose_reference(S, A), dim, horizontal.size, indices)
     assert [list(t.entries.items()) for t in imSA_basis(horizontal, dim)] == expected
 
+def test_image_bases_past_the_stacked_guard_match_the_per_product_loop():
+    # one row fits int64 but a stacked block does not (2**50 * 24 products per
+    # row), or not even one row does (2**62), or a coefficient is not an int
+    tab = YoungTableau.from_columns([2, 2])
+    AS = compose_reference(antisymmetrizer_element(tab), symmetrizer_element(tab))
+    indices = list(young._block_indices(tab.row_slots(), tab.size,
+                                        lambda k: itertools.combinations_with_replacement(range(3), k)))
+    for c in (2 ** 50, 2 ** 62, Fraction(1, 3)):
+        element = scale_element(AS, c)
+        expected = image_basis_reference(element, 3, tab.size, indices)
+        got = young._image_basis(element, 3, tab.size, iter(indices))
+        assert [list(t.entries.items()) for t in got] == expected
+
+
 # -- membership tests ------------------------------------------------------------------
 
 def test_check_imSA_on_SA_images():
