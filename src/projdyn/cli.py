@@ -100,11 +100,9 @@ def _parse_list(text, what, number=float):
 
 def cmd_young_dim(args):
     tableau = young.YoungTableau.from_json({"rows": _parse_list(args.rows, "--rows", int), "numbering": args.numbering})
-    if args.numbering == "vertical":
-        dim = len(young.imAS_basis(tableau, args.dim))
-    else:
-        dim = len(young.imSA_basis(tableau, args.dim))
-    _emit(str(dim), args.output)
+    dim = JsonValue(args.dim, "--dim").integer(low=1)
+    basis = young.imAS_basis if args.numbering == "vertical" else young.imSA_basis
+    _emit(str(len(basis(tableau, dim))), args.output)
     return 0
 
 

@@ -8,12 +8,13 @@ witnesses whose compatibility identity is re-verified symbolically before
 being reported.
 
 The chart-level half implements pre-Lagrangians for second-order systems:
-the energy of a pre-Lagrangian, and the presymplectic test deciding when a
-velocity-quadratic integral admits a potential completing it to a
-pre-Lagrangian.
+the energy of a pre-Lagrangian, and the presymplectic test deciding exactly,
+for a polynomial integral, when its velocity-quadratic part admits a
+potential completing it to a pre-Lagrangian.
 
-The pipeline is pure over immutable inputs; numerical sub-checks own their
-integrator state per invocation.
+The pipeline is pure over immutable inputs.  The one numerical cross-check,
+parallel_transport_check, runs on the Dormand-Prince stepper of
+screens.integrate and owns its state per invocation.
 """
 
 from __future__ import annotations
@@ -110,92 +111,41 @@ def energy_integral(L: Poly, system: SecondOrderSystem) -> Poly:
 def _potential_from_closed_gradient(sigma, n):
     """U with dU/dx_i = sigma_i for a closed velocity-free 1-form, by the
     radial homotopy: a monomial c x^a in sigma_i contributes c x^a x_i/(|a|+1)."""
-    U = Poly.zero(2 * n)
+    terms = {}
     for i, s in enumerate(sigma):
         for exps, coef in s.terms.items():
-            total = sum(exps)
             new = list(exps)
             new[i] += 1
-            U = U + Poly(2 * n, {tuple(new): coef * Fraction(1, total + 1)})
-    return U
+            accumulate(terms, tuple(new), coef * Fraction(1, sum(exps) + 1))
+    return Poly(2 * n, terms)
 
 
-def presymplectic_check(G, system: SecondOrderSystem, samples=None, tol=1e-7):
+def presymplectic_check(G, system: SecondOrderSystem):
     """Does the candidate integral give a preserved presymplectic structure?
 
-    For polynomial data: sigma_i = d/dt(dG/dy_i) - dG/dx_i must be velocity
-    independent with a symmetric Jacobian; when it is, the returned potential
-    U satisfies d/dt(dG/dy_i) = d(G + U)/dx_i and L = G + U is a
-    pre-Lagrangian.  Callable G falls back to finite differences at the given
-    sample points and returns (verdict, None).
+    sigma_i = d/dt(dG/dy_i) - dG/dx_i must be velocity independent with a
+    symmetric Jacobian, decided exactly; when it is, the returned potential U
+    satisfies d/dt(dG/dy_i) = d(G + U)/dx_i and L = G + U is a
+    pre-Lagrangian.  Returns (verdict, U or None); G must be a Poly.
     """
+    if not isinstance(G, Poly):
+        raise TypeError("the candidate integral must be an exact polynomial")
     n = system.n
-    if isinstance(G, Poly):
-        sigma = [system.time_derivative(G.diff(n + i)) - G.diff(i) for i in range(n)]
-        for s in sigma:
-            if s.degree_in(list(range(n, 2 * n))) > 0:
+    sigma = [system.time_derivative(G.diff(n + i)) - G.diff(i) for i in range(n)]
+    for s in sigma:
+        if s.degree_in(list(range(n, 2 * n))) > 0:
+            return False, None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[i].diff(j) != sigma[j].diff(i):
                 return False, None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sigma[i].diff(j) != sigma[j].diff(i):
-                    return False, None
-        U = _potential_from_closed_gradient(sigma, n)
-        for i in range(n):
-            if U.diff(i) != sigma[i]:
-                raise ArithmeticError("potential recovery failed on a closed form")
-        if any(not r.is_zero() for r in lagrange_residuals(G + U, system)):
-            raise ArithmeticError("G + U failed the Lagrange equations")
-        return True, U
-    if samples is None:
-        raise ValueError("numeric presymplectic check needs sample points")
-    eps = 1e-5
-
-    def sigma_at(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        out = np.zeros(n)
-        for i in range(n):
-            def p_i(xx, yy):
-                e = np.zeros(n)
-                e[i] = eps
-                return (G(xx, yy + e) - G(xx, yy - e)) / (2 * eps)
-            # d/dt p_i = sum_j y_j dp_i/dx_j + F_j dp_i/dy_j
-            val = 0.0
-            for j in range(n):
-                ex = np.zeros(n)
-                ex[j] = eps
-                val += y[j] * (p_i(x + ex, y) - p_i(x - ex, y)) / (2 * eps)
-                Fj = self_force_float(system, j, x, y)
-                val += Fj * (p_i(x, y + ex) - p_i(x, y - ex)) / (2 * eps)
-            ddx = (G(x + _unit(n, i) * eps, y) - G(x - _unit(n, i) * eps, y)) / (2 * eps)
-            out[i] = val - ddx
-        return out
-
-    base = [sigma_at(x, y) for (x, y) in samples]
-    h_outer = 1e-4
-    for k, (x, y) in enumerate(samples):
-        perturbed = sigma_at(x, np.asarray(y) + 0.37)
-        scale = max(1.0, float(np.max(np.abs(base[k]))))
-        if np.max(np.abs(perturbed - base[k])) > tol * scale:
-            return False, None
-        # closedness: the position Jacobian of sigma must be symmetric
-        x = np.asarray(x, float)
-        jac = np.zeros((n, n))
-        for j in range(n):
-            ej = _unit(n, j) * h_outer
-            jac[:, j] = (sigma_at(x + ej, y) - sigma_at(x - ej, y)) / (2 * h_outer)
-        if np.max(np.abs(jac - jac.T)) > max(tol * scale, 1e-4):
-            return False, None
-    return True, None
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-def self_force_float(system, j, x, y):
-    return system.forces[j].evaluate_float(list(x) + list(y))
+    U = _potential_from_closed_gradient(sigma, n)
+    for i in range(n):
+        if U.diff(i) != sigma[i]:
+            raise ArithmeticError("potential recovery failed on a closed form")
+    if any(not r.is_zero() for r in lagrange_residuals(G + U, system)):
+        raise ArithmeticError("G + U failed the Lagrange equations")
+    return True, U
 
 
 def chart_extend(poly: Poly, d: int, axis: int) -> Poly:
@@ -287,14 +237,14 @@ def _gradient_covector_polys(screen, d):
     if screen.kind == "linear":
         return [Poly.const(2 * d, rat(x)) for x in screen.phi_exact]
     if screen.kind == "quadratic_root":
-        gm = [[rat(x) for x in row] for row in screen.gmat_exact]
         out = []
-        for i in range(d):
-            p = Poly.zero(2 * d)
-            for j in range(d):
-                if gm[i][j]:
-                    p = p + Poly.variable(j, 2 * d).scale(gm[i][j])
-            out.append(p)
+        for row in screen.gmat_exact:
+            terms = {}
+            for j, x in enumerate(row):
+                exps = [0] * (2 * d)
+                exps[j] = 1
+                accumulate(terms, tuple(exps), rat(x))
+            out.append(Poly(2 * d, terms))
         return out
     return None
 
@@ -577,38 +527,38 @@ def hamiltonian_test(T, screen=None) -> ScreenReport:
 # numerical cross-checks
 
 def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, tol=1e-10):
-    """Integrate free motion and a parallel-transported tangent vector w
-    (w' = lambda q keeping dh(w) = 0) along it; returns the maximal drift of
-    the quadratic value R(q, w), which stays constant on a compatible pair."""
+    """Integrate free motion and a parallel-transported tangent vector w along
+    it; returns the maximal drift of the quadratic value R(q, w, q, w), which
+    stays constant on a compatible pair.
+
+    The system is q' = v, v' = lambda_v q and w' = -(v^T H w / dh(q)) q, read
+    through Screen.local (v^T H w by polarization), on the Dormand-Prince
+    stepper of screens.integrate with the given tolerance.  Each accepted
+    state is projected: (q, v) by Screen.project_state, and w loses its dh
+    component along q, which keeps q ^ w and so R(q, w, q, w).
+    """
     d = screen.dim
     diag = form.diagonal_poly()
 
-    q0 = np.asarray(q0, float)
-    v0 = np.asarray(v0, float)
-    w0 = np.asarray(w0, float)
+    def rhs(t, y, out):
+        q, v, w = y[:d], y[d:2 * d], y[2 * d:]
+        geometry = screen.local(q, v)
+        if geometry is None:
+            raise sc.DomainExitError("transport left the validity domain", t)
+        _, g, hvv = geometry
+        gq = g.dot(q)
+        vhw = (screen.local(q, v + w)[2] - screen.local(q, v - w)[2]) / 4
+        out[:d] = v
+        out[d:2 * d] = (-hvv / gq) * q
+        out[2 * d:] = (-vhw / gq) * q
 
-    def rhs(t, state):
-        q, v, w = state[:d], state[d:2 * d], state[2 * d:]
-        lam_v = sc.radial_reaction(screen, q, v, np.zeros(d))
-        hess = screen.hessian(q)
-        grad = screen.gradient(q)
-        lam_w = -(v @ hess @ w) / (grad @ q)
-        return np.concatenate([v, lam_v * q, lam_w * q])
+    def project(y):
+        q, v = screen.project_state(y[:d], y[d:2 * d])
+        w = y[2 * d:]
+        g = screen.local(q, w)[1]
+        return np.concatenate([q, v, w - g.dot(w) / g.dot(q) * q])
 
-    # fixed-step classical RK4 at fine resolution: enough for a drift check
-    steps = 2000
-    h = (t_span[1] - t_span[0]) / steps
-    state = np.concatenate([q0, v0, w0])
-    t = t_span[0]
-    ref = diag.evaluate_float(list(q0) + list(w0))
-    worst = 0.0
-    for _ in range(steps):
-        k1 = rhs(t, state)
-        k2 = rhs(t + h / 2, state + h / 2 * k1)
-        k3 = rhs(t + h / 2, state + h / 2 * k2)
-        k4 = rhs(t + h, state + h * k3)
-        state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        val = diag.evaluate_float(list(state[:d]) + list(state[2 * d:]))
-        worst = max(worst, abs(val - ref))
-    return worst
+    y0 = np.concatenate([np.asarray(x, dtype=float) for x in (q0, v0, w0)])
+    _, states, _ = sc._dormand_prince(rhs, project, y0, float(t_span[0]), float(t_span[1]), tol, np.inf, {})
+    ref = diag.evaluate_float(y0[:d].tolist() + y0[2 * d:].tolist())
+    return max(abs(diag.evaluate_float(y[:d].tolist() + y[2 * d:].tolist()) - ref) for y in states)

@@ -503,10 +503,6 @@ def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _int_rows(matrix):
     """Each row scaled to integers by the lcm of its own denominators."""
     return [clear_denominators(row)[0] for row in matrix]

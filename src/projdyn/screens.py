@@ -6,6 +6,7 @@ q'' = f(q) + lambda q, the radial reaction lambda being recomputed from
 (q, q') at every right-hand-side evaluation so the motion stays on the
 screen; an adaptive embedded Runge-Kutta pair integrates the system in
 double precision with the constraint re-imposed after every accepted step.
+The same stepper, _dormand_prince, serves compat.parallel_transport_check.
 The right-hand side, the projections and the drift check read h, dh and
 v^T H v from one call, Screen.local(q, v), which shares G q among them on a
 quadric; their small products use ndarray.dot, the kernel of @ without its
@@ -480,6 +481,87 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
+    """Integrate y' = rhs(t, y) from t0 to t1 with the Dormand-Prince 5(4)
+    pair, mapping each accepted state back through project(y); raises
+    ValueError unless t0 <= t1.
+
+    rhs(t, y, out) writes the derivative at (t, y) into the row out and raises
+    DomainExitError outside the validity domain; a stage that does so halves
+    the step.  The error norm is the root mean square over the len(y)
+    components of the scaled difference of the embedded solutions.  Raises
+    StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1).
+    Sets the counters ``accepted``, ``rejected``, ``domain_retries`` and
+    ``min_h`` of stats (see TrajectorySample) and returns (times, states,
+    derivatives) as lists, one entry per accepted step plus the initial one.
+    """
+    if not t0 <= t1:
+        raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
+    stats.update(accepted=0, rejected=0, domain_retries=0, min_h=math.inf)
+    # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
+    n = len(y0)
+    K = np.empty((7, n))
+    y = y0
+    t = t0
+    rhs(t, y, K[0])
+    # deterministic initial step from the standard scale heuristic
+    scale = tol + tol * np.abs(y)
+    d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((K[0] / scale) ** 2)))
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    h = min(h, (t1 - t0) * 0.1, max_step)
+
+    times = [t]
+    ys = [y]
+    derivs = [K[0].copy()]
+    h_floor = max(abs(t1 - t0), 1.0) * 1e-14
+
+    # a non-finite stage ends in a rejected step below; numpy need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        while t < t1:
+            h = min(h, t1 - t)
+            if h < h_floor:
+                raise StepUnderflowError(f"step size underflow at t = {t}", t)
+            try:
+                for i in range(1, 7):
+                    rhs(t + _DP_C[i] * h, y + h * _DP_A[i].dot(K[:i]), K[i])
+            except DomainExitError:
+                # retry with a shorter step; report only if hopeless
+                stats["domain_retries"] += 1
+                h *= 0.5
+                if h < h_floor:
+                    raise
+                continue
+            y5 = y + h * _DP_B5.dot(K)
+            y4 = y + h * _DP_B4.dot(K)
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+            e = (y5 - y4) / scale
+            err = math.sqrt(np.add.reduce(e * e) / n)
+            if not math.isfinite(err):
+                # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
+                # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
+                stats["rejected"] += 1
+                h *= 0.2
+                if h < h_floor:
+                    raise StepUnderflowError(f"state became non-finite at t = {t}", t)
+                continue
+            if err <= 1.0:
+                stats["accepted"] += 1
+                t = t + h
+                if t < t1:
+                    stats["min_h"] = min(stats["min_h"], h)
+                y = project(y5)
+                rhs(t, y, K[0])
+                times.append(t)
+                ys.append(y)
+                derivs.append(K[0].copy())
+            else:
+                stats["rejected"] += 1
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h = min(h * min(5.0, max(0.2, factor)), max_step)
+    return times, ys, derivs
+
+
 class TrajectorySample:
     """Sampled trajectory on a screen: times plus (q, v) states, the rows of
     one array ``states`` (``qs`` and ``vs`` are views of its halves), with the
@@ -614,8 +696,6 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
     ``stats`` count the work done (see TrajectorySample).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t0 <= t1:
-        raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not screen.in_domain(q0):
@@ -626,8 +706,7 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
         raise ValueError("initial state too far from the screen's tangent bundle")
     q0, v0 = screen.project_state(q0, v0)
     d = screen.dim
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "domain_retries": 0,
-             "min_h": math.inf, "max_drift": 0.0}
+    stats = {"rhs_evals": 0, "max_drift": 0.0}
 
     def rhs(t, y, out):
         """Write (v, f + lambda q) at state y into the stage row out."""
@@ -641,67 +720,10 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
         out[:d] = v
         out[d:] = fval + (-(hvv + g.dot(fval)) / g.dot(q)) * q  # the radial reaction inline
 
-    # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
-    K = np.empty((7, 2 * d))
-    y = np.concatenate([q0, v0])
-    t = t0
-    rhs(t, y, K[0])
-    # deterministic initial step from the standard scale heuristic
-    scale = tol + tol * np.abs(y)
-    d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((K[0] / scale) ** 2)))
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, (t1 - t0) * 0.1, max_step)
+    def project(y):
+        return np.concatenate(screen.project_state(y[:d], y[d:]))
 
-    times = [t]
-    ys = [y]
-    derivs = [K[0].copy()]
-    h_floor = max(abs(t1 - t0), 1.0) * 1e-14
-
-    # a non-finite stage ends in a rejected step below; numpy need not warn
-    with np.errstate(invalid="ignore", over="ignore"):
-        while t < t1:
-            h = min(h, t1 - t)
-            if h < h_floor:
-                raise StepUnderflowError(f"step size underflow at t = {t}", t)
-            try:
-                for i in range(1, 7):
-                    rhs(t + _DP_C[i] * h, y + h * _DP_A[i].dot(K[:i]), K[i])
-            except DomainExitError:
-                # retry with a shorter step; report only if hopeless
-                stats["domain_retries"] += 1
-                h *= 0.5
-                if h < h_floor:
-                    raise
-                continue
-            y5 = y + h * _DP_B5.dot(K)
-            y4 = y + h * _DP_B4.dot(K)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            e = (y5 - y4) / scale
-            err = math.sqrt(np.add.reduce(e * e) / (2 * d))
-            if not math.isfinite(err):
-                # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
-                # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
-                stats["rejected"] += 1
-                h *= 0.2
-                if h < h_floor:
-                    raise StepUnderflowError(f"state became non-finite at t = {t}", t)
-                continue
-            if err <= 1.0:
-                stats["accepted"] += 1
-                t = t + h
-                if t < t1:
-                    stats["min_h"] = min(stats["min_h"], h)
-                y = np.concatenate(screen.project_state(y5[:d], y5[d:]))
-                rhs(t, y, K[0])
-                times.append(t)
-                ys.append(y)
-                derivs.append(K[0].copy())
-            else:
-                stats["rejected"] += 1
-            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-            h = min(h * min(5.0, max(0.2, factor)), max_step)
-
+    times, ys, derivs = _dormand_prince(rhs, project, np.concatenate([q0, v0]), t0, t1, tol, max_step, stats)
     ys = np.array(ys)
     traj = TrajectorySample(screen, times, ys[:, :d], ys[:, d:], derivs, tol=tol, stats=stats)
     stats["max_drift"] = traj.check_on_screen(10 * tol + 1e-14)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import warnings
@@ -176,6 +177,8 @@ def test_malformed_input_message_names_its_path(capsys, argv, env, key):
                  id="non-symmetric-screen-g"),
     pytest.param(["pbb-dim", "--n", "10000", "--b", "2000"], {}, id="huge-pbb-n"),
     pytest.param(["pbb-dim", "--n", "3", "--b", "10001"], {}, id="huge-pbb-b"),
+    pytest.param(["young-dim", "--rows", "2,2", "--dim", "-1"], {}, id="negative-young-dim"),
+    pytest.param(["young-dim", "--rows", "2,2", "--dim", "0"], {}, id="zero-young-dim"),
     *[pytest.param(*case.values[:2], id=case.id) for case in _NAMED_KEYS],
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
@@ -200,8 +203,11 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     (_scenario_with(screen={"kind": "quadratic_root", "g": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}), "'g'"),
     (["pbb-dim", "--n", "257", "--b", "2"], "--n"),
     (["pbb-dim", "--n", "3", "--b", "10001"], "--b"),
+    (["young-dim", "--rows", "2,2", "--dim", "-1"], "--dim"),
+    (["young-dim", "--rows", "2,2", "--dim", "0"], "--dim"),
 ], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol",
-        "screen-g-not-symmetric", "pbb-n-past-the-screen-cap", "pbb-b-past-the-degree-cap"])
+        "screen-g-not-symmetric", "pbb-n-past-the-screen-cap", "pbb-b-past-the-degree-cap", "negative-young-dim",
+        "zero-young-dim"])
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err
@@ -642,3 +648,24 @@ _PINNED = {
 @pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS))
 def test_report_is_byte_identical_to_the_pinned_one(capsys, name):
     assert run(capsys, *_pinned_argv(name)) == _PINNED[name]
+
+
+# the integrator's CSV as the CLI prints it, as (data rows, SHA-256 of stdout): a change here is a
+# change of the step sequence or of a single bit of a state
+_PINNED_ORBITS = {
+    "free-flat": (["--system", "free", "--screen", "flat", "--q0", "0.1,0.2,1", "--v0", "0.5,-0.3,0",
+                   "--t-span", "0,2"], 5, "35789a38dcbb1f2adb94f4e5509f24e239306a4f5d4e2ad4849be744c31283a1"),
+    "oscillator-flat": (["--system", "oscillator", "--screen", "flat", "--q0", "1,0,1", "--v0", "0,1,0",
+                         "--t-span", "0,5"], 115, "ae9fbccb57d0393dfc4a0de4bd04d2c46522c731914623267cb68c1276482792"),
+    "kepler-sphere": (["--system", "kepler", "--screen", "sphere", "--q0", "0.6,0,0.8", "--v0", "0,0.9,0",
+                       "--t-span", "0,3"], 371, "7cae17adbf25753ec600755331feb6648c9ce72ae750b02943d0ba2935be8574"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_ORBITS))
+def test_integrate_output_is_byte_identical_to_the_pinned_one(capsys, name):
+    argv, rows, digest = _PINNED_ORBITS[name]
+    code, out = run(capsys, "integrate", *argv, "--tol", "1e-10")
+    assert code == 0
+    assert len(out.splitlines()) - 2 == rows
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -397,6 +397,18 @@ def test_parallel_transport_invariance_on_found_screens():
     assert drift < 1e-9
 
 
+def test_parallel_transport_drifts_on_a_mismatched_pair():
+    # the metric form of diag(2, 1, 1) belongs to an ellipsoid, not to the unit sphere
+    from projdyn.curvclass import metric_form_tensor as mft
+
+    drift = parallel_transport_check(
+        CurvatureForm(mft([[2, 0, 0], [0, 1, 0], [0, 0, 1]])), sc.sphere_screen(3),
+        q0=[0.0, 0.0, 1.0], v0=[1.0, 0.0, 0.0], w0=[0.3, 0.9, 0.0],
+        t_span=(0.0, 3.0),
+    )
+    assert drift > 0.1
+
+
 def test_quadratic_integral_symbolic_and_pipeline():
     from projdyn.compat import QuadraticIntegral
 
@@ -431,20 +443,7 @@ def test_quadratic_integral_numeric_validation():
     assert qi.hamiltonian_test().verdict == "hyperplane"
 
 
-def test_presymplectic_numeric_path():
-    # callable integral data falls back to finite differences at samples
-    n = 2
-    Z = SecondOrderSystem.oscillator(n)
-
-    def G_good(x, y):
-        return 0.5 * float(y @ y)
-
-    def G_bad(x, y):
-        return float(x[0] * y[1])
-
-    samples = [(np.array([0.3, -0.2]), np.array([0.5, 0.7])),
-               (np.array([-1.0, 0.4]), np.array([0.2, -0.3]))]
-    ok, U = presymplectic_check(G_good, Z, samples=samples)
-    assert ok and U is None
-    ok, _ = presymplectic_check(G_bad, Z, samples=samples)
-    assert not ok
+def test_presymplectic_check_rejects_a_callable_integral():
+    # the test is exact only: a float callable is refused, as hamiltonian_test refuses one
+    with pytest.raises(TypeError):
+        presymplectic_check(lambda x, y: 0.5 * float(y @ y), SecondOrderSystem.oscillator(2))
