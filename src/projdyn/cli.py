@@ -11,6 +11,7 @@ default 1e-10, --tol, a scenario's "tol", --deviation-tol) must be a positive
 finite number; a time span [t0, t1] needs finite ends with t0 <= t1.  A
 screen has at most screens.MAX_SCREEN_DIM (256) dimensions, and so does
 `pbb-dim --n`; `pbb-dim --b` is at most polyintegrals.MAX_PBB_DEGREE (10000).
+`young-dim` caps its basis at 10^6 group-algebra products and dimension 2000.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 
@@ -98,9 +99,20 @@ def _parse_list(text, what, number=float):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# The largest group-algebra work and class dimension `young-dim` accepts, both
+# read from the shape: the slowest accepted basis found took about 2 s on a
+# shared 2-vCPU Intel Xeon, where (1^8) over dimension 9 ran for minutes.
+MAX_YOUNG_PRODUCTS = 1_000_000
+MAX_YOUNG_CLASS_DIM = 2_000
+
+
 def cmd_young_dim(args):
     tableau = young.YoungTableau.from_json({"rows": _parse_list(args.rows, "--rows", int), "numbering": args.numbering})
     dim = JsonValue(args.dim, "--dim").integer(low=1)
+    for what, size, cap in (("group-algebra products", young.basis_products(tableau, dim), MAX_YOUNG_PRODUCTS),
+                            ("class dimension", young.class_dimension(tableau, dim), MAX_YOUNG_CLASS_DIM)):
+        if size > cap:
+            raise FormatError(f"--rows {args.rows} --dim {dim}: the basis needs {size} {what}, at most {cap}")
     basis = young.imAS_basis if args.numbering == "vertical" else young.imSA_basis
     _emit(str(len(basis(tableau, dim))), args.output)
     return 0

@@ -12,9 +12,12 @@ the energy of a pre-Lagrangian, and the presymplectic test deciding exactly,
 for a polynomial integral, when its velocity-quadratic part admits a
 potential completing it to a pre-Lagrangian.
 
-The pipeline is pure over immutable inputs.  The one numerical cross-check,
-parallel_transport_check, runs on the Dormand-Prince stepper of
-screens.integrate and owns its state per invocation.
+Every decision here is exact and made once (the screen finder leaves
+decomposability and the kernel to classify_curvature_form); input that is
+not exact raises TypeError.  The pipeline is pure over immutable inputs.
+The one numerical cross-check, parallel_transport_check, runs on the
+Dormand-Prince stepper of screens.integrate and owns its state per
+invocation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from projdyn import screens as sc
 from projdyn.curvclass import (
     CurvatureForm,
-    KernelNotTrivialError,
+    Eq91ViolationError,
     classify_curvature_form,
     witnesses_to_json,
 )
@@ -158,57 +161,34 @@ def chart_extend(poly: Poly, d: int, axis: int) -> Poly:
 
 
 class QuadraticIntegral:
-    """A quadratic first integral G = T - U of a system on a screen.
+    """A quadratic first integral G = T - U of a polynomial chart system.
 
-    T is the velocity-quadratic part, U depends on position only (both
-    polynomial, in chart variables of the screen's affine chart when a chart
-    system is given).  The conservation of G is verified symbolically
-    against a polynomial chart system, or numerically along an integrated
-    trajectory when only a projective force field is available.
+    T is the velocity-quadratic part and U depends on position only, both
+    polynomials in the chart variables of the screen's affine chart; the
+    conservation of G along the system is decided exactly on construction.
     """
 
-    def __init__(self, screen, T: Poly, U: Poly, system=None, force=None,
-                 validate=True, probe=None, tol=1e-8):
+    def __init__(self, screen, T: Poly, U: Poly, system: SecondOrderSystem):
+        if not (isinstance(T, Poly) and isinstance(U, Poly) and isinstance(system, SecondOrderSystem)):
+            raise TypeError("a quadratic integral needs exact polynomials and a polynomial chart system")
         self.screen = screen
         self.T = T
         self.U = U
         self.G = T - U
         self.system = system
-        self.force = force
-        if not validate:
-            return
-        if system is not None:
-            n = system.n
-            if not T.is_homogeneous_in(list(range(n, 2 * n)), 2):
-                raise ValueError("T must be quadratic in the velocities")
-            if U.degree_in(list(range(n, 2 * n))) > 0:
-                raise ValueError("U must depend on the position only")
-            if not system.time_derivative(self.G).is_zero():
-                raise ValueError("G = T - U is not a first integral of the chart system")
-        elif force is not None:
-            if probe is None:
-                raise ValueError("numeric validation needs a probe state (q0, v0, t_span)")
-            q0, v0, t_span = probe
-            traj = sc.integrate(screen, force, q0, v0, t_span, tol=min(tol * 1e-2, 1e-10))
-            vals = [
-                self.G.evaluate_float(list(q) + list(v))
-                for q, v in zip(traj.qs, traj.vs)
-            ]
-            ref = vals[0]
-            drift = max(abs(v - ref) for v in vals)
-            if drift > tol * max(1.0, abs(ref)):
-                raise ValueError(f"G drifts by {drift:.3e} along the integrated motion")
-        else:
-            raise ValueError("provide a chart system or a force field for validation")
+        n = system.n
+        if not T.is_homogeneous_in(list(range(n, 2 * n)), 2):
+            raise ValueError("T must be quadratic in the velocities")
+        if U.degree_in(list(range(n, 2 * n))) > 0:
+            raise ValueError("U must depend on the position only")
+        if not system.time_derivative(self.G).is_zero():
+            raise ValueError("G = T - U is not a first integral of the chart system")
 
     def leading_term(self, axis=None) -> ScreenIntegral:
         """The velocity-quadratic part as screen-level data (ambient
         variables), ready for the screen-finder pipeline."""
-        if self.system is not None:
-            d = self.screen.dim
-            axis = d - 1 if axis is None else axis
-            return ScreenIntegral(self.screen, chart_extend(self.T, d, axis))
-        return ScreenIntegral(self.screen, self.T)
+        d = self.screen.dim
+        return ScreenIntegral(self.screen, chart_extend(self.T, d, d - 1 if axis is None else axis))
 
     def hamiltonian_test(self, axis=None) -> "ScreenReport":
         return hamiltonian_test(self.leading_term(axis))
@@ -249,50 +229,27 @@ def _gradient_covector_polys(screen, d):
     return None
 
 
-def compatibility_check(form: CurvatureForm, screen, samples=None, tol=1e-9) -> bool:
+def compatibility_check(form: CurvatureForm, screen) -> bool:
     """The wedge of the screen gradient with the form's image 2-forms must
     vanish on the screen.
 
     For linear and quadratic-root screens the condition is a homogeneous
-    polynomial identity in (q, v), decided exactly; custom screens are
-    sampled at the given on-screen points with random tangent directions.
+    polynomial identity in (q, v), decided exactly; any other screen has no
+    exact gradient and raises TypeError.
     """
     d = form.dim
     grads = _gradient_covector_polys(screen, d)
-    if grads is not None:
-        images = _image_two_form_polys(form)
-        for t1, t2, t3 in itertools.combinations(range(d), 3):
-            comp = (
-                grads[t1] * images.get((t2, t3), Poly.zero(2 * d))
-                - grads[t2] * images.get((t1, t3), Poly.zero(2 * d))
-                + grads[t3] * images.get((t1, t2), Poly.zero(2 * d))
-            )
-            if not comp.is_zero():
-                return False
-        return True
-    if samples is None:
-        raise ValueError("custom screens need on-screen sample points")
-    rng = np.random.default_rng(20210 + d)
+    if grads is None:
+        raise TypeError("exact compatibility needs a linear or quadratic-root screen")
     images = _image_two_form_polys(form)
-    for q in samples:
-        q = np.asarray(q, float)
-        if abs(screen.value(q) - 1.0) > 1e-9:
-            raise ValueError("sample point is off the screen")
-        dh = screen.gradient(q)
-        for _ in range(4):
-            v = rng.standard_normal(d)
-            img = {
-                key: poly.evaluate_float(list(q) + list(v))
-                for key, poly in images.items()
-            }
-            for t1, t2, t3 in itertools.combinations(range(d), 3):
-                comp = (
-                    dh[t1] * img.get((t2, t3), 0.0)
-                    - dh[t2] * img.get((t1, t3), 0.0)
-                    + dh[t3] * img.get((t1, t2), 0.0)
-                )
-                if abs(comp) > tol:
-                    return False
+    for t1, t2, t3 in itertools.combinations(range(d), 3):
+        comp = (
+            grads[t1] * images.get((t2, t3), Poly.zero(2 * d))
+            - grads[t2] * images.get((t1, t3), Poly.zero(2 * d))
+            + grads[t3] * images.get((t1, t2), Poly.zero(2 * d))
+        )
+        if not comp.is_zero():
+            return False
     return True
 
 
@@ -366,18 +323,15 @@ def quotient_form(form: CurvatureForm):
         if all(i in complement for i in idx):
             new_idx = tuple(complement.index(i) for i in idx)
             entries[new_idx] = val
-    inner = CurvatureForm(Tensor(m, 4, entries))
-    if inner.kernel():
-        raise ArithmeticError("induced form kept a nontrivial kernel")
-    return ker, inner, complement
+    return ker, CurvatureForm(Tensor(m, 4, entries)), complement
 
 
 # ---------------------------------------------------------------------------
 # the screen reports
 
 class ScreenReport:
-    """Verdict of the screen finder with exact witnesses and a log of which
-    identities were verified (exactly vs sampled)."""
+    """Verdict of the screen finder with exact witnesses and a log of the
+    identities verified exactly."""
 
     def __init__(self, verdict, witnesses=None, log=None, inner=None, kernel_basis=None):
         self.verdict = verdict
@@ -413,48 +367,36 @@ def find_compatible_screen(form: CurvatureForm) -> ScreenReport:
     Metric classification pins the screen inside the quadric of its bilinear
     form (with the scalar lambda normalized from the on-screen value); the
     flat classification pins it inside a hyperplane.  Both verdicts re-verify
-    the compatibility identity exactly before being reported.  A form
+    the compatibility identity exactly before being reported.  The
+    classification decides decomposability and then the kernel: a form
     violating the decomposability condition is incompatible with every
-    screen; dimension 2 carries no structure statement.
+    screen, and a nontrivial kernel raises KernelNotTrivialError (reduce
+    through quotient_form first); dimension 2 carries no structure statement.
     """
-    d = form.dim
-    if d == 2:
-        return ScreenReport("dim2", log=["dimension 2: no structure statement"])
-    if not form.satisfies_decomposability():
+    try:
+        rep = classify_curvature_form(form)
+    except Eq91ViolationError:
         return ScreenReport(
             "incompatible",
             witnesses={"reason": "decomposability_failed"},
             log=["image 2-forms are not all decomposable: no compatible screen exists"],
         )
-    if form.kernel():
-        raise KernelNotTrivialError("reduce through quotient_form first")
-    rep = classify_curvature_form(form)
-    log = [f"classification: {rep.case}"] + rep.checks
+    if rep.case == "dim2":
+        return ScreenReport("dim2", log=["dimension 2: no structure statement"])
+    found = rep.witnesses
     if rep.case == "metric":
-        B = rep.witnesses["B"]
-        lam = Fraction(rep.witnesses["epsilon"]) * rep.witnesses["scale"]
-        screen = sc.QuadraticRootScreen(B)
-        if not compatibility_check(form, screen):
-            raise ArithmeticError("quadric screen failed the exact compatibility identity")
-        log.append("compatibility identity re-verified exactly on the quadric screen")
-        return ScreenReport("quadric", {"g": B, "lambda": lam}, log)
-    if rep.case == "flat":
-        phi = rep.witnesses["phi"]
-        screen = sc.LinearFormScreen(phi)
-        if not compatibility_check(form, screen):
-            raise ArithmeticError("hyperplane screen failed the exact compatibility identity")
-        log.append("compatibility identity re-verified exactly on the hyperplane screen")
-        return ScreenReport(
-            "hyperplane",
-            {
-                "phi": phi,
-                "g": rep.witnesses["g"],
-                "tangent_basis": rep.witnesses["kernel_of_phi"],
-                "lambda": Fraction(1),
-            },
-            log,
-        )
-    raise ArithmeticError(f"unexpected classification case {rep.case!r}")
+        verdict, screen = "quadric", sc.QuadraticRootScreen(found["B"])
+        witnesses = {"g": found["B"], "lambda": Fraction(found["epsilon"]) * found["scale"]}
+    elif rep.case == "flat":
+        verdict, screen = "hyperplane", sc.LinearFormScreen(found["phi"])
+        witnesses = {"phi": found["phi"], "g": found["g"], "tangent_basis": found["kernel_of_phi"], "lambda": Fraction(1)}
+    else:
+        raise ArithmeticError(f"unexpected classification case {rep.case!r}")
+    if not compatibility_check(form, screen):
+        raise ArithmeticError(f"{verdict} screen failed the exact compatibility identity")
+    log = [f"classification: {rep.case}", *rep.checks,
+           f"compatibility identity re-verified exactly on the {verdict} screen"]
+    return ScreenReport(verdict, witnesses, log)
 
 
 def screen_find(form: CurvatureForm) -> ScreenReport:
@@ -488,27 +430,23 @@ def hamiltonian_test(T, screen=None) -> ScreenReport:
     every stage.
     """
     if isinstance(T, ScreenIntegral):
-        screen = T.screen
-        T_poly = T.expr
-    else:
-        T_poly = T
+        T, screen = T.expr, T.screen
     if screen is None:
         raise ValueError("pass a ScreenIntegral or (poly, screen)")
-    if not isinstance(T_poly, Poly):
+    if not isinstance(T, Poly):
         raise TypeError("the quadratic term must be an exact polynomial")
     d = screen.dim
-    if not T_poly.is_homogeneous_in(list(v_indices(d)), 2):
+    if not T.is_homogeneous_in(list(v_indices(d)), 2):
         raise ValueError("the leading term must be homogeneous of degree 2 in the velocity")
-    log = []
     try:
-        R = homogenize_polynomial(T_poly, screen)
+        R = homogenize_polynomial(T, screen)
     except NotPolynomialError:
         return ScreenReport(
             "incompatible",
             witnesses={"reason": "leading_term_not_free_integral"},
             log=["homogenization is not polynomial: the term is not a free-motion integral"],
         )
-    log.append("homogenized exactly to a biquadratic impulsion polynomial")
+    log = ["homogenized exactly to a biquadratic impulsion polynomial"]
     bh = BiHomogeneousPoly.from_poly(R, d, 2)
     form = CurvatureForm.from_antisymmetric(to_antisymmetric(bh))
     log.append("pair-antisymmetric carrier built; symmetry class verified")

@@ -492,16 +492,15 @@ def classify_bivector_map(R: BivectorMap) -> ClassificationReport:
 # curvature-type forms (the symmetric specialization)
 
 class CurvatureForm:
-    """Order-4 form with the curvature symmetries: pair antisymmetries, the
-    cyclic identity, and the pair-exchange symmetry making the induced map
-    from bivectors to 2-forms symmetric."""
+    """Order-4 form with the curvature symmetries: pair antisymmetries and
+    the cyclic identity, i.e. Im AS of the 2x2 vertical tableau, checked once
+    on construction.  The class implies the pair-exchange symmetry that makes
+    the induced map from bivectors to 2-forms symmetric."""
 
-    def __init__(self, tensor: Tensor, validate=True):
+    def __init__(self, tensor: Tensor):
         if tensor.order != 4:
             raise ValueError("curvature forms have order 4")
-        self.form = AntisymmetricForm(tensor.dim, 2, tensor, validate=validate)
-        if validate and tensor.permute((2, 3, 0, 1)) != tensor:
-            raise ValueError("pair-exchange symmetry fails: the induced map is not symmetric")
+        self.form = AntisymmetricForm(tensor.dim, 2, tensor)
 
     @property
     def dim(self):
@@ -513,9 +512,12 @@ class CurvatureForm:
 
     @classmethod
     def from_antisymmetric(cls, af: AntisymmetricForm):
+        """Wrap a degree-2 form, whose constructor verified the class."""
         if af.b != 2:
             raise ValueError("need a degree-2 pair-antisymmetric form")
-        return cls(af.tensor)
+        out = cls.__new__(cls)
+        out.form = af
+        return out
 
     def value(self, u, v, w, x) -> Fraction:
         return self.tensor.entries.get((u, v, w, x), Fraction(0))

@@ -11,9 +11,12 @@ space P^{b,b}, which this module represents three ways and converts between:
 * as the pair-antisymmetric form whose diagonal recovers R, i.e. a degree-b
   polynomial in the impulsion bivector q ^ v.
 
-The module also differentiates candidate integrals along a projective force
-field (exactly, including inverse-square fields through the square-root
-ring) and reconstructs bivariate polynomials from evaluation oracles.
+The module also homogenizes screen-level polynomial integrals on linear and
+quadratic-root screens, differentiates candidate integrals along a
+projective force field (including inverse-square fields through the
+square-root ring) and reconstructs bivariate polynomials from evaluation
+oracles.  Every step is exact and decides each invariance once; a
+screen-level integral is a Poly (anything else raises TypeError).
 Everything operates on immutable values through pure functions.
 """
 
@@ -22,8 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from projdyn.exactlin import (
     SparseEchelon,
@@ -199,7 +200,9 @@ def block_symmetric(T: Tensor, b: int) -> bool:
 
 def first_block_symmetrization_vanishes(T: Tensor, b: int) -> bool:
     """The defining constraint of the polar forms of P^{b,b}: symmetrizing the
-    first b+1 slots yields zero (equivalently R_S(q..q; q, v..v) = 0).
+    first b+1 slots yields zero (equivalently R_S(q..q; q, v..v) = 0).  This
+    alone decides shear invariance: R(q, v + gamma q) - R(q, v) expands into
+    values of R_S with q in all of the first b+1 slots.
 
     The symmetrized entry at idx is the sum of T over all rearrangements of
     idx's first b+1 indices, each counted |stabilizer| > 0 times, so it
@@ -232,12 +235,11 @@ class BiHomogeneousPoly:
 
     @classmethod
     def from_poly(cls, R: Poly, dim: int, b: int = None):
+        """The element with diagonal R; the constructor decides shear invariance."""
         if b is None:
             b = R.degree_in(list(q_indices(dim)))
             if b < 1:
                 raise ValueError("cannot infer the degree")
-        if not is_impulsion_invariant(R, dim):
-            raise ValueError("polynomial is not invariant under v -> v + gamma q")
         return cls(dim, b, polar_form(R, dim, b))
 
     @property
@@ -254,26 +256,17 @@ class AntisymmetricForm:
     column-exchange identities, with R(q, v) on its full diagonal.  Descends
     to a symmetric b-linear form on bivectors."""
 
-    def __init__(self, dim: int, b: int, tensor: Tensor, validate=True):
+    def __init__(self, dim: int, b: int, tensor: Tensor):
         if tensor.dim != dim or tensor.order != 2 * b:
             raise ValueError("tensor has the wrong dim/order")
-        if validate and not tensor.is_zero():
-            if not check_imAS(pair_tableau(b), tensor):
-                raise ValueError("tensor lacks the pair-antisymmetric symmetry class")
+        if not check_imAS(pair_tableau(b), tensor):
+            raise ValueError("tensor lacks the pair-antisymmetric symmetry class")
         self.dim = dim
         self.b = b
         self.tensor = tensor
 
     def diagonal_poly(self) -> Poly:
-        dim = self.dim
-        out = {}
-        for idx, val in self.tensor.entries.items():
-            exps = [0] * (2 * dim)
-            for k in range(self.b):
-                exps[idx[2 * k]] += 1
-                exps[dim + idx[2 * k + 1]] += 1
-            accumulate(out, tuple(exps), val)
-        return Poly(2 * dim, out)
+        return _pair_diagonal(self.tensor, self.b)
 
     def value(self, idx) -> Fraction:
         return self.tensor.entries.get(tuple(idx), Fraction(0))
@@ -319,37 +312,47 @@ def pair_tableau(b: int) -> YoungTableau:
     return YoungTableau.from_columns([2] * b)
 
 
+def _pair_diagonal(T: Tensor, b: int) -> Poly:
+    """T(q, v, q, v, ..., q, v) as a polynomial: q fills the first and v the
+    second slot of each of the b slot pairs."""
+    dim = T.dim
+    out = {}
+    for idx, val in T.entries.items():
+        exps = [0] * (2 * dim)
+        for k in range(b):
+            exps[idx[2 * k]] += 1
+            exps[dim + idx[2 * k + 1]] += 1
+        accumulate(out, tuple(exps), val)
+    return Poly(2 * dim, out)
+
+
 def to_antisymmetric(R) -> AntisymmetricForm:
     """The unique pair-antisymmetric form whose full diagonal is R.
 
     Construction: reorder the polar form's slots into (q,v) pairs, apply the
     column antisymmetrizer for the b-pair tableau, and fix the normalization
-    by the exact polynomial ratio of the candidate's diagonal against R; the
-    result is re-verified (symmetry class and diagonal) before returning.
+    by the exact polynomial ratio of the candidate's diagonal against R.  The
+    ratio is checked on every term, so the scaled form has diagonal R; its
+    symmetry class is verified once, by the AntisymmetricForm constructor.
     """
-    if isinstance(R, BiHomogeneousPoly):
-        bh = R
-    else:
+    if not isinstance(R, BiHomogeneousPoly):
         raise TypeError("pass a BiHomogeneousPoly")
-    b, dim = bh.b, bh.dim
-    interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(2 * b))
-    cand = apply_element(antisymmetrizer_element(pair_tableau(b)), bh.polar.permute(interleave))
-    R_poly = bh.poly
+    b, dim = R.b, R.dim
+    R_poly = R.poly
     if R_poly.is_zero():
-        return AntisymmetricForm(dim, b, Tensor(dim, 2 * b, {}), validate=False)
-    diag = AntisymmetricForm(dim, b, cand, validate=False).diagonal_poly()
+        return AntisymmetricForm(dim, b, Tensor(dim, 2 * b, {}))
+    interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(2 * b))
+    cand = apply_element(antisymmetrizer_element(pair_tableau(b)), R.polar.permute(interleave))
+    diag = _pair_diagonal(cand, b)
     if diag.is_zero():
         raise ArithmeticError("antisymmetrization collapsed a nonzero integral")
-    probe = next(iter(R_poly.terms))
-    if probe not in diag.terms:
+    key = next(iter(R_poly.terms))
+    if key not in diag.terms:
         raise ArithmeticError("candidate diagonal is not proportional to R")
-    mu = diag.terms[probe] / R_poly.terms[probe]
+    mu = diag.terms[key] / R_poly.terms[key]
     if diag != R_poly.scale(mu):
         raise ArithmeticError("candidate diagonal is not proportional to R")
-    out = AntisymmetricForm(dim, b, cand.scale(1 / mu))
-    if out.diagonal_poly() != R_poly:
-        raise ArithmeticError("normalization failed to reproduce the diagonal")
-    return out
+    return AntisymmetricForm(dim, b, cand.scale(1 / mu))
 
 
 # ---------------------------------------------------------------------------
@@ -450,68 +453,15 @@ def homogenize_polynomial(G_H: Poly, screen) -> Poly:
     return _substitute_sqrt(G_H, _central_images(screen)).as_poly()
 
 
-class HomogenizedIntegral:
-    """The homogeneous form of a screen-level function: a callable on
-    (q, v) pairs, with the exact polynomial attached when available."""
-
-    def __init__(self, screen, G_H, poly=None):
-        self.screen = screen
-        self.G_H = G_H
-        self.poly = poly
-
-    def __call__(self, q, v) -> float:
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = self.screen.value(q)
-        if h <= 0.0 or not self.screen.in_domain(q):
-            raise ValueError("evaluation outside the validity domain")
-        dh = self.screen.gradient(q)
-        x = q / h
-        w = (dh @ q) * v - (dh @ v) * q
-        if isinstance(self.G_H, Poly):
-            return self.G_H.evaluate_float(list(x) + list(w))
-        return float(self.G_H(x, w))
-
-
 class ScreenIntegral:
-    """A function on a screen's tangent bundle, polynomial in the velocity.
+    """A function on a screen's tangent bundle, polynomial in the velocity:
+    ``expr`` is a Poly in the ambient doubled variables, read on TH."""
 
-    ``expr`` is either a Poly in the ambient doubled variables (read on TH)
-    or a callable (x, w) -> value.  ``degree`` is the velocity degree.
-    """
-
-    def __init__(self, screen, expr, degree=None):
+    def __init__(self, screen, expr):
+        if not isinstance(expr, Poly):
+            raise TypeError("a screen integral is an exact polynomial")
         self.screen = screen
         self.expr = expr
-        if degree is None and isinstance(expr, Poly):
-            degree = expr.degree_in(list(v_indices(screen.dim)))
-        self.degree = degree
-
-    def evaluate(self, q, v) -> float:
-        if isinstance(self.expr, Poly):
-            return self.expr.evaluate_float(list(q) + list(v))
-        return float(self.expr(q, v))
-
-    def homogenize(self) -> HomogenizedIntegral:
-        poly = None
-        if isinstance(self.expr, Poly) and self.screen.kind in ("linear", "quadratic_root"):
-            try:
-                poly = homogenize_polynomial(self.expr, self.screen)
-            except NotPolynomialError:
-                poly = None
-        return HomogenizedIntegral(self.screen, self.expr, poly=poly)
-
-
-def homogenize_integral(G_H, screen) -> HomogenizedIntegral:
-    """Homogeneous form of a screen-level function (polynomial or callable).
-
-    The returned object evaluates G(q, v) = G_H(q/h(q), <dh,q> v - <dh,v> q)
-    anywhere on the cone and carries the exact polynomial when the screen is
-    structured and G_H is a polynomial free-motion integral.
-    """
-    if isinstance(G_H, ScreenIntegral):
-        return G_H.homogenize()
-    return ScreenIntegral(screen, G_H).homogenize()
 
 
 # ---------------------------------------------------------------------------

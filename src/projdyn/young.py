@@ -32,6 +32,7 @@ concurrent use.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -383,10 +384,10 @@ def young_scalar(tableau: YoungTableau) -> int:
     if not AS:
         raise ValueError("AS is the zero element; cannot extract the scalar")
     ASAS = compose_elements(AS, AS)
-    probe = next(iter(AS))
-    if probe not in ASAS:
+    key = next(iter(AS))
+    if key not in ASAS:
         raise ArithmeticError("ASAS not proportional to AS")
-    lam = Fraction(ASAS[probe], AS[probe])
+    lam = Fraction(ASAS[key], AS[key])
     if scale_element(AS, lam) != ASAS:
         raise ArithmeticError("inconsistent ratio: ASAS != lambda AS")
     SA = compose_elements(S, A)
@@ -583,6 +584,25 @@ def imSA_basis(tableau: YoungTableau, dim: int):
         lambda k: itertools.combinations(range(dim), k),
     )
     return _image_basis(SA, dim, tableau.size, indices)
+
+
+def class_dimension(tableau: YoungTableau, dim: int) -> int:
+    """Dimension of Im AS (or Im SA) over a dim-dimensional space, from the
+    shape alone: the hook-content product of (dim + content) / hook."""
+    rows, cols = tableau.rows, tableau.columns
+    boxes = [(r, c) for r in range(len(rows)) for c in range(rows[r])]
+    hooks = math.prod(rows[r] - c + cols[c] - r - 1 for r, c in boxes)
+    return math.prod(dim + c - r for r, c in boxes) // hooks
+
+
+def basis_products(tableau: YoungTableau, dim: int) -> int:
+    """Index tuples times |S| times |A|: the products imAS_basis (vertical)
+    or imSA_basis (horizontal) forms, from the shape alone."""
+    if tableau.numbering == "vertical":
+        tuples = math.prod(math.comb(dim + k - 1, k) for k in tableau.rows)
+    else:
+        tuples = math.prod(math.comb(dim, k) for k in tableau.columns)
+    return tuples * math.prod(map(math.factorial, tableau.rows + tableau.columns))
 
 
 def vanishing_diagonal_test(tableau: YoungTableau, t: Tensor) -> bool:

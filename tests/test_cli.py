@@ -29,6 +29,15 @@ def test_young_dim(capsys):
     assert code == 0 and out.strip() == "6"
 
 
+def test_young_dim_accepts_inputs_inside_both_caps(capsys):
+    # (2,2) over 12: 78^2 * 16 = 97,344 products and class dimension 1716;
+    # (2) over 62: 3,906 products and class dimension 1953
+    code, out = run(capsys, "young-dim", "--rows", "2,2", "--dim", "12")
+    assert code == 0 and out.strip() == "1716"
+    code, out = run(capsys, "young-dim", "--rows", "2", "--dim", "62")
+    assert code == 0 and out.strip() == "1953"
+
+
 def test_pbb_dim(capsys):
     code, out = run(capsys, "pbb-dim", "--n", "2", "--b", "2")
     assert code == 0 and out.strip() == "6"
@@ -179,6 +188,8 @@ def test_malformed_input_message_names_its_path(capsys, argv, env, key):
     pytest.param(["pbb-dim", "--n", "3", "--b", "10001"], {}, id="huge-pbb-b"),
     pytest.param(["young-dim", "--rows", "2,2", "--dim", "-1"], {}, id="negative-young-dim"),
     pytest.param(["young-dim", "--rows", "2,2", "--dim", "0"], {}, id="zero-young-dim"),
+    pytest.param(["young-dim", "--rows", "2,2", "--dim", "24"], {}, id="young-dim-past-the-caps"),
+    pytest.param(["young-dim", "--rows", "1,1,1,1,1,1,1,1", "--dim", "9"], {}, id="young-rows-past-the-product-cap"),
     *[pytest.param(*case.values[:2], id=case.id) for case in _NAMED_KEYS],
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
@@ -205,9 +216,13 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     (["pbb-dim", "--n", "3", "--b", "10001"], "--b"),
     (["young-dim", "--rows", "2,2", "--dim", "-1"], "--dim"),
     (["young-dim", "--rows", "2,2", "--dim", "0"], "--dim"),
+    (["young-dim", "--rows", "2,2", "--dim", "24"], "--dim"),
+    (["young-dim", "--rows", "1,1,1,1,1,1,1,1", "--dim", "9"], "--rows"),
+    (["young-dim", "--rows", "2", "--dim", "70"], "--dim"),
 ], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol",
         "screen-g-not-symmetric", "pbb-n-past-the-screen-cap", "pbb-b-past-the-degree-cap", "negative-young-dim",
-        "zero-young-dim"])
+        "zero-young-dim", "young-dim-past-the-caps", "young-rows-past-the-product-cap",
+        "young-dim-past-the-class-dimension-cap"])
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err

@@ -133,8 +133,9 @@ def test_flat_form_compatible_with_its_hyperplane():
     assert not compatibility_check(form, sc.sphere_screen(3))
 
 
-def test_custom_screen_sampled_compatibility():
-    # the sphere rebuilt as a custom screen: sampled check agrees with exact
+def test_compatibility_check_rejects_a_screen_without_an_exact_gradient():
+    # the sphere rebuilt as a custom screen has only float callables: no
+    # sampled check stands in for the exact identity
     form = CurvatureForm(metric_form_tensor(euclid_metric(3)))
     custom_sphere = sc.CustomScreen(
         3,
@@ -144,29 +145,8 @@ def test_custom_screen_sampled_compatibility():
         - np.outer(q, q) / np.linalg.norm(q) ** 3,
         domain=lambda q: bool(q @ q > 0),
     )
-    rng = np.random.default_rng(5)
-    samples = []
-    for _ in range(8):
-        q = rng.standard_normal(3)
-        samples.append(q / np.linalg.norm(q))
-    assert compatibility_check(form, custom_sphere, samples=samples)
-    # a generic non-quadric custom screen fails at sampled points
-    wonky = sc.CustomScreen(
-        3,
-        h=lambda q: float((q @ q) ** 2 / np.linalg.norm(q) ** 3 + 0.5 * q[2]),
-        grad=lambda q: (
-            4 * q * (q @ q) / np.linalg.norm(q) ** 3
-            - 3 * (q @ q) ** 2 * q / np.linalg.norm(q) ** 5
-            + 0.5 * np.array([0.0, 0.0, 1.0])
-        ),
-        hess=lambda q: np.zeros((3, 3)),
-        domain=lambda q: bool(q @ q > 0),
-    )
-    wq = []
-    for _ in range(8):
-        q = rng.standard_normal(3) + np.array([0, 0, 2.0])
-        wq.append(q / wonky.value(q))
-    assert not compatibility_check(form, wonky, samples=wq)
+    with pytest.raises(TypeError):
+        compatibility_check(form, custom_sphere)
 
 
 def test_three_compatibility_formulations_agree():
@@ -432,18 +412,48 @@ def test_quadratic_integral_rejects_fake():
         QuadraticIntegral(sc.flat_screen(3), yvar(0, n) * yvar(1, n), Poly.zero(4), system=Z)
 
 
-def test_quadratic_integral_numeric_validation():
+def test_quadratic_integral_rejects_a_force_field_without_a_chart_system():
     from projdyn.compat import QuadraticIntegral
-    from projdyn.polyintegrals import vvar as ambient_v
 
     flat = sc.flat_screen(3)
-    T = (ambient_v(0, 3) ** 2 + ambient_v(1, 3) ** 2).scale(Fraction(1, 2))
-    qi = QuadraticIntegral(flat, T, Poly.zero(6), force=sc.zero_force(3),
-                           probe=([0.1, 0.2, 1.0], [0.5, -0.3, 0.0], (0.0, 2.0)))
-    assert qi.hamiltonian_test().verdict == "hyperplane"
+    T = (vvar(0, 3) ** 2 + vvar(1, 3) ** 2).scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        QuadraticIntegral(flat, T, Poly.zero(6), sc.zero_force(3))
+
+
+def test_screen_integral_rejects_a_callable():
+    with pytest.raises(TypeError):
+        ScreenIntegral(sc.flat_screen(3), lambda x, w: float(w @ w) / 2)
 
 
 def test_presymplectic_check_rejects_a_callable_integral():
     # the test is exact only: a float callable is refused, as hamiltonian_test refuses one
     with pytest.raises(TypeError):
         presymplectic_check(lambda x, y: 0.5 * float(y @ y), SecondOrderSystem.oscillator(2))
+
+
+def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
+    # on the sphere kinetic term: the symmetry class is checked once (when
+    # the carrier is built), decomposability once (by the classification),
+    # the kernel twice (the cylindric split, then the classification), and
+    # from_poly leaves shear invariance to the polar form's first-block test
+    from projdyn import curvclass, polyintegrals, young
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    calls = {"check_imAS": 0, "preserves_decomposables": 0, "kernel": 0, "is_impulsion_invariant": 0}
+    for module in (young, polyintegrals):
+        count(module, "check_imAS")
+    count(curvclass, "preserves_decomposables")
+    count(CurvatureForm, "kernel")
+    count(polyintegrals, "is_impulsion_invariant")
+    rep = hamiltonian_test(ScreenIntegral(sc.sphere_screen(3), kinetic_poly(3, [0, 1, 2])))
+    assert rep.verdict == "quadric"
+    assert calls == {"check_imAS": 1, "preserves_decomposables": 1, "kernel": 2, "is_impulsion_invariant": 0}

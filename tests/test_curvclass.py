@@ -1,5 +1,6 @@
 """Decomposability preservation, wedge-power maps, and the classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from projdyn.curvclass import (
     preserves_decomposables,
     wedge_power_map,
 )
-from projdyn.exactlin import accumulate, basis_multivector, det, kernel, same_subspace, vector, wedge
+from projdyn.exactlin import accumulate, basis_multivector, det, kernel, perm_sign, same_subspace, vector, wedge
 from projdyn.polyintegrals import pair_tableau
 from projdyn.young import check_imAS
 
@@ -354,6 +355,17 @@ def test_curvature_form_rejects_asymmetric_input():
                         (2, 3, 0, 1): 2, (3, 2, 0, 1): -2, (2, 3, 1, 0): -2, (3, 2, 1, 0): 2})
     with pytest.raises(ValueError):
         CurvatureForm(bad)
+
+
+def test_curvature_form_rejects_a_pair_exchange_symmetric_tensor_breaking_the_cyclic_identity():
+    # e0^e1^e2^e3 is antisymmetric in each slot pair and symmetric under the
+    # pair exchange, but its cyclic sum is three times itself
+    from projdyn.exactlin import Tensor
+
+    volume = Tensor(4, 4, {p: perm_sign(p) for p in itertools.permutations(range(4))})
+    assert volume.permute((2, 3, 0, 1)) == volume
+    with pytest.raises(ValueError):
+        CurvatureForm(volume)
 
 
 def test_kernel_of_form():

@@ -16,13 +16,11 @@ from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
     ForceHomogeneityError,
-    ScreenIntegral,
     decompose_by_parity,
     dim_Pbb,
     exchange_value,
     gdot,
     gdot_is_zero,
-    homogenize_integral,
     homogenize_polynomial,
     impulsion_poly_basis,
     is_impulsion_invariant,
@@ -109,34 +107,28 @@ def test_homogenize_rejects_non_integral():
         homogenize_polynomial(bad, screen)
 
 
-def test_homogenized_callable_matches_restriction():
-    # homogenization followed by restriction to the screen is the identity
+def test_homogenization_restricts_to_the_screen_integral():
+    # homogenization followed by restriction to the screen is the identity:
+    # at x on the flat screen (x2 = 1) and w tangent to it (w2 = 0), q / h = x
+    # and <dh,q> v - <dh,v> q = w
     rng = random.Random(2)
     screen = sc.flat_screen(3)
-    G_H = euclid_kinetic(3, [0, 1]) + qvar(0, 3) * vvar(1, 3) * vvar(1, 3)
-    integral = ScreenIntegral(screen, G_H)
-    hom = integral.homogenize()
+    # the kinetic term, a momentum and a momentum times the angular momentum
+    angular = qvar(0, 3) * vvar(1, 3) - qvar(1, 3) * vvar(0, 3)
+    G_H = euclid_kinetic(3, [0, 1]) + vvar(0, 3) + angular * vvar(1, 3)
+    R = homogenize_polynomial(G_H, screen)
     for _ in range(10):
-        x = [rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0]
-        w = [rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0]
-        assert abs(hom(x, w) - integral.evaluate(x, w)) < 1e-12
+        x = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2)] + [Fraction(1)]
+        w = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2)] + [Fraction(0)]
+        assert R.evaluate(x + w) == G_H.evaluate(x + w)
 
 
-def test_homogenized_invariances_numeric():
-    # G(q, v + c q) = G(q, v) and G(lam q, v / lam) = G(q, v)
-    rng = random.Random(3)
-    screen = sc.sphere_screen(3)
-    integral = ScreenIntegral(screen, euclid_kinetic(3, [0, 1, 2]))
-    hom = homogenize_integral(integral, screen)
-    for _ in range(10):
-        q = [rng.uniform(0.2, 2) for _ in range(3)]
-        v = [rng.uniform(-2, 2) for _ in range(3)]
-        base = hom(q, v)
-        c, lam = rng.uniform(-2, 2), rng.uniform(0.2, 3)
-        shear = hom(q, [vi + c * qi for qi, vi in zip(q, v)])
-        scaled = hom([lam * qi for qi in q], [vi / lam for vi in v])
-        assert abs(shear - base) < 1e-10 * max(1, abs(base))
-        assert abs(scaled - base) < 1e-10 * max(1, abs(base))
+def test_homogenized_sphere_kinetic_is_impulsion_invariant():
+    # G(q, v + c q) = G(q, v) and equal q- and v-degrees in every monomial,
+    # decided exactly on the homogenized polynomial
+    R = homogenize_polynomial(euclid_kinetic(3, [0, 1, 2]), sc.sphere_screen(3))
+    assert not R.is_zero()
+    assert is_impulsion_invariant(R, 3)
 
 
 # -- polar forms -------------------------------------------------------------------
@@ -154,6 +146,38 @@ def test_polar_form_violating_shear_detected():
     assert not pin.first_block_symmetrization_vanishes(T, 1)
     with pytest.raises(ValueError):
         BiHomogeneousPoly.from_poly(R, 2)
+
+
+def test_from_poly_rejects_a_shear_variant_term():
+    q0v1 = qvar(0, 2) * vvar(1, 2)
+    with pytest.raises(ValueError):
+        BiHomogeneousPoly.from_poly(q0v1, 2)
+    with pytest.raises(ValueError):
+        BiHomogeneousPoly.from_poly(q0v1 * plucker(2, 0, 1), 2)
+
+
+def test_from_poly_accepts_exactly_the_impulsion_invariant_polynomials():
+    # the polar form's first-block test is the only shear decision of
+    # from_poly; it agrees with the substitution test on P^{b,b} elements
+    # and on the same elements bent by one bidegree-(b, b) monomial
+    rng = random.Random(7)
+    for dim, b in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        for _ in range(6):
+            R = random_pbb_element(rng, dim, b)
+            exps = [0] * (2 * dim)
+            for k in range(b):
+                exps[rng.randrange(dim)] += 1
+                exps[dim + rng.randrange(dim)] += 1
+            for cand in (R, R + Poly(2 * dim, {tuple(exps): Fraction(rng.choice([-2, 1, 3]))})):
+                if cand.is_zero():
+                    continue
+                invariant = is_impulsion_invariant(cand, dim)
+                try:
+                    BiHomogeneousPoly.from_poly(cand, dim, b)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == invariant
 
 
 def test_polar_round_trip_random():

@@ -635,3 +635,26 @@ def test_symmetrized_tensor_wrapper():
     with pytest.raises(ValueError):
         SymmetrizedTensor(YoungTableau((2, 2), "horizontal"), t, "im_AS")
     SymmetrizedTensor(tab, volume_form(4), "unconstrained")
+
+
+def test_riemann_class_basis_is_pair_exchange_symmetric():
+    # Im AS of the 2x2 vertical tableau implies phi(x,y,z,t) = phi(z,t,x,y):
+    # every basis element has it, so a separate pair-exchange check on a
+    # member of the class can never fire
+    tab = YoungTableau.from_columns([2, 2])
+    for d, size in zip(range(2, 7), (1, 6, 20, 50, 105)):
+        basis = imAS_basis(tab, d)
+        assert len(basis) == size
+        assert all(t.permute((2, 3, 0, 1)) == t for t in basis)
+
+
+def test_class_dimension_and_products_from_the_shape():
+    for rows in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2)]:
+        for numbering, basis in (("vertical", imAS_basis), ("horizontal", imSA_basis)):
+            tab = YoungTableau(rows, numbering)
+            for d in range(1, 5):
+                assert young.class_dimension(tab, d) == len(basis(tab, d)), (rows, numbering, d)
+    # (2,2) vertical: C(d+1, 2)^2 sorted index tuples, |S| = |A| = 4
+    assert young.basis_products(YoungTableau.from_columns([2, 2]), 12) == 78 ** 2 * 16
+    # (2,2) horizontal: C(d, 2)^2 column-increasing tuples
+    assert young.basis_products(YoungTableau((2, 2)), 12) == 66 ** 2 * 16
