@@ -121,6 +121,8 @@ def cmd_young_dim(args):
 def cmd_young_check(args):
     tableau = young.YoungTableau.from_json(_load_json(args.tableau, "tableau"))
     tensor = tensor_from_json(_load_json(args.tensor, "tensor"))
+    if tensor.order != tableau.size:
+        raise FormatError(f"--tensor: expected order {tableau.size}, the tableau's box count, got {tensor.order}")
     if tableau.numbering == "vertical":
         member = young.check_imAS(tableau, tensor)
         which = "image_of_AS"

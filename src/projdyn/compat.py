@@ -34,7 +34,7 @@ from projdyn.curvclass import (
     classify_curvature_form,
     witnesses_to_json,
 )
-from projdyn.exactlin import Tensor, accumulate, format_rational, kernel, rat, rref
+from projdyn.exactlin import accumulate, format_rational, kernel, rat, rref
 from projdyn.polynomials import NotPolynomialError, Poly
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
@@ -308,6 +308,8 @@ def quotient_form(form: CurvatureForm):
     form lives on the span of the standard basis vectors listed in the
     complement (a complement of the kernel), is well defined because the
     kernel annihilates every slot, and has trivial kernel by construction.
+    It is the restriction of the verified form, so its class is not checked
+    again.
     """
     if form.tensor.is_zero():
         raise ValueError("the zero form has no quotient reduction")
@@ -317,13 +319,7 @@ def quotient_form(form: CurvatureForm):
         return [], form, list(range(d))
     _, pivots = rref(ker)
     complement = [j for j in range(d) if j not in set(pivots)]
-    m = len(complement)
-    entries = {}
-    for idx, val in form.tensor.entries.items():
-        if all(i in complement for i in idx):
-            new_idx = tuple(complement.index(i) for i in idx)
-            entries[new_idx] = val
-    return ker, CurvatureForm(Tensor(m, 4, entries)), complement
+    return ker, CurvatureForm.from_antisymmetric(form.form.restrict(complement)), complement
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,14 @@ from projdyn.exactlin import (
     rat,
 )
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
-from projdyn.young import YoungTableau, antisymmetrizer_element, apply_element, check_imAS
+from projdyn.young import (
+    YoungTableau,
+    antisymmetrizer_element,
+    apply_element,
+    check_imAS,
+    compose_elements,
+    slot_identity,
+)
 
 # variable layout for ambient dimension d: q_i = var i, v_i = var d + i
 
@@ -189,13 +196,10 @@ def poly_from_polar(T: Tensor, b: int) -> Poly:
 
 
 def block_symmetric(T: Tensor, b: int) -> bool:
-    for m in range(b - 1):
-        if T.transpose_slots(m, m + 1) != T:
-            return False
-    for m in range(b, 2 * b - 1):
-        if T.transpose_slots(m, m + 1) != T:
-            return False
-    return True
+    """Symmetry of T under the adjacent transpositions inside each of its two
+    blocks of b slots, each decided by one group-algebra action."""
+    adjacent = [*range(b - 1), *range(b, 2 * b - 1)]
+    return all(apply_element(slot_identity(2 * b, [(m, m + 1)], -1), T).is_zero() for m in adjacent)
 
 
 def first_block_symmetrization_vanishes(T: Tensor, b: int) -> bool:
@@ -265,6 +269,18 @@ class AntisymmetricForm:
         self.b = b
         self.tensor = tensor
 
+    def restrict(self, coords) -> "AntisymmetricForm":
+        """The form on the span of the standard basis vectors at coords,
+        renumbered 0, 1, ... in that order.  Every identity of the class
+        permutes slots, not index values, so the restriction of a member is a
+        member and is wrapped without a re-check."""
+        position = {c: k for k, c in enumerate(coords)}
+        entries = {tuple(position[i] for i in idx): val for idx, val in self.tensor.entries.items()
+                   if all(i in position for i in idx)}
+        out = AntisymmetricForm.__new__(AntisymmetricForm)
+        out.dim, out.b, out.tensor = len(coords), self.b, Tensor._raw(len(coords), 2 * self.b, entries)
+        return out
+
     def diagonal_poly(self) -> Poly:
         return _pair_diagonal(self.tensor, self.b)
 
@@ -329,10 +345,11 @@ def _pair_diagonal(T: Tensor, b: int) -> Poly:
 def to_antisymmetric(R) -> AntisymmetricForm:
     """The unique pair-antisymmetric form whose full diagonal is R.
 
-    Construction: reorder the polar form's slots into (q,v) pairs, apply the
-    column antisymmetrizer for the b-pair tableau, and fix the normalization
-    by the exact polynomial ratio of the candidate's diagonal against R.  The
-    ratio is checked on every term, so the scaled form has diagonal R; its
+    Construction: reorder the polar form's slots into (q,v) pairs and apply
+    the column antisymmetrizer for the b-pair tableau, both as one action of
+    the composed group-algebra element, then fix the normalization by the
+    exact polynomial ratio of the candidate's diagonal against R.  The ratio
+    is checked on every term, so the scaled form has diagonal R; its
     symmetry class is verified once, by the AntisymmetricForm constructor.
     """
     if not isinstance(R, BiHomogeneousPoly):
@@ -342,7 +359,7 @@ def to_antisymmetric(R) -> AntisymmetricForm:
     if R_poly.is_zero():
         return AntisymmetricForm(dim, b, Tensor(dim, 2 * b, {}))
     interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(2 * b))
-    cand = apply_element(antisymmetrizer_element(pair_tableau(b)), R.polar.permute(interleave))
+    cand = apply_element(compose_elements(antisymmetrizer_element(pair_tableau(b)), {interleave: 1}), R.polar)
     diag = _pair_diagonal(cand, b)
     if diag.is_zero():
         raise ArithmeticError("antisymmetrization collapsed a nonzero integral")

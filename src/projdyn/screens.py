@@ -439,32 +439,6 @@ def force_from_json(obj, dim):
 
 
 # ---------------------------------------------------------------------------
-# the equation of motion
-
-def radial_reaction(screen, q, v, fval):
-    """lambda(q, v) = -(hess h(v,v) + dh(f)) / dh(q); with q'' = f + lambda q
-    the second derivative of h along the motion vanishes."""
-    q = np.asarray(q, dtype=float)
-    _, g, hvv = screen._local_in_domain(q, np.asarray(v, dtype=float))
-    return -(hvv + g @ np.asarray(fval, dtype=float)) / (g @ q)
-
-
-def restrict_force(force, screen, q):
-    """Tangential part f - dh(f) q of the force at a screen point."""
-    q = np.asarray(q, dtype=float)
-    fval = force(q) if callable(force) else np.asarray(force, dtype=float)
-    g = screen.gradient(q)
-    return fval - (g @ fval) * q
-
-
-def change_time_factor(b):
-    """Time-change rate a = b**2 tying parametrizations across screens."""
-    if b <= 0:
-        raise ValueError("screen ratio must be positive")
-    return b * b
-
-
-# ---------------------------------------------------------------------------
 # adaptive Runge-Kutta (Dormand-Prince 5(4)) with constraint projection
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])

@@ -25,6 +25,13 @@ per-product loops.  A guard keeps every code and partial sum below 2**62;
 past it (or with non-integer coefficients) the same sums run as the per-row
 ``accumulate`` loop on Python ints.
 
+The same action decides membership in Im AS and Im SA.  Each slot identity
+of a class (an antisymmetry or symmetry inside a column or row, and the
+identity tying a column or row to the head of the next) is a group-algebra
+element {identity: 1, sigma: +-1, ...} that vanishes on the class, and
+``apply_element(element, t).is_zero()`` decides it; no whole permuted
+tensor is built.
+
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
 """
@@ -401,6 +408,29 @@ def young_scalar(tableau: YoungTableau) -> int:
 # ---------------------------------------------------------------------------
 # membership characterizations
 
+def slot_identity(n: int, pairs, sign) -> dict:
+    """The element identity + sign * sum of the transpositions (m, p) in
+    pairs, as a group-algebra element of S_n."""
+    element = {tuple(range(n)): 1}
+    for m, p in pairs:
+        sigma = list(range(n))
+        sigma[m], sigma[p] = p, m
+        element[tuple(sigma)] = sign
+    return element
+
+
+def _class_identities(blocks, n: int, sign):
+    """The identities cutting out Im SA (blocks = rows, sign = 1) or Im AS
+    (blocks = columns, sign = -1): phi = sign T(m, p) phi for m, p in one
+    block, then phi + sign sum_p T(p, head of the next block) phi = 0 over
+    the boxes p of each block."""
+    for slots in blocks:
+        for pair in itertools.combinations(slots, 2):
+            yield slot_identity(n, [pair], -sign)
+    for here, after in zip(blocks, blocks[1:]):
+        yield slot_identity(n, [(p, after[0]) for p in here], sign)
+
+
 def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     """Exact membership test for Im SA (horizontally numbered tableau).
 
@@ -411,19 +441,7 @@ def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "horizontal":
         raise NumberingError("Im SA membership is a horizontal-numbering query")
     _check_order(tableau, t)
-    rows = tableau.row_slots()
-    for slots in rows:
-        for m, n in itertools.combinations(slots, 2):
-            if t.transpose_slots(m, n) != t:
-                return False
-    for k in range(len(rows) - 1):
-        head_next = rows[k + 1][0]
-        total = t
-        for p in rows[k]:
-            total = total + t.transpose_slots(p, head_next)
-        if not total.is_zero():
-            return False
-    return True
+    return all(apply_element(e, t).is_zero() for e in _class_identities(tableau.row_slots(), t.order, 1))
 
 
 def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
@@ -436,20 +454,7 @@ def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "vertical":
         raise NumberingError("Im AS membership is a vertical-numbering query")
     _check_order(tableau, t)
-    cols = tableau.column_slots()
-    negated = t.scale(-1)
-    for slots in cols:
-        for m, n in itertools.combinations(slots, 2):
-            if t.transpose_slots(m, n) != negated:
-                return False
-    for k in range(len(cols) - 1):
-        top_next = cols[k + 1][0]
-        total = t
-        for p in cols[k]:
-            total = total - t.transpose_slots(p, top_next)
-        if not total.is_zero():
-            return False
-    return True
+    return all(apply_element(e, t).is_zero() for e in _class_identities(tableau.column_slots(), t.order, -1))
 
 
 def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
@@ -460,12 +465,9 @@ def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
     """
     if tableau.numbering != "vertical":
         raise NumberingError("column identities need a vertical numbering")
+    _check_order(tableau, t)
     cols = tableau.column_slots()
-    top_j = cols[j][0]
-    total = t
-    for p in cols[k]:
-        total = total - t.transpose_slots(p, top_j)
-    return total
+    return apply_element(slot_identity(t.order, [(p, cols[j][0]) for p in cols[k]], -1), t)
 
 
 def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int):
@@ -491,34 +493,6 @@ def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int
         return None, reduced
     new_cols.sort(reverse=True)
     return YoungTableau.from_columns(new_cols), reduced
-
-
-class SymmetrizedTensor:
-    """A tensor tagged with the symmetry class it is claimed to inhabit.
-
-    Membership is checked on construction: "im_SA" demands the row
-    symmetries plus the row identities (horizontal numbering), "im_AS" the
-    column antisymmetries plus the column identities (vertical numbering);
-    "unconstrained" attaches no claim.
-    """
-
-    __slots__ = ("tableau", "tensor", "symmetry_class")
-
-    def __init__(self, tableau: YoungTableau, tensor: Tensor, symmetry_class="unconstrained"):
-        if symmetry_class not in ("im_SA", "im_AS", "unconstrained"):
-            raise ValueError("symmetry_class must be 'im_SA', 'im_AS' or 'unconstrained'")
-        if tensor.order != tableau.size:
-            raise ValueError("tensor order does not match the tableau")
-        if symmetry_class == "im_SA" and not check_imSA(tableau, tensor):
-            raise ValueError("tensor is not in the image of SA for this tableau")
-        if symmetry_class == "im_AS" and not check_imAS(tableau, tensor):
-            raise ValueError("tensor is not in the image of AS for this tableau")
-        self.tableau = tableau
-        self.tensor = tensor
-        self.symmetry_class = symmetry_class
-
-    def __repr__(self):
-        return f"SymmetrizedTensor({self.tableau!r}, class={self.symmetry_class!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +614,17 @@ def example_pair_exchange_decompose(phi: Tensor):
     """
     if phi.order != 4:
         raise ValueError("order-4 form required")
-    if phi.permute((2, 3, 0, 1)) != phi:
+    identity = (0, 1, 2, 3)
+    if not apply_element({identity: 1, (2, 3, 0, 1): -1}, phi).is_zero():
         raise ValueError("pair-exchange symmetry phi(x,y,z,t)=phi(z,t,x,y) fails")
-    if phi.transpose_slots(0, 1) != -phi or phi.transpose_slots(2, 3) != -phi:
+    if not all(apply_element(slot_identity(4, [pair], 1), phi).is_zero() for pair in ((0, 1), (2, 3))):
         raise ValueError("pair antisymmetry fails")
-    psi = phi + phi.permute((1, 2, 0, 3)) + phi.permute((2, 0, 1, 3))
+    psi = apply_element({identity: 1, (1, 2, 0, 3): 1, (2, 0, 1, 3): 1}, phi)
     phi_y = phi - psi.scale(Fraction(1, 3))
     # defensive: the split must land where the decomposition says
-    for m, n in itertools.combinations(range(4), 2):
-        if psi.transpose_slots(m, n) != -psi:
-            raise ArithmeticError("cyclic sum failed to be fully antisymmetric")
+    if not all(apply_element(slot_identity(4, [pair], 1), psi).is_zero()
+               for pair in itertools.combinations(range(4), 2)):
+        raise ArithmeticError("cyclic sum failed to be fully antisymmetric")
     if not check_imAS(YoungTableau.from_columns([2, 2]), phi_y):
         raise ArithmeticError("projected part is not in Im AS")
     return phi_y, psi

@@ -101,6 +101,9 @@ def _term_with(**fields):
     return json.dumps({"screen": {"kind": "flat", "dim": 3}, "T": {**_TERM, **fields}})
 
 
+# an order-2 tensor against the four boxes of the 2x2 tableau
+_YOUNG_CHECK_ORDER_MISMATCH = ["young-check", "--tableau", json.dumps({"rows": [2, 2], "numbering": "vertical"}),
+                               "--tensor", _tensor({"idx": [0, 1], "val": "1/1"})]
 _KEPLER = {"kind": "kepler", "mu": 1.0, "center": [0, 0, 1]}
 _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span", "0,1",
                "--to-screen", '{"kind": "sphere", "dim": 3}']
@@ -190,6 +193,7 @@ def test_malformed_input_message_names_its_path(capsys, argv, env, key):
     pytest.param(["young-dim", "--rows", "2,2", "--dim", "0"], {}, id="zero-young-dim"),
     pytest.param(["young-dim", "--rows", "2,2", "--dim", "24"], {}, id="young-dim-past-the-caps"),
     pytest.param(["young-dim", "--rows", "1,1,1,1,1,1,1,1", "--dim", "9"], {}, id="young-rows-past-the-product-cap"),
+    pytest.param(_YOUNG_CHECK_ORDER_MISMATCH, {}, id="young-check-tensor-order-not-the-box-count"),
     *[pytest.param(*case.values[:2], id=case.id) for case in _NAMED_KEYS],
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
@@ -219,10 +223,11 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     (["young-dim", "--rows", "2,2", "--dim", "24"], "--dim"),
     (["young-dim", "--rows", "1,1,1,1,1,1,1,1", "--dim", "9"], "--rows"),
     (["young-dim", "--rows", "2", "--dim", "70"], "--dim"),
+    (_YOUNG_CHECK_ORDER_MISMATCH, "--tensor"),
 ], ids=["tol", "scenario-tol", "scenario-t-span", "scenario-q0", "kepler-mu", "kepler-center", "deviation-tol",
         "screen-g-not-symmetric", "pbb-n-past-the-screen-cap", "pbb-b-past-the-degree-cap", "negative-young-dim",
         "zero-young-dim", "young-dim-past-the-caps", "young-rows-past-the-product-cap",
-        "young-dim-past-the-class-dimension-cap"])
+        "young-dim-past-the-class-dimension-cap", "young-check-tensor-order-not-the-box-count"])
 def test_malformed_input_message_names_the_key(capsys, argv, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err
@@ -548,7 +553,39 @@ _SCREEN_FIND_METRICS = {
 }
 
 
+# young-check inputs over dimension 3: (column lengths, numbering, spoiler).  The tensor is the
+# sum of the class basis with coefficients 1, 2, ..., plus the spoiler: none (a member), e_(0,..,0)
+# ("diagonal": breaks a column antisymmetry or a row identity) or A(e_(0,1,1,2)) ("pairs": keeps
+# the pair antisymmetries and breaks the column identity)
+_YOUNG_CHECK_INPUTS = {
+    f"young-{'x'.join(map(str, columns))}-{numbering}-{spoiler or 'member'}": (columns, numbering, spoiler)
+    for columns in ([2, 2], [2, 2, 2], [3, 2]) for numbering in ("vertical", "horizontal")
+    for spoiler in (None, "diagonal")
+}
+_YOUNG_CHECK_INPUTS["young-2x2-vertical-pairs"] = ([2, 2], "vertical", "pairs")
+
+
+def _young_check_argv(columns, numbering, spoiler):
+    from projdyn import young
+    from projdyn.exactlin import Tensor, basis_tensor, tensor_to_json
+
+    tableau = young.YoungTableau.from_columns(columns)
+    if numbering == "horizontal":
+        tableau = young.YoungTableau(tableau.rows, "horizontal")
+    basis = (young.imAS_basis if numbering == "vertical" else young.imSA_basis)(tableau, 3)
+    t = Tensor(3, tableau.size, {})
+    for c, element in enumerate(basis, start=1):
+        t = t + element.scale(c)
+    if spoiler == "diagonal":
+        t = t + basis_tensor(3, (0,) * tableau.size)
+    elif spoiler == "pairs":
+        t = t + young.antisymmetrize_A(tableau, basis_tensor(3, (0, 1, 1, 2)))
+    return ["young-check", "--tableau", json.dumps(tableau.to_json()), "--tensor", json.dumps(tensor_to_json(t))]
+
+
 def _pinned_argv(name):
+    if name in _YOUNG_CHECK_INPUTS:
+        return _young_check_argv(*_YOUNG_CHECK_INPUTS[name])
     if name in _HAMILTONIAN_INPUTS:
         screen, T = _HAMILTONIAN_INPUTS[name]
         return ["hamiltonian-test", "--input", json.dumps({"screen": screen, "T": T})]
@@ -657,10 +694,23 @@ _PINNED = {
         '"witnesses":{"g":[["1/1","1/6","0/1"],["1/6","1/2","-1/4"],["0/1","-1/4","3/4"]],'
         '"lambda":"4/1"}}\n'
     )),
+    'young-2x2-vertical-member': (0, '{"class":"image_of_AS","member":true}\n'),
+    'young-2x2-vertical-diagonal': (1, '{"class":"image_of_AS","member":false}\n'),
+    'young-2x2-horizontal-member': (0, '{"class":"image_of_SA","member":true}\n'),
+    'young-2x2-horizontal-diagonal': (1, '{"class":"image_of_SA","member":false}\n'),
+    'young-2x2x2-vertical-member': (0, '{"class":"image_of_AS","member":true}\n'),
+    'young-2x2x2-vertical-diagonal': (1, '{"class":"image_of_AS","member":false}\n'),
+    'young-2x2x2-horizontal-member': (0, '{"class":"image_of_SA","member":true}\n'),
+    'young-2x2x2-horizontal-diagonal': (1, '{"class":"image_of_SA","member":false}\n'),
+    'young-3x2-vertical-member': (0, '{"class":"image_of_AS","member":true}\n'),
+    'young-3x2-vertical-diagonal': (1, '{"class":"image_of_AS","member":false}\n'),
+    'young-3x2-horizontal-member': (0, '{"class":"image_of_SA","member":true}\n'),
+    'young-3x2-horizontal-diagonal': (1, '{"class":"image_of_SA","member":false}\n'),
+    'young-2x2-vertical-pairs': (1, '{"class":"image_of_AS","member":false}\n'),
 }
 
 
-@pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS))
+@pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS) + list(_YOUNG_CHECK_INPUTS))
 def test_report_is_byte_identical_to_the_pinned_one(capsys, name):
     assert run(capsys, *_pinned_argv(name)) == _PINNED[name]
 

@@ -18,13 +18,10 @@ from projdyn.screens import (
     VisibilityError,
     bivector_coords,
     central_project_state,
-    change_time_factor,
     flat_screen,
     hyperboloid_screen,
     integrate,
     kepler_force,
-    radial_reaction,
-    restrict_force,
     sphere_screen,
     verify_projection,
     zero_force,
@@ -67,49 +64,6 @@ def test_sphere_hessian_matches_finite_differences():
             dq[i] = eps
             fd = (screen.gradient(q + dq) - screen.gradient(q - dq)) / (2 * eps)
             assert np.max(np.abs(fd - H[:, i])) < 1e-6
-
-
-# -- radial reaction and restriction -------------------------------------------------
-
-def test_radial_reaction_sphere_free():
-    # |q| = 1, tangent velocity: lambda = -|v|^2
-    rng = random.Random(2)
-    screen = sphere_screen(3)
-    for _ in range(5):
-        q, v = random_sphere_state(rng, 3)
-        lam = radial_reaction(screen, q, v, np.zeros(3))
-        assert abs(lam + v @ v) < 1e-12
-
-
-def test_radial_reaction_flat():
-    screen = flat_screen(3)
-    q = np.array([0.3, -0.2, 1.0])
-    v = np.array([1.0, 2.0, 0.0])
-    assert radial_reaction(screen, q, v, np.zeros(3)) == 0.0
-    f = np.array([0.0, 0.0, 2.5])  # not tangent
-    assert abs(radial_reaction(screen, q, v, f) + 2.5) < 1e-15
-
-
-def test_restrict_force_examples():
-    screen = sphere_screen(3)
-    q = np.array([0.0, 0.0, 1.0])
-    # e0 at the pole is already tangent
-    out = restrict_force(lambda _: np.array([1.0, 0.0, 0.0]), screen, q)
-    assert np.allclose(out, [1.0, 0.0, 0.0])
-    # purely radial force restricts to zero
-    out = restrict_force(lambda x: x.copy(), screen, q)
-    assert np.allclose(out, 0.0)
-    g = screen.gradient(q)
-    assert abs(g @ restrict_force(lambda _: np.array([0.3, 1.0, 2.0]), screen, q)) < 1e-14
-
-
-def test_change_time_factor():
-    assert change_time_factor(1.0) == 1.0
-    assert change_time_factor(2.0) == 4.0
-    b = 1.0 / math.sqrt(2.0)  # flat vs sphere at q = (1, 0, 1)
-    assert abs(change_time_factor(b) - 0.5) < 1e-15
-    with pytest.raises(ValueError):
-        change_time_factor(0.0)
 
 
 # -- force fields ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Symmetrizers, Bianchi-style membership tests, and symmetry-class bases."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projdyn import young
+from projdyn import polyintegrals, young
 from projdyn.exactlin import SparseEchelon, Tensor, accumulate, basis_tensor, rank
 from projdyn.young import (
     NumberingError,
@@ -468,6 +469,129 @@ def test_numbering_mismatch_is_an_error():
         check_imSA(YoungTableau((2, 2), "vertical"), t)
 
 
+
+# the transpose-based checks the group-algebra identities replaced, kept here as an
+# independent reference: each builds whole permuted tensors with Tensor.transpose_slots
+
+def reference_imSA(tableau, t):
+    rows = tableau.row_slots()
+    for slots in rows:
+        for m, n in itertools.combinations(slots, 2):
+            if t.transpose_slots(m, n) != t:
+                return False
+    for k in range(len(rows) - 1):
+        total = t
+        for p in rows[k]:
+            total = total + t.transpose_slots(p, rows[k + 1][0])
+        if not total.is_zero():
+            return False
+    return True
+
+
+def reference_imAS(tableau, t):
+    cols = tableau.column_slots()
+    for slots in cols:
+        for m, n in itertools.combinations(slots, 2):
+            if t.transpose_slots(m, n) != t.scale(-1):
+                return False
+    for k in range(len(cols) - 1):
+        if not reference_bianchi(tableau, t, k, k + 1).is_zero():
+            return False
+    return True
+
+
+def reference_bianchi(tableau, t, k, j):
+    cols = tableau.column_slots()
+    total = t
+    for p in cols[k]:
+        total = total - t.transpose_slots(p, cols[j][0])
+    return total
+
+
+def reference_block_symmetric(t, b):
+    return all(t.transpose_slots(m, m + 1) == t for m in [*range(b - 1), *range(b, 2 * b - 1)])
+
+
+_ORACLE_SHAPES = ([2, 2], [2, 2, 2], [3, 2], [2, 1])
+
+
+@functools.cache
+def _class_basis(columns, numbering, dim):
+    vertical = YoungTableau.from_columns(list(columns))
+    if numbering == "vertical":
+        return imAS_basis(vertical, dim)
+    return imSA_basis(YoungTableau(vertical.rows, "horizontal"), dim)
+
+
+@st.composite
+def class_combinations(draw):
+    """(column lengths, tensor): a combination of Im AS or Im SA basis elements,
+    sometimes with coefficients of 2**63 or one entry perturbed."""
+    columns = draw(st.sampled_from(_ORACLE_SHAPES))
+    dim = draw(st.integers(2, 3))
+    basis = _class_basis(tuple(columns), draw(st.sampled_from(("vertical", "horizontal"))), dim)
+    scale = draw(st.sampled_from((1, 2 ** 63)))
+    order = sum(columns)
+    t = Tensor(dim, order, {})
+    for element in basis:
+        t = t + element.scale(scale * draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        idx = tuple(draw(st.lists(st.integers(0, dim - 1), min_size=order, max_size=order)))
+        t = t + Tensor(dim, order, {idx: draw(st.sampled_from((1, -3, 2 ** 63)))})
+    return columns, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=class_combinations())
+def test_identity_checks_match_the_transpose_reference(case):
+    columns, t = case
+    vertical = YoungTableau.from_columns(columns)
+    horizontal = YoungTableau(vertical.rows, "horizontal")
+    assert check_imAS(vertical, t) == reference_imAS(vertical, t)
+    assert check_imSA(horizontal, t) == reference_imSA(horizontal, t)
+    for k, j in itertools.combinations(range(len(columns)), 2):
+        assert bianchi_sum_AS(vertical, t, k, j) == reference_bianchi(vertical, t, k, j)
+    if t.order % 2 == 0:
+        b = t.order // 2
+        assert polyintegrals.block_symmetric(t, b) == reference_block_symmetric(t, b)
+
+
+def test_identity_checks_see_both_verdicts():
+    # the oracle test above only means something if members and non-members both occur
+    for columns in _ORACLE_SHAPES:
+        vertical = YoungTableau.from_columns(columns)
+        horizontal = YoungTableau(vertical.rows, "horizontal")
+        member = _class_basis(tuple(columns), "vertical", 3)[-1].scale(2 ** 63)
+        assert check_imAS(vertical, member) and reference_imAS(vertical, member)
+        spoiled = member + basis_tensor(3, (0,) * vertical.size)
+        assert not check_imAS(vertical, spoiled) and not reference_imAS(vertical, spoiled)
+        member = _class_basis(tuple(columns), "horizontal", 3)[-1]
+        assert check_imSA(horizontal, member) and reference_imSA(horizontal, member)
+        spoiled = member + basis_tensor(3, (0,) * vertical.size)
+        assert not check_imSA(horizontal, spoiled) and not reference_imSA(horizontal, spoiled)
+
+
+def test_no_pipeline_permutes_a_whole_tensor(monkeypatch):
+    # every slot identity and the pair interleave of to_antisymmetric run through
+    # the group-algebra action: Tensor.permute (and transpose_slots, which calls
+    # it) is only the tests' reference
+    from projdyn import compat, screens
+    from projdyn.polynomials import Poly
+
+    def refuse(self, sigma):
+        raise AssertionError("Tensor.permute called")
+
+    monkeypatch.setattr(Tensor, "permute", refuse)
+    d = 3
+    kinetic = Poly.zero(2 * d)
+    for i in range(d):
+        kinetic = kinetic + polyintegrals.vvar(i, d) * polyintegrals.vvar(i, d)
+    assert compat.hamiltonian_test(kinetic, screen=screens.sphere_screen(d)).verdict == "quadric"
+    R = Poly.zero(2 * d)
+    for c, p in enumerate(polyintegrals.impulsion_poly_basis(d, 3), start=1):
+        R = R + p.scale(c)
+    assert polyintegrals.BiHomogeneousPoly.from_poly(R, d, 3).antisymmetric().diagonal_poly() == R
+
 # -- bases and dimensions -----------------------------------------------------------------
 
 def test_imAS_basis_sizes_22():
@@ -620,21 +744,6 @@ def test_pair_exchange_decompose_vanishing_diagonal_forces_antisymmetric():
     phi_y, psi = example_pair_exchange_decompose(mixed)
     assert phi_y == riemann_symmetry_tensor(b)
     assert psi == vol.scale(3)
-
-
-def test_symmetrized_tensor_wrapper():
-    from projdyn.young import SymmetrizedTensor
-
-    tab = YoungTableau.from_columns([2, 2])
-    b = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
-    t = riemann_symmetry_tensor(b)
-    wrapped = SymmetrizedTensor(tab, t, "im_AS")
-    assert wrapped.symmetry_class == "im_AS"
-    with pytest.raises(ValueError):
-        SymmetrizedTensor(tab, volume_form(4), "im_AS")
-    with pytest.raises(ValueError):
-        SymmetrizedTensor(YoungTableau((2, 2), "horizontal"), t, "im_AS")
-    SymmetrizedTensor(tab, volume_form(4), "unconstrained")
 
 
 def test_riemann_class_basis_is_pair_exchange_symmetric():
