@@ -28,9 +28,9 @@ past it (or with non-integer coefficients) the same sums run as the per-row
 The same action decides membership in Im AS and Im SA.  Each slot identity
 of a class (an antisymmetry or symmetry inside a column or row, and the
 identity tying a column or row to the head of the next) is a group-algebra
-element {identity: 1, sigma: +-1, ...} that vanishes on the class, and
-``apply_element(element, t).is_zero()`` decides it; no whole permuted
-tensor is built.
+element {identity: 1, sigma: +-1, ...} that vanishes on the class; a check
+clears the tensor's entries to integers once and sums each identity's action
+over them, so no whole permuted tensor is built.
 
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
@@ -431,6 +431,24 @@ def _class_identities(blocks, n: int, sign):
         yield slot_identity(n, [(p, after[0]) for p in here], sign)
 
 
+def _annihilated_by_all(identities, t: Tensor) -> bool:
+    """True iff every element of ``identities`` acts as zero on t.
+
+    The entries are cleared to integers once, and each identity sums its
+    action over that one list (``_Action``); the first identity leaving a
+    nonzero sum decides.
+    """
+    if not t.entries:
+        return True
+    rows = np.array(list(t.entries), dtype=np.int64).reshape(len(t.entries), t.order)
+    ints, _ = clear_denominators(t.entries.values())
+    for element in identities:
+        perms = np.array(list(element), dtype=np.intp).reshape(len(element), t.order)
+        if _Action(perms, list(element.values()), t.dim).sum_codes(rows, ints)[1]:
+            return False
+    return True
+
+
 def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     """Exact membership test for Im SA (horizontally numbered tableau).
 
@@ -441,7 +459,7 @@ def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "horizontal":
         raise NumberingError("Im SA membership is a horizontal-numbering query")
     _check_order(tableau, t)
-    return all(apply_element(e, t).is_zero() for e in _class_identities(tableau.row_slots(), t.order, 1))
+    return _annihilated_by_all(_class_identities(tableau.row_slots(), t.order, 1), t)
 
 
 def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
@@ -454,7 +472,7 @@ def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "vertical":
         raise NumberingError("Im AS membership is a vertical-numbering query")
     _check_order(tableau, t)
-    return all(apply_element(e, t).is_zero() for e in _class_identities(tableau.column_slots(), t.order, -1))
+    return _annihilated_by_all(_class_identities(tableau.column_slots(), t.order, -1), t)
 
 
 def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:

@@ -288,6 +288,16 @@ def test_classify_curvature_and_negative_exit(capsys):
     assert code == 1 and json.loads(out)["error"] == "kernel_not_trivial"
 
 
+def test_classify_curvature_of_a_sparse_form_over_a_large_space(capsys):
+    # four entries over dimension 96: decomposability is decided on the
+    # entries, and the 4560 x 4560 bivector matrix is never built
+    entries = [{"idx": idx, "val": val} for idx, val in
+               (([0, 1, 0, 1], "1/1"), ([0, 1, 1, 0], "-1/1"), ([1, 0, 0, 1], "-1/1"), ([1, 0, 1, 0], "1/1"))]
+    form = json.dumps({"dim": 96, "order": 4, "symmetry": "riemann", "entries": entries})
+    code, out = run(capsys, "classify-curvature", "--input", form)
+    assert code == 1 and json.loads(out)["error"] == "kernel_not_trivial"
+
+
 def test_integrate_builtin_free_deterministic(capsys, tmp_path):
     args = ["integrate", "--system", "free", "--screen", "sphere", "--dim", "3",
             "--q0", "0,0,1", "--v0", "1,0,0", "--t-span", "0,2", "--tol", "1e-10"]
@@ -583,7 +593,59 @@ def _young_check_argv(columns, numbering, spoiler):
     return ["young-check", "--tableau", json.dumps(tableau.to_json()), "--tensor", json.dumps(tensor_to_json(t))]
 
 
+def _pair_map(d, images):
+    """The bivector map sending the k-th source pair to images[k], each a
+    {destination pair: value} dict."""
+    from projdyn.curvclass import BivectorMap, pair_basis
+
+    return BivectorMap(d, d, [[img.get(pr, 0) for img in images] for pr in pair_basis(d)])
+
+
+def _classify_input(name):
+    """(subcommand, JSON input) of each pinned classify and classify-curvature report."""
+    from projdyn.curvclass import BivectorMap, CurvatureForm, flat_form_tensor, metric_form_tensor
+    from projdyn.exactlin import kernel, vector, wedge
+
+    F = Fraction
+    if name == "classify-wedge-square-d4":
+        R = BivectorMap.wedge_square([[F(1, 2), 1, 0, 2], [0, 3, F(-1, 3), 1], [1, 0, 1, 0], [2, F(5, 7), 0, 1]])
+    elif name == "classify-wedge-square-d5":
+        R = BivectorMap.wedge_square([[2, 0, 1, 0, F(1, 3)], [1, 1, 0, 0, 2], [0, F(-3, 2), 1, 1, 0],
+                                      [1, 0, 0, 2, 1], [0, 1, F(2, 5), 0, -1]])
+    elif name == "classify-star-wedge-square-d4":
+        R = BivectorMap.wedge_square([[1, 2, 0, 0], [0, 1, F(1, 2), 0], [3, 0, 1, 1], [0, -1, 0, 2]]).star_compose()
+    elif name == "classify-phi-degenerate":
+        phi = vector(4, [1, 0, 2, 0])
+        R = BivectorMap.from_images(4, 4, [wedge(phi, vector(4, [k, 1, 0, k - 2])) for k in range(6)])
+    elif name == "classify-zeta-degenerate":
+        R = _pair_map(4, [{(0, 1): 1}, {(0, 2): 1}, {}, {(1, 2): 1}, {}, {}])
+    elif name == "classify-decomposability-failed":
+        R = _pair_map(4, [{(0, 1): 1}, {(2, 3): 1}, {}, {}, {}, {(0, 1): 1}])
+    else:
+        g = [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, -1, F(1, 2)], [0, 0, F(1, 2), 1]]
+        if name == "curvature-metric":
+            t = metric_form_tensor(g)
+        elif name == "curvature-flat":
+            phi = [F(1), F(0), F(2), F(-1)]
+            t = flat_form_tensor(phi, [[1, 0, 0], [0, -2, 0], [0, 0, F(1, 3)]], kernel([phi]))
+        elif name == "curvature-kernel-not-trivial":
+            t = metric_form_tensor([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+        else:  # a combination of two metric forms
+            t = metric_form_tensor(g) + metric_form_tensor([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 3]])
+        return "classify-curvature", CurvatureForm(t).to_json()
+    return "classify", R.to_json()
+
+
+_CLASSIFY_INPUTS = ["classify-wedge-square-d4", "classify-wedge-square-d5", "classify-star-wedge-square-d4",
+                    "classify-phi-degenerate", "classify-zeta-degenerate", "classify-decomposability-failed",
+                    "curvature-metric", "curvature-flat", "curvature-kernel-not-trivial",
+                    "curvature-decomposability-failed"]
+
+
 def _pinned_argv(name):
+    if name in _CLASSIFY_INPUTS:
+        command, obj = _classify_input(name)
+        return [command, "--input", json.dumps(obj)]
     if name in _YOUNG_CHECK_INPUTS:
         return _young_check_argv(*_YOUNG_CHECK_INPUTS[name])
     if name in _HAMILTONIAN_INPUTS:
@@ -694,6 +756,48 @@ _PINNED = {
         '"witnesses":{"g":[["1/1","1/6","0/1"],["1/6","1/2","-1/4"],["0/1","-1/4","3/4"]],'
         '"lambda":"4/1"}}\n'
     )),
+    'classify-wedge-square-d4': (0, (
+        '{"case":"wedge_square","checks":["decomposability preservation verified by full expansion","R = '
+        'eps * scale * B^2 verified on the full pair basis"],"witnesses":{"B":[["1/1","2/1","0/1","4/1"],'
+        '["0/1","6/1","-2/3","2/1"],["2/1","0/1","2/1","0/1"],["4/1","10/7","0/1","2/1"]],"epsilon":"1/1"'
+        ',"scale":"1/4"}}\n'
+    )),
+    'classify-wedge-square-d5': (0, (
+        '{"case":"wedge_square","checks":["decomposability preservation verified by full expansion","R = '
+        'eps * scale * B^2 verified on the full pair basis"],"witnesses":{"B":[["1/1","0/1","1/2","0/1","'
+        '1/6"],["1/2","1/2","0/1","0/1","1/1"],["0/1","-3/4","1/2","1/2","0/1"],["1/2","0/1","0/1","1/1",'
+        '"1/2"],["0/1","1/2","1/5","0/1","-1/2"]],"epsilon":"1/1","scale":"4/1"}}\n'
+    )),
+    'classify-star-wedge-square-d4': (0, (
+        '{"case":"star_wedge_square","checks":["decomposability preservation verified by full expansion",'
+        '"R(x^y) = (C x ^ C y) -| mu verified on the full pair basis"],"witnesses":{"C":[["1/1","2/1","0/'
+        '1","0/1"],["0/1","1/1","1/2","0/1"],["3/1","0/1","1/1","1/1"],["0/1","-1/1","0/1","2/1"]],"mu":{'
+        '"dim":4,"entries":[{"idx":[0,1,2,3],"val":"1/1"}],"order":4}}}\n'
+    )),
+    'classify-phi-degenerate': (0, (
+        '{"case":"phi_degenerate","checks":["decomposability preservation verified by full expansion","R('
+        'pi) ^ phi = 0 verified on the full pair basis"],"witnesses":{"phi":["1/1","0/1","2/1","0/1"]}}\n'
+    )),
+    'classify-zeta-degenerate': (0, (
+        '{"case":"zeta_degenerate","checks":["decomposability preservation verified by full expansion","z'
+        'eta -| R(pi) = 0 verified on the full pair basis"],"witnesses":{"zeta":["0/1","0/1","0/1","1/1"]'
+        '}}\n'
+    )),
+    'classify-decomposability-failed': (1, '{"error":"decomposability_failed","message":"map does not preserve decomposable bivectors"}\n'),
+    'curvature-metric': (0, (
+        '{"case":"metric","checks":["decomposability condition verified","trivial kernel verified","R(u,v'
+        ';w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified"],"witnesses":{"B":[["1/1","1/2","0/1","0'
+        '/1"],["1/2","3/2","0/1","0/1"],["0/1","0/1","-1/2","1/4"],["0/1","0/1","1/4","1/2"]],"epsilon":"'
+        '1/1","scale":"4/1"}}\n'
+    )),
+    'curvature-flat': (0, (
+        '{"case":"flat","checks":["decomposability condition verified","trivial kernel verified","R(u,v;w'
+        ',x) = g(phi -| (u^v), phi -| (w^x)) verified on all basis tuples"],"witnesses":{"g":[["1/1","0/1'
+        '","0/1"],["0/1","-2/1","0/1"],["0/1","0/1","1/3"]],"kernel_of_phi":[["0/1","1/1","0/1","0/1"],["'
+        '-2/1","0/1","1/1","0/1"],["1/1","0/1","0/1","1/1"]],"phi":["1/1","0/1","2/1","-1/1"]}}\n'
+    )),
+    'curvature-kernel-not-trivial': (1, '{"error":"kernel_not_trivial","message":"form has a nontrivial kernel; quotient first"}\n'),
+    'curvature-decomposability-failed': (1, '{"error":"decomposability_failed","message":"form violates the decomposability condition"}\n'),
     'young-2x2-vertical-member': (0, '{"class":"image_of_AS","member":true}\n'),
     'young-2x2-vertical-diagonal': (1, '{"class":"image_of_AS","member":false}\n'),
     'young-2x2-horizontal-member': (0, '{"class":"image_of_SA","member":true}\n'),
@@ -710,7 +814,8 @@ _PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS) + list(_YOUNG_CHECK_INPUTS))
+@pytest.mark.parametrize("name", list(_HAMILTONIAN_INPUTS) + list(_SCREEN_FIND_METRICS) + list(_YOUNG_CHECK_INPUTS)
+                         + _CLASSIFY_INPUTS)
 def test_report_is_byte_identical_to_the_pinned_one(capsys, name):
     assert run(capsys, *_pinned_argv(name)) == _PINNED[name]
 

@@ -435,10 +435,10 @@ def test_presymplectic_check_rejects_a_callable_integral():
 def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
     # on the sphere kinetic term and on a cylindric term: the symmetry class
     # is checked once (when the carrier is built; the cylindric restriction of
-    # a member is a member and is not re-checked), decomposability once (by
-    # the classification), the kernel twice (the cylindric split, then the
-    # classification), and from_poly leaves shear invariance to the polar
-    # form's first-block test
+    # a member is a member and is not re-checked), decomposability once (one
+    # wedge-table expansion, kept on the form), the kernel twice (the
+    # cylindric split, then the classification), and from_poly leaves shear
+    # invariance to the polar form's first-block test
     from projdyn import compat, curvclass, polyintegrals, young
 
     check_imAS = young.check_imAS
@@ -455,7 +455,7 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
 
     for module in (young, polyintegrals):
         count(module, "check_imAS")
-    count(curvclass, "preserves_decomposables")
+    count(curvclass, "_wedge_table")
     count(CurvatureForm, "kernel")
     count(polyintegrals, "is_impulsion_invariant")
     classified = []
@@ -463,11 +463,11 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
     monkeypatch.setattr(compat, "find_compatible_screen", lambda form: classified.append(form) or find(form))
     for screen, term, verdict in [(sc.sphere_screen(3), kinetic_poly(3, [0, 1, 2]), "quadric"),
                                   (sc.flat_screen(4), vvar(0, 4) * vvar(1, 4), "cylindric")]:
-        calls.update(check_imAS=0, preserves_decomposables=0, kernel=0, is_impulsion_invariant=0)
+        calls.update(check_imAS=0, _wedge_table=0, kernel=0, is_impulsion_invariant=0)
         classified.clear()
         rep = hamiltonian_test(ScreenIntegral(screen, term))
         assert rep.verdict == verdict
-        assert calls == {"check_imAS": 1, "preserves_decomposables": 1, "kernel": 2, "is_impulsion_invariant": 0}
+        assert calls == {"check_imAS": 1, "_wedge_table": 1, "kernel": 2, "is_impulsion_invariant": 0}
         # the oracle for the dropped re-check: the classified form is in the class
         [form] = classified
         assert check_imAS(polyintegrals.pair_tableau(2), form.tensor)

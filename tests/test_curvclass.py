@@ -23,7 +23,7 @@ from projdyn.curvclass import (
     preserves_decomposables,
     wedge_power_map,
 )
-from projdyn.exactlin import accumulate, basis_multivector, det, kernel, perm_sign, same_subspace, vector, wedge
+from projdyn.exactlin import Tensor, accumulate, basis_multivector, det, kernel, perm_sign, same_subspace, vector, wedge
 from projdyn.polyintegrals import pair_tableau
 from projdyn.young import check_imAS
 
@@ -162,6 +162,126 @@ def test_preserves_decomposables_sees_both_verdicts_in_dims_4_and_5():
         bent = BivectorMap(d, d, m)
         assert preserves_decomposables(R) and preserves_by_fraction_expansion(R)
         assert not preserves_decomposables(bent) and not preserves_by_fraction_expansion(bent)
+
+
+def wedge_power_by_multivector_loop(R, p):
+    """The induced map on 2p-vectors by wedging Multivector images pairing by
+    pairing: the reference for the wedge-table power map."""
+    from projdyn.curvclass import _matchings
+
+    if not preserves_by_fraction_expansion(R):
+        raise DecomposabilityError("map does not preserve decomposable bivectors")
+    images = {}
+    for subset in itertools.combinations(range(R.dim_src), 2 * p):
+        value = None
+        for matching, sign in _matchings(subset):
+            img = None
+            for (a, b) in matching:
+                piece = R.image_of_basis_pair(a, b)
+                img = piece if img is None else wedge(img, piece)
+            img = img.scale(sign)
+            if value is None:
+                value = img
+            elif value != img:
+                raise DecomposabilityError("inconsistent pairings: the power map is ill-defined")
+        images[subset] = value
+    return images
+
+
+@settings(max_examples=40, deadline=None)
+@given(bivector_maps())
+def test_wedge_power_map_matches_the_multivector_loop(R):
+    try:
+        expected = wedge_power_by_multivector_loop(R, 2)
+    except DecomposabilityError:
+        with pytest.raises(DecomposabilityError):
+            wedge_power_map(R, 2)
+        return
+    assert wedge_power_map(R, 2).images == expected
+
+
+def test_wedge_power_map_of_grade_six_matches_the_multivector_loop():
+    rng = random.Random(16)
+    R = BivectorMap.wedge_square([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+                                  for _ in range(6)])
+    assert wedge_power_map(R, 3).images == wedge_power_by_multivector_loop(R, 3)
+    assert wedge_power_map(R, 1).images == wedge_power_by_multivector_loop(R, 1)
+
+
+def test_two_row_support_spans_the_support_of_a_decomposable():
+    from projdyn.curvclass import _decomposable_span
+    from projdyn.exactlin import clear_denominators, support
+
+    rng = random.Random(17)
+    for d in (3, 4, 5, 6):
+        for _ in range(10):
+            x, y = ([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(2))
+            pi = wedge(vector(d, x), vector(d, y))
+            if pi.is_zero():
+                continue
+            ints, _ = clear_denominators(pi.coords.values())
+            rows = _decomposable_span(dict(zip(pi.coords, ints)), d)
+            assert same_subspace(rows, support(pi))
+
+
+def test_entries_past_the_int64_guard_match_the_fraction_expansion():
+    # entries of 2**31 and more: every product of two of them passes the
+    # 2**62 guard, so the wedge table runs on Python ints
+    rng = random.Random(18)
+    for d in (4, 5):
+        B = [[rng.randint(-3, 3) * 2 ** 16 + rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
+        R = BivectorMap.wedge_square(B)
+        assert max(abs(x) for row in R.matrix for x in row) >= 2 ** 31
+        m = [list(row) for row in R.matrix]
+        m[0][-1] += 2 ** 40
+        bent = BivectorMap(d, d, m)
+        for big in (R, bent, BivectorMap(d, d, [[x * 2 ** 70 for x in row] for row in m])):
+            assert preserves_decomposables(big) == preserves_by_fraction_expansion(big)
+        assert preserves_decomposables(R) and not preserves_decomposables(bent)
+        assert wedge_power_map(R, 2).images == wedge_power_by_multivector_loop(R, 2)
+
+
+def test_wedge_table_is_the_same_in_small_blocks(monkeypatch):
+    # blocks of a few products carry the running sums from block to block
+    from projdyn import curvclass
+
+    rng = random.Random(19)
+    maps = [BivectorMap.wedge_square(rand_matrix(rng, 5, 5)), BivectorMap(5, 5, rand_matrix(rng, 10, 10))]
+    whole = [R.wedge_table() for R in maps]
+    monkeypatch.setattr(curvclass, "_BLOCK", 7)
+    for R, table in zip(maps, whole):
+        small = BivectorMap(5, 5, R.matrix).wedge_table()
+        assert small.preserves == table.preserves
+        assert small.codes.tolist() == table.codes.tolist() and small.values.tolist() == table.values.tolist()
+    assert [table.preserves for table in whole] == [True, False]
+
+
+def test_sparse_form_far_past_the_code_range_decides_like_its_embedding():
+    # over dimension 400 the (pair, pair, 4-subset) codes pass 2**62 and run
+    # as Python ints; relabeling coordinates does not change the verdict
+    def embedded(t, dim, coords):
+        return CurvatureForm(Tensor(dim, 4, {tuple(coords[i] for i in idx): v for idx, v in t.entries.items()}))
+
+    metric = metric_form_tensor([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, 3]])
+    bent = metric + metric_form_tensor([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 3]])
+    for t, verdict in ((metric, True), (bent, False)):
+        assert CurvatureForm(t).satisfies_decomposability() == verdict
+        assert embedded(t, 400, [0, 7, 200, 399]).satisfies_decomposability() == verdict
+
+
+def test_the_generator_chain_expands_each_form_once(monkeypatch):
+    from projdyn import compat, curvclass
+
+    calls = []
+    inner = curvclass._wedge_table
+    monkeypatch.setattr(curvclass, "_wedge_table", lambda *args: calls.append(args) or inner(*args))
+    rng = random.Random(20)
+    for G, case in ((rand_symmetric_invertible(rng, 4), "metric"), (rand_symmetric_rank(rng, 4, 3), "flat")):
+        calls.clear()
+        form = curvature_from_symmetric_map(G)
+        assert classify_curvature_form(form).case == case
+        assert compat.find_compatible_screen(form).verdict in ("quadric", "hyperplane")
+        assert len(calls) == 1
 
 
 # -- wedge power maps --------------------------------------------------------------

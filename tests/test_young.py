@@ -571,6 +571,21 @@ def test_identity_checks_see_both_verdicts():
         assert not check_imSA(horizontal, spoiled) and not reference_imSA(horizontal, spoiled)
 
 
+def test_class_checks_clear_the_entries_once(monkeypatch):
+    # every identity of a check runs on one cleared entry list
+    cleared = []
+    inner = young.clear_denominators
+    monkeypatch.setattr(young, "clear_denominators", lambda values: cleared.append(1) or inner(values))
+    vertical = YoungTableau.from_columns([2, 2, 2])
+    horizontal = YoungTableau(vertical.rows, "horizontal")
+    for check, tableau, numbering in ((check_imAS, vertical, "vertical"), (check_imSA, horizontal, "horizontal")):
+        member = Tensor(3, 6, {})
+        for c, element in enumerate(_class_basis((2, 2, 2), numbering, 3), start=1):
+            member = member + element.scale(Fraction(c, 7))
+        cleared.clear()
+        assert check(tableau, member) and cleared == [1]
+
+
 def test_no_pipeline_permutes_a_whole_tensor(monkeypatch):
     # every slot identity and the pair interleave of to_antisymmetric run through
     # the group-algebra action: Tensor.permute (and transpose_slots, which calls
