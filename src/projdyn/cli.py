@@ -9,11 +9,16 @@ scenario flags (--screen, --dim, --system, --mu, --q0, --v0, --t-span) are
 read as a scenario JSON.  Every tolerance (PROJDYN_TOL, which overrides the
 default 1e-10, --tol, a scenario's "tol", --deviation-tol) must be a positive
 finite number; a time span [t0, t1] needs finite ends with t0 <= t1.  A
-screen has at most screens.MAX_SCREEN_DIM (256) dimensions, and so does
+screen has at most screens.MAX_SCREEN_DIM (256) dimensions, and so do a
+curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `pbb-dim --n`; `pbb-dim --b` is at most polyintegrals.MAX_PBB_DEGREE (10000).
 `young-dim` caps its basis at 10^6 group-algebra products and dimension 2000.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
+
+The argument parser is built once per process, on the first call of `main`,
+and reused: each call parses into a fresh namespace, and PROJDYN_TOL is read
+when a command runs, so no call sees the state of an earlier one.
 
 Inline JSON is accepted wherever a file path is expected (any argument
 starting with '{').  Schemas:
@@ -42,6 +47,7 @@ starting with '{').  Schemas:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -243,6 +249,7 @@ def cmd_verify_projection(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="projdyn",
@@ -324,8 +331,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -55,6 +55,7 @@ from projdyn.exactlin import (
     wedge,
 )
 from projdyn.polyintegrals import AntisymmetricForm
+from projdyn.screens import MAX_SCREEN_DIM
 
 
 class DecomposabilityError(ValueError):
@@ -187,7 +188,7 @@ class BivectorMap:
     @classmethod
     def from_json(cls, obj):
         r = JsonValue.of(obj, "bivector map")
-        src, dst = r.integer("dim_src", low=1), r.integer("dim_dst", low=1)
+        src, dst = (r.integer(key, low=1, high=MAX_SCREEN_DIM + 1) for key in ("dim_src", "dim_dst"))
         rows = [row.rationals(n=src * (src - 1) // 2) for row in r.items("matrix", dst * (dst - 1) // 2)]
         return cls(src, dst, rows)
 
@@ -753,6 +754,7 @@ class CurvatureForm:
     def from_json(cls, obj):
         r = JsonValue.of(obj, "curvature form")
         r.choice("symmetry", ("riemann",))
+        r.integer("dim", low=1, high=MAX_SCREEN_DIM + 1)  # before tensor_from_json reads the entries
         return cls(tensor_from_json(r))
 
 

@@ -465,13 +465,17 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
     the step.  The error norm is the root mean square over the len(y)
     components of the scaled difference of the embedded solutions.  Raises
     StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1).
-    Sets the counters ``accepted``, ``rejected``, ``domain_retries`` and
-    ``min_h`` of stats (see TrajectorySample) and returns (times, states,
-    derivatives) as lists, one entry per accepted step plus the initial one.
+    The derivative rhs writes must depend on the state alone: the pair is
+    "first same as last", so when project(y5) returns the last stage's input
+    bit for bit, that stage is the derivative at the accepted state and rhs
+    is not called again.  Sets the counters ``accepted``, ``rejected``,
+    ``domain_retries``, ``last_stage_reused`` and ``min_h`` of stats (see
+    TrajectorySample) and returns (times, states, derivatives) as lists, one
+    entry per accepted step plus the initial one.
     """
     if not t0 <= t1:
         raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
-    stats.update(accepted=0, rejected=0, domain_retries=0, min_h=math.inf)
+    stats.update(accepted=0, rejected=0, domain_retries=0, last_stage_reused=0, min_h=math.inf)
     # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
     n = len(y0)
     K = np.empty((7, n))
@@ -498,7 +502,8 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
                 raise StepUnderflowError(f"step size underflow at t = {t}", t)
             try:
                 for i in range(1, 7):
-                    rhs(t + _DP_C[i] * h, y + h * _DP_A[i].dot(K[:i]), K[i])
+                    stage_in = y + h * _DP_A[i].dot(K[:i])
+                    rhs(t + _DP_C[i] * h, stage_in, K[i])
             except DomainExitError:
                 # retry with a shorter step; report only if hopeless
                 stats["domain_retries"] += 1
@@ -525,7 +530,12 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
                 if t < t1:
                     stats["min_h"] = min(stats["min_h"], h)
                 y = project(y5)
-                rhs(t, y, K[0])
+                # the last stage ran at (t + 1.0 * h, stage_in), the accepted (t, y) when y is stage_in
+                if y.tobytes() == stage_in.tobytes():
+                    stats["last_stage_reused"] += 1
+                    K[0] = K[6]
+                else:
+                    rhs(t, y, K[0])
                 times.append(t)
                 ys.append(y)
                 derivs.append(K[0].copy())
@@ -544,9 +554,12 @@ class TrajectorySample:
     ``stats`` holds what the integrator did (empty for samples built
     otherwise): ``accepted`` and ``rejected`` steps, ``rhs_evals`` (force
     evaluations), ``domain_retries`` (steps halved because a stage left the
-    validity domain), ``min_h`` (smallest accepted step other than the last,
-    which is cut to land on the end time; inf when there is none) and
-    ``max_drift`` (largest |h(q) - 1| or |dh(v)| over the samples).
+    validity domain), ``last_stage_reused`` (accepted steps whose projection
+    left the last stage's input unchanged, so that stage's force evaluation
+    serves the next step's first stage), ``min_h`` (smallest accepted step
+    other than the last, which is cut to land on the end time; inf when there
+    is none) and ``max_drift`` (largest |h(q) - 1| or |dh(v)| over the
+    samples).
     """
 
     def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10, stats=None):
@@ -768,28 +781,28 @@ class ProjectionReport:
         }
 
 
-def _distance_to_trajectory(point, traj, n_dense=2048):
+def _distance_to_trajectory(point, traj, dense_ts, dense_qs):
     """Time-free distance from a point to the interpolated position curve.
 
-    The coarse scan can have several local minima (closed orbits pass near
-    themselves), so every coarse local minimum is refined and the best wins.
+    dense_qs holds traj's positions at the times dense_ts, a table built once
+    per trajectory.  The coarse scan can have several local minima (closed
+    orbits pass near themselves), so both ends and every coarse local minimum
+    are refined and the best wins.
     """
-    ts = np.linspace(traj.times[0], traj.times[-1], n_dense)
+    n_dense = len(dense_ts)
     d = traj.qs.shape[1]
-    states = np.array([traj.interpolate(t)[:d] for t in ts])
-    dist = np.linalg.norm(states - point, axis=1)
-    candidates = {0, n_dense - 1}
-    for k in range(1, n_dense - 1):
-        if dist[k] <= dist[k - 1] and dist[k] <= dist[k + 1]:
-            candidates.add(k)
+    dist = np.linalg.norm(dense_qs - point, axis=1)
+    inner = dist[1:-1]
+    minima = np.flatnonzero((inner <= dist[:-2]) & (inner <= dist[2:])) + 1
+    candidates = [0, *minima.tolist(), n_dense - 1]
 
     def f(t):
         return float(np.linalg.norm(traj.interpolate(t)[:d] - point))
 
     best = math.inf
-    for k in sorted(candidates):
-        lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, n_dense - 1)]
+    for k in candidates:
+        lo = dense_ts[max(k - 1, 0)]
+        hi = dense_ts[min(k + 1, n_dense - 1)]
         for _ in range(80):  # ternary search on the bracket
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
@@ -821,9 +834,11 @@ def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
     span = span * (1.0 + time_margin) + 1e-12
     Q0, V0 = projected[0]
     target = integrate(to_screen, force, Q0, V0, (0.0, span), tol=min(traj.tol, 1e-11))
+    dense_ts = np.linspace(target.times[0], target.times[-1], 2048)  # the coarse scan of every distance
+    dense_qs = np.array([target.interpolate(t)[:to_screen.dim] for t in dense_ts])
     worst = 0.0
     for Q, _ in projected:
-        worst = max(worst, _distance_to_trajectory(np.asarray(Q), target))
+        worst = max(worst, _distance_to_trajectory(np.asarray(Q), target, dense_ts, dense_qs))
     return ProjectionReport(worst, tol, n_ok, total, exit_time, target=target)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projdyn import polyintegrals, screens
+from projdyn import cli, polyintegrals, screens
 from projdyn.cli import main
 
 
@@ -109,6 +109,11 @@ _PROJECTION = ["verify-projection", "--q0", "1,0,1", "--v0", "0,1,0", "--t-span"
                "--to-screen", '{"kind": "sphere", "dim": 3}']
 
 
+_FORM_257 = json.dumps({"dim": screens.MAX_SCREEN_DIM + 1, "order": 4, "symmetry": "riemann", "entries": [
+    {"idx": idx, "val": val} for idx, val in
+    (([0, 1, 0, 1], "1/1"), ([0, 1, 1, 0], "-1/1"), ([1, 0, 0, 1], "-1/1"), ([1, 0, 1, 0], "1/1"))]})
+
+
 # malformed inputs, each with the key its message names
 _NAMED_KEYS = [
     pytest.param(["young-check", "--tableau", _PAIR_TABLEAU, "--tensor",
@@ -135,6 +140,14 @@ _NAMED_KEYS = [
                  id="huge-screen-dim"),
     pytest.param(["hamiltonian-test", "--input", _term_on({"kind": "linear", "phi": [0] * 300 + [1]})], {},
                  "['phi']", id="long-screen-phi"),
+    # a curvature form or bivector map of more than screens.MAX_SCREEN_DIM dimensions is refused
+    # before its entries are read
+    pytest.param(["screen-find", "--input", _FORM_257], {}, "['dim']", id="curvature-form-dim-257"),
+    pytest.param(["classify-curvature", "--input", _FORM_257], {}, "['dim']", id="classify-curvature-dim-257"),
+    pytest.param(["classify", "--input", json.dumps({"dim_src": 257, "dim_dst": 3, "matrix": []})], {},
+                 "['dim_src']", id="bivector-map-dim-src-257"),
+    pytest.param(["classify", "--input", json.dumps({"dim_src": 3, "dim_dst": 257, "matrix": []})], {},
+                 "['dim_dst']", id="bivector-map-dim-dst-257"),
 ]
 
 
@@ -839,3 +852,21 @@ def test_integrate_output_is_byte_identical_to_the_pinned_one(capsys, name):
     assert code == 0
     assert len(out.splitlines()) - 2 == rows
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("PROJDYN_TOL", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    argv, _, digest = _PINNED_ORBITS["free-flat"]
+    # an argparse error after --tol was read, then a good call
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", *argv, "--tol", "1e-6", "--system", "bogus"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "integrate", *argv, "--tol", "1e-10")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    # --tol in one call, then the default tolerance (1e-10) in the next
+    code, loose = run(capsys, "integrate", *argv, "--tol", "1e-6")
+    assert code == 0 and loose != out
+    code, out = run(capsys, "integrate", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
