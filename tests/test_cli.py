@@ -842,6 +842,15 @@ _PINNED_ORBITS = {
                          "--t-span", "0,5"], 115, "ae9fbccb57d0393dfc4a0de4bd04d2c46522c731914623267cb68c1276482792"),
     "kepler-sphere": (["--system", "kepler", "--screen", "sphere", "--q0", "0.6,0,0.8", "--v0", "0,0.9,0",
                        "--t-span", "0,3"], 371, "7cae17adbf25753ec600755331feb6648c9ce72ae750b02943d0ba2935be8574"),
+    # the homogenized Kepler force, with the last stage reused on every accepted step
+    "kepler-flat": (["--system", "kepler", "--screen", "flat", "--q0", "1,0,1", "--v0", "0,0.8,0",
+                     "--t-span", "0,3"], 124, "80c6b0591e5253c561b7dfbff0be270f3d1ceeb0a3d25efb3337c52451d58516"),
+    "free-hyperboloid": (["--system", "free", "--screen", "hyperboloid", "--q0", "0.75,0,1.25", "--v0", "0,0.5,0",
+                          "--t-span", "0,6"], 74, "b6113da17dcf2863049117783c894ec3a7e48889a5e6aef1cc0103f82b58445d"),
+    "inverse-cube-sphere": (["--scenario", json.dumps({
+        "screen": {"kind": "sphere", "dim": 3}, "force": {"kind": "inverse_cube"},
+        "q0": [0.6, 0.0, 0.8], "v0": [0.0, 0.5, 0.0], "t_span": [0, 1.5]})],
+        19, "d791196f6ce1c924f37df7bad2a6f2094efe263ec1747b6fe6b0eac2690e1386"),
 }
 
 
@@ -852,6 +861,16 @@ def test_integrate_output_is_byte_identical_to_the_pinned_one(capsys, name):
     assert code == 0
     assert len(out.splitlines()) - 2 == rows
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_project_output_is_byte_identical_to_the_pinned_one(capsys, tmp_path):
+    path = tmp_path / "kepler.csv"
+    argv, rows, _ = _PINNED_ORBITS["kepler-flat"]
+    assert main(["integrate", *argv, "--tol", "1e-10", "--output", str(path)]) == 0
+    code, out = run(capsys, "project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}')
+    assert code == 0
+    assert len(out.splitlines()) - 2 == rows
+    assert hashlib.sha256(out.encode()).hexdigest() == "70134baacf90bd4ed55e9bb8b82d5b7f6d1be4adfa4a9351923142d5fda771ec"
 
 
 def test_the_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
