@@ -487,10 +487,10 @@ def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, to
         out[2 * d:] = (-vhw / gq) * q
 
     def project(y):
-        q, v = screen.project_state(y[:d], y[d:2 * d])
-        w = y[2 * d:]
+        qv, _ = screen.project_state(y[:d], y[d:2 * d])
+        q, w = qv[:d], y[2 * d:]
         g = screen.local(q, w)[1]
-        return np.concatenate([q, v, w - g.dot(w) / g.dot(q) * q])
+        return np.concatenate([qv, w - g.dot(w) / g.dot(q) * q])
 
     y0 = np.concatenate([np.asarray(x, dtype=float) for x in (q0, v0, w0)])
     _, states, _ = sc._dormand_prince(rhs, project, y0, float(t_span[0]), float(t_span[1]), tol, np.inf, {})

@@ -7,10 +7,12 @@ q'' = f(q) + lambda q, the radial reaction lambda being recomputed from
 screen; an adaptive embedded Runge-Kutta pair integrates the system in
 double precision with the constraint re-imposed after every accepted step.
 The same stepper, _dormand_prince, serves compat.parallel_transport_check.
-The right-hand side, the projections and the drift check read h, dh and
-v^T H v from one call, Screen.local(q, v), which shares G q among them on a
-quadric; their small products use ndarray.dot, the kernel of @ without its
-dispatch cost.
+The right-hand side and the projections read h, dh and v^T H v from one
+call, Screen.local(q, v), which shares G q among them on a quadric; their
+small products use ndarray.dot, the kernel of @ without its dispatch cost.
+The projection of each accepted state records its drift from the screen as
+it goes, so no second pass over the samples checks it; the run's counters
+are plain ints and floats.
 
 The extended central projection maps states between screens while
 preserving the impulsion bivector q ^ q'.  All exact algebra lives in the
@@ -54,6 +56,14 @@ class VisibilityError(ValueError):
     """A point is not visible on the target screen (k(q) <= 0)."""
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _floats(x):
+    """x as a float64 array; x itself, without a call to np.asarray, when it is one."""
+    return x if x.__class__ is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # screens
 
@@ -94,12 +104,24 @@ class Screen:
         return self._local_in_domain(np.asarray(q, dtype=float), np.asarray(v, dtype=float))[2]
 
     def project_state(self, q, v):
-        """Renormalize a nearby state onto {h = 1, dh(v) = 0}."""
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        q = q / self._local_in_domain(q, v)[0]
-        _, g, _ = self._local_in_domain(q, v)
-        return q, v - g.dot(v) / g.dot(q) * q
+        """Renormalize a nearby state onto {h = 1, dh(v) = 0}: returns one new
+        array holding q / h and v - (dh(v) / dh(q)) q, and the drift
+        max(|h - 1|, |dh(v)|) of that state, read from the same evaluation of
+        the geometry at the new q."""
+        q, v = _floats(q), _floats(v)
+        d = len(q)
+        geometry = self.local(q, v)
+        if geometry is None:
+            raise ValueError("point outside the screen's validity domain")
+        out = np.empty(2 * d)
+        q = np.divide(q, geometry[0], out=out[:d])
+        geometry = self.local(q, v)
+        if geometry is None:
+            raise ValueError("point outside the screen's validity domain")
+        h, g, _ = geometry
+        # on a linear screen h is phi.dot(q), the g.dot(q) below
+        v = np.subtract(v, g.dot(v) / (h if self.kind == "linear" else g.dot(q)) * q, out=out[d:])
+        return out, max(abs(h - 1.0), abs(float(g.dot(v))))
 
     def on_screen(self, q, v, tol) -> bool:
         return abs(self.value(q) - 1.0) <= tol and abs(self.gradient(q) @ v) <= tol
@@ -118,7 +140,7 @@ class LinearFormScreen(Screen):
         self._hess = np.zeros((self.dim, self.dim))
 
     def value(self, q):
-        return float(self.phi.dot(np.asarray(q, dtype=float)))
+        return float(self.phi.dot(_floats(q)))
 
     def gradient(self, q):
         return self.phi.copy()
@@ -186,43 +208,6 @@ class QuadraticRootScreen(Screen):
             "g": [[format_rational(x) for x in row] for row in self.gmat_exact],
             "sheet": None if self.sheet is None else [float(x) for x in self.sheet],
         }
-
-
-class CustomScreen(Screen):
-    """Screen from callables; homogeneity and the Euler relation are
-    spot-checked at use sites rather than assumed."""
-
-    kind = "custom"
-
-    def __init__(self, dim, h, grad, hess, domain=None):
-        self.dim = dim
-        self._h, self._grad, self._hess = h, grad, hess
-        self._domain = domain or (lambda q: True)
-
-    def value(self, q):
-        return float(self._h(np.asarray(q, dtype=float)))
-
-    def gradient(self, q):
-        return np.asarray(self._grad(np.asarray(q, dtype=float)), dtype=float)
-
-    def hessian(self, q):
-        return np.asarray(self._hess(np.asarray(q, dtype=float)), dtype=float)
-
-    def in_domain(self, q):
-        q = np.asarray(q, dtype=float)
-        return bool(np.isfinite(q).all()) and bool(self._domain(q))
-
-    def validate_at(self, q, tol=1e-7):
-        """Numerical sanity: h(lam q) = lam h(q) and dh|_q(q) = h(q)."""
-        q = np.asarray(q, dtype=float)
-        for lam in (0.5, 2.0):
-            if abs(self.value(lam * q) - lam * self.value(q)) > tol * max(1.0, abs(self.value(q))):
-                raise ValueError("custom screen is not positively homogeneous of degree 1")
-        if abs(self.gradient(q) @ q - self.value(q)) > tol * max(1.0, abs(self.value(q))):
-            raise ValueError("custom screen violates the Euler relation")
-
-    def to_json(self):
-        raise FormatError("custom screens are not serializable")
 
 
 def flat_screen(dim, axis=None):
@@ -306,17 +291,7 @@ class ProjectiveForceField:
         self.params = params or {}
 
     def __call__(self, q):
-        q = q if q.__class__ is np.ndarray and q.dtype == np.float64 else np.asarray(q, dtype=float)
-        return np.asarray(self._func(q), dtype=float)
-
-    def check_homogeneity(self, q, tol=1e-8):
-        q = np.asarray(q, dtype=float)
-        f1 = self(q)
-        scale = max(1.0, float(np.max(np.abs(f1))))
-        for lam in (0.5, 2.0, 3.0):
-            if np.max(np.abs(self(lam * q) - lam**-3 * f1)) > tol * scale * lam**-3:
-                return False
-        return True
+        return _floats(self._func(_floats(q)))
 
     def to_json(self):
         return {"kind": self.name, **self.params}
@@ -333,11 +308,13 @@ def homogenize_force(f_H, screen, name="homogenized", exact=None, params=None):
     The result has homogeneity degree -3 and restricts to f_H on the screen.
     """
 
+    value = screen.value
+
     def func(q):
-        h = screen.value(q)
+        h = value(q)
         if h <= 0.0:
             raise DomainExitError("homogenized force evaluated at h(q) <= 0", None)
-        return np.asarray(f_H(q / h), dtype=float) / h**3
+        return _floats(f_H(q / h)) / h**3
 
     return ProjectiveForceField(screen.dim, func, exact=exact, name=name, params=params)
 
@@ -457,8 +434,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 
 def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
     """Integrate y' = rhs(t, y) from t0 to t1 with the Dormand-Prince 5(4)
-    pair, mapping each accepted state back through project(y); raises
-    ValueError unless t0 <= t1.
+    pair, mapping each accepted state back through project(y), which must
+    return a new array; raises ValueError unless t0 <= t1.
 
     rhs(t, y, out) writes the derivative at (t, y) into the row out and raises
     DomainExitError outside the validity domain; a stage that does so halves
@@ -468,30 +445,34 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
     The derivative rhs writes must depend on the state alone: the pair is
     "first same as last", so when project(y5) returns the last stage's input
     bit for bit, that stage is the derivative at the accepted state and rhs
-    is not called again.  Sets the counters ``accepted``, ``rejected``,
-    ``domain_retries``, ``last_stage_reused`` and ``min_h`` of stats (see
-    TrajectorySample) and returns (times, states, derivatives) as lists, one
-    entry per accepted step plus the initial one.
+    is not called again.  On return sets the counters ``accepted``,
+    ``rejected``, ``domain_retries``, ``last_stage_reused`` and ``min_h`` of
+    stats (see TrajectorySample) and returns (times, states, derivatives) as
+    lists, one entry per accepted step plus the initial one.
     """
     if not t0 <= t1:
         raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
-    stats.update(accepted=0, rejected=0, domain_retries=0, last_stage_reused=0, min_h=math.inf)
+    accepted = rejected = domain_retries = last_stage_reused = 0
+    min_h = math.inf
     # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
     n = len(y0)
     K = np.empty((7, n))
+    k0, k6 = K[0], K[6]
+    # stage i: its row of A, its node c_i, its row of K and the stages before it
+    stages = [(_DP_A[i], float(_DP_C[i]), K[i], K[:i]) for i in range(1, 7)]
     y = y0
     t = t0
-    rhs(t, y, K[0])
+    rhs(t, y, k0)
     # deterministic initial step from the standard scale heuristic
     scale = tol + tol * np.abs(y)
     d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((K[0] / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((k0 / scale) ** 2)))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, (t1 - t0) * 0.1, max_step)
 
     times = [t]
     ys = [y]
-    derivs = [K[0].copy()]
+    derivs = [k0.copy()]
     h_floor = max(abs(t1 - t0), 1.0) * 1e-14
 
     # a non-finite stage ends in a rejected step below; numpy need not warn
@@ -501,12 +482,12 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
             if h < h_floor:
                 raise StepUnderflowError(f"step size underflow at t = {t}", t)
             try:
-                for i in range(1, 7):
-                    stage_in = y + h * _DP_A[i].dot(K[:i])
-                    rhs(t + _DP_C[i] * h, stage_in, K[i])
+                for a, c, k, k_before in stages:
+                    stage_in = y + h * a.dot(k_before)
+                    rhs(t + c * h, stage_in, k)
             except DomainExitError:
                 # retry with a shorter step; report only if hopeless
-                stats["domain_retries"] += 1
+                domain_retries += 1
                 h *= 0.5
                 if h < h_floor:
                     raise
@@ -519,30 +500,32 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
             if not math.isfinite(err):
                 # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
                 # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
-                stats["rejected"] += 1
+                rejected += 1
                 h *= 0.2
                 if h < h_floor:
                     raise StepUnderflowError(f"state became non-finite at t = {t}", t)
                 continue
             if err <= 1.0:
-                stats["accepted"] += 1
+                accepted += 1
                 t = t + h
-                if t < t1:
-                    stats["min_h"] = min(stats["min_h"], h)
+                if t < t1 and h < min_h:
+                    min_h = h
                 y = project(y5)
                 # the last stage ran at (t + 1.0 * h, stage_in), the accepted (t, y) when y is stage_in
                 if y.tobytes() == stage_in.tobytes():
-                    stats["last_stage_reused"] += 1
-                    K[0] = K[6]
+                    last_stage_reused += 1
+                    k0[:] = k6
                 else:
-                    rhs(t, y, K[0])
+                    rhs(t, y, k0)
                 times.append(t)
                 ys.append(y)
-                derivs.append(K[0].copy())
+                derivs.append(k0.copy())
             else:
-                stats["rejected"] += 1
+                rejected += 1
             factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
             h = min(h * min(5.0, max(0.2, factor)), max_step)
+    stats.update(accepted=accepted, rejected=rejected, domain_retries=domain_retries,
+                 last_stage_reused=last_stage_reused, min_h=float(min_h))
     return times, ys, derivs
 
 
@@ -559,7 +542,11 @@ class TrajectorySample:
     serves the next step's first stage), ``min_h`` (smallest accepted step
     other than the last, which is cut to land on the end time; inf when there
     is none) and ``max_drift`` (largest |h(q) - 1| or |dh(v)| over the
-    samples).
+    samples, recorded as the projection made them).  Every value is a plain
+    int or float.
+
+    ``from_csv`` reads back what ``to_csv`` writes: every number finite and
+    the times non-decreasing; any other row raises FormatError naming its line.
     """
 
     def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10, stats=None):
@@ -586,13 +573,6 @@ class TrajectorySample:
             dh = max(dh, abs(h - 1.0))
             dv = max(dv, abs(g.dot(v)))
         return dh, dv
-
-    def check_on_screen(self, tol):
-        """Raise ValueError when the drift exceeds tol; return the drift."""
-        drift = max(self.drift())
-        if drift > tol:
-            raise ValueError(f"trajectory drift {drift:.3e} exceeds {tol:.3e}")
-        return drift
 
     def interpolate(self, t):
         """Cubic Hermite state at time t (requires stored derivatives)."""
@@ -638,7 +618,7 @@ class TrajectorySample:
         if header[0] != "t" or (len(header) - 1) % 2 != 0:
             raise FormatError("trajectory csv: bad column header")
         d = (len(header) - 1) // 2
-        times, qs, vs = [], [], []
+        rows = []
         for lineno, ln in numbered[2:]:
             try:
                 parts = [float(x) for x in ln.split(",")]
@@ -646,14 +626,20 @@ class TrajectorySample:
                 raise FormatError(f"trajectory csv line {lineno}: {exc}") from exc
             if len(parts) != 1 + 2 * d:
                 raise FormatError(f"trajectory csv line {lineno}: ragged row")
-            times.append(parts[0])
-            qs.append(parts[1:1 + d])
-            vs.append(parts[1 + d:])
+            rows.append(parts)
+        data = np.array(rows, dtype=float).reshape(len(rows), 1 + 2 * d)
+        finite = np.isfinite(data).all(axis=1)
+        bad = ~finite
+        bad[1:] |= data[1:, 0] < data[:-1, 0]
+        if bad.any():
+            i = int(bad.argmax())
+            what = "a number that is not finite" if not finite[i] else "a time before the previous row's"
+            raise FormatError(f"trajectory csv line {numbered[2 + i][0]}: {what}")
         if screen is None:
             screen = _screen_from_header(numbered[0][1][len("# screen="):], d)
         if screen.dim != d:
             raise FormatError(f"trajectory csv: {d} coordinate columns for a screen of dimension {screen.dim}")
-        return cls(screen, times, qs, vs)
+        return cls(screen, data[:, 0].copy(), data[:, 1:1 + d], data[:, 1 + d:])
 
 
 def _screen_from_header(header, d):
@@ -679,42 +665,54 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
     tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1],
     DomainExitError when the trajectory leaves the screen's validity domain,
     StepUnderflowError near force singularities and ZeroDivisionError when
-    the force is evaluated exactly at one.  The returned sample's
-    ``stats`` count the work done (see TrajectorySample).
+    the force is evaluated exactly at one, and ValueError when a projected
+    state drifts from the screen by more than 10 * tol + 1e-14.  The returned
+    sample's ``stats`` count the work done (see TrajectorySample).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not screen.in_domain(q0):
         raise DomainExitError("initial point outside the validity domain", t_span[0])
-    if isinstance(screen, CustomScreen):
-        screen.validate_at(q0)
     if not screen.on_screen(q0, v0, 1e-6):
         raise ValueError("initial state too far from the screen's tangent bundle")
-    q0, v0 = screen.project_state(q0, v0)
     d = screen.dim
-    stats = {"rhs_evals": 0, "max_drift": 0.0}
+    local, project_state = screen.local, screen.project_state
+    func = force._func if isinstance(force, ProjectiveForceField) else force
+    # on a linear screen local's h is phi.dot(q), the g.dot(q) of the radial reaction
+    linear = screen.kind == "linear"
+    evals = 0
 
     def rhs(t, y, out):
         """Write (v, f + lambda q) at state y into the stage row out."""
+        nonlocal evals
         q, v = y[:d], y[d:]
-        geometry = screen.local(q, v)
+        geometry = local(q, v)
         if geometry is None:
             raise DomainExitError("trajectory left the validity domain", t)
-        stats["rhs_evals"] += 1
-        fval = force(q)
-        _, g, hvv = geometry
+        evals += 1
+        fval = _floats(func(q))
+        h, g, hvv = geometry
         out[:d] = v
-        out[d:] = fval + (-(hvv + g.dot(fval)) / g.dot(q)) * q  # the radial reaction inline
+        # f + lambda q with the radial reaction inline, written in place as lambda q + f
+        acc = np.multiply(q, -(hvv + g.dot(fval)) / (h if linear else g.dot(q)), out=out[d:])
+        acc += fval
 
     def project(y):
-        return np.concatenate(screen.project_state(y[:d], y[d:]))
+        """y renormalized onto the screen; keeps the largest drift of the states it returns."""
+        nonlocal drift
+        y, y_drift = project_state(y[:d], y[d:])
+        drift = max(drift, y_drift)
+        return y
 
-    times, ys, derivs = _dormand_prince(rhs, project, np.concatenate([q0, v0]), t0, t1, tol, max_step, stats)
+    y0, drift = project_state(q0, v0)
+    stats = {"rhs_evals": 0, "max_drift": 0.0}
+    times, ys, derivs = _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats)
+    if drift > 10 * tol + 1e-14:
+        raise ValueError(f"trajectory drift {drift:.3e} exceeds {10 * tol + 1e-14:.3e}")
+    stats.update(rhs_evals=evals, max_drift=drift)
     ys = np.array(ys)
-    traj = TrajectorySample(screen, times, ys[:, :d], ys[:, d:], derivs, tol=tol, stats=stats)
-    stats["max_drift"] = traj.check_on_screen(10 * tol + 1e-14)
-    return traj
+    return TrajectorySample(screen, times, ys[:, :d], ys[:, d:], derivs, tol=tol, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +721,8 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
 def central_project_state(from_screen, to_screen, q, v):
     """Send (q, v) on the source screen to (Q, Q') on the target screen with
     Q = q / k(q) and Q' = k(q) v - dk(v) q, preserving q ^ v exactly."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
+    q = _floats(q)
+    v = _floats(v)
     geometry = to_screen.local(q, v)
     if geometry is None or not 0.0 < geometry[0] < math.inf:
         if isinstance(to_screen, QuadraticRootScreen):  # its value has no real root where q^T G q < 0

@@ -279,6 +279,44 @@ def test_project_non_numeric_csv_cell_exits_2(capsys, tmp_path):
     assert err.startswith("input error:") and "line 5" in err
 
 
+def _set_cell(row, column, text):
+    cells = row.split(",")
+    cells[column] = text
+    return ",".join(cells)
+
+
+# (data row, column, new cell): a row of an integrate CSV made malformed; data row 1 is line 4
+_MALFORMED_CSV_ROWS = [
+    pytest.param(1, 0, "inf", id="infinite-time"),
+    pytest.param(1, 1, "nan", id="nan-coordinate"),
+    pytest.param(1, 5, "-inf", id="infinite-velocity"),
+    pytest.param(1, 2, "1e400", id="overflowing-coordinate"),
+    pytest.param(2, 0, "0", id="time-before-the-previous-row"),
+]
+
+
+@pytest.mark.parametrize("row, column, cell", _MALFORMED_CSV_ROWS)
+def test_project_malformed_csv_row_exits_2_naming_its_line(capsys, tmp_path, row, column, cell):
+    path = tmp_path / "kepler.csv"
+    argv, _, _ = _PINNED_ORBITS["kepler-flat"]
+    assert main(["integrate", *argv, "--output", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    lines[2 + row] = _set_cell(lines[2 + row], column, cell)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}'])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and f"line {3 + row}:" in err and "Traceback" not in err
+
+
+def test_project_reads_repeated_times(capsys, tmp_path):
+    # a step of length zero is not malformed: the times need only be non-decreasing
+    path = tmp_path / "line.csv"
+    path.write_text(_OLD_FLAT + "\nt,q_0,q_1,q_2,v_0,v_1,v_2\n0,0,0,1,1,0,0\n0,0,0,1,1,0,0\n")
+    code, out = run(capsys, "project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}')
+    assert code == 0 and out.splitlines()[2:] == ["0,0,0,1,1,0,0"] * 2
+
+
 def test_classify_wedge_square(capsys, tmp_path):
     from projdyn.curvclass import BivectorMap
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import CustomScreen
 from projdyn import screens as sc
 from projdyn.compat import (
     LagrangeResidualError,
@@ -137,7 +138,7 @@ def test_compatibility_check_rejects_a_screen_without_an_exact_gradient():
     # the sphere rebuilt as a custom screen has only float callables: no
     # sampled check stands in for the exact identity
     form = CurvatureForm(metric_form_tensor(euclid_metric(3)))
-    custom_sphere = sc.CustomScreen(
+    custom_sphere = CustomScreen(
         3,
         h=lambda q: float(np.linalg.norm(q)),
         grad=lambda q: q / np.linalg.norm(q),

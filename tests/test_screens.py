@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import CustomScreen, check_homogeneity
 from projdyn import screens as sc
 from projdyn.screens import (
     DomainExitError,
@@ -78,7 +79,7 @@ def test_builtin_forces_homogeneity():
     ):
         for _ in range(5):
             q = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.5)])
-            assert force.check_homogeneity(q)
+            assert check_homogeneity(force, q)
 
 
 def test_homogenize_force_restriction():
@@ -199,13 +200,14 @@ def test_force_equivalence_modulo_radial():
 def test_domain_exit_reported():
     # flat chart restricted to the semi-conic wedge |q0| < q1: a straight
     # motion crossing the wall leaves the validity domain
-    screen = sc.CustomScreen(
+    screen = CustomScreen(
         2,
         h=lambda q: q[1],
         grad=lambda q: np.array([0.0, 1.0]),
         hess=lambda q: np.zeros((2, 2)),
         domain=lambda q: q[1] > 0 and abs(q[0]) < q[1],
     )
+    screen.validate_at([0.0, 1.0])
     with pytest.raises(DomainExitError) as err:
         integrate(screen, zero_force(2), [0.0, 1.0], [1.0, 0.0], (0.0, 3.0), tol=1e-10)
     assert err.value.t_exit is not None and 0.9 <= err.value.t_exit <= 1.1
@@ -402,7 +404,7 @@ def _quartic_screen():
         g = grad(q)
         return np.diag(3 * q**2) / h(q) ** 3 - 3 * np.outer(g, g) / h(q)
 
-    return sc.CustomScreen(3, h, grad, hess, domain=lambda q: bool(np.any(q != 0)))
+    return CustomScreen(3, h, grad, hess, domain=lambda q: bool(np.any(q != 0)))
 
 
 COORD = st.floats(-3.0, 3.0, allow_nan=False)
@@ -416,6 +418,8 @@ def test_hessian_vv_matches_hessian(kind, q, v):
               "quartic": _quartic_screen()}[kind]
     q, v = np.array(q), np.array(v)
     assume(screen.in_domain(q) and screen.value(q) > 0.1)
+    if isinstance(screen, CustomScreen):
+        screen.validate_at(q)
     hess = screen.hessian(q)
     expected = v @ hess @ v
     # bounds the terms that cancel in either form: H = G/h - grad grad^T / h
@@ -437,7 +441,7 @@ COORD_OR_NOT_FINITE = st.one_of(COORD, st.sampled_from([math.inf, -math.inf, mat
 def _in_domain_reference(screen, q):
     """The validity domains written out: finite q with phi q > 0, or with
     q^T G q > 0 on the chosen sheet; a custom screen's own predicate."""
-    if isinstance(screen, sc.CustomScreen):
+    if isinstance(screen, CustomScreen):
         return screen.in_domain(q)
     if not np.isfinite(q).all():
         return False
@@ -466,6 +470,8 @@ def test_local_matches_the_separate_calls(kind, q, v):
     assert (geometry is not None) == screen.in_domain(q) == _in_domain_reference(screen, q)
     if geometry is None:
         return
+    if isinstance(screen, CustomScreen):
+        screen.validate_at(q)
     h, g, hvv = geometry
     assert h == screen.value(q)
     assert np.array_equal(g, screen.gradient(q))
@@ -510,6 +516,31 @@ def test_integrate_stats_count_the_work():
     steps = np.diff(traj.times)
     assert stats["min_h"] == pytest.approx(np.min(steps[:-1]), rel=1e-12)
     assert stats["max_drift"] == max(traj.drift())
+
+
+@pytest.mark.parametrize("force", ["kepler", "zero"])
+@pytest.mark.parametrize("screen, q0", [
+    (flat_screen(3), [1.0, 0.0, 1.0]),
+    (sphere_screen(3), [0.6, 0.0, 0.8]),
+    (hyperboloid_screen(3), [0.75, 0.0, 1.25]),
+], ids=["flat", "sphere", "hyperboloid"])
+def test_integrate_stats_are_plain_numbers(screen, q0, force):
+    f = kepler_force(1.0, [0.0, 0.0, 1.0]) if force == "kepler" else zero_force(3)
+    traj = integrate(screen, f, q0, [0.0, 0.5, 0.0], (0.0, 2.0), tol=1e-10)
+    assert set(traj.stats) == {"accepted", "rejected", "rhs_evals", "domain_retries", "last_stage_reused", "min_h",
+                               "max_drift"}
+    for key, value in traj.stats.items():
+        assert type(value) is (float if key in ("min_h", "max_drift") else int), key
+    assert traj.stats["max_drift"] == max(traj.drift())
+
+
+def test_integrate_raises_when_the_projection_misses_the_screen():
+    # h = |q|^2 is not homogeneous of degree 1, so q / h(q) misses {h = 1}: h(q / h(q)) = 1 / h(q);
+    # the start passes the 1e-6 screen check, and its projection drifts by about 5e-7
+    screen = CustomScreen(2, h=lambda q: float(q @ q), grad=lambda q: 2 * q, hess=lambda q: 2 * np.eye(2),
+                          domain=lambda q: bool(q.any()))
+    with pytest.raises(ValueError, match=r"trajectory drift 5\.0\d\de-07 exceeds 1\.000e-09"):
+        integrate(screen, zero_force(2), [0.0, 1.0 + 2.5e-7], [1.0, 0.0], (0.0, 1.0), tol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
