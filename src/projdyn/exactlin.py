@@ -75,11 +75,14 @@ def clear_denominators(values):
     with den 1.
     """
     vals = list(values)
-    if all(type(v) is int for v in vals):
+    kinds = set(map(type, vals))
+    if kinds <= {int}:
         return vals, 1
-    vals = [rat(x) for x in vals]
-    den = math.lcm(*[v.denominator for v in vals])
-    return [v.numerator * (den // v.denominator) for v in vals], den
+    if not kinds <= {int, Fraction}:
+        vals = [rat(x) for x in vals]
+    dens = [v.denominator for v in vals]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(vals, dens)], den
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,16 @@ from projdyn.exactlin import (
 )
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.young import (
+    ClearedTable,
     YoungTableau,
+    act,
+    annihilated_by_all,
     antisymmetrizer_element,
-    apply_element,
     check_imAS,
     compose_elements,
+    index_array,
     slot_identity,
+    sorted_block_sums,
 )
 
 # variable layout for ambient dimension d: q_i = var i, v_i = var d + i
@@ -151,55 +155,93 @@ def exchange_value(R: Poly, dim: int, q, v):
 
 # ---------------------------------------------------------------------------
 # polar form and the pair-antisymmetric form
+#
+# The chain runs on one ``ClearedTable`` of the polar form, built from R's
+# cleared coefficients; Fractions are built only for the final form.  A
+# diagonal monomial is keyed by the base-dim code of its sorted q-indices,
+# then its sorted v-indices.
 
-def _multiset_factor(idx) -> Fraction:
-    counts = {}
-    for i in idx:
-        counts[i] = counts.get(i, 0) + 1
-    num = 1
-    for c in counts.values():
-        num *= math.factorial(c)
-    return Fraction(num, math.factorial(len(idx)))
+
+def _polar_table(R: Poly, dim: int, b: int):
+    """The polar form of R as a cleared table, and R's coefficients keyed by
+    monomial code over their own common denominator.
+
+    The polar entry at every rearrangement of the q- and of the v-indices of
+    a monomial c q^e v^f is c e! f! / (b!)^2 (multi-index factorials); over
+    the denominator lcm(R's denominators) * (b!)^2 its numerator is
+    num(c) * e! f!.  Entries are listed term by term, each term's index rows
+    in the order of set(permutations(...)) of its q- and then its v-indices.
+    """
+    if not (R.is_homogeneous_in(list(q_indices(dim)), b) and R.is_homogeneous_in(list(v_indices(dim)), b)):
+        raise ValueError(f"polynomial is not bi-homogeneous of degree ({b},{b})")
+    nums, den = clear_denominators(R.terms.values())
+    halves = {}
+    rows, vals, diagonal = [], [], {}
+    for exps, num in zip(R.terms, nums):
+        for half in (exps[:dim], exps[dim:]):
+            if half not in halves:
+                ms = tuple(i for i, e in enumerate(half) for _ in range(e))
+                halves[half] = (ms, list(set(itertools.permutations(ms))), math.prod(map(math.factorial, half)))
+        q_ms, q_rows, q_fact = halves[exps[:dim]]
+        v_ms, v_rows, v_fact = halves[exps[dim:]]
+        for q_idx in q_rows:
+            rows.extend(q_idx + v_idx for v_idx in v_rows)
+        vals.extend([num * q_fact * v_fact] * (len(rows) - len(vals)))
+        code = 0
+        for i in q_ms + v_ms:
+            code = code * dim + i
+        diagonal[code] = num
+    table = ClearedTable(dim, index_array(rows, 2 * b), vals, den * math.factorial(b) ** 2)
+    return table, (diagonal, den)
+
+
+def _monomial(code: int, dim: int, b: int) -> tuple:
+    """Exponent tuple of a diagonal monomial code."""
+    exps = [0] * (2 * dim)
+    for k in range(2 * b):  # the last digit is the last v-index
+        code, i = divmod(code, dim)
+        exps[i if k >= b else dim + i] += 1
+    return tuple(exps)
+
+
+def _poly(dim: int, b: int, codes, sums, den) -> Poly:
+    """The polynomial of diagonal sums (``sorted_block_sums``) keyed by
+    monomial code, over the denominator den."""
+    return Poly._raw(2 * dim, {_monomial(c, dim, b): Fraction(v, den) for c, v in zip(codes, sums)})
+
+
+def _diagonal_poly(T: Tensor, b: int, blocks) -> Poly:
+    """The diagonal of T with q in the slots of the first block and v in those
+    of the second, summed on T's cleared entries."""
+    table = ClearedTable.of(T)
+    return _poly(T.dim, b, *sorted_block_sums(table, blocks), table.den)
+
+
+def _block_symmetric(table: ClearedTable, b: int) -> bool:
+    adjacent = [*range(b - 1), *range(b, 2 * b - 1)]
+    return annihilated_by_all((slot_identity(2 * b, [(m, m + 1)], -1) for m in adjacent), table)
+
+
+def _shear_free(table: ClearedTable, b: int) -> bool:
+    return not sorted_block_sums(table, [range(b + 1), *([k] for k in range(b + 1, 2 * b))])[1]
 
 
 def polar_form(R: Poly, dim: int, b: int) -> Tensor:
     """Polar form of a bidegree-(b, b) polynomial: the 2b-linear tensor,
     symmetric in the first b and in the last b slots, whose doubled diagonal
     R_S(q..q; v..v) recovers R."""
-    if not (R.is_homogeneous_in(list(q_indices(dim)), b) and R.is_homogeneous_in(list(v_indices(dim)), b)):
-        raise ValueError(f"polynomial is not bi-homogeneous of degree ({b},{b})")
-    entries = {}
-    for exps, coef in R.terms.items():
-        q_ms = []
-        for i in range(dim):
-            q_ms.extend([i] * exps[i])
-        v_ms = []
-        for i in range(dim):
-            v_ms.extend([i] * exps[dim + i])
-        base = coef * _multiset_factor(q_ms) * _multiset_factor(v_ms)
-        for q_idx in set(itertools.permutations(q_ms)):
-            for v_idx in set(itertools.permutations(v_ms)):
-                entries[q_idx + v_idx] = base
-    return Tensor(dim, 2 * b, entries)
+    return _polar_table(R, dim, b)[0].tensor()
 
 
 def poly_from_polar(T: Tensor, b: int) -> Poly:
     """Diagonal R(q, v) = R_S(q..q; v..v) of a block-symmetric polar tensor."""
-    dim = T.dim
-    out = {}
-    for idx, val in T.entries.items():
-        exps = [0] * (2 * dim)
-        for slot, i in enumerate(idx):
-            exps[i if slot < b else dim + i] += 1
-        accumulate(out, tuple(exps), val)
-    return Poly(2 * dim, out)
+    return _diagonal_poly(T, b, [range(b), range(b, 2 * b)])
 
 
 def block_symmetric(T: Tensor, b: int) -> bool:
     """Symmetry of T under the adjacent transpositions inside each of its two
     blocks of b slots, each decided by one group-algebra action."""
-    adjacent = [*range(b - 1), *range(b, 2 * b - 1)]
-    return all(apply_element(slot_identity(2 * b, [(m, m + 1)], -1), T).is_zero() for m in adjacent)
+    return _block_symmetric(ClearedTable.of(T), b)
 
 
 def first_block_symmetrization_vanishes(T: Tensor, b: int) -> bool:
@@ -211,44 +253,59 @@ def first_block_symmetrization_vanishes(T: Tensor, b: int) -> bool:
     The symmetrized entry at idx is the sum of T over all rearrangements of
     idx's first b+1 indices, each counted |stabilizer| > 0 times, so it
     vanishes iff every such class sums to zero.  The class sums run in one
-    pass over the integer-scaled entries.
+    pass over the cleared entries (``sorted_block_sums``).
     """
-    head = b + 1
-    ints, _ = clear_denominators(T.entries.values())
-    sums = {}
-    for idx, val in zip(T.entries, ints):
-        key = (tuple(sorted(idx[:head])), idx[head:])
-        sums[key] = sums.get(key, 0) + val
-    return not any(sums.values())
+    return _shear_free(ClearedTable.of(T), b)
 
 
 class BiHomogeneousPoly:
     """Element of P^{b,b}: bidegree-(b,b) polynomial with the shear invariance,
-    stored with its polar form."""
+    stored with its polar form as one cleared table."""
 
     def __init__(self, dim: int, b: int, polar: Tensor):
         if polar.dim != dim or polar.order != 2 * b:
             raise ValueError("polar tensor has the wrong dim/order")
-        if not block_symmetric(polar, b):
-            raise ValueError("polar tensor is not symmetric in its two blocks")
-        if not first_block_symmetrization_vanishes(polar, b):
-            raise ValueError("polar tensor violates the shear constraint")
-        self.dim = dim
-        self.b = b
-        self.polar = polar
+        self._adopt(dim, b, ClearedTable.of(polar))
+        codes, sums = sorted_block_sums(self._table, [range(b), range(b, 2 * b)])
+        self._diagonal = (dict(zip(codes, sums)), self._table.den)
+        self._polar = polar
+        self._poly = _poly(dim, b, codes, sums, self._table.den)
 
     @classmethod
     def from_poly(cls, R: Poly, dim: int, b: int = None):
-        """The element with diagonal R; the constructor decides shear invariance."""
+        """The element with diagonal R; the polar table decides shear
+        invariance.  R itself is kept as the diagonal: that is the
+        polarization identity poly_from_polar(polar_form(R)) == R."""
         if b is None:
             b = R.degree_in(list(q_indices(dim)))
             if b < 1:
                 raise ValueError("cannot infer the degree")
-        return cls(dim, b, polar_form(R, dim, b))
+        table, diagonal = _polar_table(R, dim, b)
+        out = cls.__new__(cls)
+        out._adopt(dim, b, table)
+        out._diagonal, out._polar, out._poly = diagonal, None, R
+        return out
+
+    def _adopt(self, dim, b, table):
+        """Check the polar table's block symmetry and shear constraint, then
+        keep it."""
+        if not _block_symmetric(table, b):
+            raise ValueError("polar tensor is not symmetric in its two blocks")
+        if not _shear_free(table, b):
+            raise ValueError("polar tensor violates the shear constraint")
+        self.dim = dim
+        self.b = b
+        self._table = table
+
+    @property
+    def polar(self) -> Tensor:
+        if self._polar is None:
+            self._polar = self._table.tensor()
+        return self._polar
 
     @property
     def poly(self) -> Poly:
-        return poly_from_polar(self.polar, self.b)
+        return self._poly
 
     def antisymmetric(self) -> "AntisymmetricForm":
         return to_antisymmetric(self)
@@ -328,18 +385,15 @@ def pair_tableau(b: int) -> YoungTableau:
     return YoungTableau.from_columns([2] * b)
 
 
+def _pair_blocks(b: int):
+    """The q-slots and the v-slots of the b slot pairs."""
+    return [range(0, 2 * b, 2), range(1, 2 * b, 2)]
+
+
 def _pair_diagonal(T: Tensor, b: int) -> Poly:
     """T(q, v, q, v, ..., q, v) as a polynomial: q fills the first and v the
     second slot of each of the b slot pairs."""
-    dim = T.dim
-    out = {}
-    for idx, val in T.entries.items():
-        exps = [0] * (2 * dim)
-        for k in range(b):
-            exps[idx[2 * k]] += 1
-            exps[dim + idx[2 * k + 1]] += 1
-        accumulate(out, tuple(exps), val)
-    return Poly(2 * dim, out)
+    return _diagonal_poly(T, b, _pair_blocks(b))
 
 
 def to_antisymmetric(R) -> AntisymmetricForm:
@@ -347,29 +401,32 @@ def to_antisymmetric(R) -> AntisymmetricForm:
 
     Construction: reorder the polar form's slots into (q,v) pairs and apply
     the column antisymmetrizer for the b-pair tableau, both as one action of
-    the composed group-algebra element, then fix the normalization by the
-    exact polynomial ratio of the candidate's diagonal against R.  The ratio
-    is checked on every term, so the scaled form has diagonal R; its
-    symmetry class is verified once, by the AntisymmetricForm constructor.
+    the composed group-algebra element on the polar table, then fix the
+    normalization by the candidate's diagonal against R: the two must have
+    the same monomials and diag[k] R[e] == diag[e] R[k] at every one, which
+    is decided on integers.  The candidate divided by mu = diag[e] / R[e],
+    the only division of the chain, has diagonal R; its symmetry class is
+    verified once, by the AntisymmetricForm constructor.
     """
     if not isinstance(R, BiHomogeneousPoly):
         raise TypeError("pass a BiHomogeneousPoly")
     b, dim = R.b, R.dim
-    R_poly = R.poly
-    if R_poly.is_zero():
+    target, den = R._diagonal
+    if not target:
         return AntisymmetricForm(dim, b, Tensor(dim, 2 * b, {}))
     interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(2 * b))
-    cand = apply_element(compose_elements(antisymmetrizer_element(pair_tableau(b)), {interleave: 1}), R.polar)
-    diag = _pair_diagonal(cand, b)
-    if diag.is_zero():
+    cand = act(compose_elements(antisymmetrizer_element(pair_tableau(b)), {interleave: 1}), R._table)
+    diag = dict(zip(*sorted_block_sums(cand, _pair_blocks(b))))
+    if not diag:
         raise ArithmeticError("antisymmetrization collapsed a nonzero integral")
-    key = next(iter(R_poly.terms))
-    if key not in diag.terms:
+    key = next(iter(target))
+    if diag.keys() != target.keys():
         raise ArithmeticError("candidate diagonal is not proportional to R")
-    mu = diag.terms[key] / R_poly.terms[key]
-    if diag != R_poly.scale(mu):
+    d_key, r_key = diag[key], target[key]
+    if any(diag[k] * r_key != d_key * r for k, r in target.items()):
         raise ArithmeticError("candidate diagonal is not proportional to R")
-    return AntisymmetricForm(dim, b, cand.scale(1 / mu))
+    mu = Fraction(d_key * den, cand.den * r_key)  # diag[key] / R[key]
+    return AntisymmetricForm(dim, b, cand.tensor(1 / mu))
 
 
 # ---------------------------------------------------------------------------

@@ -93,16 +93,6 @@ class Screen:
             return None
         return self.value(q), self.gradient(q), v @ self.hessian(q) @ v
 
-    def _local_in_domain(self, q, v):
-        geometry = self.local(q, v)
-        if geometry is None:
-            raise ValueError("point outside the screen's validity domain")
-        return geometry
-
-    def hessian_vv(self, q, v) -> float:
-        """The second derivative of h at q in direction v, v^T H(q) v."""
-        return self._local_in_domain(np.asarray(q, dtype=float), np.asarray(v, dtype=float))[2]
-
     def project_state(self, q, v):
         """Renormalize a nearby state onto {h = 1, dh(v) = 0}: returns one new
         array holding q / h and v - (dh(v) / dh(q)) q, and the drift
@@ -545,8 +535,9 @@ class TrajectorySample:
     samples, recorded as the projection made them).  Every value is a plain
     int or float.
 
-    ``from_csv`` reads back what ``to_csv`` writes: every number finite and
-    the times non-decreasing; any other row raises FormatError naming its line.
+    ``from_csv`` reads back what ``to_csv`` writes: at least one data row,
+    every number finite and the times non-decreasing; any other row raises
+    FormatError naming its line, and a file without a data row raises it too.
     """
 
     def __init__(self, screen, times, qs, vs, derivs=None, tol=1e-10, stats=None):
@@ -569,7 +560,10 @@ class TrajectorySample:
         dh = 0.0
         dv = 0.0
         for q, v in zip(self.qs, self.vs):
-            h, g, _ = self.screen._local_in_domain(q, v)
+            geometry = self.screen.local(q, v)
+            if geometry is None:
+                raise ValueError("point outside the screen's validity domain")
+            h, g, _ = geometry
             dh = max(dh, abs(h - 1.0))
             dv = max(dv, abs(g.dot(v)))
         return dh, dv
@@ -617,6 +611,8 @@ class TrajectorySample:
         header = numbered[1][1].split(",")
         if header[0] != "t" or (len(header) - 1) % 2 != 0:
             raise FormatError("trajectory csv: bad column header")
+        if len(numbered) == 2:
+            raise FormatError("trajectory csv: no data row")
         d = (len(header) - 1) // 2
         rows = []
         for lineno, ln in numbered[2:]:

@@ -25,12 +25,20 @@ per-product loops.  A guard keeps every code and partial sum below 2**62;
 past it (or with non-integer coefficients) the same sums run as the per-row
 ``accumulate`` loop on Python ints.
 
+An action reads a ``ClearedTable``: a tensor's entries as an int64 index
+array and integer numerators over one common denominator, cleared once,
+with the bound of the values found once for all the actions summed over it.
+Results stay tables (``act``) and become ``Fraction`` tensors only when
+read.  The identity action on rows sorted inside blocks of slots sums a
+table over rearrangements (``sorted_block_sums``): the diagonal of a form
+and the first-block symmetrization of a polar form are such sums.
+
 The same action decides membership in Im AS and Im SA.  Each slot identity
 of a class (an antisymmetry or symmetry inside a column or row, and the
 identity tying a column or row to the head of the next) is a group-algebra
 element {identity: 1, sigma: +-1, ...} that vanishes on the class; a check
 clears the tensor's entries to integers once and sums each identity's action
-over them, so no whole permuted tensor is built.
+over that one table, so no whole permuted tensor is built.
 
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
@@ -239,9 +247,56 @@ def _sum_by_code(blocks, size):
 
 def _max_abs(values):
     """The largest |v| when every value is an int, else None."""
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         return None
     return max(map(abs, values), default=0)
+
+
+def index_array(indices, width):
+    """The (n, width) int64 array of a collection of n index tuples."""
+    flat = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.int64, count=len(indices) * width)
+    return flat.reshape(len(indices), width)
+
+
+class ClearedTable:
+    """Index rows with values over one common denominator: the input of an
+    action (``_Action.sum_codes``).
+
+    ``rows`` is an (n, width) int64 array, ``vals`` the n numerators (ints,
+    for a cleared tensor) and ``den`` their denominator.  The largest |v|
+    and the int64 array of the values are found here once, for every action
+    summed over the table.
+    """
+
+    __slots__ = ("dim", "rows", "vals", "den", "bound", "array")
+
+    def __init__(self, dim, rows, vals, den=1):
+        self.dim = dim
+        self.rows = rows
+        self.vals = vals
+        self.den = den
+        self.bound = _max_abs(vals)
+        self.array = np.array(vals, dtype=np.int64) if self.bound is not None and self.bound < _INT64_SAFE else None
+
+    @classmethod
+    def of(cls, t: Tensor) -> "ClearedTable":
+        """t's entries, cleared to integers once (``clear_denominators``)."""
+        ints, den = clear_denominators(t.entries.values())
+        return cls(t.dim, index_array(t.entries, t.order), ints, den)
+
+    def with_rows(self, rows) -> "ClearedTable":
+        """The same values, and so the same bound, on other index rows."""
+        out = ClearedTable.__new__(ClearedTable)
+        out.dim, out.rows, out.vals, out.den, out.bound, out.array = (
+            self.dim, rows, self.vals, self.den, self.bound, self.array)
+        return out
+
+    def tensor(self, scale=1) -> Tensor:
+        """The table's values over its denominator, times a nonzero scale, as
+        a Tensor: the only division, one Fraction per distinct value."""
+        value = {v: Fraction(v, self.den) * scale for v in set(self.vals)}
+        entries = dict(zip(map(tuple, self.rows.tolist()), map(value.__getitem__, self.vals)))
+        return Tensor._raw(self.dim, self.rows.shape[1], entries)
 
 
 class _Action:
@@ -269,18 +324,16 @@ class _Action:
         # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
         self.weights = self.radix[perms].T
 
-    def sum_codes(self, rows, vals):
+    def sum_codes(self, table: ClearedTable):
         """Sum vals[i] * coefs[p] at the code of rows[i] o perms[p]^-1 in the
         scan order rows outer, perms inner; returns the codes and the list of
         nonzero sums in the key order of ``accumulate``."""
-        rows = np.array(rows, dtype=np.int64).reshape(len(vals), -1)
-        bound = _max_abs(vals)
-        if (self.fits and bound is not None
-                and max(bound, 1) * max(self.bound, 1) * len(vals) * len(self.coefs) < _INT64_SAFE):
-            vals = np.array(vals, dtype=np.int64)
+        rows, vals = table.rows, table.vals
+        if (self.fits and table.array is not None
+                and max(table.bound, 1) * max(self.bound, 1) * len(vals) * len(self.coefs) < _INT64_SAFE):
             step = max(1, _BLOCK // len(self.coefs))
             blocks = (((rows[r:r + step] @ self.weights).ravel(),
-                       np.multiply.outer(vals[r:r + step], self.int_coefs).ravel())
+                       np.multiply.outer(table.array[r:r + step], self.int_coefs).ravel())
                       for r in range(0, len(vals), step))
             codes, sums = _sum_by_code(blocks, self.size)
             return codes, sums.tolist()
@@ -302,8 +355,8 @@ class _Action:
         count = len(rows)
         if not (self.fits and count * self.size < _INT64_SAFE
                 and max(self.bound, 1) * len(self.coefs) * count < _INT64_SAFE):
-            return [(np.asarray(codes).tolist(), sums)
-                    for codes, sums in (self.sum_codes([row], [1]) for row in rows)]
+            images = (self.sum_codes(ClearedTable(self.base, row[None, :], [1])) for row in rows)
+            return [(np.asarray(codes).tolist(), sums) for codes, sums in images]
         offsets = np.arange(count, dtype=np.int64) * self.size
         codes = (rows @ self.weights + offsets[:, None]).ravel()
         codes, sums = _sum_by_code([(codes, np.tile(self.int_coefs, count))], count * self.size)
@@ -314,10 +367,14 @@ class _Action:
         codes, sums = codes.tolist(), sums.tolist()
         return [(codes[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
+    def index_rows(self, codes):
+        """The (n, width) int64 array of the index rows of base-``base`` codes."""
+        codes = np.asarray(codes, dtype=self.radix.dtype).reshape(-1, 1)
+        return (codes // self.radix % self.base).astype(np.int64)
+
     def decode(self, codes):
         """Index tuples of base-``base`` codes."""
-        digits = np.asarray(codes, dtype=self.radix.dtype)[:, None] // self.radix % self.base
-        return list(map(tuple, digits.tolist()))
+        return list(map(tuple, self.index_rows(codes).tolist()))
 
 
 def compose_elements(g: dict, h: dict) -> dict:
@@ -335,7 +392,8 @@ def compose_elements(g: dict, h: dict) -> dict:
     n = len(next(iter(h)))
     inverses = np.argsort(np.array(list(h), dtype=np.intp).reshape(len(h), n), axis=1)
     action = _Action(inverses, list(h.values()), n)
-    codes, sums = action.sum_codes(list(g), list(g.values()))
+    rows = np.array(list(g), dtype=np.int64).reshape(len(g), n)
+    codes, sums = action.sum_codes(ClearedTable(n, rows, list(g.values())))
     return dict(zip(action.decode(codes), sums))
 
 
@@ -343,22 +401,31 @@ def scale_element(g: dict, c) -> dict:
     return {perm: coef * c for perm, coef in g.items()} if c else {}
 
 
+def act(g: dict, table: ClearedTable) -> ClearedTable:
+    """The action of g on a cleared table: (L_sigma phi)[idx] = phi[idx o
+    sigma], so entry jdx lands at idx = jdx o sigma^-1.
+
+    The sums run by base-dim code in the scan order entries outer,
+    permutations inner (``_Action``); the result keeps the table's
+    denominator and lists its nonzero entries in the key order of
+    ``accumulate``.
+    """
+    order = table.rows.shape[1]
+    perms = np.array(list(g), dtype=np.intp).reshape(len(g), order)
+    action = _Action(perms, list(g.values()), table.dim)
+    codes, sums = action.sum_codes(table)
+    return ClearedTable(table.dim, action.index_rows(codes), sums, table.den)
+
+
 def apply_element(g: dict, t: Tensor) -> Tensor:
     """Act on a tensor: (L_sigma phi)[idx] = phi[idx o sigma].
 
-    Entry jdx of phi lands at idx = jdx o sigma^-1.  The entries are scaled
-    to integers once (``clear_denominators``), summed by base-dim code in the
-    scan order entries outer, permutations inner (``_Action``), and divided
-    back only in the result.
+    The entries are scaled to integers once (``ClearedTable.of``), acted on
+    (``act``), and divided back only in the result.
     """
     if not g or not t.entries:
         return Tensor._raw(t.dim, t.order, {})
-    ints, den = clear_denominators(t.entries.values())
-    perms = np.array(list(g), dtype=np.intp).reshape(len(g), t.order)
-    action = _Action(perms, list(g.values()), t.dim)
-    codes, sums = action.sum_codes(list(t.entries), ints)
-    out = {idx: Fraction(v, den) for idx, v in zip(action.decode(codes), sums)}
-    return Tensor._raw(t.dim, t.order, out)
+    return act(g, ClearedTable.of(t)).tensor()
 
 
 def _check_order(tableau, t):
@@ -383,7 +450,9 @@ def young_scalar(tableau: YoungTableau) -> int:
 
     Computed by exact ratio in the group algebra of S_N; equality there gives
     equality of the induced operators on every basis tensor of every
-    dimension.  An inconsistent ratio signals an implementation bug.
+    dimension.  The ratio at one key is decided to be a positive integer
+    first, and both identities are then checked in full with that int; any
+    failure signals an implementation bug.
     """
     S = symmetrizer_element(tableau)
     A = antisymmetrizer_element(tableau)
@@ -394,15 +463,15 @@ def young_scalar(tableau: YoungTableau) -> int:
     key = next(iter(AS))
     if key not in ASAS:
         raise ArithmeticError("ASAS not proportional to AS")
-    lam = Fraction(ASAS[key], AS[key])
+    lam, rest = divmod(ASAS[key], AS[key])
+    if rest or lam <= 0:
+        raise ArithmeticError(f"scalar {Fraction(ASAS[key], AS[key])} is not a positive integer")
     if scale_element(AS, lam) != ASAS:
         raise ArithmeticError("inconsistent ratio: ASAS != lambda AS")
     SA = compose_elements(S, A)
     if scale_element(SA, lam) != compose_elements(SA, SA):
         raise ArithmeticError("SASA != lambda SA with the same lambda")
-    if lam.denominator != 1 or lam <= 0:
-        raise ArithmeticError(f"scalar {lam} is not a positive integer")
-    return int(lam)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +500,35 @@ def _class_identities(blocks, n: int, sign):
         yield slot_identity(n, [(p, after[0]) for p in here], sign)
 
 
-def _annihilated_by_all(identities, t: Tensor) -> bool:
-    """True iff every element of ``identities`` acts as zero on t.
+def annihilated_by_all(identities, table: ClearedTable) -> bool:
+    """True iff every element of ``identities`` acts as zero on the table.
 
-    The entries are cleared to integers once, and each identity sums its
-    action over that one list (``_Action``); the first identity leaving a
-    nonzero sum decides.
+    Each identity sums its action over the one cleared table (``_Action``);
+    the first identity leaving a nonzero sum decides.
     """
-    if not t.entries:
+    if not table.vals:
         return True
-    rows = np.array(list(t.entries), dtype=np.int64).reshape(len(t.entries), t.order)
-    ints, _ = clear_denominators(t.entries.values())
+    order = table.rows.shape[1]
     for element in identities:
-        perms = np.array(list(element), dtype=np.intp).reshape(len(element), t.order)
-        if _Action(perms, list(element.values()), t.dim).sum_codes(rows, ints)[1]:
+        perms = np.array(list(element), dtype=np.intp).reshape(len(element), order)
+        if _Action(perms, list(element.values()), table.dim).sum_codes(table)[1]:
             return False
     return True
+
+
+def sorted_block_sums(table: ClearedTable, blocks):
+    """Sums of the table's values over the rows that agree up to a
+    rearrangement of the slots inside each block, in the key order of
+    ``accumulate``; the sum of a class sits at the base-``dim`` code of its
+    row with each block sorted, the blocks side by side in the order given.
+
+    The sums are the identity's action on the sorted rows.  Returns (codes,
+    sums) as lists of the nonzero sums.
+    """
+    rows = np.concatenate([np.sort(table.rows[:, list(block)], axis=1) for block in blocks], axis=1)
+    width = rows.shape[1]
+    codes, sums = _Action(np.arange(width)[None, :], [1], table.dim).sum_codes(table.with_rows(rows))
+    return np.asarray(codes).tolist(), sums
 
 
 def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
@@ -459,7 +541,7 @@ def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "horizontal":
         raise NumberingError("Im SA membership is a horizontal-numbering query")
     _check_order(tableau, t)
-    return _annihilated_by_all(_class_identities(tableau.row_slots(), t.order, 1), t)
+    return annihilated_by_all(_class_identities(tableau.row_slots(), t.order, 1), ClearedTable.of(t))
 
 
 def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
@@ -472,7 +554,7 @@ def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
     if tableau.numbering != "vertical":
         raise NumberingError("Im AS membership is a vertical-numbering query")
     _check_order(tableau, t)
-    return _annihilated_by_all(_class_identities(tableau.column_slots(), t.order, -1), t)
+    return annihilated_by_all(_class_identities(tableau.column_slots(), t.order, -1), ClearedTable.of(t))
 
 
 def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:

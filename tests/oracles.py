@@ -1,15 +1,27 @@
-"""Test-only references: a screen built from float callables and a sampled
-homogeneity check of force fields.
+"""Test-only references.
 
-Neither is reached by a JSON schema or the CLI, and the exact chain refuses
-a screen without exact coefficients, so they live beside the tests that use
-them rather than in ``projdyn``.
+* A screen built from float callables, a sampled homogeneity check of force
+  fields and the directional second derivative v^T H(q) v of a screen.
+  None is reached by a JSON schema or the CLI, and the exact chain refuses a
+  screen without exact coefficients, so they live beside the tests that use
+  them rather than in ``projdyn``.
+* The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
+  its diagonal, the pair diagonal and the pair-antisymmetric form.  The
+  library runs the same chain on one cleared integer table; these loops are
+  the reference for its values and its key order.
 """
+
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import FormatError
+from projdyn.exactlin import FormatError, Tensor, accumulate
+from projdyn.polynomials import Poly
+from projdyn.polyintegrals import pair_tableau, q_indices, v_indices
 from projdyn.screens import Screen
+from projdyn.young import antisymmetrizer_element
 
 
 class CustomScreen(Screen):
@@ -59,3 +71,101 @@ def check_homogeneity(force, q, tol=1e-8):
         if np.max(np.abs(force(lam * q) - lam**-3 * f1)) > tol * scale * lam**-3:
             return False
     return True
+
+
+def hessian_vv(screen, q, v) -> float:
+    """The second derivative of h at q in direction v, v^T H(q) v, as
+    ``Screen.local`` gives it; ValueError outside the validity domain."""
+    geometry = screen.local(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+    if geometry is None:
+        raise ValueError("point outside the screen's validity domain")
+    return geometry[2]
+
+
+# -- the P^{b,b} chain on Fractions ----------------------------------------------
+
+
+def _multiset_factor(idx) -> Fraction:
+    counts = {}
+    for i in idx:
+        counts[i] = counts.get(i, 0) + 1
+    num = 1
+    for c in counts.values():
+        num *= math.factorial(c)
+    return Fraction(num, math.factorial(len(idx)))
+
+
+def polar_form(R: Poly, dim: int, b: int) -> Tensor:
+    """The polar form of a bidegree-(b, b) polynomial, one Fraction per entry."""
+    if not (R.is_homogeneous_in(list(q_indices(dim)), b) and R.is_homogeneous_in(list(v_indices(dim)), b)):
+        raise ValueError(f"polynomial is not bi-homogeneous of degree ({b},{b})")
+    entries = {}
+    for exps, coef in R.terms.items():
+        q_ms = []
+        for i in range(dim):
+            q_ms.extend([i] * exps[i])
+        v_ms = []
+        for i in range(dim):
+            v_ms.extend([i] * exps[dim + i])
+        base = coef * _multiset_factor(q_ms) * _multiset_factor(v_ms)
+        for q_idx in set(itertools.permutations(q_ms)):
+            for v_idx in set(itertools.permutations(v_ms)):
+                entries[q_idx + v_idx] = base
+    return Tensor(dim, 2 * b, entries)
+
+
+def poly_from_polar(T: Tensor, b: int) -> Poly:
+    """Diagonal R(q, v) = R_S(q..q; v..v) of a block-symmetric polar tensor."""
+    dim = T.dim
+    out = {}
+    for idx, val in T.entries.items():
+        exps = [0] * (2 * dim)
+        for slot, i in enumerate(idx):
+            exps[i if slot < b else dim + i] += 1
+        accumulate(out, tuple(exps), val)
+    return Poly(2 * dim, out)
+
+
+def pair_diagonal(T: Tensor, b: int) -> Poly:
+    """T(q, v, q, v, ..., q, v) as a polynomial."""
+    dim = T.dim
+    out = {}
+    for idx, val in T.entries.items():
+        exps = [0] * (2 * dim)
+        for k in range(b):
+            exps[idx[2 * k]] += 1
+            exps[dim + idx[2 * k + 1]] += 1
+        accumulate(out, tuple(exps), val)
+    return Poly(2 * dim, out)
+
+
+def to_antisymmetric(polar: Tensor, b: int) -> Tensor:
+    """The pair-antisymmetric form with the diagonal of a polar form: the
+    interleaved antisymmetrizer summed product by product (entries outer,
+    permutations inner), scaled by the exact ratio of its diagonal to R."""
+    dim, order = polar.dim, 2 * b
+    R = poly_from_polar(polar, b)
+    if R.is_zero():
+        return Tensor(dim, order, {})
+    interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(order))
+    # sigma composed with the interleave: the slot reordering acts first
+    element = {tuple(sigma[i] for i in interleave): c
+               for sigma, c in antisymmetrizer_element(pair_tableau(b)).items()}
+    out = {}
+    for jdx, val in polar.entries.items():
+        for sigma, c in element.items():
+            idx = [0] * order
+            for k in range(order):
+                idx[sigma[k]] = jdx[k]
+            accumulate(out, tuple(idx), val * c)
+    cand = Tensor(dim, order, out)
+    diag = pair_diagonal(cand, b)
+    if diag.is_zero():
+        raise ArithmeticError("antisymmetrization collapsed a nonzero integral")
+    key = next(iter(R.terms))
+    if key not in diag.terms:
+        raise ArithmeticError("candidate diagonal is not proportional to R")
+    mu = diag.terms[key] / R.terms[key]
+    if diag != R.scale(mu):
+        raise ArithmeticError("candidate diagonal is not proportional to R")
+    return cand.scale(1 / mu)

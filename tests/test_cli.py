@@ -309,6 +309,20 @@ def test_project_malformed_csv_row_exits_2_naming_its_line(capsys, tmp_path, row
     assert err.startswith("input error:") and f"line {3 + row}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("blank", ["", "\n\n"], ids=["two-header-lines", "blank-lines-after-the-header"])
+def test_project_csv_without_a_data_row_exits_2(capsys, tmp_path, blank):
+    # integrate writes at least the start state, so a file of only the two
+    # header lines is malformed input, not a trajectory that leaves the view
+    path = tmp_path / "kepler.csv"
+    argv, _, _ = _PINNED_ORBITS["kepler-flat"]
+    assert main(["integrate", *argv, "--output", str(path)]) == 0
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n" + blank)
+    code = main(["project", "--input", str(path), "--to-screen", '{"kind": "sphere", "dim": 3}'])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "no data row" in err and "Traceback" not in err
+
+
 def test_project_reads_repeated_times(capsys, tmp_path):
     # a step of length zero is not malformed: the times need only be non-decreasing
     path = tmp_path / "line.csv"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from projdyn import polyintegrals as pin
 from projdyn import screens as sc
 from projdyn.exactlin import Tensor, accumulate
@@ -304,6 +305,100 @@ def test_antisymmetric_form_kernel():
     R = homogenize_polynomial(euclid_kinetic(3, [0, 1]), screen)
     af = to_antisymmetric(BiHomogeneousPoly.from_poly(R, 3))
     assert af.kernel() == []
+
+
+# -- the table chain against the Fraction loops ---------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def cached_basis(dim, b):
+    return impulsion_poly_basis(dim, b)
+
+
+@st.composite
+def pbb_elements(draw):
+    """(dim, b, R): an integer combination of the impulsion basis times a
+    rational, or the zero polynomial."""
+    dim, b = draw(st.sampled_from([(d, b) for d in (2, 3, 4) for b in (1, 2, 3)]))
+    R = Poly.zero(2 * dim)
+    if draw(st.booleans()) or dim == 2:
+        for p in cached_basis(dim, b):
+            R = R + p.scale(draw(st.integers(-3, 3)))
+    else:
+        # a few basis elements only: sparse elements in the larger spaces
+        for p in draw(st.lists(st.sampled_from(cached_basis(dim, b)), min_size=1, max_size=4)):
+            R = R + p.scale(draw(st.integers(-3, 3)))
+    scale = Fraction(draw(st.integers(-7, 7).filter(bool)), draw(st.sampled_from([1, 3, 10**6 + 3])))
+    return dim, b, R.scale(scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pbb_elements())
+def test_table_chain_matches_the_fraction_loops(case):
+    dim, b, R = case
+    polar = oracles.polar_form(R, dim, b)
+    assert list(polar_form(R, dim, b).entries.items()) == list(polar.entries.items())
+    assert list(poly_from_polar(polar, b).terms.items()) == list(oracles.poly_from_polar(polar, b).terms.items())
+    element = BiHomogeneousPoly.from_poly(R, dim, b)
+    assert element.poly is R
+    assert list(element.polar.entries.items()) == list(polar.entries.items())
+    form = element.antisymmetric()
+    expected = oracles.to_antisymmetric(polar, b)
+    assert list(form.tensor.entries.items()) == list(expected.entries.items())
+    assert all(type(v) is Fraction for v in form.tensor.entries.values())
+    assert list(form.diagonal_poly().terms.items()) == list(oracles.pair_diagonal(expected, b).terms.items())
+    assert form.diagonal_poly() == R
+    # the element built from its polar tensor runs the same table code
+    again = BiHomogeneousPoly(dim, b, polar)
+    assert again.poly == R and again.polar is polar
+    assert list(again.antisymmetric().tensor.entries.items()) == list(expected.entries.items())
+
+
+def test_table_chain_rejects_what_the_fraction_chain_rejects():
+    # a non-bihomogeneous polynomial: the polar form refuses it
+    bent = qvar(0, 3) * qvar(1, 3) * vvar(0, 3)
+    for build in (lambda: polar_form(bent, 3, 1), lambda: oracles.polar_form(bent, 3, 1),
+                  lambda: BiHomogeneousPoly.from_poly(bent, 3, 1)):
+        with pytest.raises(ValueError, match=r"^polynomial is not bi-homogeneous of degree \(1,1\)$"):
+            build()
+    # a tensor that is not symmetric inside its first block of slots
+    asymmetric = Tensor(3, 4, {(0, 1, 2, 2): Fraction(1, 3)})
+    assert not pin.block_symmetric(asymmetric, 2)
+    with pytest.raises(ValueError, match=r"^polar tensor is not symmetric in its two blocks$"):
+        BiHomogeneousPoly(3, 2, asymmetric)
+    # block-symmetric tensors that violate the shear constraint, given as a
+    # tensor and as a polynomial
+    for R, b in ((qvar(0, 2) * vvar(0, 2), 1), (plucker(3, 0, 1) * qvar(2, 3) * vvar(2, 3), 2)):
+        sheared = oracles.polar_form(R, R.nvars // 2, b)
+        assert pin.block_symmetric(sheared, b) and not pin.first_block_symmetrization_vanishes(sheared, b)
+        with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
+            BiHomogeneousPoly(R.nvars // 2, b, sheared)
+        with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
+            BiHomogeneousPoly.from_poly(R, R.nvars // 2, b)
+
+
+def test_chain_clears_denominators_once_for_the_polar_table(monkeypatch):
+    # one from_poly(...).antisymmetric() clears a value list twice: R's
+    # coefficients for the polar table, and the form's entries for the
+    # carrier's class check; the diagonal is R itself, never rebuilt from the
+    # polar form
+    from projdyn import young
+
+    cleared = []
+    for module in (pin, young):
+        inner = module.clear_denominators
+        monkeypatch.setattr(module, "clear_denominators",
+                            lambda values, inner=inner: cleared.append(1) or inner(values))
+
+    def refuse(*args):
+        raise AssertionError("poly_from_polar called")
+
+    monkeypatch.setattr(pin, "poly_from_polar", refuse)
+    R = Poly.zero(8)
+    for c, p in enumerate(cached_basis(4, 3), start=1):
+        R = R + p.scale(Fraction(c, 7))
+    form = BiHomogeneousPoly.from_poly(R, 4, 3).antisymmetric()
+    assert len(cleared) <= 2
+    assert form.diagonal_poly() == R
 
 
 # -- exchange identities ----------------------------------------------------------------
