@@ -16,6 +16,14 @@ curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 
+--output is overwritten in place, then cut to the new length when it is a
+regular file (/dev/null, a FIFO or /dev/stdout is only written).  It ends up
+with the same bytes as a fresh write, without the flush that ext4 pays on
+closing a file truncated to zero and rewritten.  The write is not
+crash-atomic, and never was: a crash mid-write can leave a partial file, or
+new bytes over the old tail.  An --output that cannot be opened or written
+(a missing directory, a directory) exits 2, like an unreadable input.
+
 The argument parser is built once per process, on the first call of `main`,
 and reused: each call parses into a fresh namespace, and PROJDYN_TOL is read
 when a command runs, so no call sees the state of an earlier one.
@@ -50,6 +58,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 
 from projdyn import compat, curvclass, polyintegrals, screens, young
@@ -87,8 +96,15 @@ def _load_json(arg, what):
 
 def _emit(text, output):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        # no O_TRUNC: ext4 flushes a file truncated to zero and rewritten when
+        # it is closed, so a regular file is overwritten, then cut to length
+        try:
+            with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+        except OSError as exc:
+            raise FormatError(f"--output: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

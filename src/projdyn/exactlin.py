@@ -199,31 +199,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(dim={self.dim}, order={self.order}, nnz={len(self.entries)})"
 
-    # -- slot manipulation ----------------------------------------------------
-
-    def permute(self, sigma):
-        """Permuted form phi' with phi'(x_0,..) = phi(x_{sigma(0)},..).
-
-        In coefficients: phi'[idx] = phi[idx o sigma], so entry jdx of phi
-        lands at the idx with idx[sigma[k]] = jdx[k].
-        """
-        sigma = tuple(sigma)
-        if len(sigma) != self.order:
-            raise ValueError("permutation length mismatch")
-        out = {}
-        for jdx, val in self.entries.items():
-            idx = [0] * self.order
-            for k, pos in enumerate(sigma):
-                idx[pos] = jdx[k]
-            out[tuple(idx)] = val  # a bijection on index tuples: no collisions
-        return Tensor._raw(self.dim, self.order, out)
-
-    def transpose_slots(self, m: int, n: int):
-        """Exchange the variables in slots m and n (0-based)."""
-        sigma = list(range(self.order))
-        sigma[m], sigma[n] = sigma[n], sigma[m]
-        return self.permute(sigma)
-
     def evaluate(self, vectors) -> Fraction:
         """Value on a full tuple of vectors (each a length-dim sequence)."""
         if len(vectors) != self.order:
@@ -652,19 +627,6 @@ def det(matrix) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
-def subspace_echelon(vectors):
-    """Canonical echelon basis of the span of coordinate vectors (for
-    comparing subspaces: equal spans give identical echelons)."""
-    if not vectors:
-        return []
-    red, pivots = rref(vectors)
-    return [red[r] for r in range(len(pivots))]
-
-
-def same_subspace(a, b) -> bool:
-    return subspace_echelon(a) == subspace_echelon(b)
-
-
 def _primitive(row: dict) -> dict:
     """A sparse integer row divided by the gcd of its entries."""
     g = math.gcd(*row.values())
@@ -765,12 +727,6 @@ def intersect_spans(spans):
     if not ann_rows:
         return [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
     return kernel(ann_rows)
-
-
-def sum_of_spans(spans):
-    """Echelon basis of the sum of subspaces."""
-    rows = [v for basis in spans for v in basis]
-    return subspace_echelon(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -940,15 +896,6 @@ def multivector_to_json(m: Multivector) -> dict:
         for idx, val in sorted(m.coords.items())
     ]
     return {"dim": m.dim, "order": m.grade, "entries": entries}
-
-
-def multivector_from_json(obj) -> Multivector:
-    """The tensor format with strictly increasing idx lists."""
-    r = JsonValue.of(obj, "multivector")
-    t = tensor_from_json(r)
-    if any(a >= b for idx in t.entries for a, b in zip(idx, idx[1:])):
-        raise r.error("entries whose idx lists are strictly increasing", "entries")
-    return Multivector._raw(t.dim, t.order, t.entries)
 
 
 def dumps(obj) -> str:

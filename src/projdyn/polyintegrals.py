@@ -134,15 +134,11 @@ def is_impulsion_invariant(R: Poly, dim: int) -> bool:
 
 
 def swap_blocks(R: Poly, dim: int) -> Poly:
-    """R(v, q) as a polynomial (exchange of the two argument blocks)."""
-    images = [vvar(i, dim) for i in range(dim)] + [qvar(i, dim) for i in range(dim)]
-    return R.substitute(images)
-
-
-def substitute_v_minus_q(R: Poly, dim: int) -> Poly:
-    """R(v, -q)."""
-    images = [vvar(i, dim) for i in range(dim)] + [-qvar(i, dim) for i in range(dim)]
-    return R.substitute(images)
+    """R(v, q) as a polynomial (exchange of the two argument blocks): each
+    exponent tuple has its halves exchanged, in R's key order."""
+    if R.nvars != 2 * dim:
+        raise ValueError("need one image per variable")
+    return Poly._raw(R.nvars, {e[dim:] + e[:dim]: c for e, c in R.terms.items()})
 
 
 def exchange_value(R: Poly, dim: int, q, v):

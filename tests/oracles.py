@@ -8,7 +8,13 @@
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
-  the reference for its values and its key order.
+  the reference for its values and its key order.  The block exchange and
+  R(v, -q) by ``Poly.substitute`` are the reference for the library's
+  exponent-tuple ``swap_blocks``.
+* Whole-tensor slot permutations and subspace comparisons: the independent
+  reference for the group-algebra action and for the exact spans that the
+  library returns.  No pipeline permutes a whole tensor or compares two
+  spans, and no input format carries a multivector.
 """
 
 import itertools
@@ -17,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import FormatError, Tensor, accumulate
+from projdyn.exactlin import FormatError, JsonValue, Multivector, Tensor, accumulate, rref, tensor_from_json
 from projdyn.polynomials import Poly
-from projdyn.polyintegrals import pair_tableau, q_indices, v_indices
+from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
 from projdyn.screens import Screen
 from projdyn.young import antisymmetrizer_element
 
@@ -169,3 +175,74 @@ def to_antisymmetric(polar: Tensor, b: int) -> Tensor:
     if diag != R.scale(mu):
         raise ArithmeticError("candidate diagonal is not proportional to R")
     return cand.scale(1 / mu)
+
+
+def swap_blocks(R: Poly, dim: int) -> Poly:
+    """R(v, q) by substituting the variables of one block for the other's."""
+    images = [vvar(i, dim) for i in range(dim)] + [qvar(i, dim) for i in range(dim)]
+    return R.substitute(images)
+
+
+def substitute_v_minus_q(R: Poly, dim: int) -> Poly:
+    """R(v, -q)."""
+    images = [vvar(i, dim) for i in range(dim)] + [-qvar(i, dim) for i in range(dim)]
+    return R.substitute(images)
+
+
+# -- whole-tensor slot permutations -------------------------------------------------
+
+
+def permute(t: Tensor, sigma) -> Tensor:
+    """Permuted form phi' with phi'(x_0,..) = phi(x_{sigma(0)},..).
+
+    In coefficients: phi'[idx] = phi[idx o sigma], so entry jdx of phi
+    lands at the idx with idx[sigma[k]] = jdx[k].
+    """
+    sigma = tuple(sigma)
+    if len(sigma) != t.order:
+        raise ValueError("permutation length mismatch")
+    out = {}
+    for jdx, val in t.entries.items():
+        idx = [0] * t.order
+        for k, pos in enumerate(sigma):
+            idx[pos] = jdx[k]
+        out[tuple(idx)] = val  # a bijection on index tuples: no collisions
+    return Tensor._raw(t.dim, t.order, out)
+
+
+def transpose_slots(t: Tensor, m: int, n: int) -> Tensor:
+    """Exchange the variables in slots m and n (0-based)."""
+    sigma = list(range(t.order))
+    sigma[m], sigma[n] = sigma[n], sigma[m]
+    return permute(t, sigma)
+
+
+# -- subspaces and multivector JSON ---------------------------------------------------
+
+
+def subspace_echelon(vectors):
+    """Canonical echelon basis of the span of coordinate vectors (for
+    comparing subspaces: equal spans give identical echelons)."""
+    if not vectors:
+        return []
+    red, pivots = rref(vectors)
+    return [red[r] for r in range(len(pivots))]
+
+
+def same_subspace(a, b) -> bool:
+    return subspace_echelon(a) == subspace_echelon(b)
+
+
+def sum_of_spans(spans):
+    """Echelon basis of the sum of subspaces."""
+    rows = [v for basis in spans for v in basis]
+    return subspace_echelon(rows)
+
+
+def multivector_from_json(obj) -> Multivector:
+    """The tensor format with strictly increasing idx lists."""
+    r = JsonValue.of(obj, "multivector")
+    t = tensor_from_json(r)
+    if any(a >= b for idx in t.entries for a, b in zip(idx, idx[1:])):
+        raise r.error("entries whose idx lists are strictly increasing", "entries")
+    return Multivector._raw(t.dim, t.order, t.entries)

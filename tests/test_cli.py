@@ -5,6 +5,8 @@ import copy
 import hashlib
 import io
 import json
+import os
+import stat
 import warnings
 from fractions import Fraction
 
@@ -148,6 +150,11 @@ _NAMED_KEYS = [
                  "['dim_src']", id="bivector-map-dim-src-257"),
     pytest.param(["classify", "--input", json.dumps({"dim_src": 3, "dim_dst": 257, "matrix": []})], {},
                  "['dim_dst']", id="bivector-map-dim-dst-257"),
+    # an --output that cannot be written is malformed input, like an unreadable --input
+    pytest.param(["pbb-dim", "--n", "3", "--b", "2", "--output", "/nonexistent/dir/x.txt"], {}, "--output",
+                 id="output-in-a-missing-directory"),
+    pytest.param(["pbb-dim", "--n", "3", "--b", "2", "--output", os.path.dirname(os.path.abspath(__file__))], {},
+                 "--output", id="output-is-a-directory"),
 ]
 
 
@@ -941,3 +948,75 @@ def test_the_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
     assert code == 0 and loose != out
     code, out = run(capsys, "integrate", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- --output is overwritten in place, then cut to the new length -----------------------
+
+@pytest.mark.parametrize("name", list(_PINNED) + list(_PINNED_ORBITS))
+def test_output_file_holds_the_same_bytes_on_a_fresh_path_and_over_a_longer_file(capsys, tmp_path, name):
+    if name in _PINNED:
+        argv, (code, out) = _pinned_argv(name), _PINNED[name]
+    else:
+        argv, code = ["integrate", *_PINNED_ORBITS[name][0], "--tol", "1e-10"], 0
+        out = run(capsys, *argv)[1]
+    fresh, over = tmp_path / "fresh", tmp_path / "over"
+    over.write_bytes(b"#" * (2 * len(out) + 100))
+    for path in (fresh, over):
+        assert main([*argv, "--output", str(path)]) == code
+        # stdout ends each report with a newline; the file holds the report as written
+        text = path.read_text()
+        assert text + ("" if text.endswith("\n") else "\n") == out
+    assert capsys.readouterr().out == ""
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_output_over_10_kb_of_junk_holds_what_a_fresh_path_gets(tmp_path):
+    fresh, junk = tmp_path / "fresh.txt", tmp_path / "junk.txt"
+    junk.write_bytes(bytes(range(256)) * 40)
+    for path in (fresh, junk):
+        assert main(["pbb-dim", "--n", "2", "--b", "2", "--output", str(path)]) == 0
+    assert junk.read_bytes() == fresh.read_bytes() == b"6"
+
+
+def test_integrate_output_over_a_one_byte_file_has_the_pinned_digest(tmp_path):
+    path = tmp_path / "orbit.csv"
+    path.write_bytes(b"x")
+    argv, rows, digest = _PINNED_ORBITS["kepler-flat"]
+    assert main(["integrate", *argv, "--tol", "1e-10", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_output_to_dev_null_exits_0(capsys):
+    assert main(["pbb-dim", "--n", "2", "--b", "2", "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_has_the_permission_bits_of_a_plain_open(tmp_path, umask):
+    reference, new = tmp_path / "reference.txt", tmp_path / "new.txt"
+    old = os.umask(umask)
+    try:
+        with open(reference, "w"):
+            pass
+        assert main(["pbb-dim", "--n", "2", "--b", "2", "--output", str(new)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_output_is_opened_without_O_TRUNC(monkeypatch, tmp_path):
+    # output bytes cannot show a truncating open, only its cost: on ext4 a file
+    # truncated to zero and rewritten is flushed to disk when it is closed
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    path = tmp_path / "out.txt"
+    for _ in range(2):  # a fresh path, then over the file the first call wrote
+        assert main(["pbb-dim", "--n", "2", "--b", "2", "--output", str(path)]) == 0
+    assert len(flags) == 2
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)

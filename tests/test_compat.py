@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import CustomScreen
+from oracles import CustomScreen, same_subspace
 from projdyn import screens as sc
 from projdyn.compat import (
     LagrangeResidualError,
@@ -31,7 +31,7 @@ from projdyn.curvclass import (
     flat_form_tensor,
     metric_form_tensor,
 )
-from projdyn.exactlin import Tensor, kernel, same_subspace
+from projdyn.exactlin import Tensor, kernel
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import ScreenIntegral, qvar, vvar
 

@@ -30,7 +30,6 @@ from projdyn.polyintegrals import (
     poly_from_polar,
     qvar,
     reconstruct_polynomial,
-    substitute_v_minus_q,
     swap_blocks,
     to_antisymmetric,
     vvar,
@@ -202,7 +201,7 @@ def symmetrization_by_permutation_sum(T, b):
     per permutation: the reference for the one-pass class sums."""
     total = Tensor(T.dim, T.order, {})
     for perm in itertools.permutations(range(b + 1)):
-        total = total + T.permute(tuple(perm) + tuple(range(b + 1, 2 * b)))
+        total = total + oracles.permute(T, tuple(perm) + tuple(range(b + 1, 2 * b)))
     return total.is_zero()
 
 
@@ -410,11 +409,42 @@ def test_exchange_identities_random():
             for _ in range(4):
                 R = random_pbb_element(rng, dim, b, span=4)
                 assert swap_blocks(R, dim) == R.scale((-1) ** b)
-                assert substitute_v_minus_q(R, dim) == R
+                assert oracles.substitute_v_minus_q(R, dim) == R
                 q = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
                 v = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
                 val_qv, val_vq = exchange_value(R, dim, q, v)
                 assert val_vq == (-1) ** b * val_qv
+
+
+def assert_same_swap(R, dim):
+    fast, reference = swap_blocks(R, dim), oracles.swap_blocks(R, dim)
+    assert fast.nvars == reference.nvars
+    assert list(fast.terms.items()) == list(reference.terms.items())
+
+
+def test_swap_blocks_matches_the_substitution_on_pbb_elements():
+    rng = random.Random(18)
+    for dim in (3, 4):
+        for b in (1, 2, 3):
+            for _ in range(3):
+                R = Poly.zero(2 * dim)
+                for p in cached_basis(dim, b):
+                    R = R + p.scale(rng.randint(-4, 4))
+                assert_same_swap(R.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))), dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_swap_blocks_matches_the_substitution_on_any_polynomial(data):
+    dim = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * dim))
+    coefs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    R = Poly(2 * dim, data.draw(st.dictionaries(exps, coefs, max_size=8)))
+    assert_same_swap(R, dim)
+    for wrong in (dim - 1, dim + 1):
+        for swap in (swap_blocks, oracles.swap_blocks):
+            with pytest.raises(ValueError):
+                swap(R, wrong)
 
 
 def test_shear_invariances_symbolic():
