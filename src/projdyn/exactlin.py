@@ -3,8 +3,9 @@
 Tensors (sparse N-linear forms), multivectors with wedge and interior
 products, and exact Gaussian elimination (rank / kernel / solve / inverse /
 determinant).  Values and results are `fractions.Fraction`; elimination
-clears each row's denominators once (`clear_denominators`) and runs
-fraction-free over Python ints, dividing by the pivots only at the end.
+clears each row's denominators once (`clear_denominators`) and runs over
+Python ints: Bareiss forward elimination, whose divisions are exact, then a
+fraction-free back-substitution, with one Fraction built per returned entry.
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 
@@ -434,23 +435,29 @@ def support(m: Multivector):
     """
     if m.is_zero():
         raise DegenerateInputError("support of the zero multivector is undefined")
-    d = m.dim
-    lower = sorted(set(idx[:pos] + idx[pos + 1:] for idx in m.coords for pos in range(m.grade)))
-    row_of = {key: r for r, key in enumerate(lower)}
-    # columns: covector coordinates; rows: coordinates of xi -| m
-    mat = [[Fraction(0)] * d for _ in lower]
-    for i in range(d):
-        contracted = contract([Fraction(1) if j == i else Fraction(0) for j in range(d)], m)
-        for key, val in contracted.coords.items():
-            mat[row_of[key]][i] = val
-    annihilators = kernel(mat)
-    if not annihilators:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
-    return kernel(annihilators)
+    # columns: covector coordinates; rows: coordinates of xi -| m, where
+    # e_i* -| e_idx is (-1)^pos e_(idx without i) for i = idx[pos]
+    rows = {}
+    for idx, val in m.coords.items():
+        for pos, i in enumerate(idx):
+            rows.setdefault(idx[:pos] + idx[pos + 1:], [Fraction(0)] * m.dim)[i] = -val if pos % 2 else val
+    return kernel(kernel(list(rows.values()), m.dim), m.dim)
 
 
 # ---------------------------------------------------------------------------
 # exact dense linear algebra (lists of lists of Fractions)
+
+def _shape(matrix, square=None):
+    """(rows, cols) of a list of rows (cols 0 without rows); ragged rows, or
+    a non-square matrix given to the function named ``square``, are a ValueError."""
+    lengths = {len(row) for row in matrix}
+    if len(lengths) > 1:
+        raise ValueError(f"matrix of {len(matrix)} rows has rows of lengths {sorted(lengths)}")
+    n, cols = len(matrix), lengths.pop() if lengths else 0
+    if square and cols != n:
+        raise ValueError(f"{square} needs a square matrix, got {n}x{cols}")
+    return n, cols
+
 
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -461,170 +468,167 @@ def zeros_matrix(r, c):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    (rows, inner), (inner_b, cols) = _shape(a), _shape(b)
+    if rows and inner != inner_b:
+        raise ValueError(f"cannot multiply a {rows}x{inner} matrix by a {inner_b}x{cols} matrix")
     out = zeros_matrix(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if not c:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += c * bk[j]
+    for ai, oi in zip(a, out):
+        for c, bk in zip(ai, b):
+            if c:
+                for j, y in enumerate(bk):
+                    if y:
+                        oi[j] += c * y
     return out
 
 
 def mat_vec(a, v):
+    rows, cols = _shape(a)
+    if rows and cols != len(v):
+        raise ValueError(f"cannot multiply a {rows}x{cols} matrix by a vector of length {len(v)}")
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def _int_rows(matrix):
-    """Each row scaled to integers by the lcm of its own denominators."""
-    return [clear_denominators(row)[0] for row in matrix]
+def _bareiss(rows, cols):
+    """Bareiss forward elimination on integer rows, in place; returns the
+    pivot columns and the sign of the row swaps.
 
-
-def _eliminate(rows):
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
-    pivot columns.
-
-    Each update is p*row - f*pivot_row with the row's content gcd divided
-    out, which keeps every row a primitive multiple of the corresponding
-    row of the rational elimination.  Afterwards row r is zero at every
-    pivot column but pivots[r], and the rows past the rank are zero.
+    Each row below a pivot p becomes (p*row - f*prow) // prev, f being its
+    entry in the pivot column and prev the previous pivot; the division is
+    exact (Sylvester's identity, Bareiss 1968).  Afterwards row r is zero
+    before pivots[r], the last pivot is the minor on the pivot rows and
+    columns, and the rows past the rank are zero.
     """
     nrows = len(rows)
-    cols = len(rows[0])
-    gcd = math.gcd
-    pivots = []
-    r = 0
+    pivots, sign, prev, r = [], 1, 1, 0
     for c in range(cols):
         for i in range(r, nrows):
             if rows[i][c]:
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
         prow = rows[r]
         p = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
         pivots.append(c)
+        prev = p
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, sign
+
+
+def _eliminate(matrix, cols):
+    """Bareiss elimination of each row scaled to integers, then fraction-free
+    back-substitution; returns (pivots, free, d, red).
+
+    d is the last pivot (1 at rank 0), free lists the other columns than the
+    pivots, and red[k] holds the integers d * RREF[k][free] (Cramer's rule);
+    RREF[k] is 1 at pivots[k] and 0 at the other pivots.  From the last row
+    up, red_k = (d*row_k - sum_{j>k} row_k[pivots[j]] * red_j) // row_k[pivots[k]].
+    """
+    rows = [clear_denominators(row)[0] for row in matrix]
+    pivots, _ = _bareiss(rows, cols)
+    rank = len(pivots)
+    free = sorted(set(range(cols)).difference(pivots))
+    red = [[row[c] for c in free] for row in rows[:rank]]
+    d = rows[rank - 1][pivots[-1]] if rank else 1
+    for k in range(rank - 2, -1, -1):
+        row, acc = rows[k], [d * x for x in red[k]]
+        for j in range(k + 1, rank):
+            if f := row[pivots[j]]:
+                acc = [a - f * b for a, b in zip(acc, red[j])]
+        p = row[pivots[k]]
+        red[k] = [a // p for a in acc]
+    return pivots, free, d, red
 
 
 def rref(matrix):
     """Reduced row echelon form; returns (rref rows, pivot column list).
 
-    Eliminates over integers and divides each pivot row by its pivot only
-    at the end; the reduced form is unique, so the Fraction rows are the
-    same as those of rational Gauss-Jordan.
+    Each entry of d times the reduced rows from `_eliminate` is divided by d
+    once.  The reduced form is unique, so the Fraction rows are the same as
+    those of rational Gauss-Jordan.
     """
-    if not matrix:
-        return [], []
-    rows = _int_rows(matrix)
-    pivots = _eliminate(rows)
-    zero = Fraction(0)
-    out = []
-    for r, row in enumerate(rows):
-        if r < len(pivots):
-            p = row[pivots[r]]
-            out.append([Fraction(x, p) if x else zero for x in row])
-        else:
-            out.append([zero] * len(row))
+    nrows, cols = _shape(matrix)
+    pivots, free, d, red = _eliminate(matrix, cols)
+    out = zeros_matrix(nrows, cols)
+    for k, p in enumerate(pivots):
+        out[k][p] = Fraction(1)
+        for c, x in zip(free, red[k]):
+            if x:
+                out[k][c] = Fraction(x, d)
     return out, pivots
 
 
 def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    return len(_eliminate(_int_rows(matrix)))
+    """Rank, from the forward pass of the elimination alone."""
+    return len(_bareiss([clear_denominators(row)[0] for row in matrix], _shape(matrix)[1])[0])
 
 
-def kernel(matrix):
-    """Basis of {x : M x = 0}, computed exactly.
-
-    Vectors are returned as lists of Fractions; len(result) = cols - rank.
+def kernel(matrix, cols=None):
+    """Basis of {x : M x = 0} as lists of Fractions, len(result) = cols - rank:
+    per free column f, 1 at f and minus the RREF's column f on the pivots.
+    ``cols`` is read only when the matrix has no rows (default 0).
     """
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    nrows, ncols = _shape(matrix)
+    cols = ncols if nrows or cols is None else cols
+    pivots, free, d, red = _eliminate(matrix, cols)
     basis = []
-    for f in free:
+    for t, f in enumerate(free):
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for p, row in zip(pivots, red):
+            if row[t]:
+                v[p] = Fraction(-row[t], d)
         basis.append(v)
     return basis
 
 
 def solve(matrix, rhs):
-    """One exact solution of M x = rhs, or None when inconsistent."""
-    if not matrix:
-        return [] if not rhs else None
-    rows, cols = len(matrix), len(matrix[0])
-    aug = [list(matrix[i]) + [rat(rhs[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+    """One exact solution of M x = rhs (zero at the free columns), or None
+    when inconsistent."""
+    nrows, cols = _shape(matrix)
+    if len(rhs) != nrows:
+        raise ValueError(f"rhs of length {len(rhs)} for a {nrows}x{cols} matrix")
+    pivots, _, d, red = _eliminate([list(row) + [b] for row, b in zip(matrix, rhs)], cols + 1)
+    if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
+    for p, row in zip(pivots, red):
+        x[p] = Fraction(row[-1], d)
     return x
 
 
 def mat_inverse(matrix):
     """Exact inverse of a square matrix, or None when singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + identity_matrix(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
+    n, _ = _shape(matrix, "mat_inverse")
+    eye = identity_matrix(n)
+    pivots, _, d, red = _eliminate([list(row) + e for row, e in zip(matrix, eye)], 2 * n)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [[Fraction(x, d) for x in row] for row in red]
 
 
 def det(matrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination on the
-    integer-scaled rows, divided by the product of the row scales."""
-    rows, scale = [], 1
-    for row in matrix:
-        ints, den = clear_denominators(row)
-        rows.append(ints)
-        scale *= den
-    n = len(rows)
-    sign, prev = 1, 1
-    for c in range(n):
-        for i in range(c, n):
-            if rows[i][c]:
-                break
-        else:
-            return Fraction(0)
-        if i != c:
-            rows[c], rows[i] = rows[i], rows[c]
-            sign = -sign
-        prow = rows[c]
-        p = prow[c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            # Bareiss: the division by the previous pivot is exact
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    """Exact determinant: the last pivot of `_bareiss` on the integer-scaled
+    rows is their determinant up to the sign of the row swaps, and is
+    divided by the product of the row scales."""
+    n, _ = _shape(matrix, "det")
+    scaled = [clear_denominators(row) for row in matrix]
+    rows = [ints for ints, _ in scaled]
+    pivots, sign = _bareiss(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1] if n else 1, math.prod(den for _, den in scaled))
 
 
 def _primitive(row: dict) -> dict:
@@ -715,18 +719,12 @@ def intersect_spans(spans):
     Works through annihilators: ann(S) = kernel of the matrix with the basis
     of S as rows; the intersection is the common kernel of all annihilators.
     """
-    spans = [s for s in spans]
+    spans = list(spans)
     if not spans:
         raise ValueError("need at least one subspace")
-    d = len(spans[0][0])
-    ann_rows = []
-    for basis in spans:
-        if not basis:
-            return []  # intersection with the zero space
-        ann_rows.extend(kernel(basis))
-    if not ann_rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(d)] for i in range(d)]
-    return kernel(ann_rows)
+    if not all(spans):
+        return []  # intersection with the zero space
+    return kernel([v for basis in spans for v in kernel(basis)], len(spans[0][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -371,9 +371,7 @@ class AntisymmetricForm:
         mat = []
         for rest, cols in sorted(rows.items()):
             mat.append([cols.get(i, Fraction(0)) for i in range(self.dim)])
-        if not mat:
-            return [[Fraction(1) if j == i else Fraction(0) for j in range(self.dim)] for i in range(self.dim)]
-        return kernel(mat)
+        return kernel(mat, self.dim)
 
 
 def pair_tableau(b: int) -> YoungTableau:

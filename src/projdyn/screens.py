@@ -270,15 +270,22 @@ class ProjectiveForceField:
 
     ``func`` is the double-precision evaluation; ``exact`` optionally carries
     per-component SqrtElem/Poly expressions (in the 2*dim q,v-variable space,
-    v-free) for the exact modules; fields are defined up to a radial term.
+    v-free) for the exact modules, or a function of no arguments that builds
+    them on first read; fields are defined up to a radial term.
     """
 
     def __init__(self, dim, func, exact=None, name="custom", params=None):
         self.dim = dim
         self._func = func
-        self.exact = exact
+        self._exact = exact
         self.name = name
         self.params = params or {}
+
+    @property
+    def exact(self):
+        if callable(self._exact):
+            self._exact = self._exact()
+        return self._exact
 
     def __call__(self, q):
         return _floats(self._func(_floats(q)))
@@ -327,8 +334,7 @@ def kepler_force(mu, center, reference_screen=None):
             raise ZeroDivisionError(f"kepler force evaluated at its center {center.tolist()}")
         return -mu * delta / r**3
 
-    exact = None
-    if screen.kind == "linear":
+    def exact():
         # f_i = -mu (q_i - c_i h) * s / (h * S^2) with S = |q - c h|^2, h = <phi, q>
         nv = 2 * dim
         phi = [Fraction(x) for x in screen.phi_exact]
@@ -339,12 +345,10 @@ def kepler_force(mu, center, reference_screen=None):
         for dlt in deltas:
             S = S + dlt * dlt
         mu_r = Fraction(mu).limit_denominator(10**12)
-        exact = [
-            SqrtElem(Poly.zero(nv), dlt.scale(-mu_r), h * S * S, S)
-            for dlt in deltas
-        ]
+        return [SqrtElem(Poly.zero(nv), dlt.scale(-mu_r), h * S * S, S) for dlt in deltas]
+
     return homogenize_force(
-        f_H, screen, name="kepler", exact=exact,
+        f_H, screen, name="kepler", exact=exact if screen.kind == "linear" else None,
         params={"mu": mu, "center": [float(c) for c in center]},
     )
 

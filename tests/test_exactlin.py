@@ -5,7 +5,6 @@ import math
 import random
 from collections import defaultdict
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -185,10 +184,11 @@ def test_det():
 
 
 # -- integer elimination against rational Gauss-Jordan --------------------------
-# rref, rank, det and SparseEchelon eliminate over integers after clearing
-# denominators.  The references below are the rational eliminations they
-# replaced; the reduced row echelon form is unique, so every result must
-# agree exactly.
+# rref, kernel, solve, mat_inverse, rank, det and SparseEchelon eliminate over
+# integers after clearing denominators.  The references below are rational
+# eliminations, and kernel, solve and inverse read off the rational reduced
+# form; the reduced row echelon form is unique, so every result must agree
+# exactly.
 
 def rref_by_fractions(matrix):
     """Gauss-Jordan over Fraction, dividing by each pivot as it is found."""
@@ -253,6 +253,40 @@ def rank_mod_p(matrix, p=2**61 - 1):
     return r
 
 
+def kernel_by_fractions(matrix):
+    """Kernel basis read off the rational reduced form: one vector per free
+    column f, 1 at f and minus the reduced rows' entries at f on the pivots."""
+    red, pivots = rref_by_fractions(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def solve_by_fractions(matrix, rhs):
+    """The solution of M x = rhs that is zero at the free columns, or None."""
+    cols = len(matrix[0])
+    red, pivots = rref_by_fractions([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols]
+    return x
+
+
+def inverse_by_fractions(matrix):
+    n = len(matrix)
+    eye = ex.identity_matrix(n)
+    red, pivots = rref_by_fractions([list(row) + e for row, e in zip(matrix, eye)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
 # small entries, many zeros, and large pairwise coprime denominators
 ENTRY = st.one_of(
     st.just(Fraction(0)),
@@ -293,13 +327,10 @@ def test_integer_elimination_matches_rational_gauss_jordan(m, data):
     rhs = data.draw(st.lists(ENTRY, min_size=len(m), max_size=len(m)))
     square = data.draw(matrices(square=True))
 
-    def results():
-        red, pivots = ex.rref(m)
-        return red, pivots, kernel(m), ex.solve(m, rhs), ex.mat_inverse(square)
-
-    got = results()
-    with mock.patch.object(ex, "rref", rref_by_fractions):
-        expected = results()
+    red, pivots = ex.rref(m)
+    got = red, pivots, kernel(m), ex.solve(m, rhs), ex.mat_inverse(square)
+    expected = (*rref_by_fractions(m), kernel_by_fractions(m), solve_by_fractions(m, rhs),
+                inverse_by_fractions(square))
     assert got == expected
     assert all_fractions([got[0]] + list(got[2:]))
     assert rank(m) == len(expected[1])
@@ -345,6 +376,156 @@ def test_elimination_accepts_ints_and_strings():
     assert ex.rref(m) == rref_by_fractions(m)
     assert ex.det([[2, "1/3"], ["1/2", 1]]) == Fraction(11, 6)
     assert ex.rref([]) == ([], []) and ex.det([]) == 1
+
+
+# -- seeded large cases ----------------------------------------------------------
+# The hypothesis matrices stop at 6x6.  These reach the sizes of the exact
+# chain's requests and of the tall systems of the pipelines, where the exact
+# divisions of the elimination act on large minors.
+
+HUGE_DENOMINATORS = (10**9 + 7, 998244353, 2**31 - 1, 3**20, 7**15)
+
+
+def rational_matrix(rng, rows, cols, entry):
+    return [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def small_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def huge_rational(rng):
+    """Zero three times in ten, else ENTRY's large numerators over coprime denominators."""
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**12, 10**12), rng.choice(HUGE_DENOMINATORS))
+
+
+def low_rank_product(rng, n, k):
+    """An n x k times k x n product of small integer matrices, its rows and
+    columns then divided by small denominators (which keeps the rank k,
+    unless the draw is unlucky); summed over ints, as Fraction products of
+    this size would take longer than the elimination."""
+    a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+    row_dens = [rng.randint(1, 5) for _ in range(n)]
+    col_dens = [rng.randint(1, 5) for _ in range(n)]
+    return [[Fraction(sum(x * y for x, y in zip(row, col)), r * c) for col, c in zip(zip(*b), col_dens)]
+            for row, r in zip(a, row_dens)]
+
+
+def assert_elimination_exact(m):
+    """rref against rational Gauss-Jordan and rank against the rank mod p;
+    the kernel is annihilated and is the identity on the free columns, which
+    determines it."""
+    red, pivots = ex.rref(m)
+    assert (red, pivots) == rref_by_fractions(m)
+    assert rank(m) == len(pivots) == rank_mod_p(m)
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    basis = kernel(m)
+    assert [[v[c] for c in free] for v in basis] == ex.identity_matrix(len(free))
+    assert all(not any(ex.mat_vec(m, v)) for v in basis)
+    assert all_fractions(red) and all_fractions(basis)
+    return pivots
+
+
+@pytest.mark.parametrize("n", [12, 18, 24, 30])
+def test_elimination_of_the_exact_chain_products(n):
+    m = low_rank_product(random.Random(n), n, n - 3)
+    assert len(assert_elimination_exact(m)) == n - 3
+
+
+def test_solve_of_a_30x31_augmented_system():
+    rng = random.Random(31)
+    m = rational_matrix(rng, 30, 30, small_rational)
+    x0 = [small_rational(rng) for _ in range(30)]
+    rhs = ex.mat_vec(m, x0)
+    assert ex.solve(m, rhs) == solve_by_fractions(m, rhs) == x0
+    assert rank(m) == 30 == rank_mod_p(m)
+
+
+def test_one_dependent_row():
+    rng = random.Random(14)
+    m = rational_matrix(rng, 14, 14, small_rational)
+    m[-1] = [a + b for a, b in zip(m[0], m[1])]
+    assert assert_elimination_exact(m) == list(range(13))
+    assert not any(ex.rref(m)[0][-1])
+    assert ex.det(m) == 0
+    # consistent exactly when the rhs obeys the same dependency
+    rhs = [small_rational(rng) for _ in range(14)]
+    rhs[-1] = rhs[0] + rhs[1]
+    x = ex.solve(m, rhs)
+    assert x == solve_by_fractions(m, rhs) and ex.mat_vec(m, x) == rhs
+    rhs[-1] += 1
+    assert ex.solve(m, rhs) is None is solve_by_fractions(m, rhs)
+
+
+@pytest.mark.parametrize("rows, cols", [(100, 5), (295, 6)])
+def test_tall_matrices_of_small_ints(rows, cols):
+    rng = random.Random(rows)
+    m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+    assert_elimination_exact(m)
+    # a tall matrix of rank 2: every row a combination of two
+    u, v = m[0], m[1]
+    low = [[a * x + b * y for x, y in zip(u, v)] for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rows))]
+    assert len(assert_elimination_exact(low)) == rank_mod_p([u, v])
+
+
+def test_huge_coprime_denominators():
+    rng = random.Random(7)
+    m = rational_matrix(rng, 8, 9, huge_rational)
+    m[5] = [a - 3 * b for a, b in zip(m[2], m[4])]
+    assert assert_elimination_exact(m)
+    square = [row[:8] for row in m[:4]] + rational_matrix(rng, 4, 8, huge_rational)
+    assert ex.det(square) == det_by_fractions(square)
+    assert ex.mat_inverse(square) == inverse_by_fractions(square)
+    rhs = [huge_rational(rng) for _ in range(8)]
+    assert ex.solve(square, rhs) == solve_by_fractions(square, rhs)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_det_up_to_10x10(n):
+    rng = random.Random(100 + n)
+    m = rational_matrix(rng, n, n, small_rational)
+    m[0][0] = Fraction(0)  # the first pivot needs a row swap
+    assert ex.det(m) == det_by_fractions(m)
+    if n > 1:
+        m[-1] = [2 * x for x in m[0]]
+        assert ex.det(m) == 0 == det_by_fractions(m)
+
+
+def test_rows_with_a_zero_under_the_pivot_keep_pace():
+    """A row whose entry under the pivot is zero is still scaled by p / prev:
+    here the second pivot 1 is not a multiple of the first pivot 2, so
+    scaling by p // prev would zero the last row."""
+    m = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+    assert ex.det(m) == 1
+    assert ex.rref(m) == (ex.identity_matrix(3), [0, 1, 2])
+    assert ex.mat_inverse(m) == [[1, -1, 0], [-1, 2, 0], [0, 0, 1]]
+    assert rank(m) == 3
+
+
+def test_intersection_with_the_zero_space_is_zero():
+    assert ex.intersect_spans([[], [[1, 0]]]) == [] == ex.intersect_spans([[[1, 0]], []])
+    assert ex.intersect_spans([[[1, 0]], [[1, 1]]]) == []
+    assert ex.intersect_spans([[[1, 0], [0, 1]]]) == ex.identity_matrix(2)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: ex.det([[1, 2, 3], [4, 5, 6]]), "2x3"),
+    (lambda: ex.det([[1, 2], [3, 4], [5, 6]]), "3x2"),
+    (lambda: ex.solve([[1, 0], [0, 1]], [1, 2, 3]), "length 3 for a 2x2"),
+    (lambda: ex.solve([[1, 0], [0, 1]], [1]), "length 1 for a 2x2"),
+    (lambda: ex.mat_inverse([[1, 0, 0], [0, 1, 0]]), "2x3"),
+    (lambda: rank([[1, 2], [3, 4, 5]]), r"lengths \[2, 3\]"),
+    (lambda: ex.rref([[1, 2], [3, 4, 5]]), r"lengths \[2, 3\]"),
+    (lambda: kernel([[1, 2], [3, 4, 5]]), r"lengths \[2, 3\]"),
+    (lambda: ex.mat_mul([[1, 2, 3]], [[1], [2]]), "1x3 matrix by a 2x1"),
+    (lambda: ex.mat_vec([[1, 2]], [1, 2, 3]), "1x2 matrix by a vector of length 3"),
+])
+def test_shape_errors_name_the_shape(call, shape):
+    with pytest.raises(ValueError, match=shape):
+        call()
 
 
 # -- decomposability / support / wedge powers ---------------------------------
