@@ -16,11 +16,13 @@ Exact rational arithmetic throughout: the case distinctions here are rank
 decisions that rounding would corrupt.  They run on integers.  A map's
 matrix is cleared to integers once (den times the map), and its wedge table
 W[k1, k2] = R(e_k1) ^ R(e_k2) in the fourth exterior power is summed from
-the nonzero entries with numpy, in blocks (int64 inside a 2**62 guard,
-Python ints past it).  The decomposability verdict is the vanishing of
-every coefficient expanded from W.  Maps and forms are immutable, so W and
-the verdict are computed once per map, and a curvature form builds them
-straight from its sparse entries and shares them with its bivector map.
+the nonzero entries with numpy, in blocks, by the group algebra's engine
+(``young.sum_by_code``): sorted code order, int64 inside the 2**62 guard
+and one object-dtype path past it.  The decomposability verdict is the
+vanishing of every coefficient expanded from W.  Maps and forms are
+immutable, so W and the verdict are computed once per map, and a curvature
+form builds them straight from its sparse entries and shares them with its
+bivector map.
 The power map reads its images from the rows of W, the square-root
 recovery reads each pencil image's span from two contractions of its
 integer column, and the flat-case metric is read from one slice of the
@@ -56,6 +58,7 @@ from projdyn.exactlin import (
 )
 from projdyn.polyintegrals import AntisymmetricForm
 from projdyn.screens import MAX_SCREEN_DIM
+from projdyn.young import int_dtype, sum_by_code
 
 
 class DecomposabilityError(ValueError):
@@ -196,48 +199,8 @@ class BivectorMap:
 # ---------------------------------------------------------------------------
 # the decomposability-preservation test
 
-# Every code, product and partial sum of the int64 path stays below this;
-# past it the same arrays run with dtype=object (Python ints).
-_INT64_SAFE = 2 ** 62
-# products summed per block: the working arrays of one call stay small
+# products per block of the wedge table's product stream
 _BLOCK = 1 << 16
-
-
-def _sum_codes(blocks):
-    """Sum a stream of (codes, values) array blocks by code; returns the
-    sorted codes with nonzero sums and those sums.
-
-    Blocks wait until they outnumber the running sums and are then merged
-    into them by one sort, so the memory follows the current blocks plus the
-    live sums.  The wedge table is read by code, so sorted order is all the
-    order it needs.
-    """
-    keys = sums = np.empty(0, dtype=np.int64)
-    pending, size = [], 0
-
-    def merge():
-        codes = np.concatenate([keys] + [c for c, _ in pending])
-        vals = np.concatenate([sums] + [v for _, v in pending])
-        order = np.argsort(codes, kind="stable")
-        codes, vals = codes[order], vals[order]
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        total = np.add.reduceat(vals, starts)
-        live = total != 0
-        return codes[starts][live], total[live]
-
-    for codes, vals in blocks:
-        pending.append((codes, vals))
-        size += len(codes)
-        if size >= max(_BLOCK, len(keys)):
-            keys, sums = merge()
-            pending, size = [], 0
-    if size:
-        keys, sums = merge()
-    return keys, sums
-
-
-def _code_dtype(space):
-    return np.int64 if space < _INT64_SAFE else object
 
 
 class WedgeTable:
@@ -279,8 +242,8 @@ def _wedge_table(dim_src, dim_dst, entries) -> WedgeTable:
     W[k1, k2] with k1 = (a, b), k2 = (c, d) then adds w times p_ab p_cd,
     with weight 2 off the diagonal, where p_ab p_cd = x_a x_c y_b y_d -
     x_a x_d y_b y_c - x_b x_c y_a y_d + x_b x_d y_a y_c.  Products run in
-    blocks of about ``_BLOCK``; the arrays are int64 inside the 2**62 guard
-    and dtype=object past it.
+    blocks of about ``_BLOCK`` and are summed by ``sum_by_code``; the arrays
+    are int64 inside the 2**62 guard and dtype=object past it.
     """
     npairs = dim_src * (dim_src - 1) // 2
     d = dim_dst
@@ -290,8 +253,8 @@ def _wedge_table(dim_src, dim_dst, entries) -> WedgeTable:
     n = len(entries)
     k, i, j = (np.array([e[c] for e in entries], dtype=np.int64).reshape(n) for c in range(3))
     bound = max((abs(e[3]) for e in entries), default=0)
-    vals = np.array([e[3] for e in entries], dtype=np.int64 if bound * bound * n * n < _INT64_SAFE else object)
-    cdt = _code_dtype(npairs * npairs * quad)
+    vals = np.array([e[3] for e in entries], dtype=int_dtype(bound, bound, n, n))
+    cdt = int_dtype(npairs * npairs * quad)
     first = np.searchsorted(k, k)
 
     def wedges():
@@ -313,10 +276,10 @@ def _wedge_table(dim_src, dim_dst, entries) -> WedgeTable:
             yield (k[p].astype(cdt) * npairs + k[q]) * quad + subset, vals[p] * vals[q] * (1 - 2 * odd)
             r0 = r1
 
-    codes, values = _sum_codes(wedges())
+    codes, values = sum_by_code(wedges(), npairs * npairs * quad)
     top = int(np.abs(values).max()) if len(values) else 0
-    wvals = values if 8 * top * len(values) < _INT64_SAFE else values.astype(object)
-    mdt = _code_dtype(dim_src ** 4 * quad)
+    wvals = values.astype(int_dtype(8, top, len(values)), copy=False)
+    mdt = int_dtype(dim_src ** 4 * quad)
     pa, pb = (np.array([pr[c] for pr in pair_basis(dim_src)], dtype=np.int64).reshape(npairs) for c in (0, 1))
 
     def terms():
@@ -332,7 +295,7 @@ def _wedge_table(dim_src, dim_dst, entries) -> WedgeTable:
                         + np.minimum(y1, y2)) * dim_src + np.maximum(y1, y2)
                 yield mono * quad + subset, w * sign
 
-    coeffs, _ = _sum_codes(terms())
+    coeffs, _ = sum_by_code(terms(), dim_src ** 4 * quad)
     return WedgeTable(dim_src, dim_dst, codes, values, not len(coeffs))
 
 

@@ -48,6 +48,7 @@ from projdyn.young import (
     index_array,
     slot_identity,
     sorted_block_sums,
+    table_in_imAS,
 )
 
 # variable layout for ambient dimension d: q_i = var i, v_i = var d + i
@@ -322,6 +323,13 @@ class AntisymmetricForm:
         self.b = b
         self.tensor = tensor
 
+    @classmethod
+    def _member(cls, dim: int, b: int, tensor: Tensor) -> "AntisymmetricForm":
+        """The form of a tensor already known to lie in the class."""
+        out = cls.__new__(cls)
+        out.dim, out.b, out.tensor = dim, b, tensor
+        return out
+
     def restrict(self, coords) -> "AntisymmetricForm":
         """The form on the span of the standard basis vectors at coords,
         renumbered 0, 1, ... in that order.  Every identity of the class
@@ -330,9 +338,7 @@ class AntisymmetricForm:
         position = {c: k for k, c in enumerate(coords)}
         entries = {tuple(position[i] for i in idx): val for idx, val in self.tensor.entries.items()
                    if all(i in position for i in idx)}
-        out = AntisymmetricForm.__new__(AntisymmetricForm)
-        out.dim, out.b, out.tensor = len(coords), self.b, Tensor._raw(len(coords), 2 * self.b, entries)
-        return out
+        return AntisymmetricForm._member(len(coords), self.b, Tensor._raw(len(coords), 2 * self.b, entries))
 
     def diagonal_poly(self) -> Poly:
         return _pair_diagonal(self.tensor, self.b)
@@ -399,15 +405,15 @@ def to_antisymmetric(R) -> AntisymmetricForm:
     normalization by the candidate's diagonal against R: the two must have
     the same monomials and diag[k] R[e] == diag[e] R[k] at every one, which
     is decided on integers.  The candidate divided by mu = diag[e] / R[e],
-    the only division of the chain, has diagonal R; its symmetry class is
-    verified once, by the AntisymmetricForm constructor.
+    the only division of the chain, has diagonal R.  Its symmetry class is
+    linear, so it is decided once, on the candidate's integer table.
     """
     if not isinstance(R, BiHomogeneousPoly):
         raise TypeError("pass a BiHomogeneousPoly")
     b, dim = R.b, R.dim
     target, den = R._diagonal
     if not target:
-        return AntisymmetricForm(dim, b, Tensor(dim, 2 * b, {}))
+        return AntisymmetricForm._member(dim, b, Tensor._raw(dim, 2 * b, {}))
     interleave = tuple(2 * j if j < b else 2 * (j - b) + 1 for j in range(2 * b))
     cand = act(compose_elements(antisymmetrizer_element(pair_tableau(b)), {interleave: 1}), R._table)
     diag = dict(zip(*sorted_block_sums(cand, _pair_blocks(b))))
@@ -419,8 +425,10 @@ def to_antisymmetric(R) -> AntisymmetricForm:
     d_key, r_key = diag[key], target[key]
     if any(diag[k] * r_key != d_key * r for k, r in target.items()):
         raise ArithmeticError("candidate diagonal is not proportional to R")
+    if not table_in_imAS(pair_tableau(b), cand):
+        raise ValueError("tensor lacks the pair-antisymmetric symmetry class")
     mu = Fraction(d_key * den, cand.den * r_key)  # diag[key] / R[key]
-    return AntisymmetricForm(dim, b, cand.tensor(1 / mu))
+    return AntisymmetricForm._member(dim, b, cand.tensor(1 / mu))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ The group algebra runs on int64 arrays.  Composing two elements, acting on
 a tensor and the image bases are one action (``_Action``): an index row jdx
 and a permutation sigma with coefficient c give c * e_{jdx o sigma^-1}.
 The products become base-k integer codes, one matrix product per block of
-about 4k, and one helper, ``_sum_by_code``, sums them with the key order of
-a dict filled by ``exactlin.accumulate``: a key sits where its running sum
-last turned nonzero, so one that cancels and comes back moves to the end.
-Outputs are therefore the same dicts, in the same order, as the plain
-per-product loops.  A guard keeps every code and partial sum below 2**62;
-past it (or with non-integer coefficients) the same sums run as the per-row
-``accumulate`` loop on Python ints.
+about 4k, and one engine, ``sum_by_code``, sums them by code, so every
+output lists its keys in sorted code order: the same dicts as the plain
+per-product loops, in increasing key order.  A guard keeps every code and
+partial sum of an int64 array below 2**62; past it, or with non-integer
+coefficients, the same arrays run with dtype=object, the one overflow path.
+The wedge table of ``curvclass`` is summed by the same engine.
 
 An action reads a ``ClearedTable``: a tensor's entries as an int64 index
 array and integer numerators over one common denominator, cleared once,
@@ -34,11 +33,12 @@ table over rearrangements (``sorted_block_sums``): the diagonal of a form
 and the first-block symmetrization of a polar form are such sums.
 
 The same action decides membership in Im AS and Im SA.  Each slot identity
-of a class (an antisymmetry or symmetry inside a column or row, and the
-identity tying a column or row to the head of the next) is a group-algebra
-element {identity: 1, sigma: +-1, ...} that vanishes on the class; a check
-clears the tensor's entries to integers once and sums each identity's action
-over that one table, so no whole permuted tensor is built.
+of a class (an antisymmetry or symmetry under an adjacent transposition
+inside a column or row, and the identity tying a column or row to the head
+of the next) is a group-algebra element {identity: 1, sigma: +-1, ...} that
+vanishes on the class; a check clears the tensor's entries to integers once
+and sums each identity's action over that one table, so no whole permuted
+tensor is built.
 
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import JsonValue, SparseEchelon, Tensor, accumulate, clear_denominators, perm_sign
+from projdyn.exactlin import JsonValue, SparseEchelon, Tensor, clear_denominators, perm_sign
 
 
 class NumberingError(ValueError):
@@ -192,57 +192,58 @@ def antisymmetrizer_element(tableau: YoungTableau) -> dict:
     return elem
 
 
-# Every code, coefficient product and partial sum of the integer-array path
-# stays below this, so no int64 operation in it can wrap.
+# Every code, product and partial sum of an int64 array stays below this;
+# past it the same arrays run with dtype=object.
 _INT64_SAFE = 2 ** 62
-# products summed per block: the working arrays of one call stay small
+# products per block, and the fewest pending products that sum_by_code merges:
+# the working arrays of one call stay small
 _BLOCK = 4096
 
 
-def _sum_by_code(blocks, size):
-    """Sum integer products by code, in the key order of ``accumulate``.
+def int_dtype(*bounds):
+    """int64 for integers bounded by the product of ``bounds`` (each taken as
+    at least 1: the largest code, or |value| times the number of values
+    summed) when it is below the guard; object for a larger product, or when
+    a bound is None (non-integer values)."""
+    if None in bounds:
+        return object
+    return np.int64 if math.prod(max(b, 1) for b in bounds) < _INT64_SAFE else object
 
-    ``blocks`` yields (codes, values) int64 arrays in stream order, every code
-    below ``size``.  A dict filled by ``accumulate`` from the same stream holds
-    a key where its running sum last turned nonzero: a key that cancels and
-    comes back moves to the end.  The live sums are carried from block to
-    block as (code, sum, birth position) arrays; each block is merged in with
-    one stable sort by code, the carried sum ahead of the block's products.
-    Returns (codes, sums) of the nonzero sums in key order.  The caller
-    guarantees that the absolute values of all products sum below 2**62.
+
+def sum_by_code(blocks, size):
+    """Sum a stream of (codes, values) array blocks by code, every code below
+    ``size``; returns the increasing codes with nonzero sums, and those sums,
+    as two arrays.
+
+    The arrays are int64 when the caller's bounds on the codes and on the
+    sums of absolute values pass ``int_dtype``, and dtype=object (Python
+    ints, or Fractions) otherwise.  Blocks wait until they outnumber the
+    running sums, and at least ``_BLOCK`` products, and are then merged into
+    them by one sort, so the memory follows the pending blocks plus the live
+    sums.  Codes below 2**16 sort as uint16, which numpy radix-sorts.
     """
-    keys = sums = born = np.empty(0, dtype=np.int64)
-    seen = 0
-    # codes of at most 16 bits sort as uint16, which numpy radix-sorts
-    sort_dtype = np.uint16 if size <= 2 ** 16 else np.int64
-    for codes, vals in blocks:
-        if not len(codes):
-            continue
-        pos = np.arange(seen, seen + len(codes))
-        seen += len(codes)
-        if len(keys):
-            codes = np.concatenate((keys, codes))
-            vals = np.concatenate((sums, vals))
-            pos = np.concatenate((born, pos))
-        order = np.argsort(codes.astype(sort_dtype), kind="stable")
-        codes, vals, pos = codes[order], vals[order], pos[order]
-        # each code's products are codes[bounds[i]:bounds[i + 1]]
-        edges = np.empty(len(codes) + 1, dtype=bool)
-        edges[0] = edges[-1] = True
-        np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
-        bounds = np.flatnonzero(edges)
-        starts = bounds[:-1]
-        # running sums: one cumsum, restarted at the first product of each code
-        run = np.cumsum(vals)
-        run -= np.repeat(run[starts] - vals[starts], bounds[1:] - starts)
-        # a birth turns a zero running sum nonzero; positions rise within a
-        # code, so its last birth is the largest birth position
-        born = np.maximum.reduceat(np.where((run != 0) & (run == vals), pos, -1), starts)
-        total = run[bounds[1:] - 1]
+    keys = sums = np.empty(0, dtype=np.int64)
+    pending, count = [], 0
+
+    def merge():
+        codes = np.concatenate([keys, *(c for c, _ in pending)])
+        vals = np.concatenate([sums, *(v for _, v in pending)])
+        order = np.argsort(codes.astype(np.uint16) if size <= 2 ** 16 else codes, kind="stable")
+        codes, vals = codes[order], vals[order]
+        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        total = np.add.reduceat(vals, starts)
         live = total != 0
-        keys, sums, born = codes[starts][live], total[live], born[live]
-    order = np.argsort(born)
-    return keys[order], sums[order]
+        return codes[starts][live], total[live]
+
+    for codes, vals in blocks:
+        pending.append((codes, vals))
+        count += len(codes)
+        if count >= max(_BLOCK, len(keys)):
+            keys, sums = merge()
+            pending, count = [], 0
+    if count:
+        keys, sums = merge()
+    return keys, sums
 
 
 def _max_abs(values):
@@ -264,8 +265,8 @@ class ClearedTable:
 
     ``rows`` is an (n, width) int64 array, ``vals`` the n numerators (ints,
     for a cleared tensor) and ``den`` their denominator.  The largest |v|
-    and the int64 array of the values are found here once, for every action
-    summed over the table.
+    and the array of the values (int64 inside the guard) are found here
+    once, for every action summed over the table.
     """
 
     __slots__ = ("dim", "rows", "vals", "den", "bound", "array")
@@ -276,7 +277,7 @@ class ClearedTable:
         self.vals = vals
         self.den = den
         self.bound = _max_abs(vals)
-        self.array = np.array(vals, dtype=np.int64) if self.bound is not None and self.bound < _INT64_SAFE else None
+        self.array = np.array(vals, dtype=int_dtype(self.bound))
 
     @classmethod
     def of(cls, t: Tensor) -> "ClearedTable":
@@ -303,10 +304,10 @@ class _Action:
     """A group-algebra element acting on index rows: row jdx and permutation
     sigma with coefficient c give c * e_{jdx o sigma^-1}.
 
-    Results are keyed by the base-``base`` code of the index tuple.  Integer
-    inputs inside the int64 guard run on arrays (``_sum_by_code``); anything
-    else runs the per-row ``accumulate`` loop on Python ints, with the same
-    result and key order.
+    Results are keyed by the base-``base`` code of the index tuple and
+    summed by ``sum_by_code``, so they come in sorted code order.  The
+    arrays are int64 inside the 2**62 guard; past it, or with non-integer
+    coefficients, the same arrays run with dtype=object.
     """
 
     def __init__(self, perms, coefs, base):
@@ -314,57 +315,38 @@ class _Action:
         self.bound = _max_abs(coefs)
         self.base = base
         self.size = base ** width
-        # codes and coefficients in int64; sum_codes also bounds the sums
-        self.fits = self.bound is not None and self.bound < _INT64_SAFE and self.size < _INT64_SAFE
         self.coefs = coefs
-        self.int_coefs = np.array(coefs, dtype=np.int64) if self.fits else None
-        # Python ints once the codes could overflow int64
-        self.radix = np.array([base ** k for k in range(width - 1, -1, -1)],
-                              dtype=np.int64 if self.fits else object)
+        self.radix = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=int_dtype(self.size))
         # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
         self.weights = self.radix[perms].T
 
     def sum_codes(self, table: ClearedTable):
-        """Sum vals[i] * coefs[p] at the code of rows[i] o perms[p]^-1 in the
-        scan order rows outer, perms inner; returns the codes and the list of
-        nonzero sums in the key order of ``accumulate``."""
-        rows, vals = table.rows, table.vals
-        if (self.fits and table.array is not None
-                and max(table.bound, 1) * max(self.bound, 1) * len(vals) * len(self.coefs) < _INT64_SAFE):
-            step = max(1, _BLOCK // len(self.coefs))
-            blocks = (((rows[r:r + step] @ self.weights).ravel(),
-                       np.multiply.outer(table.array[r:r + step], self.int_coefs).ravel())
-                      for r in range(0, len(vals), step))
-            codes, sums = _sum_by_code(blocks, self.size)
-            return codes, sums.tolist()
-        out = {}
-        for row, val in zip(rows, vals):
-            for code, coef in zip((row @ self.weights).tolist(), self.coefs):
-                accumulate(out, code, val * coef)
-        return list(out), list(out.values())
+        """Sum vals[i] * coefs[p] at the code of rows[i] o perms[p]^-1;
+        returns the increasing codes and the list of their nonzero sums."""
+        dtype = int_dtype(table.bound, self.bound, len(table.vals), len(self.coefs))
+        vals, coefs = table.array.astype(dtype, copy=False), np.array(self.coefs, dtype=dtype)
+        step = max(1, _BLOCK // len(coefs))
+        blocks = (((table.rows[r:r + step] @ self.weights).ravel(), np.multiply.outer(vals[r:r + step], coefs).ravel())
+                  for r in range(0, len(vals), step))
+        codes, sums = sum_by_code(blocks, self.size)
+        return codes, sums.tolist()
 
     def row_images(self, rows):
-        """The image of each basis row e_rows[i], one (codes, sums) pair per
-        row, each in the key order of ``accumulate``.
+        """The image of each basis row e_rows[i], one (codes, sums) pair of
+        lists per row, the codes increasing.
 
-        Inside the int64 guard the rows are summed in one ``_sum_by_code``
-        stream with row i's codes offset by i * size, so no two rows share a
-        code; the stream keeps each row's own order of births.
+        The rows are summed in one ``sum_by_code`` stream with row i's codes
+        offset by i * size, so no two rows share a code and the sorted codes
+        come grouped by row.
         """
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         count = len(rows)
-        if not (self.fits and count * self.size < _INT64_SAFE
-                and max(self.bound, 1) * len(self.coefs) * count < _INT64_SAFE):
-            images = (self.sum_codes(ClearedTable(self.base, row[None, :], [1])) for row in rows)
-            return [(np.asarray(codes).tolist(), sums) for codes, sums in images]
-        offsets = np.arange(count, dtype=np.int64) * self.size
-        codes = (rows @ self.weights + offsets[:, None]).ravel()
-        codes, sums = _sum_by_code([(codes, np.tile(self.int_coefs, count))], count * self.size)
-        owner = codes // self.size
-        order = np.argsort(owner, kind="stable")
-        codes, sums, owner = codes[order] - owner[order] * self.size, sums[order], owner[order]
-        bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
-        codes, sums = codes.tolist(), sums.tolist()
+        offsets = np.arange(count + 1, dtype=int_dtype(count * self.size)) * self.size
+        codes = (rows @ self.weights + offsets[:-1, None]).ravel()
+        coefs = np.array(self.coefs, dtype=int_dtype(self.bound, len(self.coefs), count))
+        codes, sums = sum_by_code([(codes, np.tile(coefs, count))], count * self.size)
+        bounds = np.searchsorted(codes, offsets).tolist()
+        codes, sums = (codes % self.size).tolist(), sums.tolist()
         return [(codes[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def index_rows(self, codes):
@@ -382,10 +364,9 @@ def compose_elements(g: dict, h: dict) -> dict:
 
     The product of sigma in g and tau in h is keyed at sigma o tau, which is
     the action of tau^-1 on the index row sigma, so the sums run through
-    ``_Action`` in base n: int64 arrays in blocks when the coefficients are
-    ints inside the guard, the per-row ``accumulate`` loop otherwise.  The
-    (sigma, tau) scan order, and so the key order of the result, is that of
-    the plain double loop.
+    ``_Action`` in base n: int64 arrays in blocks, with one object-dtype
+    path past the guard or for non-integer coefficients.  The result lists
+    its keys in sorted code order, which is increasing permutation order.
     """
     if not g or not h:
         return {}
@@ -405,10 +386,9 @@ def act(g: dict, table: ClearedTable) -> ClearedTable:
     """The action of g on a cleared table: (L_sigma phi)[idx] = phi[idx o
     sigma], so entry jdx lands at idx = jdx o sigma^-1.
 
-    The sums run by base-dim code in the scan order entries outer,
-    permutations inner (``_Action``); the result keeps the table's
-    denominator and lists its nonzero entries in the key order of
-    ``accumulate``.
+    The sums run by base-dim code (``_Action``), with one object-dtype path
+    past the guard; the result keeps the table's denominator and lists its
+    nonzero entries in sorted code order, which is increasing index order.
     """
     order = table.rows.shape[1]
     perms = np.array(list(g), dtype=np.intp).reshape(len(g), order)
@@ -490,11 +470,13 @@ def slot_identity(n: int, pairs, sign) -> dict:
 
 def _class_identities(blocks, n: int, sign):
     """The identities cutting out Im SA (blocks = rows, sign = 1) or Im AS
-    (blocks = columns, sign = -1): phi = sign T(m, p) phi for m, p in one
-    block, then phi + sign sum_p T(p, head of the next block) phi = 0 over
-    the boxes p of each block."""
+    (blocks = columns, sign = -1): phi = sign T(m, p) phi for adjacent slots
+    m, p of one block, then phi + sign sum_p T(p, head of the next block)
+    phi = 0 over the boxes p of each block.  The adjacent transpositions
+    generate each block's permutations and the sign is a character, so a
+    block of k slots needs k - 1 identities, not k (k - 1) / 2."""
     for slots in blocks:
-        for pair in itertools.combinations(slots, 2):
+        for pair in zip(slots, slots[1:]):
             yield slot_identity(n, [pair], -sign)
     for here, after in zip(blocks, blocks[1:]):
         yield slot_identity(n, [(p, after[0]) for p in here], sign)
@@ -518,24 +500,26 @@ def annihilated_by_all(identities, table: ClearedTable) -> bool:
 
 def sorted_block_sums(table: ClearedTable, blocks):
     """Sums of the table's values over the rows that agree up to a
-    rearrangement of the slots inside each block, in the key order of
-    ``accumulate``; the sum of a class sits at the base-``dim`` code of its
-    row with each block sorted, the blocks side by side in the order given.
+    rearrangement of the slots inside each block; the sum of a class sits at
+    the base-``dim`` code of its row with each block sorted, the blocks side
+    by side in the order given.
 
-    The sums are the identity's action on the sorted rows.  Returns (codes,
-    sums) as lists of the nonzero sums.
+    The sums are the identity's action on the sorted rows (``_Action``,
+    with one object-dtype path past the guard).  Returns (codes, sums) as
+    lists of the nonzero sums, in sorted code order.
     """
     rows = np.concatenate([np.sort(table.rows[:, list(block)], axis=1) for block in blocks], axis=1)
     width = rows.shape[1]
     codes, sums = _Action(np.arange(width)[None, :], [1], table.dim).sum_codes(table.with_rows(rows))
-    return np.asarray(codes).tolist(), sums
+    return codes.tolist(), sums
 
 
 def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
     """Exact membership test for Im SA (horizontally numbered tableau).
 
-    Checks (i) symmetry under every transposition inside each row and
-    (ii) one identity per consecutive row pair:
+    Checks (i) symmetry under each adjacent transposition inside each row
+    (these generate the row's permutations) and (ii) one identity per
+    consecutive row pair:
     phi + sum over boxes p of row k of T(p, first box of row k+1) phi = 0.
     """
     if tableau.numbering != "horizontal":
@@ -547,52 +531,21 @@ def check_imSA(tableau: YoungTableau, t: Tensor) -> bool:
 def check_imAS(tableau: YoungTableau, t: Tensor) -> bool:
     """Exact membership test for Im AS (vertically numbered tableau).
 
-    Checks (i) antisymmetry under every transposition inside each column and
-    (ii) per consecutive column pair:
+    Checks (i) antisymmetry under each adjacent transposition inside each
+    column (these generate the column's permutations, and the sign is a
+    character) and (ii) per consecutive column pair:
     phi - sum over boxes p of column k of T(p, top of column k+1) phi = 0.
     """
     if tableau.numbering != "vertical":
         raise NumberingError("Im AS membership is a vertical-numbering query")
     _check_order(tableau, t)
-    return annihilated_by_all(_class_identities(tableau.column_slots(), t.order, -1), ClearedTable.of(t))
+    return table_in_imAS(tableau, ClearedTable.of(t))
 
 
-def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
-    """phi - sum_p T(p, top of column j) phi over boxes p of column k (k < j).
-
-    Vanishes on Im AS for every non-adjacent column pair as well (the
-    transitivity of the column identities).
-    """
-    if tableau.numbering != "vertical":
-        raise NumberingError("column identities need a vertical numbering")
-    _check_order(tableau, t)
-    cols = tableau.column_slots()
-    return apply_element(slot_identity(t.order, [(p, cols[j][0]) for p in cols[k]], -1), t)
-
-
-def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int):
-    """Plug the vector p into the top boxes of the last l columns.
-
-    Returns (reduced tableau, reduced tensor); the reduced tableau has those
-    column lengths decreased by one (columns shrinking to zero disappear,
-    and the reduced tensor is returned with a None tableau in that case).
-    """
-    if tableau.numbering != "vertical":
-        raise NumberingError("column contraction needs a vertical numbering")
-    _check_order(tableau, t)
-    cols = list(tableau.columns)
-    c = len(cols)
-    if not 1 <= l <= c:
-        raise ValueError("l out of range")
-    col_slots = tableau.column_slots()
-    slots = [col_slots[c - l + i][0] for i in range(l)]
-    reduced = t.contract_slots({s: p_vec for s in slots})
-    new_cols = [j - 1 if i >= c - l else j for i, j in enumerate(cols)]
-    new_cols = [j for j in new_cols if j > 0]
-    if not new_cols:
-        return None, reduced
-    new_cols.sort(reverse=True)
-    return YoungTableau.from_columns(new_cols), reduced
+def table_in_imAS(tableau: YoungTableau, table: ClearedTable) -> bool:
+    """``check_imAS`` on a cleared table of order tableau.size, for a caller
+    that already holds its tensor's integer table."""
+    return annihilated_by_all(_class_identities(tableau.column_slots(), tableau.size, -1), table)
 
 
 # ---------------------------------------------------------------------------
@@ -677,54 +630,3 @@ def basis_products(tableau: YoungTableau, dim: int) -> int:
     else:
         tuples = math.prod(math.comb(dim, k) for k in tableau.columns)
     return tuples * math.prod(map(math.factorial, tableau.rows + tableau.columns))
-
-
-def vanishing_diagonal_test(tableau: YoungTableau, t: Tensor) -> bool:
-    """True iff the diagonal evaluation phi(x1..xj1; x1..xj2; ...) is the zero
-    polynomial, decided exactly on coefficients.
-
-    For t in Im AS a True answer forces t = 0, so this doubles as a zero test
-    through the diagonal.
-    """
-    if not check_imAS(tableau, t):
-        raise ValueError("input must lie in Im AS for the vertical tableau")
-    cols = tableau.column_slots()
-    depth_of_slot = {}
-    for slots in cols:
-        for depth, s in enumerate(slots):
-            depth_of_slot[s] = depth
-    coeffs = {}
-    for idx, val in t.entries.items():
-        mono = {}
-        for slot, i in enumerate(idx):
-            pair = (depth_of_slot[slot], i)
-            mono[pair] = mono.get(pair, 0) + 1
-        accumulate(coeffs, tuple(sorted(mono.items())), val)
-    return not coeffs
-
-
-def example_pair_exchange_decompose(phi: Tensor):
-    """Split an order-4 form with phi(x,y,z,t) = phi(z,t,x,y) and antisymmetry
-    in (1,2) and (3,4) into (phi_Y, psi) with phi = phi_Y + psi/3.
-
-    psi(x,y,z,t) = phi(x,y,z,t) + phi(y,z,x,t) + phi(z,x,y,t) is fully
-    antisymmetric and phi_Y lies in Im AS of the vertical 2x2 tableau; when
-    phi(x,y,x,y) vanishes identically, phi_Y = 0 and phi is itself fully
-    antisymmetric (up to the factor 3).
-    """
-    if phi.order != 4:
-        raise ValueError("order-4 form required")
-    identity = (0, 1, 2, 3)
-    if not apply_element({identity: 1, (2, 3, 0, 1): -1}, phi).is_zero():
-        raise ValueError("pair-exchange symmetry phi(x,y,z,t)=phi(z,t,x,y) fails")
-    if not all(apply_element(slot_identity(4, [pair], 1), phi).is_zero() for pair in ((0, 1), (2, 3))):
-        raise ValueError("pair antisymmetry fails")
-    psi = apply_element({identity: 1, (1, 2, 0, 3): 1, (2, 0, 1, 3): 1}, phi)
-    phi_y = phi - psi.scale(Fraction(1, 3))
-    # defensive: the split must land where the decomposition says
-    if not all(apply_element(slot_identity(4, [pair], 1), psi).is_zero()
-               for pair in itertools.combinations(range(4), 2)):
-        raise ArithmeticError("cyclic sum failed to be fully antisymmetric")
-    if not check_imAS(YoungTableau.from_columns([2, 2]), phi_y):
-        raise ArithmeticError("projected part is not in Im AS")
-    return phi_y, psi

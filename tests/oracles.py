@@ -8,13 +8,18 @@
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
-  the reference for its values and its key order.  The block exchange and
-  R(v, -q) by ``Poly.substitute`` are the reference for the library's
-  exponent-tuple ``swap_blocks``.
+  the reference for its values (``assert_same_dict``).  The group-algebra
+  engine lists its outputs in sorted code order, so only the polar form,
+  which the engine does not build, is compared in the loops' key order.
+  The block exchange and R(v, -q) by ``Poly.substitute`` are the reference
+  for the library's exponent-tuple ``swap_blocks``.
 * Whole-tensor slot permutations and subspace comparisons: the independent
   reference for the group-algebra action and for the exact spans that the
   library returns.  No pipeline permutes a whole tensor or compares two
   spans, and no input format carries a multivector.
+* Young-class helpers that no pipeline calls: the column identity between
+  any two columns, contraction of the top boxes, the diagonal zero test and
+  the split of a pair-exchange form (the lemmas the tests check).
 """
 
 import itertools
@@ -27,7 +32,15 @@ from projdyn.exactlin import FormatError, JsonValue, Multivector, Tensor, accumu
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
 from projdyn.screens import Screen
-from projdyn.young import antisymmetrizer_element
+from projdyn.young import (
+    NumberingError,
+    YoungTableau,
+    _check_order,
+    antisymmetrizer_element,
+    apply_element,
+    check_imAS,
+    slot_identity,
+)
 
 
 class CustomScreen(Screen):
@@ -86,6 +99,16 @@ def hessian_vv(screen, q, v) -> float:
     if geometry is None:
         raise ValueError("point outside the screen's validity domain")
     return geometry[2]
+
+
+def assert_same_dict(got: dict, expected: dict, increasing=True):
+    """got equals expected as a dict; with ``increasing`` (a tensor's entries
+    or a group-algebra element), got also lists its keys in increasing order,
+    the sorted code order of the group-algebra engine."""
+    assert got == expected
+    if increasing:
+        keys = list(got)
+        assert keys == sorted(keys)
 
 
 # -- the P^{b,b} chain on Fractions ----------------------------------------------
@@ -246,3 +269,95 @@ def multivector_from_json(obj) -> Multivector:
     if any(a >= b for idx in t.entries for a, b in zip(idx, idx[1:])):
         raise r.error("entries whose idx lists are strictly increasing", "entries")
     return Multivector._raw(t.dim, t.order, t.entries)
+
+
+# -- Young-class helpers without a pipeline caller ---------------------------------
+
+
+def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
+    """phi - sum_p T(p, top of column j) phi over boxes p of column k (k < j).
+
+    Vanishes on Im AS for every non-adjacent column pair as well (the
+    transitivity of the column identities).
+    """
+    if tableau.numbering != "vertical":
+        raise NumberingError("column identities need a vertical numbering")
+    _check_order(tableau, t)
+    cols = tableau.column_slots()
+    return apply_element(slot_identity(t.order, [(p, cols[j][0]) for p in cols[k]], -1), t)
+
+
+def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int):
+    """Plug the vector p into the top boxes of the last l columns.
+
+    Returns (reduced tableau, reduced tensor); the reduced tableau has those
+    column lengths decreased by one (columns shrinking to zero disappear,
+    and the reduced tensor is returned with a None tableau in that case).
+    """
+    if tableau.numbering != "vertical":
+        raise NumberingError("column contraction needs a vertical numbering")
+    _check_order(tableau, t)
+    cols = list(tableau.columns)
+    c = len(cols)
+    if not 1 <= l <= c:
+        raise ValueError("l out of range")
+    col_slots = tableau.column_slots()
+    slots = [col_slots[c - l + i][0] for i in range(l)]
+    reduced = t.contract_slots({s: p_vec for s in slots})
+    new_cols = [j - 1 if i >= c - l else j for i, j in enumerate(cols)]
+    new_cols = [j for j in new_cols if j > 0]
+    if not new_cols:
+        return None, reduced
+    new_cols.sort(reverse=True)
+    return YoungTableau.from_columns(new_cols), reduced
+
+
+def vanishing_diagonal_test(tableau: YoungTableau, t: Tensor) -> bool:
+    """True iff the diagonal evaluation phi(x1..xj1; x1..xj2; ...) is the zero
+    polynomial, decided exactly on coefficients.
+
+    For t in Im AS a True answer forces t = 0, so this doubles as a zero test
+    through the diagonal.
+    """
+    if not check_imAS(tableau, t):
+        raise ValueError("input must lie in Im AS for the vertical tableau")
+    cols = tableau.column_slots()
+    depth_of_slot = {}
+    for slots in cols:
+        for depth, s in enumerate(slots):
+            depth_of_slot[s] = depth
+    coeffs = {}
+    for idx, val in t.entries.items():
+        mono = {}
+        for slot, i in enumerate(idx):
+            pair = (depth_of_slot[slot], i)
+            mono[pair] = mono.get(pair, 0) + 1
+        accumulate(coeffs, tuple(sorted(mono.items())), val)
+    return not coeffs
+
+
+def example_pair_exchange_decompose(phi: Tensor):
+    """Split an order-4 form with phi(x,y,z,t) = phi(z,t,x,y) and antisymmetry
+    in (1,2) and (3,4) into (phi_Y, psi) with phi = phi_Y + psi/3.
+
+    psi(x,y,z,t) = phi(x,y,z,t) + phi(y,z,x,t) + phi(z,x,y,t) is fully
+    antisymmetric and phi_Y lies in Im AS of the vertical 2x2 tableau; when
+    phi(x,y,x,y) vanishes identically, phi_Y = 0 and phi is itself fully
+    antisymmetric (up to the factor 3).
+    """
+    if phi.order != 4:
+        raise ValueError("order-4 form required")
+    identity = (0, 1, 2, 3)
+    if not apply_element({identity: 1, (2, 3, 0, 1): -1}, phi).is_zero():
+        raise ValueError("pair-exchange symmetry phi(x,y,z,t)=phi(z,t,x,y) fails")
+    if not all(apply_element(slot_identity(4, [pair], 1), phi).is_zero() for pair in ((0, 1), (2, 3))):
+        raise ValueError("pair antisymmetry fails")
+    psi = apply_element({identity: 1, (1, 2, 0, 3): 1, (2, 0, 1, 3): 1}, phi)
+    phi_y = phi - psi.scale(Fraction(1, 3))
+    # defensive: the split must land where the decomposition says
+    if not all(apply_element(slot_identity(4, [pair], 1), psi).is_zero()
+               for pair in itertools.combinations(range(4), 2)):
+        raise ArithmeticError("cyclic sum failed to be fully antisymmetric")
+    if not check_imAS(YoungTableau.from_columns([2, 2]), phi_y):
+        raise ArithmeticError("projected part is not in Im AS")
+    return phi_y, psi

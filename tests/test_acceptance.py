@@ -15,7 +15,7 @@ import numpy as np
 from projdyn import compat as cp
 from projdyn import curvclass as cc
 from projdyn import polyintegrals as pin
-from oracles import same_subspace, substitute_v_minus_q
+from oracles import bianchi_sum_AS, same_subspace, substitute_v_minus_q
 from projdyn import screens as sc
 from projdyn import young
 from projdyn.exactlin import (
@@ -245,7 +245,7 @@ def test_criterion_03_imAS_characterization():
             for k in range(len(cols) - 1):
                 outputs = {}
                 for j, t in enumerate(reduced):
-                    w = young.bianchi_sum_AS(tab, t, k, k + 1)
+                    w = bianchi_sum_AS(tab, t, k, k + 1)
                     for entry, val in w.entries.items():
                         outputs.setdefault(entry, {})[j] = val
                 for entry, row in outputs.items():

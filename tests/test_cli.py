@@ -66,6 +66,16 @@ def test_young_check_member_and_non_member(capsys):
     assert code == 1 and json.loads(out)["member"] is False
 
 
+def test_young_check_of_a_400_box_row_states_one_identity_per_adjacent_pair(capsys):
+    # one row of 400 boxes is the symmetric class: 399 adjacent transpositions
+    # decide it, where every pair would be 79,800 identities on 2**400 codes
+    tableau = json.dumps({"rows": [400], "numbering": "horizontal"})
+    for idx, code in (([0] * 400, 0), ([1] + [0] * 399, 1)):
+        tensor = json.dumps({"dim": 2, "order": 400, "entries": [{"idx": idx, "val": "1/1"}]})
+        assert run(capsys, "young-check", "--tableau", tableau, "--tensor", tensor) == (
+            code, '{"class":"image_of_SA","member":%s}\n' % ("false" if code else "true"))
+
+
 def test_young_check_bad_schema_exits_2(capsys):
     code, _ = run(capsys, "young-check", "--tableau", '{"rows": [2,2]}', "--tensor", '{"dim": 2}')
     assert code == 2

@@ -454,8 +454,10 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
+    # a Tensor's check (check_imAS) and the carrier's check on its integer
+    # table both decide the class through table_in_imAS
     for module in (young, polyintegrals):
-        count(module, "check_imAS")
+        count(module, "table_in_imAS")
     count(curvclass, "_wedge_table")
     count(CurvatureForm, "kernel")
     count(polyintegrals, "is_impulsion_invariant")
@@ -464,11 +466,11 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
     monkeypatch.setattr(compat, "find_compatible_screen", lambda form: classified.append(form) or find(form))
     for screen, term, verdict in [(sc.sphere_screen(3), kinetic_poly(3, [0, 1, 2]), "quadric"),
                                   (sc.flat_screen(4), vvar(0, 4) * vvar(1, 4), "cylindric")]:
-        calls.update(check_imAS=0, _wedge_table=0, kernel=0, is_impulsion_invariant=0)
+        calls.update(table_in_imAS=0, _wedge_table=0, kernel=0, is_impulsion_invariant=0)
         classified.clear()
         rep = hamiltonian_test(ScreenIntegral(screen, term))
         assert rep.verdict == verdict
-        assert calls == {"check_imAS": 1, "_wedge_table": 1, "kernel": 2, "is_impulsion_invariant": 0}
+        assert calls == {"table_in_imAS": 1, "_wedge_table": 1, "kernel": 2, "is_impulsion_invariant": 0}
         # the oracle for the dropped re-check: the classified form is in the class
         [form] = classified
         assert check_imAS(polyintegrals.pair_tableau(2), form.tensor)

@@ -243,13 +243,15 @@ def test_entries_past_the_int64_guard_match_the_fraction_expansion():
 
 
 def test_wedge_table_is_the_same_in_small_blocks(monkeypatch):
-    # blocks of a few products carry the running sums from block to block
-    from projdyn import curvclass
+    # blocks of a few products, merged a few at a time, carry the running sums
+    # across several merges
+    from projdyn import curvclass, young
 
     rng = random.Random(19)
     maps = [BivectorMap.wedge_square(rand_matrix(rng, 5, 5)), BivectorMap(5, 5, rand_matrix(rng, 10, 10))]
     whole = [R.wedge_table() for R in maps]
     monkeypatch.setattr(curvclass, "_BLOCK", 7)
+    monkeypatch.setattr(young, "_BLOCK", 20)
     for R, table in zip(maps, whole):
         small = BivectorMap(5, 5, R.matrix).wedge_table()
         assert small.preserves == table.preserves

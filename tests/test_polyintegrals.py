@@ -336,20 +336,50 @@ def test_table_chain_matches_the_fraction_loops(case):
     dim, b, R = case
     polar = oracles.polar_form(R, dim, b)
     assert list(polar_form(R, dim, b).entries.items()) == list(polar.entries.items())
-    assert list(poly_from_polar(polar, b).terms.items()) == list(oracles.poly_from_polar(polar, b).terms.items())
+    oracles.assert_same_dict(poly_from_polar(polar, b).terms, oracles.poly_from_polar(polar, b).terms, increasing=False)
     element = BiHomogeneousPoly.from_poly(R, dim, b)
     assert element.poly is R
     assert list(element.polar.entries.items()) == list(polar.entries.items())
     form = element.antisymmetric()
     expected = oracles.to_antisymmetric(polar, b)
-    assert list(form.tensor.entries.items()) == list(expected.entries.items())
+    oracles.assert_same_dict(form.tensor.entries, expected.entries)
     assert all(type(v) is Fraction for v in form.tensor.entries.values())
-    assert list(form.diagonal_poly().terms.items()) == list(oracles.pair_diagonal(expected, b).terms.items())
+    oracles.assert_same_dict(form.diagonal_poly().terms, oracles.pair_diagonal(expected, b).terms, increasing=False)
     assert form.diagonal_poly() == R
     # the element built from its polar tensor runs the same table code
     again = BiHomogeneousPoly(dim, b, polar)
     assert again.poly == R and again.polar is polar
-    assert list(again.antisymmetric().tensor.entries.items()) == list(expected.entries.items())
+    oracles.assert_same_dict(again.antisymmetric().tensor.entries, expected.entries)
+
+
+def test_antisymmetric_decides_the_class_once_on_the_candidate_table(monkeypatch):
+    # the carrier's class is decided on the integer table the chain already
+    # holds: no entry is cleared again, and the class is decided exactly once
+    from projdyn import young
+
+    calls = {"of": 0, "table_in_imAS": 0}
+    of, decide = young.ClearedTable.of, pin.table_in_imAS
+
+    def counted_of(t):
+        calls["of"] += 1
+        return of(t)
+
+    def counted_decide(*args):
+        calls["table_in_imAS"] += 1
+        return decide(*args)
+
+    monkeypatch.setattr(young.ClearedTable, "of", counted_of)
+    monkeypatch.setattr(pin, "table_in_imAS", counted_decide)
+    for dim, b in ((3, 1), (3, 2), (4, 3)):
+        R = Poly.zero(2 * dim)
+        for c, p in enumerate(cached_basis(dim, b), start=1):
+            R = R + p.scale(Fraction(c, 3))
+        for element in (BiHomogeneousPoly.from_poly(R, dim, b), BiHomogeneousPoly.from_poly(Poly.zero(2 * dim), dim, b)):
+            calls.update(of=0, table_in_imAS=0)
+            form = element.antisymmetric()
+            assert calls == {"of": 0, "table_in_imAS": 0 if element.poly.is_zero() else 1}
+            assert form.diagonal_poly() == element.poly
+            assert young.check_imAS(pin.pair_tableau(b), form.tensor)
 
 
 def test_table_chain_rejects_what_the_fraction_chain_rejects():

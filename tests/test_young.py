@@ -4,13 +4,22 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import permute, transpose_slots
+from oracles import (
+    assert_same_dict,
+    bianchi_sum_AS,
+    contract_top_of_last_columns,
+    example_pair_exchange_decompose,
+    permute,
+    transpose_slots,
+    vanishing_diagonal_test,
+)
 from projdyn import polyintegrals, young
 from projdyn.exactlin import SparseEchelon, Tensor, accumulate, basis_tensor, rank
 from projdyn.young import (
@@ -19,18 +28,14 @@ from projdyn.young import (
     antisymmetrize_A,
     antisymmetrizer_element,
     apply_element,
-    bianchi_sum_AS,
     check_imAS,
     check_imSA,
     compose_elements,
-    contract_top_of_last_columns,
-    example_pair_exchange_decompose,
     imAS_basis,
     imSA_basis,
     scale_element,
     symmetrize_S,
     symmetrizer_element,
-    vanishing_diagonal_test,
     young_scalar,
 )
 
@@ -259,7 +264,7 @@ def test_compose_elements_matches_the_pairwise_loop(case):
     assert compose_reference(cancelling, plus) == {}
     for left, right in [(g, h), (h, g), (cancelling, plus), (minus, plus), (g, {}), ({}, h)]:
         got = compose_elements(left, right)
-        assert list(got.items()) == list(compose_reference(left, right).items())
+        assert_same_dict(got, compose_reference(left, right))
         assert all(type(k) is tuple and all(type(i) is int for i in k) for k in got)
 
 
@@ -310,25 +315,33 @@ def test_apply_element_matches_the_per_product_loop(case):
     S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
     element = [S, A, compose_elements(A, S), compose_elements(S, A), {tuple(range(tab.size)): -3}][which]
     got = apply_element(element, t)
-    assert list(got.entries.items()) == list(apply_reference(element, t).items())
+    assert_same_dict(got.entries, apply_reference(element, t))
     assert all(type(v) is Fraction for v in got.entries.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_sum_by_code_keeps_the_accumulate_order_across_blocks(data):
-    size = data.draw(st.sampled_from([4, 50, 2 ** 16, 2 ** 17]))
+def test_sum_by_code_matches_accumulate_on_int64_object_and_fraction_blocks(data):
+    kind = data.draw(st.sampled_from(["int64", "past the guard", "fraction"]))
+    size = data.draw(st.sampled_from([4, 50, 2 ** 16, 2 ** 17] if kind == "int64" else [50, 2 ** 70]))
     codes = data.draw(st.lists(st.sampled_from([0, 1, 3, size - 1]), max_size=40))
-    vals = data.draw(st.lists(st.integers(-2, 2), min_size=len(codes), max_size=len(codes)))
+    values = {"int64": st.integers(-2, 2), "past the guard": st.sampled_from([0, 1, -(2 ** 62), 2 ** 63 + 1]),
+              "fraction": st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))}[kind]
+    vals = data.draw(st.lists(values, min_size=len(codes), max_size=len(codes)))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(codes)), max_size=5)))
     bounds = [0, *cuts, len(codes)]
-    blocks = [(np.array(codes[a:b], dtype=np.int64), np.array(vals[a:b], dtype=np.int64))
+    dtype = np.int64 if kind == "int64" else object
+    blocks = [(np.array(codes[a:b], dtype=np.int64 if size < 2 ** 62 else object), np.array(vals[a:b], dtype=dtype))
               for a, b in zip(bounds, bounds[1:])]
     expected = {}
     for code, val in zip(codes, vals):
         accumulate(expected, code, val)
-    got_codes, got_sums = young._sum_by_code(blocks, size)
-    assert list(zip(got_codes.tolist(), got_sums.tolist())) == list(expected.items())
+    # with a merge threshold of 3 products the running sums are carried across merges
+    with mock.patch.object(young, "_BLOCK", data.draw(st.sampled_from([3, 4096]))):
+        got_codes, got_sums = young.sum_by_code(blocks, size)
+    got = dict(zip(got_codes.tolist(), got_sums.tolist()))
+    assert_same_dict(got, expected)
+    assert all(type(v) is type(expected[k]) for k, v in got.items())
 
 
 def test_compose_elements_on_seven_boxes():
@@ -336,11 +349,11 @@ def test_compose_elements_on_seven_boxes():
     tab = YoungTableau((3, 2, 1, 1), "vertical")
     S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
     AS = compose_elements(A, S)
-    assert list(AS.items()) == list(compose_reference(A, S).items())
+    assert_same_dict(AS, compose_reference(A, S))
     rng = random.Random(7)
     part = dict(rng.sample(sorted(AS.items()), 40))
     for left, right in [(part, AS), (AS, part)]:
-        assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
+        assert_same_dict(compose_elements(left, right), compose_reference(left, right))
 
 
 def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
@@ -352,22 +365,22 @@ def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
     h = {p: rng.choice([big, -(2 ** 31), 3]) for p in rng.sample(perms, 12)}
     for left, right in [(g, h), (h, g), (g, {p: 1 for p in perms})]:
         got = compose_elements(left, right)
-        assert list(got.items()) == list(compose_reference(left, right).items())
+        assert_same_dict(got, compose_reference(left, right))
     # the largest product is above 2**63: int64 arithmetic would have wrapped
     gh = compose_elements(g, h)
     assert max(map(abs, gh.values())) >= 2 ** 63
     # coefficients that do not fit int64 at all, on either side
     for left, right in [(g, gh), (gh, g), (gh, gh)]:
-        assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
+        assert_same_dict(compose_elements(left, right), compose_reference(left, right))
     # four products of |c| each: c = 2**60 - 1 is just inside the guard, 2**60 just outside
     swap = {tuple(range(n)): 1, (1, 0, 2, 3): 1}
     for c in (2 ** 60 - 1, 2 ** 60, -(2 ** 60)):
         edge = {tuple(range(n)): c, (0, 1, 3, 2): -c}
         for left, right in [(edge, swap), (swap, edge)]:
-            assert list(compose_elements(left, right).items()) == list(compose_reference(left, right).items())
+            assert_same_dict(compose_elements(left, right), compose_reference(left, right))
     # twenty slots: 20**20 codes are beyond int64 whatever the coefficients
     wide = {tuple(range(20)): 2, tuple(range(19, -1, -1)): -1, (1, 0) + tuple(range(2, 20)): 1}
-    assert list(compose_elements(wide, wide).items()) == list(compose_reference(wide, wide).items())
+    assert_same_dict(compose_elements(wide, wide), compose_reference(wide, wide))
     tab = YoungTableau((2, 2), "vertical")
     t = Tensor(3, 4, {(0, 1, 2, 0): Fraction(big, 3), (1, 0, 2, 0): Fraction(-big, 5), (2, 2, 1, 0): Fraction(7)})
     huge = Tensor(3, 4, {(0, 1, 2, 0): Fraction(2 ** 63), (2, 2, 1, 0): Fraction(-(2 ** 70), 3)})
@@ -375,10 +388,10 @@ def test_group_algebra_beyond_the_int64_guard_runs_the_exact_loop():
                     scale_element(symmetrizer_element(tab), 2 ** 63)):
         for tensor in (t, huge):
             got = apply_element(element, tensor)
-            assert list(got.entries.items()) == list(apply_reference(element, tensor).items())
+            assert_same_dict(got.entries, apply_reference(element, tensor))
     # a non-integer coefficient also takes the loop
     half = scale_element(symmetrizer_element(tab), Fraction(1, 2))
-    assert list(apply_element(half, t).entries.items()) == list(apply_reference(half, t).items())
+    assert_same_dict(apply_element(half, t).entries, apply_reference(half, t))
 
 
 def image_basis_reference(element, dim, size, indices):
@@ -387,8 +400,14 @@ def image_basis_reference(element, dim, size, indices):
     for idx in indices:
         entries = apply_reference(element, Tensor(dim, size, {idx: Fraction(1)}))
         if entries and echelon.insert(entries):
-            basis.append(list(entries.items()))
+            basis.append(entries)
     return basis
+
+
+def assert_same_basis(got, expected):
+    assert len(got) == len(expected)
+    for t, entries in zip(got, expected):
+        assert_same_dict(t.entries, entries)
 
 
 @pytest.mark.parametrize("columns,dim", [([2, 1], 3), ([2, 1], 4), ([2, 2], 3), ([2, 2], 4), ([2, 2], 5),
@@ -399,13 +418,13 @@ def test_image_bases_match_the_per_product_loop(columns, dim):
     indices = young._block_indices(tab.row_slots(), tab.size,
                                    lambda k: itertools.combinations_with_replacement(range(dim), k))
     expected = image_basis_reference(compose_reference(A, S), dim, tab.size, indices)
-    assert [list(t.entries.items()) for t in imAS_basis(tab, dim)] == expected
+    assert_same_basis(imAS_basis(tab, dim), expected)
     horizontal = YoungTableau(tab.columns, "horizontal")
     A, S = antisymmetrizer_element(horizontal), symmetrizer_element(horizontal)
     indices = young._block_indices(horizontal.column_slots(), horizontal.size,
                                    lambda k: itertools.combinations(range(dim), k))
     expected = image_basis_reference(compose_reference(S, A), dim, horizontal.size, indices)
-    assert [list(t.entries.items()) for t in imSA_basis(horizontal, dim)] == expected
+    assert_same_basis(imSA_basis(horizontal, dim), expected)
 
 def test_image_bases_past_the_stacked_guard_match_the_per_product_loop():
     # one row fits int64 but a stacked block does not (2**50 * 24 products per
@@ -418,7 +437,7 @@ def test_image_bases_past_the_stacked_guard_match_the_per_product_loop():
         element = scale_element(AS, c)
         expected = image_basis_reference(element, 3, tab.size, indices)
         got = young._image_basis(element, 3, tab.size, iter(indices))
-        assert [list(t.entries.items()) for t in got] == expected
+        assert_same_basis(got, expected)
 
 
 # -- membership tests ------------------------------------------------------------------
