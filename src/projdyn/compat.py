@@ -4,8 +4,10 @@ The decision pipeline: homogenize the quadratic leading term into a
 curvature-type form, quotient out its kernel (dropping to a cylindric
 screen), and classify what remains; the metric case pins the screen inside
 a quadric, the flat case inside a hyperplane, and the verdict carries exact
-witnesses whose compatibility identity is re-verified symbolically before
-being reported.
+witnesses whose compatibility identity is re-verified before being
+reported.  That identity is linear in the form's entries, so it is decided
+on the entries and the screen's gradient data cleared to integers, one
+coefficient sum per monomial, with no polynomial products.
 
 The chart-level half implements pre-Lagrangians for second-order systems:
 the energy of a pre-Lagrangian, and the presymplectic test deciding exactly,
@@ -34,7 +36,7 @@ from projdyn.curvclass import (
     classify_curvature_form,
     witnesses_to_json,
 )
-from projdyn.exactlin import accumulate, format_rational, kernel, rat, rref
+from projdyn.exactlin import accumulate, clear_denominators, format_rational, rref
 from projdyn.polynomials import NotPolynomialError, Poly
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
@@ -197,35 +199,18 @@ class QuadraticIntegral:
 # ---------------------------------------------------------------------------
 # compatibility of a curvature form with a screen
 
-def _image_two_form_polys(form: CurvatureForm):
-    """For each destination pair (w, x), the bilinear polynomial in (q, v)
-    giving that component of the form's image 2-form."""
-    d = form.dim
-    out = {}
-    for (u, v, w, x), val in form.tensor.entries.items():
-        if w >= x:
-            continue
-        exps = [0] * (2 * d)
-        exps[u] += 1
-        exps[d + v] += 1
-        accumulate(out.setdefault((w, x), {}), tuple(exps), val)
-    return {key: Poly(2 * d, terms) for key, terms in out.items()}
-
-
-def _gradient_covector_polys(screen, d):
-    """dh|_q up to positive scale, as polynomials in q (exact kinds only)."""
+def _gradient_terms(screen):
+    """The screen's exact gradient cleared to integers, as the nonzero terms
+    of each coordinate dh_t: [(None, phi_t)] for a linear screen (dh = phi),
+    the (j, G_tj) for a quadratic-root screen (dh = G q up to a positive
+    factor); None for any other screen."""
     if screen.kind == "linear":
-        return [Poly.const(2 * d, rat(x)) for x in screen.phi_exact]
+        ints, _ = clear_denominators(screen.phi_exact)
+        return [[(None, g)] if g else [] for g in ints]
     if screen.kind == "quadratic_root":
-        out = []
-        for row in screen.gmat_exact:
-            terms = {}
-            for j, x in enumerate(row):
-                exps = [0] * (2 * d)
-                exps[j] = 1
-                accumulate(terms, tuple(exps), rat(x))
-            out.append(Poly(2 * d, terms))
-        return out
+        d = len(screen.gmat_exact)
+        ints, _ = clear_denominators([x for row in screen.gmat_exact for x in row])
+        return [[(j, g) for j, g in enumerate(ints[r * d:(r + 1) * d]) if g] for r in range(d)]
     return None
 
 
@@ -233,68 +218,36 @@ def compatibility_check(form: CurvatureForm, screen) -> bool:
     """The wedge of the screen gradient with the form's image 2-forms must
     vanish on the screen.
 
-    For linear and quadratic-root screens the condition is a homogeneous
-    polynomial identity in (q, v), decided exactly; any other screen has no
-    exact gradient and raises TypeError.
+    The (t1, t2, t3) component of that wedge is the polynomial
+    sum_i s_i dh_{t_i} R(q, v; t_j, t_k) over the three splits of the
+    3-subset (signs +, -, +), with R(q, v; w, x) = sum R[u, v, w, x] q_u v_v.
+    It is linear in the form's entries, so it is decided on integers: the
+    entries with w < x cleared once and phi, or G, cleared once (the
+    identity is homogeneous in both).  For a linear screen dh = phi and the
+    coefficient of q_u v_v is summed; for a quadratic-root screen dh = G q
+    and the coefficient of q_j q_u v_v is summed with (j, u) unordered.  The
+    identity holds iff every sum is zero.  Any other screen has no exact
+    gradient and raises TypeError.
     """
-    d = form.dim
-    grads = _gradient_covector_polys(screen, d)
-    if grads is None:
+    grad = _gradient_terms(screen)
+    if grad is None:
         raise TypeError("exact compatibility needs a linear or quadratic-root screen")
-    images = _image_two_form_polys(form)
-    for t1, t2, t3 in itertools.combinations(range(d), 3):
-        comp = (
-            grads[t1] * images.get((t2, t3), Poly.zero(2 * d))
-            - grads[t2] * images.get((t1, t3), Poly.zero(2 * d))
-            + grads[t3] * images.get((t1, t2), Poly.zero(2 * d))
-        )
-        if not comp.is_zero():
+    picked = [(idx, val) for idx, val in form.tensor.entries.items() if idx[2] < idx[3]]
+    ints, _ = clear_denominators([val for _, val in picked])
+    images = {}  # (w, x) -> [(u, v, int)]
+    for ((u, v, w, x), _), c in zip(picked, ints):
+        images.setdefault((w, x), []).append((u, v, c))
+    for t1, t2, t3 in itertools.combinations(range(form.dim), 3):
+        sums = {}
+        for t, pair, sign in ((t1, (t2, t3), 1), (t2, (t1, t3), -1), (t3, (t1, t2), 1)):
+            image = images.get(pair, ())
+            for j, g in grad[t]:
+                g *= sign
+                for u, v, c in image:
+                    key = (u, v) if j is None else (j, u, v) if j <= u else (u, j, v)
+                    sums[key] = sums.get(key, 0) + g * c
+        if any(sums.values()):
             return False
-    return True
-
-
-def compatibility_on_tangent_pairs(form: CurvatureForm, phi) -> bool:
-    """Equivalent formulation for a hyperplane screen: the form vanishes when
-    the last three slots are filled from ker(phi) and the first runs free
-    (decided exactly on a kernel basis)."""
-    d = form.dim
-    kb = kernel([[rat(x) for x in phi]])
-    for ka in kb:
-        for kc in kb:
-            for kd in kb:
-                for q0 in range(d):
-                    val = Fraction(0)
-                    for (u, v, w, x), tval in form.tensor.entries.items():
-                        if u != q0:
-                            continue
-                        c = ka[v] * kc[w] * kd[x]
-                        if c:
-                            val += tval * c
-                    if val:
-                        return False
-    return True
-
-
-def compatibility_repeated_argument(form: CurvatureForm, phi) -> bool:
-    """The weakest-looking formulation: R(q, w; u, w) = 0 with u, w tangent
-    and q free, decided exactly on a kernel basis of the hyperplane."""
-    d = form.dim
-    kb = kernel([[rat(x) for x in phi]])
-    for ku in kb:
-        for kw1 in range(len(kb)):
-            for kw2 in range(kw1, len(kb)):
-                # polarize w over pairs of basis vectors
-                for q0 in range(d):
-                    val = Fraction(0)
-                    for (u, v, w, x), tval in form.tensor.entries.items():
-                        if u != q0:
-                            continue
-                        c1 = kb[kw1][v] * ku[w] * kb[kw2][x]
-                        c2 = kb[kw2][v] * ku[w] * kb[kw1][x]
-                        if c1 or c2:
-                            val += tval * (c1 + c2)
-                    if val:
-                        return False
     return True
 
 

@@ -23,15 +23,19 @@ vanishing of every coefficient expanded from W.  Maps and forms are
 immutable, so W and the verdict are computed once per map, and a curvature
 form builds them straight from its sparse entries and shares them with its
 bivector map.
-The power map reads its images from the rows of W, the square-root
-recovery reads each pencil image's span from two contractions of its
-integer column, and the flat-case metric is read from one slice of the
-form.
+The power map reads its images from the rows of W, and the flat-case
+metric is read from one slice of the form.  The square-root recovery runs
+on the integer columns too: each pencil's common line is found by
+intersecting the images' supports one plane at a time (x lies in the
+support of w iff x ^ w = 0), kept as a primitive integer vector, and the
+multiples relating the images to the lines' wedges are compared by
+cross-multiplication, with one division per entry of the returned B.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +50,6 @@ from projdyn.exactlin import (
     contract_multivector,
     det,
     format_rational,
-    intersect_spans,
     kernel,
     multivector_to_json,
     rank,
@@ -430,21 +433,6 @@ def _normalize(vec):
     return [x / lead for x in vec]
 
 
-def _normalize_matrix(mat):
-    """Scale so the first nonzero entry (row-major) is +1; returns (matrix, factor)."""
-    lead = None
-    for row in mat:
-        for x in row:
-            if x:
-                lead = x
-                break
-        if lead is not None:
-            break
-    if lead is None:
-        return [list(r) for r in mat], Fraction(1)
-    return [[x / lead for x in row] for row in mat], lead
-
-
 def _wedge_annihilator(R: BivectorMap):
     """Nonzero phi in the destination with R(pi) ^ phi = 0 for all pi, or None.
 
@@ -499,13 +487,60 @@ def _decomposable_span(col: dict, d: int):
     return rows
 
 
+def _common_line(pencil, d):
+    """The line common to the supports of nonzero decomposable integer
+    bivectors, as a primitive integer vector with a positive first nonzero
+    entry; None when their supports do not meet in exactly a line.
+
+    The planes are intersected one at a time, starting from the span of the
+    first one (``_decomposable_span``): a vector x lies in the support of w
+    iff x ^ w = 0, so span(a, b) meets it in the combinations q a - p b
+    with p (b ^ w) = q (a ^ w), decided by cross-multiplication.  Once a
+    line remains, every later plane must contain it.  ``wedge`` only
+    multiplies and adds coordinates, so it runs on the ints.
+    """
+    basis = _decomposable_span(pencil[0], d)
+    for col in pencil[1:]:
+        w = Multivector._raw(d, 2, col)
+        images = [wedge(Multivector._raw(d, 1, {(i,): c for i, c in enumerate(x) if c}), w).coords for x in basis]
+        if len(basis) == 1:
+            if images[0]:
+                return None
+            continue
+        (a, b), (wa, wb) = basis, images
+        if not wa or not wb:
+            if wa or wb:
+                basis = [a] if not wa else [b]
+            continue
+        key = next(iter(wa))
+        p, q = wa[key], wb.get(key, 0)
+        if any(q * wa.get(k, 0) != p * wb.get(k, 0) for k in wa.keys() | wb.keys()):
+            return None
+        basis = [[q * x - p * y for x, y in zip(a, b)]]
+    if len(basis) != 1:
+        return None
+    line = basis[0]
+    g = math.gcd(*line)
+    if next(x for x in line if x) < 0:
+        g = -g
+    return [x // g for x in line]
+
+
 def _recover_square_root(R: BivectorMap):
     """For an invertible map of wedge-square type, recover (B, epsilon, scale)
     with R = epsilon * scale * B^2 on bivectors and B normalized; None when
     the images of the hyperplane pencils are not of the common-line type.
 
-    The images must be decomposable (every caller has decided that): the
-    span of each pencil image is read from two of its contractions."""
+    The images must be decomposable (every caller has decided that).  It
+    runs on the cleared integer columns: line i is the common line of the
+    pencil images R(e_i ^ e_k), k != i (``_common_line``), kept as a
+    primitive integer vector x_i, and R(e_i ^ e_j) must be a nonzero multiple
+    m_ij of l_i ^ l_j, l_i = x_i / (first nonzero of x_i).  The m_ij and
+    s = m_0i m_0j / m_ij (the same for every 0 < i < j) are kept as integer
+    pairs and compared by cross-multiplication, so the only divisions build
+    B (column j is l_j m_0j / s, column 0 is l_0), normalized to a first
+    nonzero entry of 1, and its scale.
+    """
     d = R.dim_src
     if d == 2:
         m = R.matrix[0][0]
@@ -514,47 +549,50 @@ def _recover_square_root(R: BivectorMap):
         eps = 1 if m > 0 else -1
         return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], eps, abs(m)
     cols, den = R.cleared()
+
+    def image(i, j):
+        return cols[R._pair_col[(min(i, j), max(i, j))]]
+
     lines = []
     for i in range(d):
-        spans = []
-        for k in range(d):
-            if k == i:
-                continue
-            col = cols[R._pair_col[(min(i, k), max(i, k))]]
-            if not col:
-                return None
-            spans.append(_decomposable_span(col, R.dim_dst))
-        inter = intersect_spans(spans)
-        if len(inter) != 1:
+        pencil = [image(i, k) for k in range(d) if k != i]
+        if not all(pencil):
             return None
-        lines.append(_normalize(inter[0]))
-    # m[(i, j)]: the multiple of line_i ^ line_j that R(e_i ^ e_j) is, read on the cleared column
+        line = _common_line(pencil, R.dim_dst)
+        if line is None:
+            return None
+        lines.append(line)
+    leads = [next(x for x in line if x) for line in lines]
+    # m[(i, j)] = num / den_ij, read on the cleared column against x_i ^ x_j
     m = {}
     for i, j in itertools.combinations(range(d), 2):
-        img = cols[R._pair_col[(i, j)]]
-        li, lj = lines[i], lines[j]
-        w = {(a, b): li[a] * lj[b] - li[b] * lj[a] for a, b in itertools.combinations(range(d), 2)}
+        img, xi, xj = image(i, j), lines[i], lines[j]
+        w = {(a, b): xi[a] * xj[b] - xi[b] * xj[a] for a, b in itertools.combinations(range(d), 2)}
         w = {key: val for key, val in w.items() if val}
         if not w:
             return None
         key = next(iter(w))
-        ratio = img.get(key, 0) / w[key]
-        if not ratio or any(img.get(pq, 0) != ratio * w.get(pq, 0) for pq in img.keys() | w.keys()):
+        at_key = img.get(key, 0)
+        if not at_key or any(img.get(pq, 0) * w[key] != at_key * w.get(pq, 0) for pq in img.keys() | w.keys()):
             return None
-        m[(i, j)] = ratio / den
+        m[(i, j)] = at_key * leads[i] * leads[j], w[key] * den
     s = None
     for i, j in itertools.combinations(range(1, d), 2):
-        s_ij = m[(0, i)] * m[(0, j)] / m[(i, j)]
+        (n0i, d0i), (n0j, d0j), (nij, dij) = m[(0, i)], m[(0, j)], m[(i, j)]
+        s_ij = n0i * n0j * dij, d0i * d0j * nij
         if s is None:
             s = s_ij
-        elif s != s_ij:
+        elif s[0] * s_ij[1] != s_ij[0] * s[1]:
             return None
-    coeffs = [Fraction(1)] + [m[(0, j)] / s for j in range(1, d)]
-    B = [[lines[j][a] * coeffs[j] for j in range(d)] for a in range(d)]  # column j = c_j w_j
-    B_norm, lead = _normalize_matrix(B)
-    s_norm = s * lead * lead
+    # column j of B is x_j * top[j] / bottom[j]
+    top = [1] + [m[(0, j)][0] * s[1] for j in range(1, d)]
+    bottom = [leads[0]] + [m[(0, j)][1] * s[0] * leads[j] for j in range(1, d)]
+    r, c = next((a, j) for a in range(d) for j in range(d) if lines[j][a])
+    lead_top, lead_bottom = lines[c][r] * top[c], bottom[c]
+    B = [[Fraction(lines[j][a] * top[j] * lead_bottom, bottom[j] * lead_top) for j in range(d)] for a in range(d)]
+    s_norm = Fraction(s[0] * lead_top * lead_top, s[1] * lead_bottom * lead_bottom)
     eps = 1 if s_norm > 0 else -1
-    return B_norm, eps, abs(s_norm)
+    return B, eps, abs(s_norm)
 
 
 def _verify_wedge_square(R, B, factor):
@@ -852,14 +890,30 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
 
 def _compound_matrix(G, k):
     """k-th compound (matrix of k x k minors): the induced action on the k-th
-    exterior power, rows/cols indexed by increasing k-subsets."""
+    exterior power, rows/cols indexed by increasing k-subsets.
+
+    The minors are those of G cleared to integers (den times G), built in
+    one pass by size: a minor on rows S and columns T is the expansion
+    along its first row, sum_m (-1)^m G[S0][T_m] M(S minus S0, T minus T_m),
+    from the minors one size smaller; each is divided by den**k once."""
     d = len(G)
     ints, den = clear_denominators([x for row in G for x in row])
     G = [ints[r * d:(r + 1) * d] for r in range(d)]
-    den **= k
+    minors = {((), ()): 1}
+    for size in range(1, k + 1):
+        cols = list(itertools.combinations(range(d), size))
+        minors = {
+            (S, T): sum(
+                (-1) ** m * G[S[0]][t] * minors[S[1:], T[:m] + T[m + 1:]]
+                for m, t in enumerate(T) if G[S[0]][t]
+            )
+            # the rows S[k - size:] of the k-subsets S: every index at least k - size
+            for S in itertools.combinations(range(k - size, d), size)
+            for T in cols
+        }
     subsets = list(itertools.combinations(range(d), k))
-    out = [[det([[G[i][j] for j in T] for i in S]) / den for T in subsets] for S in subsets]
-    return out, subsets
+    den **= k
+    return [[Fraction(minors[S, T], den) for T in subsets] for S in subsets], subsets
 
 
 def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:

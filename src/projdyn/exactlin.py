@@ -526,6 +526,43 @@ def _bareiss(rows, cols):
     return pivots, sign
 
 
+def _independent_rows(rows, cols):
+    """A subset of the integer rows with the same row space, in their order.
+
+    The rows kept so far are held in reduced echelon form over one common
+    denominator D: ``echelon`` maps each pivot column c to the integers
+    E_c = D * RREF_c, which vanish at the other pivots.  A row x lies in
+    their span iff D * x[f] == sum_c x[c] * E_c[f] at every free column f,
+    which is all that is computed for a dependent row.  A row that passes
+    that test is kept: y = D * x - sum_c x[c] * E_c is zero at the pivots,
+    its first nonzero free entry n becomes a pivot, each E_c becomes
+    n * E_c - E_c[lead] * y, the new row D * y, and D becomes D * n (all
+    divided by their common gcd).  The scan stops once cols rows are kept.
+    """
+    kept, echelon, den, free = [], {}, 1, list(range(cols))
+    for row in rows:
+        terms = [(row[c], e) for c, e in echelon.items() if row[c]]
+        if all(den * row[f] == sum(a * e[f] for a, e in terms) for f in free):
+            continue
+        y = [den * x - sum(a * e[j] for a, e in terms) for j, x in enumerate(row)]
+        lead = next(f for f in free if y[f])
+        n = y[lead]
+        for c, e in echelon.items():
+            k = e[lead]
+            echelon[c] = [n * a - k * b for a, b in zip(e, y)] if k else [n * a for a in e]
+        echelon[lead] = [den * b for b in y]
+        den *= n
+        g = math.gcd(den, *(x for e in echelon.values() for x in e))
+        if g > 1:
+            den //= g
+            echelon = {c: [x // g for x in e] for c, e in echelon.items()}
+        free.remove(lead)
+        kept.append(row)
+        if not free:
+            break
+    return kept
+
+
 def _eliminate(matrix, cols):
     """Bareiss elimination of each row scaled to integers, then fraction-free
     back-substitution; returns (pivots, free, d, red).
@@ -534,8 +571,15 @@ def _eliminate(matrix, cols):
     pivots, and red[k] holds the integers d * RREF[k][free] (Cramer's rule);
     RREF[k] is 1 at pivots[k] and 0 at the other pivots.  From the last row
     up, red_k = (d*row_k - sum_{j>k} row_k[pivots[j]] * red_j) // row_k[pivots[k]].
+
+    A matrix with more rows than columns is first cut to an independent
+    subset of its rows (``_independent_rows``), so Bareiss never rewrites
+    the dependent rows below each pivot; the row space, and with it the
+    reduced form that every caller reads, is unchanged.
     """
     rows = [clear_denominators(row)[0] for row in matrix]
+    if len(rows) > cols:
+        rows = _independent_rows(rows, cols)
     pivots, _ = _bareiss(rows, cols)
     rank = len(pivots)
     free = sorted(set(range(cols)).difference(pivots))
@@ -577,7 +621,9 @@ def rank(matrix) -> int:
 def kernel(matrix, cols=None):
     """Basis of {x : M x = 0} as lists of Fractions, len(result) = cols - rank:
     per free column f, 1 at f and minus the RREF's column f on the pivots.
-    ``cols`` is read only when the matrix has no rows (default 0).
+    ``cols`` is read only when the matrix has no rows (default 0).  A tall
+    matrix is eliminated on an independent subset of its rows (see
+    ``_eliminate``), so each dependent row costs one membership test.
     """
     nrows, ncols = _shape(matrix)
     cols = ncols if nrows or cols is None else cols
@@ -711,20 +757,6 @@ class SparseEchelon:
             p = reduced[piv][piv]
             out.append({k: Fraction(v, p) for k, v in reduced[piv].items()})
         return out
-
-
-def intersect_spans(spans):
-    """Intersection of a list of subspaces of Q^d, each given by a basis.
-
-    Works through annihilators: ann(S) = kernel of the matrix with the basis
-    of S as rows; the intersection is the common kernel of all annihilators.
-    """
-    spans = list(spans)
-    if not spans:
-        raise ValueError("need at least one subspace")
-    if not all(spans):
-        return []  # intersection with the zero space
-    return kernel([v for basis in spans for v in kernel(basis)], len(spans[0][0]))
 
 
 # ---------------------------------------------------------------------------

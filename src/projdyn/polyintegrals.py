@@ -312,7 +312,10 @@ class AntisymmetricForm:
     """The pair-antisymmetric carrier of an element of P^{b,b}: a 2b-linear
     form antisymmetric in each slot pair (2i, 2i+1) and satisfying the
     column-exchange identities, with R(q, v) on its full diagonal.  Descends
-    to a symmetric b-linear form on bivectors."""
+    to a symmetric b-linear form on bivectors.  A form is immutable once
+    built: its kernel is computed at most once, on first use."""
+
+    _kernel = None
 
     def __init__(self, dim: int, b: int, tensor: Tensor):
         if tensor.dim != dim or tensor.order != 2 * b:
@@ -370,14 +373,17 @@ class AntisymmetricForm:
         return total
 
     def kernel(self):
-        """Vectors u with the form vanishing whenever u fills the first slot."""
-        rows = {}
-        for idx, val in self.tensor.entries.items():
-            rows.setdefault(idx[1:], {})[idx[0]] = val
-        mat = []
-        for rest, cols in sorted(rows.items()):
-            mat.append([cols.get(i, Fraction(0)) for i in range(self.dim)])
-        return kernel(mat, self.dim)
+        """Vectors u with the form vanishing whenever u fills the first slot.
+
+        The form is immutable, so the basis is eliminated once, on first
+        use; each call returns fresh lists of it."""
+        if self._kernel is None:
+            rows = {}
+            for idx, val in self.tensor.entries.items():
+                rows.setdefault(idx[1:], {})[idx[0]] = val
+            mat = [[cols.get(i, Fraction(0)) for i in range(self.dim)] for _, cols in sorted(rows.items())]
+            self._kernel = kernel(mat, self.dim)
+        return [list(vec) for vec in self._kernel]
 
 
 def pair_tableau(b: int) -> YoungTableau:

@@ -300,6 +300,12 @@ class ClearedTable:
         return Tensor._raw(self.dim, self.rows.shape[1], entries)
 
 
+def _radix(base, width):
+    """The place values base**(width - 1), ..., base, 1 of the base-``base``
+    codes of index rows of ``width`` slots, int64 inside the guard."""
+    return np.array([base ** k for k in range(width - 1, -1, -1)], dtype=int_dtype(base ** width))
+
+
 class _Action:
     """A group-algebra element acting on index rows: row jdx and permutation
     sigma with coefficient c give c * e_{jdx o sigma^-1}.
@@ -310,13 +316,13 @@ class _Action:
     coefficients, the same arrays run with dtype=object.
     """
 
-    def __init__(self, perms, coefs, base):
+    def __init__(self, perms, coefs, base, radix=None):
         width = perms.shape[1]
         self.bound = _max_abs(coefs)
         self.base = base
         self.size = base ** width
         self.coefs = coefs
-        self.radix = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=int_dtype(self.size))
+        self.radix = _radix(base, width) if radix is None else radix
         # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
         self.weights = self.radix[perms].T
 
@@ -486,14 +492,17 @@ def annihilated_by_all(identities, table: ClearedTable) -> bool:
     """True iff every element of ``identities`` acts as zero on the table.
 
     Each identity sums its action over the one cleared table (``_Action``);
-    the first identity leaving a nonzero sum decides.
+    the first identity leaving a nonzero sum decides.  The identities share
+    one radix, built once per check: past the guard it is a row of Python
+    ints as long as the tensor's order.
     """
     if not table.vals:
         return True
     order = table.rows.shape[1]
+    radix = _radix(table.dim, order)
     for element in identities:
         perms = np.array(list(element), dtype=np.intp).reshape(len(element), order)
-        if _Action(perms, list(element.values()), table.dim).sum_codes(table)[1]:
+        if _Action(perms, list(element.values()), table.dim, radix).sum_codes(table)[1]:
             return False
     return True
 

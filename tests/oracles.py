@@ -20,6 +20,11 @@
 * Young-class helpers that no pipeline calls: the column identity between
   any two columns, contraction of the top boxes, the diagonal zero test and
   the split of a pair-exchange form (the lemmas the tests check).
+* The compatibility identity on ``Poly`` products (``compatibility_by_polys``)
+  with its two hyperplane reformulations, and the square-root recovery by
+  full intersections of the pencil spans (``recover_square_root_by_spans``,
+  on ``intersect_spans``): the references for the library's integer
+  compatibility check and common-line recovery.
 """
 
 import itertools
@@ -28,7 +33,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from projdyn.exactlin import FormatError, JsonValue, Multivector, Tensor, accumulate, rref, tensor_from_json
+from projdyn.curvclass import BivectorMap, CurvatureForm, _decomposable_span, _normalize
+from projdyn.exactlin import (
+    FormatError,
+    JsonValue,
+    Multivector,
+    Tensor,
+    accumulate,
+    kernel,
+    rat,
+    rref,
+    tensor_from_json,
+)
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
 from projdyn.screens import Screen
@@ -262,6 +278,20 @@ def sum_of_spans(spans):
     return subspace_echelon(rows)
 
 
+def intersect_spans(spans):
+    """Intersection of a list of subspaces of Q^d, each given by a basis.
+
+    Works through annihilators: ann(S) = kernel of the matrix with the basis
+    of S as rows; the intersection is the common kernel of all annihilators.
+    """
+    spans = list(spans)
+    if not spans:
+        raise ValueError("need at least one subspace")
+    if not all(spans):
+        return []  # intersection with the zero space
+    return kernel([v for basis in spans for v in kernel(basis)], len(spans[0][0]))
+
+
 def multivector_from_json(obj) -> Multivector:
     """The tensor format with strictly increasing idx lists."""
     r = JsonValue.of(obj, "multivector")
@@ -361,3 +391,180 @@ def example_pair_exchange_decompose(phi: Tensor):
     if not check_imAS(YoungTableau.from_columns([2, 2]), phi_y):
         raise ArithmeticError("projected part is not in Im AS")
     return phi_y, psi
+
+
+# -- compatibility and the square-root recovery on Fractions and polynomials -------
+
+
+def _image_two_form_polys(form: CurvatureForm):
+    """For each destination pair (w, x), the bilinear polynomial in (q, v)
+    giving that component of the form's image 2-form."""
+    d = form.dim
+    out = {}
+    for (u, v, w, x), val in form.tensor.entries.items():
+        if w >= x:
+            continue
+        exps = [0] * (2 * d)
+        exps[u] += 1
+        exps[d + v] += 1
+        accumulate(out.setdefault((w, x), {}), tuple(exps), val)
+    return {key: Poly(2 * d, terms) for key, terms in out.items()}
+
+
+def _gradient_covector_polys(screen, d):
+    """dh|_q up to positive scale, as polynomials in q (exact kinds only)."""
+    if screen.kind == "linear":
+        return [Poly.const(2 * d, rat(x)) for x in screen.phi_exact]
+    if screen.kind == "quadratic_root":
+        out = []
+        for row in screen.gmat_exact:
+            terms = {}
+            for j, x in enumerate(row):
+                exps = [0] * (2 * d)
+                exps[j] = 1
+                accumulate(terms, tuple(exps), rat(x))
+            out.append(Poly(2 * d, terms))
+        return out
+    return None
+
+
+def compatibility_by_polys(form: CurvatureForm, screen) -> bool:
+    """The wedge of the screen gradient with the form's image 2-forms must
+    vanish on the screen.
+
+    For linear and quadratic-root screens the condition is a homogeneous
+    polynomial identity in (q, v), decided exactly; any other screen has no
+    exact gradient and raises TypeError.
+    """
+    d = form.dim
+    grads = _gradient_covector_polys(screen, d)
+    if grads is None:
+        raise TypeError("exact compatibility needs a linear or quadratic-root screen")
+    images = _image_two_form_polys(form)
+    for t1, t2, t3 in itertools.combinations(range(d), 3):
+        comp = (
+            grads[t1] * images.get((t2, t3), Poly.zero(2 * d))
+            - grads[t2] * images.get((t1, t3), Poly.zero(2 * d))
+            + grads[t3] * images.get((t1, t2), Poly.zero(2 * d))
+        )
+        if not comp.is_zero():
+            return False
+    return True
+
+
+def compatibility_on_tangent_pairs(form: CurvatureForm, phi) -> bool:
+    """Equivalent formulation for a hyperplane screen: the form vanishes when
+    the last three slots are filled from ker(phi) and the first runs free
+    (decided exactly on a kernel basis)."""
+    d = form.dim
+    kb = kernel([[rat(x) for x in phi]])
+    for ka in kb:
+        for kc in kb:
+            for kd in kb:
+                for q0 in range(d):
+                    val = Fraction(0)
+                    for (u, v, w, x), tval in form.tensor.entries.items():
+                        if u != q0:
+                            continue
+                        c = ka[v] * kc[w] * kd[x]
+                        if c:
+                            val += tval * c
+                    if val:
+                        return False
+    return True
+
+
+def compatibility_repeated_argument(form: CurvatureForm, phi) -> bool:
+    """The weakest-looking formulation: R(q, w; u, w) = 0 with u, w tangent
+    and q free, decided exactly on a kernel basis of the hyperplane."""
+    d = form.dim
+    kb = kernel([[rat(x) for x in phi]])
+    for ku in kb:
+        for kw1 in range(len(kb)):
+            for kw2 in range(kw1, len(kb)):
+                # polarize w over pairs of basis vectors
+                for q0 in range(d):
+                    val = Fraction(0)
+                    for (u, v, w, x), tval in form.tensor.entries.items():
+                        if u != q0:
+                            continue
+                        c1 = kb[kw1][v] * ku[w] * kb[kw2][x]
+                        c2 = kb[kw2][v] * ku[w] * kb[kw1][x]
+                        if c1 or c2:
+                            val += tval * (c1 + c2)
+                    if val:
+                        return False
+    return True
+
+
+def _normalize_matrix(mat):
+    """Scale so the first nonzero entry (row-major) is +1; returns (matrix, factor)."""
+    lead = None
+    for row in mat:
+        for x in row:
+            if x:
+                lead = x
+                break
+        if lead is not None:
+            break
+    if lead is None:
+        return [list(r) for r in mat], Fraction(1)
+    return [[x / lead for x in row] for row in mat], lead
+
+
+def recover_square_root_by_spans(R: BivectorMap):
+    """For an invertible map of wedge-square type, recover (B, epsilon, scale)
+    with R = epsilon * scale * B^2 on bivectors and B normalized; None when
+    the images of the hyperplane pencils are not of the common-line type.
+
+    The images must be decomposable (every caller has decided that): the
+    span of each pencil image is read from two of its contractions."""
+    d = R.dim_src
+    if d == 2:
+        m = R.matrix[0][0]
+        if not m:
+            return None
+        eps = 1 if m > 0 else -1
+        return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], eps, abs(m)
+    cols, den = R.cleared()
+    lines = []
+    for i in range(d):
+        spans = []
+        for k in range(d):
+            if k == i:
+                continue
+            col = cols[R._pair_col[(min(i, k), max(i, k))]]
+            if not col:
+                return None
+            spans.append(_decomposable_span(col, R.dim_dst))
+        inter = intersect_spans(spans)
+        if len(inter) != 1:
+            return None
+        lines.append(_normalize(inter[0]))
+    # m[(i, j)]: the multiple of line_i ^ line_j that R(e_i ^ e_j) is, read on the cleared column
+    m = {}
+    for i, j in itertools.combinations(range(d), 2):
+        img = cols[R._pair_col[(i, j)]]
+        li, lj = lines[i], lines[j]
+        w = {(a, b): li[a] * lj[b] - li[b] * lj[a] for a, b in itertools.combinations(range(d), 2)}
+        w = {key: val for key, val in w.items() if val}
+        if not w:
+            return None
+        key = next(iter(w))
+        ratio = img.get(key, 0) / w[key]
+        if not ratio or any(img.get(pq, 0) != ratio * w.get(pq, 0) for pq in img.keys() | w.keys()):
+            return None
+        m[(i, j)] = ratio / den
+    s = None
+    for i, j in itertools.combinations(range(1, d), 2):
+        s_ij = m[(0, i)] * m[(0, j)] / m[(i, j)]
+        if s is None:
+            s = s_ij
+        elif s != s_ij:
+            return None
+    coeffs = [Fraction(1)] + [m[(0, j)] / s for j in range(1, d)]
+    B = [[lines[j][a] * coeffs[j] for j in range(d)] for a in range(d)]  # column j = c_j w_j
+    B_norm, lead = _normalize_matrix(B)
+    s_norm = s * lead * lead
+    eps = 1 if s_norm > 0 else -1
+    return B_norm, eps, abs(s_norm)

@@ -15,7 +15,13 @@ import numpy as np
 from projdyn import compat as cp
 from projdyn import curvclass as cc
 from projdyn import polyintegrals as pin
-from oracles import bianchi_sum_AS, same_subspace, substitute_v_minus_q
+from oracles import (
+    bianchi_sum_AS,
+    compatibility_on_tangent_pairs,
+    compatibility_repeated_argument,
+    same_subspace,
+    substitute_v_minus_q,
+)
 from projdyn import screens as sc
 from projdyn import young
 from projdyn.exactlin import (
@@ -566,8 +572,8 @@ def test_criterion_09_screen_finder():
             flat_form_tensor(rep.witnesses["phi"], rep.witnesses["g"], rep.witnesses["tangent_basis"])
         )
         assert cp.compatibility_check(form, rep.screen())
-        assert cp.compatibility_on_tangent_pairs(form, rep.witnesses["phi"])
-        assert cp.compatibility_repeated_argument(form, rep.witnesses["phi"])
+        assert compatibility_on_tangent_pairs(form, rep.witnesses["phi"])
+        assert compatibility_repeated_argument(form, rep.witnesses["phi"])
 
     # kernel orthogonality on a cylindric case, sampled on the screen
     rep_cyl = cp.hamiltonian_test(ScreenIntegral(sc.flat_screen(4), vvar(0, 4) * vvar(1, 4)))

@@ -5,15 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import CustomScreen, same_subspace
+from oracles import (
+    CustomScreen,
+    compatibility_by_polys,
+    compatibility_on_tangent_pairs,
+    compatibility_repeated_argument,
+    same_subspace,
+)
 from projdyn import screens as sc
 from projdyn.compat import (
     LagrangeResidualError,
     SecondOrderSystem,
     compatibility_check,
-    compatibility_on_tangent_pairs,
-    compatibility_repeated_argument,
     energy_integral,
     find_compatible_screen,
     hamiltonian_test,
@@ -28,10 +34,11 @@ from projdyn.compat import (
 from projdyn.curvclass import (
     CurvatureForm,
     KernelNotTrivialError,
+    curvature_from_symmetric_map,
     flat_form_tensor,
     metric_form_tensor,
 )
-from projdyn.exactlin import Tensor, kernel
+from projdyn.exactlin import Tensor, kernel, mat_inverse
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import ScreenIntegral, qvar, vvar
 
@@ -166,6 +173,88 @@ def test_three_compatibility_formulations_agree():
     assert not compatibility_check(bad, screen)
     assert not compatibility_on_tangent_pairs(bad, phi)
     assert not compatibility_repeated_argument(bad, phi)
+
+
+def symmetric_congruence(d, entries, diagonal, signs):
+    """M^T diag(signs) M for the invertible M = L U, L unit lower and U upper
+    triangular, filled row by row from ``entries`` (U's diagonal from
+    ``diagonal``): full rank without a zero sign, corank one with one."""
+    it = iter(entries)
+    L = [[1 if i == j else (next(it) if j < i else 0) for j in range(d)] for i in range(d)]
+    U = [[diagonal[i] if i == j else (next(it) if j > i else 0) for j in range(d)] for i in range(d)]
+    M = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return [[Fraction(sum(M[k][i] * signs[k] * M[k][j] for k in range(d))) for j in range(d)] for i in range(d)]
+
+
+def perturbed(values, at, by):
+    """A copy of a vector, or of a symmetric matrix (both (i, j) and (j, i)),
+    with ``by`` added at ``at``."""
+    if not isinstance(values[0], (list, tuple)):
+        return [x + by if k == at[0] else x for k, x in enumerate(values)]
+    i, j = at
+    out = [list(row) for row in values]
+    out[i][j] += by
+    if i != j:
+        out[j][i] += by
+    return out
+
+
+@st.composite
+def compatibility_cases(draw):
+    """(form, screen) for d = 3-6.  The form comes from a random full-rank or
+    corank-one symmetric G (the generator's metric or flat case) or is a
+    wedge square, the metric form of a random symmetric B; the screen is the
+    candidate of the form's case (the hyperplane of ker G, the quadric of
+    G^-1 or of B) or a random linear or quadric screen, perturbed in one
+    entry or not."""
+    d = draw(st.integers(3, 6))
+    small = st.integers(-2, 2)
+    entries = draw(st.lists(small, min_size=d * (d - 1), max_size=d * (d - 1)))
+    diagonal = draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=d, max_size=d))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["metric", "flat", "wedge_square"]))
+    if kind == "flat":
+        signs[draw(st.integers(0, d - 1))] = 0
+    G = symmetric_congruence(d, entries, diagonal, signs)
+    if kind == "wedge_square":
+        form = CurvatureForm(metric_form_tensor(G))
+        linear, quadric = G[0], G
+    else:
+        form = curvature_from_symmetric_map(G)
+        linear, quadric = (kernel(G) or [G[0]])[0], mat_inverse(G) or G
+    use_linear = kind == "flat"
+    if draw(st.booleans()):
+        linear = draw(st.lists(small, min_size=d, max_size=d).filter(any))
+        quadric = symmetric_congruence(d, entries[::-1], diagonal, signs)
+        use_linear = draw(st.booleans())
+    at = (draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
+    by = draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]))
+    if use_linear:
+        return form, sc.LinearFormScreen(perturbed(linear, at, by))
+    return form, sc.QuadraticRootScreen(perturbed(quadric, at, by))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compatibility_cases())
+def test_integer_compatibility_check_matches_the_poly_oracle(case):
+    form, screen = case
+    assert compatibility_check(form, screen) == compatibility_by_polys(form, screen)
+
+
+def test_integer_compatibility_check_sees_both_verdicts_on_generated_forms():
+    rng = random.Random(21)
+    for d in (3, 4, 5, 6):
+        for signs in ([1] * d, [1] * (d - 1) + [0]):
+            entries = [rng.randint(-2, 2) for _ in range(d * (d - 1))]
+            G = symmetric_congruence(d, entries, [1] * d, signs)
+            form = curvature_from_symmetric_map(G)
+            if signs[-1]:
+                good, bad = sc.QuadraticRootScreen(mat_inverse(G)), sc.QuadraticRootScreen(perturbed(mat_inverse(G), (0, 1), 1))
+            else:
+                good, bad = sc.LinearFormScreen(kernel(G)[0]), sc.LinearFormScreen(perturbed(kernel(G)[0], (0,), 1))
+            for screen, verdict in ((good, True), (bad, False)):
+                assert compatibility_check(form, screen) is verdict
+                assert compatibility_by_polys(form, screen) is verdict
 
 
 # -- quotient reduction ------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Decomposability preservation, wedge-power maps, and the classification."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import permute, same_subspace
+from oracles import intersect_spans, permute, recover_square_root_by_spans, same_subspace
 from projdyn.curvclass import (
     BivectorMap,
     CurvatureForm,
+    _common_line,
+    _compound_matrix,
+    _decomposable_span,
+    _recover_square_root,
     DecomposabilityError,
     Eq91ViolationError,
     KernelNotTrivialError,
@@ -287,6 +292,39 @@ def test_the_generator_chain_expands_each_form_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_compound_matrix_minors_match_determinants():
+    rng = random.Random(8)
+    for d in range(1, 7):
+        G = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]
+        G[0][0] = Fraction(0)
+        for k in range(d + 1):
+            out, subsets = _compound_matrix(G, k)
+            assert subsets == list(itertools.combinations(range(d), k))
+            assert out == [[det([[G[i][j] for j in T] for i in S]) for T in subsets] for S in subsets]
+            assert all(type(x) is Fraction for row in out for x in row)
+
+
+def test_a_form_eliminates_its_kernel_once_and_hands_out_fresh_lists(monkeypatch):
+    from projdyn import compat, polyintegrals
+
+    eliminated = []
+    real = polyintegrals.kernel
+    monkeypatch.setattr(polyintegrals, "kernel", lambda mat, cols=None: eliminated.append(cols) or real(mat, cols))
+    degenerate = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 2, 0], [0, 0, 0]]))
+    first = degenerate.kernel()
+    assert first == [[0, 0, 1]]
+    first[0][2] = 5
+    first.append([1, 1, 1])
+    assert degenerate.kernel() == [[0, 0, 1]]
+    assert eliminated == [3]
+    # a metric request classifies twice (the report, then the screen finder)
+    form = curvature_from_symmetric_map([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    eliminated.clear()
+    assert classify_curvature_form(form).case == "metric"
+    assert compat.find_compatible_screen(form).verdict == "quadric"
+    assert eliminated == [3]
+
+
 # -- wedge power maps --------------------------------------------------------------
 
 def test_wedge_power_identity():
@@ -460,6 +498,97 @@ def test_classify_dim3_invertible_is_wedge_square():
     R = BivectorMap(3, 3, M)
     rep = classify_bivector_map(R)
     assert rep.case == "wedge_square"
+
+
+@st.composite
+def pencil_maps(draw):
+    """Maps with decomposable images for d = 3-6.  Decomposability-preserving
+    ones: wedge squares of random, possibly singular, B times a nonzero
+    rational, their star compositions in d = 4, maps with a common wedge
+    factor, and the bivector maps of generated curvature forms (metric and
+    flat).  Only the wedge squares of invertible B (and the metric forms)
+    are of wedge-square type.  Then maps whose images are random
+    decomposables x ^ y (pencils without a common line once d >= 4), and
+    maps c_ij l_i ^ l_j on random lines with random c_ij (a common line in
+    every pencil, but no common scale s once d >= 4)."""
+    kind = draw(st.sampled_from(["wedge_square", "star", "common_factor", "curvature", "decomposable", "lines"]))
+    d = 4 if kind == "star" else draw(st.integers(3, 6))
+    vec = st.lists(RATIONAL, min_size=d, max_size=d)
+    if kind == "common_factor":
+        phi = vector(d, draw(vec))
+        return BivectorMap.from_images(d, d, [wedge(phi, vector(d, draw(vec))) for _ in pair_basis(d)])
+    if kind == "decomposable":
+        return BivectorMap.from_images(d, d, [wedge(vector(d, draw(vec)), vector(d, draw(vec))) for _ in pair_basis(d)])
+    if kind == "lines":
+        lines = [vector(d, draw(vec)) for _ in range(d)]
+        return BivectorMap.from_images(
+            d, d, [wedge(lines[i], lines[j]).scale(draw(RATIONAL.filter(bool))) for i, j in pair_basis(d)])
+    if kind == "curvature":
+        B = [draw(vec) for _ in range(d)]
+        G = [[B[i][j] + B[j][i] for j in range(d)] for i in range(d)]
+        return curvature_from_symmetric_map(G).bivector_map()
+    R = BivectorMap.wedge_square([draw(vec) for _ in range(d)])
+    if kind == "star":
+        return R.star_compose()
+    c = draw(RATIONAL.filter(bool))
+    return BivectorMap(d, d, [[c * x for x in row] for row in R.matrix])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pencil_maps())
+def test_square_root_recovery_matches_the_full_span_intersection(R):
+    assert _recover_square_root(R) == recover_square_root_by_spans(R)
+
+
+@st.composite
+def integer_pencils(draw):
+    """Two to five nonzero decomposable integer bivectors in d = 3-6: random
+    ones, ones through a common line l (l ^ y), and repeats of one plane."""
+    d = draw(st.integers(3, 6))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    line = vector(d, draw(vec))
+    pencil = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["random", "through_line", "repeat"]))
+        if kind == "repeat" and pencil:
+            w = pencil[-1].scale(draw(st.sampled_from([1, -2, 3])))
+        else:
+            w = wedge(line if kind == "through_line" else vector(d, draw(vec)), vector(d, draw(vec)))
+        pencil.append(w)
+    assume(all(not w.is_zero() for w in pencil))
+    return d, [{key: int(v) for key, v in w.coords.items()} for w in pencil]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_pencils())
+def test_common_line_is_the_full_intersection_when_it_is_a_line(case):
+    d, pencil = case
+    expected = intersect_spans([_decomposable_span(col, d) for col in pencil])
+    got = _common_line(pencil, d)
+    if len(expected) != 1:
+        assert got is None
+    else:
+        assert got is not None and same_subspace([got], expected)
+        assert math.gcd(*got) == 1 and next(x for x in got if x) > 0
+
+
+def test_square_root_recovery_sees_both_outcomes():
+    rng = random.Random(12)
+    for d in (3, 4, 5, 6):
+        B = rand_invertible(rng, d)
+        square = BivectorMap.wedge_square(B)
+        singular = BivectorMap.wedge_square([[row[0]] + row[:-1] for row in B])  # R(e0 ^ e1) = 0
+        got = _recover_square_root(square)
+        assert got is not None and got == recover_square_root_by_spans(square)
+        assert _recover_square_root(singular) is None is recover_square_root_by_spans(singular)
+        # common lines in every pencil, but scales c_ij with no common s (d = 3 has one s)
+        lines = [vector(d, row) for row in rand_invertible(rng, d)]
+        scaled = BivectorMap.from_images(d, d, [wedge(lines[i], lines[j]).scale(i + 2 * j + 1)
+                                                for i, j in pair_basis(d)])
+        got = _recover_square_root(scaled)
+        assert got == recover_square_root_by_spans(scaled) and (got is None) == (d > 3)
+    star = BivectorMap.wedge_square(rand_invertible(rng, 4)).star_compose()
+    assert _recover_square_root(star) is None is recover_square_root_by_spans(star)
 
 
 # -- curvature forms ----------------------------------------------------------------------

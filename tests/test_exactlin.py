@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multivector_from_json, permute, same_subspace, sum_of_spans
+from oracles import intersect_spans, multivector_from_json, permute, same_subspace, sum_of_spans
 from projdyn import exactlin as ex
 from projdyn.exactlin import (
     DegenerateInputError,
@@ -471,6 +471,88 @@ def test_tall_matrices_of_small_ints(rows, cols):
     assert len(assert_elimination_exact(low)) == rank_mod_p([u, v])
 
 
+@st.composite
+def tall_extensions(draw):
+    """(m, rhs, tall, tall_rhs): a drawn matrix with a right-hand side, and
+    the same rows with dependent rows added (small integer combinations,
+    zero rows among them), shuffled and each scaled by a nonzero rational,
+    the right-hand side following every row."""
+    m = draw(matrices())
+    rhs = draw(st.lists(ENTRY, min_size=len(m), max_size=len(m)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cols = len(m[0])
+    rows = [(list(row), b) for row, b in zip(m, rhs)]
+    for _ in range(rng.randint(cols + 1, 3 * cols + 6)):
+        w = [rng.randint(-2, 2) for _ in m]
+        rows.append(([sum((c * row[j] for c, row in zip(w, m)), Fraction(0)) for j in range(cols)],
+                     sum((c * b for c, b in zip(w, rhs)), Fraction(0))))
+    rng.shuffle(rows)
+    scales = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7, 10**9 + 7])) for _ in rows]
+    return (m, rhs, [[c * x for x in row] for (row, _), c in zip(rows, scales)],
+            [c * b for (_, b), c in zip(rows, scales)])
+
+
+def nonzero_rref(matrix):
+    red, pivots = ex.rref(matrix)
+    return red[:len(pivots)], pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_extensions())
+def test_tall_matrices_eliminate_like_their_independent_rows(case):
+    m, rhs, tall, tall_rhs = case
+    assert len(tall) > len(tall[0])
+    assert kernel(tall) == kernel(m)
+    assert nonzero_rref(tall) == nonzero_rref(m)
+    assert ex.solve(tall, tall_rhs) == ex.solve(m, rhs)
+
+
+def independent_rows_kept_all(monkeypatch, call):
+    """call() with the tall-row pre-pass replaced by keeping every row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "_independent_rows", lambda rows, cols: rows)
+        return call()
+
+
+def test_the_300_row_wedge_annihilator_kernel_matches_full_elimination(monkeypatch):
+    from projdyn import curvclass
+
+    rng = random.Random(6)
+    d = 6
+    phi = vector(d, [1, -2, 0, 3, 1, 0])
+    common = curvclass.BivectorMap.from_images(
+        d, d, [wedge(phi, vector(d, frac_vec(rng, d))) for _ in curvclass.pair_basis(d)])
+    square = curvclass.BivectorMap.wedge_square([frac_vec(rng, d) for _ in range(d)])
+    for R, nullity in ((common, 1), (square, 0)):
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(curvclass, "kernel", lambda rows: seen.append(rows) or kernel(rows))
+            curvclass._wedge_annihilator(R)
+        (rows,) = seen
+        assert len(rows) == 300
+        basis = kernel(rows)
+        assert len(basis) == nullity
+        assert basis == independent_rows_kept_all(monkeypatch, lambda: kernel(rows)) == kernel_by_fractions(rows)
+        assert nonzero_rref(rows) == independent_rows_kept_all(monkeypatch, lambda: nonzero_rref(rows))
+
+
+def test_tall_rows_past_the_int64_guard_match_full_elimination(monkeypatch):
+    rng = random.Random(62)
+    base = [[rng.randint(-2**70, 2**70) for _ in range(5)] for _ in range(3)]
+    rows = [[sum(rng.randint(-3, 3) * row[j] for row in base) for j in range(5)] for _ in range(40)]
+    rows[7:7] = base
+    rhs = [rng.randint(-2**65, 2**65) for _ in rows]
+    for matrix in (rows, [row + [b] for row, b in zip(rows, rhs)]):
+        assert max(abs(x) for row in matrix for x in row) > 2**62
+        full = independent_rows_kept_all(monkeypatch, lambda: (kernel(matrix), nonzero_rref(matrix)))
+        assert (kernel(matrix), nonzero_rref(matrix)) == full
+        assert kernel(matrix) == kernel_by_fractions(matrix)
+    consistent = [sum(x * y for x, y in zip(row, rows[0])) for row in rows]
+    x = ex.solve(rows, consistent)
+    assert x == solve_by_fractions(rows, consistent) and ex.mat_vec(rows, x) == consistent
+    assert ex.solve(rows, rhs) is None is solve_by_fractions(rows, rhs)
+
+
 def test_huge_coprime_denominators():
     rng = random.Random(7)
     m = rational_matrix(rng, 8, 9, huge_rational)
@@ -506,9 +588,9 @@ def test_rows_with_a_zero_under_the_pivot_keep_pace():
 
 
 def test_intersection_with_the_zero_space_is_zero():
-    assert ex.intersect_spans([[], [[1, 0]]]) == [] == ex.intersect_spans([[[1, 0]], []])
-    assert ex.intersect_spans([[[1, 0]], [[1, 1]]]) == []
-    assert ex.intersect_spans([[[1, 0], [0, 1]]]) == ex.identity_matrix(2)
+    assert intersect_spans([[], [[1, 0]]]) == [] == intersect_spans([[[1, 0]], []])
+    assert intersect_spans([[[1, 0]], [[1, 1]]]) == []
+    assert intersect_spans([[[1, 0], [0, 1]]]) == ex.identity_matrix(2)
 
 
 @pytest.mark.parametrize("call, shape", [
@@ -603,7 +685,7 @@ def test_support_shrinks_along_wedge_powers():
             m_max = r // 2
             supports = {m: support(wedge_power(pi, m)) for m in range(1, m_max + 1)}
             for p in range(1, m_max + 1):
-                inter = ex.intersect_spans([supports[m_max], supports[p]])
+                inter = intersect_spans([supports[m_max], supports[p]])
                 assert same_subspace(inter, supports[m_max])  # containment
             for p in range(1, m_max + 1):
                 assert same_subspace(supports[p], supports[1])  # full-rank equality
@@ -619,7 +701,7 @@ def test_support_of_vector_wedge():
         phi_in = support(mu)[0]
         grown = wedge(vector(dim, phi_in), mu)
         if not grown.is_zero():
-            inter = ex.intersect_spans([support(grown), support(mu)])
+            inter = intersect_spans([support(grown), support(mu)])
             assert same_subspace(inter, support(grown))  # contained in supp(mu)
         phi_out = frac_vec(rng, dim)
         if ex.rank(support(mu) + [phi_out]) == len(support(mu)):
