@@ -526,6 +526,13 @@ def _bareiss(rows, cols):
     return pivots, sign
 
 
+# A matrix with more than _TALL rows per column is cut to independent rows
+# before Bareiss.  Interleaved timings of `_eliminate` with and without the
+# cut (cols 3-8, rows up to 12 * cols, rank cols and cols - 1) put the
+# break-even near 5 rows per column at full rank and 5-12 at corank one.
+_TALL = 8
+
+
 def _independent_rows(rows, cols):
     """A subset of the integer rows with the same row space, in their order.
 
@@ -572,13 +579,13 @@ def _eliminate(matrix, cols):
     RREF[k] is 1 at pivots[k] and 0 at the other pivots.  From the last row
     up, red_k = (d*row_k - sum_{j>k} row_k[pivots[j]] * red_j) // row_k[pivots[k]].
 
-    A matrix with more rows than columns is first cut to an independent
-    subset of its rows (``_independent_rows``), so Bareiss never rewrites
-    the dependent rows below each pivot; the row space, and with it the
-    reduced form that every caller reads, is unchanged.
+    A matrix with more than ``_TALL`` rows per column is first cut to an
+    independent subset of its rows (``_independent_rows``), so Bareiss never
+    rewrites the dependent rows below each pivot; the row space, and with
+    it the reduced form that every caller reads, is unchanged.
     """
     rows = [clear_denominators(row)[0] for row in matrix]
-    if len(rows) > cols:
+    if len(rows) > _TALL * cols:
         rows = _independent_rows(rows, cols)
     pivots, _ = _bareiss(rows, cols)
     rank = len(pivots)
@@ -621,9 +628,10 @@ def rank(matrix) -> int:
 def kernel(matrix, cols=None):
     """Basis of {x : M x = 0} as lists of Fractions, len(result) = cols - rank:
     per free column f, 1 at f and minus the RREF's column f on the pivots.
-    ``cols`` is read only when the matrix has no rows (default 0).  A tall
-    matrix is eliminated on an independent subset of its rows (see
-    ``_eliminate``), so each dependent row costs one membership test.
+    ``cols`` is read only when the matrix has no rows (default 0).  A matrix
+    with more than ``_TALL`` rows per column is eliminated on an independent
+    subset of its rows (see ``_eliminate``), so each dependent row costs one
+    membership test.
     """
     nrows, ncols = _shape(matrix)
     cols = ncols if nrows or cols is None else cols

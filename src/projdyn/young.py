@@ -46,6 +46,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -300,10 +301,17 @@ class ClearedTable:
         return Tensor._raw(self.dim, self.rows.shape[1], entries)
 
 
+@functools.cache
 def _radix(base, width):
     """The place values base**(width - 1), ..., base, 1 of the base-``base``
-    codes of index rows of ``width`` slots, int64 inside the guard."""
-    return np.array([base ** k for k in range(width - 1, -1, -1)], dtype=int_dtype(base ** width))
+    codes of index rows of ``width`` slots, int64 inside the guard.
+
+    Built once per (base, width) and shared read-only: past the guard it is
+    a row of ``width`` Python ints, so rebuilding it for each of a long
+    tableau's identities made a class check quadratic in the order."""
+    radix = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=int_dtype(base ** width))
+    radix.setflags(write=False)
+    return radix
 
 
 class _Action:
@@ -316,13 +324,13 @@ class _Action:
     coefficients, the same arrays run with dtype=object.
     """
 
-    def __init__(self, perms, coefs, base, radix=None):
+    def __init__(self, perms, coefs, base):
         width = perms.shape[1]
         self.bound = _max_abs(coefs)
         self.base = base
         self.size = base ** width
         self.coefs = coefs
-        self.radix = _radix(base, width) if radix is None else radix
+        self.radix = _radix(base, width)
         # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
         self.weights = self.radix[perms].T
 
@@ -492,17 +500,14 @@ def annihilated_by_all(identities, table: ClearedTable) -> bool:
     """True iff every element of ``identities`` acts as zero on the table.
 
     Each identity sums its action over the one cleared table (``_Action``);
-    the first identity leaving a nonzero sum decides.  The identities share
-    one radix, built once per check: past the guard it is a row of Python
-    ints as long as the tensor's order.
+    the first identity leaving a nonzero sum decides.
     """
     if not table.vals:
         return True
     order = table.rows.shape[1]
-    radix = _radix(table.dim, order)
     for element in identities:
         perms = np.array(list(element), dtype=np.intp).reshape(len(element), order)
-        if _Action(perms, list(element.values()), table.dim, radix).sum_codes(table)[1]:
+        if _Action(perms, list(element.values()), table.dim).sum_codes(table)[1]:
             return False
     return True
 

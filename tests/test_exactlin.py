@@ -476,13 +476,15 @@ def tall_extensions(draw):
     """(m, rhs, tall, tall_rhs): a drawn matrix with a right-hand side, and
     the same rows with dependent rows added (small integer combinations,
     zero rows among them), shuffled and each scaled by a nonzero rational,
-    the right-hand side following every row."""
+    the right-hand side following every row.  The added rows reach past
+    the tall-row cut-off (``ex._TALL`` rows per column) in about half of the
+    cases."""
     m = draw(matrices())
     rhs = draw(st.lists(ENTRY, min_size=len(m), max_size=len(m)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     cols = len(m[0])
     rows = [(list(row), b) for row, b in zip(m, rhs)]
-    for _ in range(rng.randint(cols + 1, 3 * cols + 6)):
+    for _ in range(rng.randint(cols + 1, 2 * ex._TALL * cols + 6)):
         w = [rng.randint(-2, 2) for _ in m]
         rows.append(([sum((c * row[j] for c, row in zip(w, m)), Fraction(0)) for j in range(cols)],
                      sum((c * b for c, b in zip(w, rhs)), Fraction(0))))
@@ -514,6 +516,18 @@ def independent_rows_kept_all(monkeypatch, call):
         return call()
 
 
+def test_rank_deficient_integer_rows_past_the_cut_off_match_full_elimination(monkeypatch):
+    # small entries make the echelon's updates at a new pivot matter: a kept
+    # row left unreduced there passes or fails later membership tests wrongly
+    rng = random.Random(8)
+    for _ in range(500):
+        cols = rng.randint(3, 5)
+        basis = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, cols - 1))]
+        rows = [[sum(rng.randint(-1, 1) * b[j] for b in basis) for j in range(cols)]
+                for _ in range(ex._TALL * cols + 1)]
+        assert kernel(rows) == independent_rows_kept_all(monkeypatch, lambda: kernel(rows))
+
+
 def test_the_300_row_wedge_annihilator_kernel_matches_full_elimination(monkeypatch):
     from projdyn import curvclass
 
@@ -539,11 +553,12 @@ def test_the_300_row_wedge_annihilator_kernel_matches_full_elimination(monkeypat
 def test_tall_rows_past_the_int64_guard_match_full_elimination(monkeypatch):
     rng = random.Random(62)
     base = [[rng.randint(-2**70, 2**70) for _ in range(5)] for _ in range(3)]
-    rows = [[sum(rng.randint(-3, 3) * row[j] for row in base) for j in range(5)] for _ in range(40)]
+    rows = [[sum(rng.randint(-3, 3) * row[j] for row in base) for j in range(5)] for _ in range(60)]
     rows[7:7] = base
     rhs = [rng.randint(-2**65, 2**65) for _ in rows]
     for matrix in (rows, [row + [b] for row, b in zip(rows, rhs)]):
         assert max(abs(x) for row in matrix for x in row) > 2**62
+        assert len(matrix) > ex._TALL * len(matrix[0])
         full = independent_rows_kept_all(monkeypatch, lambda: (kernel(matrix), nonzero_rref(matrix)))
         assert (kernel(matrix), nonzero_rref(matrix)) == full
         assert kernel(matrix) == kernel_by_fractions(matrix)

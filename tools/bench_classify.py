@@ -13,10 +13,16 @@ reused across repeats), and writes the medians and quartiles in ms:
   and a map with a common wedge factor (one witness); at d = 6 each passes
   300 rows of width 6 to ``kernel``;
 * ``AntisymmetricForm.kernel``: the carriers of the metric and flat forms;
-* ``curvclass.classify_curvature_form``: the metric and flat forms.
+* ``curvclass.classify_curvature_form``: the metric and flat forms;
+* ``exactlin.kernel``: integer rows of rank d and d - 1 with 4d rows (below
+  the tall-row cut-off of ``exactlin._eliminate``, 8 rows per column) and
+  with 16d rows (past it).
 
 Each call's result is also digested (sha256 of its repr), so two runs on
 different checkouts can be compared for identical answers.
+
+Each input is seeded by SEED and d; each time is the median (and
+quartiles) of REPEATS calls.
 
     python3 tools/bench_classify.py                       # this checkout
     python3 tools/bench_classify.py --src OTHER/src --out BENCH_other.json
@@ -40,6 +46,8 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIMS = (3, 4, 5, 6)
+REPEATS = 21
+SEED = 2026
 
 
 def symmetric_congruence(rng, d, corank=0):
@@ -58,14 +66,20 @@ def invertible(rng, d):
     return m
 
 
-def cases(d, seed):
+def integer_rows(rng, count, d, rank):
+    """count small integer rows of width d spanning a space of dimension rank."""
+    basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rank)]
+    return [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(d)] for _ in range(count)]
+
+
+def cases(d):
     """(function name, case label, function, make) tuples: make() builds the
     function's arguments fresh."""
     from projdyn import compat, curvclass, screens
     from projdyn.exactlin import kernel, mat_inverse, vector, wedge
     from projdyn.polyintegrals import AntisymmetricForm
 
-    rng = random.Random(f"{seed}:{d}")
+    rng = random.Random(f"{SEED}:{d}")
     G_metric = symmetric_congruence(rng, d)
     G_flat = symmetric_congruence(rng, d, corank=1)
     metric = curvclass.curvature_from_symmetric_map(G_metric)
@@ -85,6 +99,9 @@ def cases(d, seed):
 
     def fresh_map(matrix):
         return curvclass.BivectorMap(d, d, matrix)
+
+    tall = {f"rows_{k}d_rank_{label}": integer_rows(rng, k * d, d, rank)
+            for k in (4, 16) for label, rank in (("d", d), ("d-1", d - 1))}
 
     return [
         ("compatibility_check", "metric_quadric",
@@ -109,7 +126,7 @@ def cases(d, seed):
          curvclass.classify_curvature_form, lambda: (fresh_form(metric),)),
         ("classify_curvature_form", "flat",
          curvclass.classify_curvature_form, lambda: (fresh_form(flat),)),
-    ]
+    ] + [("kernel", label, kernel, lambda rows=rows: ([list(row) for row in rows],)) for label, rows in tall.items()]
 
 
 def digest(value):
@@ -123,8 +140,6 @@ def main(argv=None):
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
                         help="the src directory to import projdyn from")
     parser.add_argument("--out", default=os.path.join(HERE, os.pardir, "BENCH_classify.json"))
-    parser.add_argument("--repeats", type=int, default=21)
-    parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--label", default="this checkout", help="names the timed checkout in the JSON")
     args = parser.parse_args(argv)
 
@@ -133,10 +148,10 @@ def main(argv=None):
 
     results = {}
     for d in DIMS:
-        for name, label, fn, make in cases(d, args.seed):
+        for name, label, fn, make in cases(d):
             fn(*make())  # warm-up: lazy imports and first-call caches
             times, digests = [], set()
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 call = make()
                 start = time.perf_counter()
                 value = fn(*call)
@@ -149,21 +164,21 @@ def main(argv=None):
             }
     report = {
         "tool": "tools/bench_classify.py",
-        "seed": args.seed,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "repeats": REPEATS,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),
         "label": args.label,
         "results": results,
-        "total_median_ms": {name: round(sum(case["median_ms"] for dim in per.values() for case in dim.values()), 3)
-                            for name, per in results.items()},
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, total in report["total_median_ms"].items():
-        print(f"{name:28s} {total:10.3f} ms (sum of medians over d = 3-6)")
+    for name, per in results.items():
+        for dim, by_case in per.items():
+            for label, case in by_case.items():
+                print(f"{name:26s} {dim} {label:22s} {case['median_ms']:9.3f} ms")
 
 
 if __name__ == "__main__":
