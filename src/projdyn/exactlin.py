@@ -528,8 +528,9 @@ def _bareiss(rows, cols):
 
 # A matrix with more than _TALL rows per column is cut to independent rows
 # before Bareiss.  Interleaved timings of `_eliminate` with and without the
-# cut (cols 3-8, rows up to 12 * cols, rank cols and cols - 1) put the
-# break-even near 5 rows per column at full rank and 5-12 at corank one.
+# cut (cols 3-8, rows up to 50 * cols, rank cols and cols - 1) put the
+# break-even near 4-6 rows per column at full rank and, at corank one, near
+# 12 at cols 4 falling to under 5 at cols 8 (none up to 50 at cols 3).
 _TALL = 8
 
 
