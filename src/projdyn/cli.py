@@ -12,7 +12,9 @@ finite number; a time span [t0, t1] needs finite ends with t0 <= t1.  A
 screen has at most screens.MAX_SCREEN_DIM (256) dimensions, and so do a
 curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `pbb-dim --n`; `pbb-dim --b` is at most polyintegrals.MAX_PBB_DEGREE (10000).
-`young-dim` caps its basis at 10^6 group-algebra products and dimension 2000.
+`young-dim` caps its basis at 10^6 group-algebra products and dimension 2000;
+`young-check` caps the tableau at 2000 boxes and the tensor's entries times
+the boxes squared at 4*10^6.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 
@@ -140,11 +142,27 @@ def cmd_young_dim(args):
     return 0
 
 
+# The largest `young-check` accepted, read from the input's shape.  A check
+# sums about two identity permutations per box over the tensor's entries, each
+# product a code of one digit per box, so its work grows as the entries times
+# the boxes squared; past 2**62 each digit is a Python int.  At the caps a
+# 2,000-box row with one entry took about 0.5 s on a shared 2-vCPU Xeon, where
+# a 1,000-box row with 1,000 entries (250 times the work cap) took 97 s.
+MAX_YOUNG_CHECK_BOXES = 2_000
+MAX_YOUNG_CHECK_WORK = 4_000_000
+
+
 def cmd_young_check(args):
     tableau = young.YoungTableau.from_json(_load_json(args.tableau, "tableau"))
+    if tableau.size > MAX_YOUNG_CHECK_BOXES:
+        raise FormatError(f"--tableau: {tableau.size} boxes, at most {MAX_YOUNG_CHECK_BOXES}")
     tensor = tensor_from_json(_load_json(args.tensor, "tensor"))
     if tensor.order != tableau.size:
         raise FormatError(f"--tensor: expected order {tableau.size}, the tableau's box count, got {tensor.order}")
+    work = len(tensor.entries) * tableau.size ** 2
+    if work > MAX_YOUNG_CHECK_WORK:
+        raise FormatError(f"--tensor: {len(tensor.entries)} entries times {tableau.size} boxes squared is {work}, "
+                          f"at most {MAX_YOUNG_CHECK_WORK}")
     if tableau.numbering == "vertical":
         member = young.check_imAS(tableau, tensor)
         which = "image_of_AS"

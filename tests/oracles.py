@@ -19,7 +19,8 @@
   spans, and no input format carries a multivector.
 * Young-class helpers that no pipeline calls: the column identity between
   any two columns, contraction of the top boxes, the diagonal zero test and
-  the split of a pair-exchange form (the lemmas the tests check).
+  the split of a pair-exchange form (the lemmas the tests check), with the
+  dict forms of a slot identity and of a scaled group-algebra element.
 * The compatibility identity on ``Poly`` products (``compatibility_by_polys``)
   with its two hyperplane reformulations, and the square-root recovery by
   full intersections of the pencil spans (``recover_square_root_by_spans``,
@@ -304,6 +305,17 @@ def multivector_from_json(obj) -> Multivector:
 # -- Young-class helpers without a pipeline caller ---------------------------------
 
 
+def slot_element(n: int, pairs, sign) -> dict:
+    """``young.slot_identity`` as a group-algebra dict {perm: coefficient}."""
+    perms, coefs = slot_identity(n, pairs, sign)
+    return dict(zip(map(tuple, perms.tolist()), coefs))
+
+
+def scale_element(g: dict, c) -> dict:
+    """c * g for a group-algebra element {perm: coefficient}."""
+    return {perm: coef * c for perm, coef in g.items()} if c else {}
+
+
 def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
     """phi - sum_p T(p, top of column j) phi over boxes p of column k (k < j).
 
@@ -314,7 +326,7 @@ def bianchi_sum_AS(tableau: YoungTableau, t: Tensor, k: int, j: int) -> Tensor:
         raise NumberingError("column identities need a vertical numbering")
     _check_order(tableau, t)
     cols = tableau.column_slots()
-    return apply_element(slot_identity(t.order, [(p, cols[j][0]) for p in cols[k]], -1), t)
+    return apply_element(slot_element(t.order, [(p, cols[j][0]) for p in cols[k]], -1), t)
 
 
 def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int):
@@ -380,12 +392,12 @@ def example_pair_exchange_decompose(phi: Tensor):
     identity = (0, 1, 2, 3)
     if not apply_element({identity: 1, (2, 3, 0, 1): -1}, phi).is_zero():
         raise ValueError("pair-exchange symmetry phi(x,y,z,t)=phi(z,t,x,y) fails")
-    if not all(apply_element(slot_identity(4, [pair], 1), phi).is_zero() for pair in ((0, 1), (2, 3))):
+    if not all(apply_element(slot_element(4, [pair], 1), phi).is_zero() for pair in ((0, 1), (2, 3))):
         raise ValueError("pair antisymmetry fails")
     psi = apply_element({identity: 1, (1, 2, 0, 3): 1, (2, 0, 1, 3): 1}, phi)
     phi_y = phi - psi.scale(Fraction(1, 3))
     # defensive: the split must land where the decomposition says
-    if not all(apply_element(slot_identity(4, [pair], 1), psi).is_zero()
+    if not all(apply_element(slot_element(4, [pair], 1), psi).is_zero()
                for pair in itertools.combinations(range(4), 2)):
         raise ArithmeticError("cyclic sum failed to be fully antisymmetric")
     if not check_imAS(YoungTableau.from_columns([2, 2]), phi_y):

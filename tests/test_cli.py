@@ -7,6 +7,7 @@ import io
 import json
 import os
 import stat
+import time
 import warnings
 from fractions import Fraction
 
@@ -85,6 +86,35 @@ def test_young_check_of_a_1500_box_row_builds_one_radix(capsys):
     result = run(capsys, "young-check", "--tableau", tableau, "--tensor", tensor)
     assert result == (0, '{"class":"image_of_SA","member":true}\n')
     assert young._radix.cache_info().misses == 1
+
+
+def _row_check_argv(boxes, entries):
+    """young-check of one row of ``boxes`` boxes against ``entries`` distinct entries."""
+    tableau = json.dumps({"rows": [boxes], "numbering": "horizontal"})
+    rows = [[(i >> k) & 1 for k in range(boxes)] for i in range(entries)]
+    tensor = json.dumps({"dim": 2, "order": boxes, "entries": [{"idx": idx, "val": "1/1"} for idx in rows]})
+    return ["young-check", "--tableau", tableau, "--tensor", tensor]
+
+
+@pytest.mark.parametrize("boxes, entries, cap", [
+    (cli.MAX_YOUNG_CHECK_BOXES, 1, None),
+    (cli.MAX_YOUNG_CHECK_BOXES + 1, 1, cli.MAX_YOUNG_CHECK_BOXES),
+    (1000, 4, None),
+    (1000, 5, cli.MAX_YOUNG_CHECK_WORK),
+    (4, 4, None),
+], ids=["row-at-the-box-cap", "row-past-the-box-cap", "entries-at-the-work-cap", "entries-past-the-work-cap",
+        "small-row"])
+def test_young_check_caps_its_work_from_the_input_shape(capsys, boxes, entries, cap):
+    # the caps are read before any identity is built: an over-cap input exits 2 at once
+    start = time.perf_counter()
+    code = main(_row_check_argv(boxes, entries))
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if cap is None:
+        assert code in (0, 1) and err == ""
+    else:
+        assert code == 2 and err.startswith("input error:") and f"at most {cap}" in err
+        assert elapsed < 1.0
 
 
 def test_young_check_bad_schema_exits_2(capsys):

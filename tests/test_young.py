@@ -17,6 +17,7 @@ from oracles import (
     contract_top_of_last_columns,
     example_pair_exchange_decompose,
     permute,
+    scale_element,
     transpose_slots,
     vanishing_diagonal_test,
 )
@@ -33,7 +34,6 @@ from projdyn.young import (
     compose_elements,
     imAS_basis,
     imSA_basis,
-    scale_element,
     symmetrize_S,
     symmetrizer_element,
     young_scalar,
@@ -328,24 +328,115 @@ def test_sum_by_code_matches_accumulate_on_int64_object_and_fraction_blocks(data
     values = {"int64": st.integers(-2, 2), "past the guard": st.sampled_from([0, 1, -(2 ** 62), 2 ** 63 + 1]),
               "fraction": st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))}[kind]
     vals = data.draw(st.lists(values, min_size=len(codes), max_size=len(codes)))
+    # many products: 1,000 over 50 codes (or 4) pass the dense cut-off, 1,000 over 2**16 do not
+    many = data.draw(st.sampled_from([0, 0, 1000]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    codes += [rng.randrange(size) for _ in range(many)]
+    vals += [rng.choice(vals or [1]) for _ in range(many)]
+    if data.draw(st.booleans()):  # every code cancels
+        codes, vals = codes + codes, vals + [-v for v in vals]
     cuts = sorted(data.draw(st.lists(st.integers(0, len(codes)), max_size=5)))
     bounds = [0, *cuts, len(codes)]
     dtype = np.int64 if kind == "int64" else object
     blocks = [(np.array(codes[a:b], dtype=np.int64 if size < 2 ** 62 else object), np.array(vals[a:b], dtype=dtype))
               for a, b in zip(bounds, bounds[1:])]
+    if not codes and data.draw(st.booleans()):  # no block at all
+        blocks = []
     expected = {}
     for code, val in zip(codes, vals):
         accumulate(expected, code, val)
-    # with a merge threshold of 3 products the running sums are carried across merges
-    with mock.patch.object(young, "_BLOCK", data.draw(st.sampled_from([3, 4096]))):
-        got_codes, got_sums = young.sum_by_code(blocks, size)
-    got = dict(zip(got_codes.tolist(), got_sums.tolist()))
-    assert_same_dict(got, expected)
-    assert all(type(v) is type(expected[k]) for k, v in got.items())
+    # with a merge threshold of 3 products the running sums are carried across merges; the cut-off
+    # as it stands, the sort alone (no dense span) and the dense array wherever the values are int64
+    results = []
+    for span in (young._DENSE_SPAN, 0, 2 ** 40):
+        with mock.patch.object(young, "_BLOCK", data.draw(st.sampled_from([3, 4096]))), \
+                mock.patch.object(young, "_DENSE_SPAN", span):
+            results.append(young.sum_by_code(blocks, size))
+    for got_codes, got_sums in results:
+        got = dict(zip(got_codes.tolist(), got_sums.tolist()))
+        assert_same_dict(got, expected)
+        assert all(type(v) is type(expected[k]) for k, v in got.items())
+        assert (got_codes.dtype, got_sums.dtype) == (results[1][0].dtype, results[1][1].dtype)
+        assert got_sums.dtype == dtype or not got
+
+
+def partitions(n):
+    """Every partition of n, as weakly decreasing row lengths."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(n, 0, -1) for rest in partitions(n - k) if not rest or rest[0] <= k]
+
+
+def chained_squares(tableau):
+    """AS, the chained ASAS, SA and the chained SASA as group-algebra dicts."""
+    n = tableau.size
+    S = young._block_group(tableau.row_slots(), n, signed=False)
+    A = young._block_group(tableau.column_slots(), n, signed=True)
+    out = []
+    for x, y in ((A, S), (S, A)):
+        xy = young._compose(x, y, n)
+        for codes, sums in (xy, young._square(x, y, xy, n)):
+            out.append(dict(zip(map(tuple, young.index_rows(codes, n, n).tolist()), sums.tolist())))
+    return out
+
+
+def distinct_tableaux(shapes):
+    """(rows, numbering) for each shape in both numberings, once per distinct
+    pair of row and column slots (one row or one column is the same
+    tableau in both)."""
+    seen, out = set(), []
+    for rows in shapes:
+        for numbering in ("horizontal", "vertical"):
+            tab = YoungTableau(rows, numbering)
+            slots = repr((tab.row_slots(), tab.column_slots()))
+            if slots not in seen:
+                seen.add(slots)
+                out.append((rows, numbering))
+    return out
+
+
+# 7-box codes (7**7) are past the dense cut-off: the two 7-box shapes run the sort
+_CHAINED = distinct_tableaux(rows for n in range(1, 7) for rows in partitions(n)) + [
+    ((4, 1, 1, 1), "vertical"), ((3, 2, 1, 1), "horizontal")]
+
+
+@pytest.mark.parametrize("rows, numbering", _CHAINED, ids=[f"{'x'.join(map(str, r))}-{nb}" for r, nb in _CHAINED])
+def test_young_scalar_chains_the_squares_of_the_pairwise_loop(rows, numbering):
+    tab = YoungTableau(rows, numbering)
+    S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
+    AS, ASAS, SA, SASA = chained_squares(tab)
+    assert_same_dict(AS, compose_reference(A, S))
+    assert_same_dict(SA, compose_reference(S, A))
+    assert_same_dict(ASAS, compose_reference(AS, AS))
+    assert_same_dict(SASA, compose_reference(SA, SA))
+    assert young_scalar(tab) == hook_product(rows)
+
+
+@pytest.mark.parametrize("rows", [(2, 2), (3, 3)])
+def test_young_scalar_refuses_a_corrupted_product(rows):
+    # drop one code from the k-th engine call: every product feeds a full identity check
+    tab = YoungTableau(rows, "vertical")
+    calls = []
+    inner = young.sum_by_code
+    with mock.patch.object(young, "sum_by_code", lambda blocks, size: calls.append(size) or inner(blocks, size)):
+        young_scalar(tab)
+    for k in range(len(calls)):
+        seen = []
+
+        def dropping(blocks, size, k=k, seen=seen):
+            codes, sums = inner(blocks, size)
+            seen.append(size)
+            if len(seen) - 1 == k:
+                middle = len(codes) // 2
+                codes, sums = np.delete(codes, middle), np.delete(sums, middle)
+            return codes, sums
+
+        with mock.patch.object(young, "sum_by_code", dropping), pytest.raises(ArithmeticError):
+            young_scalar(tab)
 
 
 def test_compose_elements_on_seven_boxes():
-    # 7**7 codes no longer sort as uint16: the int64 sort path
+    # 7**7 codes are past the dense cut-off: the int64 sort path
     tab = YoungTableau((3, 2, 1, 1), "vertical")
     S, A = symmetrizer_element(tab), antisymmetrizer_element(tab)
     AS = compose_elements(A, S)
