@@ -86,21 +86,6 @@ def clear_denominators(values):
     return [v.numerator * (den // d) for v, d in zip(vals, dens)], den
 
 
-# ---------------------------------------------------------------------------
-# permutations
-
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images of 0..N-1."""
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def sort_with_sign(indices: tuple):
     """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats.

@@ -17,12 +17,15 @@ The group algebra runs on int64 arrays.  Composing two elements, acting on
 a tensor and the image bases are one action (``_Action``): an index row jdx
 and a permutation sigma with coefficient c give c * e_{jdx o sigma^-1}.
 The products become base-k integer codes, one matrix product per block of
-about 4k, and one engine, ``sum_by_code``, sums them by code, so every
-output lists its keys in sorted code order: the same dicts as the plain
-per-product loops, in increasing key order.  A guard keeps every code and
-partial sum of an int64 array below 2**62; past it, or with non-integer
-coefficients, the same arrays run with dtype=object, the one overflow path.
-The wedge table of ``curvclass`` is summed by the same engine.
+about 4k, and one engine, ``sum_by_code``, sums them by code: into one
+zeroed int64 array of the codes when the code space is small next to the
+number of products, and by sort otherwise.  Every output lists its keys in
+sorted code order: the same dicts as the plain per-product loops, in
+increasing key order.  A guard keeps every code and partial sum of an int64
+array below 2**62; past it, or with non-integer coefficients, the same
+arrays run with dtype=object, the one overflow path.  The wedge table of
+``curvclass`` is summed by the same engine.  ``young_scalar`` keeps S, A
+and every product as arrays from start to finish.
 
 An action reads a ``ClearedTable``: a tensor's entries as an int64 index
 array and integer numerators over one common denominator, cleared once,
@@ -35,10 +38,10 @@ and the first-block symmetrization of a polar form are such sums.
 The same action decides membership in Im AS and Im SA.  Each slot identity
 of a class (an antisymmetry or symmetry under an adjacent transposition
 inside a column or row, and the identity tying a column or row to the head
-of the next) is a group-algebra element {identity: 1, sigma: +-1, ...} that
-vanishes on the class; a check clears the tensor's entries to integers once
-and sums each identity's action over that one table, so no whole permuted
-tensor is built.
+of the next) is a group-algebra element identity + sum of +-sigma, one
+small int64 array of permutation rows, that vanishes on the class; a check
+clears the tensor's entries to integers once and sums each identity's
+action over that one table, so no whole permuted tensor is built.
 
 All values are immutable and every operation is a pure function, safe for
 concurrent use.
@@ -185,6 +188,7 @@ def _block_group(blocks, n, signed):
 
 
 def _element(perms, coefs) -> dict:
+    """The group-algebra dict {perm tuple: int} of permutation rows."""
     return dict(zip(map(tuple, perms.tolist()), coefs.tolist()))
 
 
@@ -498,12 +502,14 @@ def young_scalar(tableau: YoungTableau) -> int:
     if not len(AS[0]):
         raise ValueError("AS is the zero element; cannot extract the scalar")
     ASAS = _square(A, S, AS, n)
-    key, at = AS[0][0], np.searchsorted(ASAS[0], AS[0][0])
-    if at == len(ASAS[0]) or ASAS[0][at] != key:
+    (codes, sums), (square_codes, square_sums) = AS, ASAS
+    at = np.searchsorted(square_codes, codes[0])
+    if at == len(square_codes) or square_codes[at] != codes[0]:
         raise ArithmeticError("ASAS not proportional to AS")
-    lam, rest = divmod(int(ASAS[1][at]), int(AS[1][0]))
+    num, den = int(square_sums[at]), int(sums[0])
+    lam, rest = divmod(num, den)
     if rest or lam <= 0:
-        raise ArithmeticError(f"scalar {Fraction(int(ASAS[1][at]), int(AS[1][0]))} is not a positive integer")
+        raise ArithmeticError(f"scalar {Fraction(num, den)} is not a positive integer")
     if not _is_multiple(ASAS, AS, lam):
         raise ArithmeticError("inconsistent ratio: ASAS != lambda AS")
     SA = _compose(S, A, n)

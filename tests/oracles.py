@@ -13,9 +13,9 @@
   which the engine does not build, is compared in the loops' key order.
   The block exchange and R(v, -q) by ``Poly.substitute`` are the reference
   for the library's exponent-tuple ``swap_blocks``.
-* Whole-tensor slot permutations and subspace comparisons: the independent
-  reference for the group-algebra action and for the exact spans that the
-  library returns.  No pipeline permutes a whole tensor or compares two
+* Whole-tensor slot permutations, the sign of a permutation and subspace
+  comparisons: the independent reference for the group-algebra action and
+  for the exact spans that the library returns.  No pipeline permutes a whole tensor or compares two
   spans, and no input format carries a multivector.
 * Young-class helpers that no pipeline calls: the column identity between
   any two columns, contraction of the top boxes, the diagonal zero test and
@@ -230,6 +230,18 @@ def substitute_v_minus_q(R: Poly, dim: int) -> Poly:
 
 
 # -- whole-tensor slot permutations -------------------------------------------------
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a tuple of images of 0..N-1."""
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
 
 
 def permute(t: Tensor, sigma) -> Tensor:

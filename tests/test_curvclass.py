@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import intersect_spans, permute, recover_square_root_by_spans, same_subspace
+from oracles import intersect_spans, perm_sign, permute, recover_square_root_by_spans, same_subspace
 from projdyn.curvclass import (
     BivectorMap,
     CurvatureForm,
@@ -29,7 +29,7 @@ from projdyn.curvclass import (
     preserves_decomposables,
     wedge_power_map,
 )
-from projdyn.exactlin import Tensor, accumulate, basis_multivector, det, kernel, perm_sign, vector, wedge
+from projdyn.exactlin import Tensor, accumulate, basis_multivector, det, kernel, vector, wedge
 from projdyn.polyintegrals import pair_tableau
 from projdyn.young import check_imAS
 
