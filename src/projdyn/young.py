@@ -175,16 +175,16 @@ def _block_group(blocks, n, signed):
     lexicographic order.
     """
     perms = np.arange(n, dtype=np.int64)[None, :]
-    coefs = np.ones(1, dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
     for block in blocks:
         if len(block) < 2:
             continue
-        local, signs = _permutations(len(block))
+        local, local_signs = _permutations(len(block))
         count = len(perms)
         perms = np.repeat(perms, len(local), axis=0)
-        perms[:, block] = np.tile(np.asarray(block)[local], (count, 1))
-        coefs = np.repeat(coefs, len(local)) * (np.tile(signs, count) if signed else 1)
-    return perms, coefs
+        perms.reshape(count, len(local), n)[:, :, block] = np.asarray(block)[local]
+        signs = np.multiply.outer(signs, local_signs).ravel()
+    return perms, signs if signed else np.ones_like(signs)
 
 
 def _element(perms, coefs) -> dict:
@@ -264,7 +264,7 @@ def sum_by_code(blocks, size):
         count += len(codes)
         if vals.dtype == np.int64 and size <= _DENSE_SPAN * min(count, _BLOCK):
             dense = np.zeros(size, dtype=np.int64)
-            for codes, vals in [(keys, sums), *pending]:
+            for codes, vals in pending:
                 np.add.at(dense, codes, vals)
         elif count >= max(_BLOCK, len(keys)):
             keys, sums = merge()
