@@ -19,7 +19,9 @@ Each call's result is also digested (sha256 of its repr), so two runs on
 different checkouts can be compared for identical answers.
 
 Each input is seeded by SEED; each time is the median (and quartiles) of
-REPEATS calls.
+REPEATS calls.  The repeats go round all the cases in turn, so each case's
+calls are spread over the whole run rather than caught together in one slow
+or fast spell of a shared host.
 
     python3 tools/bench_young.py                       # this checkout
     python3 tools/bench_young.py --src OTHER/src --out BENCH_other.json
@@ -128,22 +130,26 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy
 
-    results = {}
-    for name, label, fn, make in cases():
+    timed = cases()
+    for _, _, fn, make in timed:
         fn(*make())  # warm-up: lazy imports and first-call caches
-        times, digests = [], set()
-        for _ in range(REPEATS):
+    times = [[] for _ in timed]
+    digests = [set() for _ in timed]
+    for _ in range(REPEATS):
+        for k, (_, _, fn, make) in enumerate(timed):
             call = make()
             start = time.perf_counter()
             value = fn(*call)
-            times.append((time.perf_counter() - start) * 1e3)
-            digests.add(digest(value))
-        q1, median, q3 = statistics.quantiles(times, n=4)
+            times[k].append((time.perf_counter() - start) * 1e3)
+            digests[k].add(digest(value))
+    results = {}
+    for (name, label, _, _), case_times, case_digests in zip(timed, times, digests):
+        q1, median, q3 = statistics.quantiles(case_times, n=4)
         results.setdefault(name, {})[label] = {
             "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-            "result_sha256": sorted(digests),
+            "result_sha256": sorted(case_digests),
         }
-        print(f"{name:14s} {label:28s} {median:10.3f} ms", flush=True)
+        print(f"{name:14s} {label:28s} {median:10.3f} ms")
     report = {
         "tool": "tools/bench_young.py",
         "seed": SEED,
