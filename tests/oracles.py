@@ -15,12 +15,14 @@
   for the library's exponent-tuple ``swap_blocks``.
 * Whole-tensor slot permutations, the sign of a permutation and subspace
   comparisons: the independent reference for the group-algebra action and
-  for the exact spans that the library returns.  No pipeline permutes a whole tensor or compares two
-  spans, and no input format carries a multivector.
+  for the exact spans that the library returns.  No pipeline permutes a
+  whole tensor or compares two spans, and no input format carries a
+  multivector.
 * Young-class helpers that no pipeline calls: the column identity between
   any two columns, contraction of the top boxes, the diagonal zero test and
   the split of a pair-exchange form (the lemmas the tests check), with the
-  dict forms of a slot identity and of a scaled group-algebra element.
+  partitions of n, and the dict forms of a slot identity and of a scaled
+  group-algebra element.
 * The compatibility identity on ``Poly`` products (``compatibility_by_polys``)
   with its two hyperplane reformulations, and the square-root recovery by
   full intersections of the pencil spans (``recover_square_root_by_spans``,
@@ -315,6 +317,18 @@ def multivector_from_json(obj) -> Multivector:
 
 
 # -- Young-class helpers without a pipeline caller ---------------------------------
+
+
+def partitions(n, cap=None):
+    """The partitions of n with parts at most ``cap``, as weakly decreasing
+    row lengths, largest first."""
+    cap = cap or n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
 def slot_element(n: int, pairs, sign) -> dict:

@@ -19,6 +19,7 @@ from oracles import (
     bianchi_sum_AS,
     compatibility_on_tangent_pairs,
     compatibility_repeated_argument,
+    partitions,
     same_subspace,
     substitute_v_minus_q,
 )
@@ -37,16 +38,6 @@ from projdyn.young import YoungTableau
 
 def report(num, name, detail=""):
     print(f"ACCEPTANCE {num:02d} {name}: PASS {detail}")
-
-
-def partitions(n, cap=None):
-    cap = cap or n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from oracles import (
     bianchi_sum_AS,
     contract_top_of_last_columns,
     example_pair_exchange_decompose,
+    partitions,
     permute,
     scale_element,
     transpose_slots,
@@ -358,13 +359,6 @@ def test_sum_by_code_matches_accumulate_on_int64_object_and_fraction_blocks(data
         assert all(type(v) is type(expected[k]) for k, v in got.items())
         assert (got_codes.dtype, got_sums.dtype) == (results[1][0].dtype, results[1][1].dtype)
         assert got_sums.dtype == dtype or not got
-
-
-def partitions(n):
-    """Every partition of n, as weakly decreasing row lengths."""
-    if n == 0:
-        return [()]
-    return [(k, *rest) for k in range(n, 0, -1) for rest in partitions(n - k) if not rest or rest[0] <= k]
 
 
 def chained_squares(tableau):
