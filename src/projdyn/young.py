@@ -360,12 +360,10 @@ class _Action:
     def __init__(self, perms, coefs, base):
         width = perms.shape[1]
         self.bound = _max_abs(coefs)
-        self.base = base
         self.size = base ** width
         self.coefs = coefs
-        self.radix = _radix(base, width)
         # jdx @ weights gives the codes of jdx o sigma^-1 for every sigma
-        self.weights = self.radix[perms].T
+        self.weights = _radix(base, width)[perms].T
 
     def sum_codes(self, table: ClearedTable):
         """Sum vals[i] * coefs[p] at the code of rows[i] o perms[p]^-1;
@@ -394,10 +392,6 @@ class _Action:
         bounds = np.searchsorted(codes, offsets).tolist()
         codes, sums = (codes % self.size).tolist(), sums.tolist()
         return [(codes[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-    def decode(self, codes):
-        """Index tuples of base-``base`` codes."""
-        return list(map(tuple, index_rows(codes, self.base, len(self.radix)).tolist()))
 
 
 def index_rows(codes, base, width):
@@ -671,7 +665,7 @@ def _image_basis(element: dict, dim: int, size: int, indices):
             row = dict(zip(codes, sums))
             if row and echelon.insert(row):
                 value = {v: Fraction(v) for v in set(sums)}
-                entries = dict(zip(action.decode(codes), map(value.__getitem__, sums)))
+                entries = dict(zip(map(tuple, index_rows(codes, dim, size).tolist()), map(value.__getitem__, sums)))
                 basis.append(Tensor._raw(dim, size, entries))
     return basis
 
