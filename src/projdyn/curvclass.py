@@ -23,13 +23,21 @@ vanishing of every coefficient expanded from W.  Maps and forms are
 immutable, so W and the verdict are computed once per map, and a curvature
 form builds them straight from its sparse entries and shares them with its
 bivector map.
-The power map reads its images from the rows of W, and the flat-case
-metric is read from one slice of the form.  The square-root recovery runs
-on the integer columns too: each pencil's common line is found by
-intersecting the images' supports one plane at a time (x lies in the
-support of w iff x ^ w = 0), kept as a primitive integer vector, and the
-multiples relating the images to the lines' wedges are compared by
+The power map reads its images from the rows of W.  The square-root
+recovery runs on the integer columns too: each pencil's common line is
+found by intersecting the images' supports one plane at a time (x lies in
+the support of w iff x ^ w = 0), kept as a primitive integer vector, and
+the multiples relating the images to the lines' wedges are compared by
 cross-multiplication, with one division per entry of the returned B.
+
+The curvature layer reads cleared integers as well.  A form's entries are
+cleared once (``AntisymmetricForm.cleared``); the kernel is eliminated
+from them, the flat-case metric is summed from one slice of them, and each
+witness is re-verified by cross-multiplying them with the integer entries
+of its defining formula (the 2 x 2 minors of B, or the flat form from one
+elimination), so no Fraction tensor is built to compare.  A form keeps
+its classification report.  The generator reads each entry straight from
+one integer minor of G, with one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ from projdyn.exactlin import (
     JsonValue,
     Multivector,
     Tensor,
+    _eliminate,
+    _wedge_ints,
     basis_multivector,
     clear_denominators,
     contract,
@@ -54,7 +64,7 @@ from projdyn.exactlin import (
     multivector_to_json,
     rank,
     rat,
-    solve,
+    sort_with_sign,
     tensor_from_json,
     tensor_to_json,
     wedge,
@@ -360,8 +370,8 @@ def wedge_power_map(R: BivectorMap, p: int) -> WedgePowerMap:
 
     The image of a pairing is read from the wedge table row of its first
     two pairs, with the cleared integer columns of any further pairs wedged
-    on (``wedge`` only multiplies and adds coordinates, so it runs on the
-    ints), and is divided by den**p only once it is kept.
+    on by the integer kernel of ``wedge``, and is divided by den**p only
+    once it is kept.
     """
     if 2 * p > min(R.dim_src, R.dim_dst):
         raise ValueError("wedge power exceeds the dimension")
@@ -370,15 +380,14 @@ def wedge_power_map(R: BivectorMap, p: int) -> WedgePowerMap:
     table = R.wedge_table()
     cols, den = R.cleared()
     den **= p
-    d = R.dim_dst
     images = {}
     for subset in itertools.combinations(range(R.dim_src), 2 * p):
         value = None
         for matching, sign in _matchings(subset):
             ks = [R._pair_col[pr] for pr in matching]
             img = table.row(ks[0], ks[1]) if p > 1 else cols[ks[0]]
-            for half, k in enumerate(ks[2:], start=2):
-                img = wedge(Multivector._raw(d, 2 * half, img), Multivector._raw(d, 2, cols[k])).coords
+            for k in ks[2:]:
+                img = _wedge_ints(img, cols[k])
             if sign < 0:
                 img = {key: -v for key, v in img.items()}
             if value is None:
@@ -496,13 +505,12 @@ def _common_line(pencil, d):
     first one (``_decomposable_span``): a vector x lies in the support of w
     iff x ^ w = 0, so span(a, b) meets it in the combinations q a - p b
     with p (b ^ w) = q (a ^ w), decided by cross-multiplication.  Once a
-    line remains, every later plane must contain it.  ``wedge`` only
-    multiplies and adds coordinates, so it runs on the ints.
+    line remains, every later plane must contain it.  The wedges are taken
+    by the integer kernel of ``wedge``, so they stay ints.
     """
     basis = _decomposable_span(pencil[0], d)
     for col in pencil[1:]:
-        w = Multivector._raw(d, 2, col)
-        images = [wedge(Multivector._raw(d, 1, {(i,): c for i, c in enumerate(x) if c}), w).coords for x in basis]
+        images = [_wedge_ints({(i,): c for i, c in enumerate(x) if c}, col) for x in basis]
         if len(basis) == 1:
             if images[0]:
                 return None
@@ -595,12 +603,20 @@ def _recover_square_root(R: BivectorMap):
     return B, eps, abs(s_norm)
 
 
-def _verify_wedge_square(R, B, factor):
-    check = BivectorMap.wedge_square(B)
+def _verify_wedge_square(R, B, factor) -> bool:
+    """True iff R = factor * B^2 on bivectors, entry by entry.  Each cleared
+    column of R (den times R) is compared with the 2 x 2 minors of B
+    cleared to integers (den_B**2 times those of B) by cross-multiplying."""
+    cols, den = R.cleared()
+    n = len(B[0])
+    ints, den_b = clear_denominators([x for row in B for x in row])
+    b = [ints[r * n:(r + 1) * n] for r in range(len(B))]
+    factor = rat(factor)
+    left, right = den_b * den_b * factor.denominator, factor.numerator * den
     return all(
-        R.matrix[r][c] == factor * check.matrix[r][c]
-        for r in range(len(R.dst_pairs))
-        for c in range(len(R.src_pairs))
+        col.get((i, j), 0) * left == (b[i][p] * b[j][q] - b[j][p] * b[i][q]) * right
+        for (p, q), col in zip(R.src_pairs, cols)
+        for i, j in R.dst_pairs
     )
 
 
@@ -678,11 +694,12 @@ class CurvatureForm:
     the induced map from bivectors to 2-forms symmetric.
 
     A form is immutable once built: its wedge table (with the
-    decomposability verdict) and its bivector map are built at most once,
-    on first use."""
+    decomposability verdict), its bivector map and its classification
+    report are built at most once, on first use."""
 
     _table = None
     _map = None
+    _report = None
 
     def __init__(self, tensor: Tensor):
         if tensor.order != 4:
@@ -759,67 +776,111 @@ class CurvatureForm:
         return cls(tensor_from_json(r))
 
 
-def metric_form_tensor(b_matrix) -> Tensor:
-    """The curvature form of a symmetric bilinear form:
-    R(u,v;w,x) = b(u,w) b(v,x) - b(u,x) b(v,w).
-
-    Computed on b cleared to integers (den * b), so each entry is one
-    integer expression divided by den**2."""
+def _metric_ints(b_matrix):
+    """(entries, den): den times the curvature form of b, as an {index:
+    int} dict without zeros in product order.  Each entry is one integer
+    expression in b cleared to integers (den_b * b), and den = den_b**2."""
     d = len(b_matrix)
     ints, den = clear_denominators([x for row in b_matrix for x in row])
     b = [ints[r * d:(r + 1) * d] for r in range(d)]
-    den *= den
     entries = {}
     for u, v, w, x in itertools.product(range(d), repeat=4):
         val = b[u][w] * b[v][x] - b[u][x] * b[v][w]
         if val:
-            entries[(u, v, w, x)] = Fraction(val, den)
-    return Tensor._raw(d, 4, entries)
+            entries[(u, v, w, x)] = val
+    return entries, den * den
+
+
+def metric_form_tensor(b_matrix) -> Tensor:
+    """The curvature form of a symmetric bilinear form:
+    R(u,v;w,x) = b(u,w) b(v,x) - b(u,x) b(v,w).
+
+    Computed on b cleared to integers (``_metric_ints``), with one Fraction
+    per entry."""
+    entries, den = _metric_ints(b_matrix)
+    return Tensor._raw(len(b_matrix), 4, {idx: Fraction(val, den) for idx, val in entries.items()})
+
+
+def _flat_ints(phi, g_matrix, kernel_basis):
+    """(entries, den): den times the flat-case curvature form, as an
+    {index: int} dict without zeros in product order (see
+    ``flat_form_tensor``).
+
+    The kernel coordinates of phi -| (u ^ v) for all pairs u < v come from
+    one elimination of the kernel basis (as columns) beside all the
+    contracted pairs: those lie in its span iff no pivot falls past the
+    basis columns, and the reduced form gives each pair's coordinates
+    (zero at the free basis columns) as integers over the last pivot."""
+    d = len(phi)
+    phi = [rat(x) for x in phi]
+    k = len(kernel_basis)
+    pairs = list(itertools.combinations(range(d), 2))
+    rows = [[rat(vec[i]) for vec in kernel_basis] + [phi[u] if i == v else -phi[v] if i == u else 0 for u, v in pairs]
+            for i in range(d)]
+    pivots, free, den_c, red = _eliminate(rows, k + len(pairs))
+    if pivots and pivots[-1] >= k:
+        raise ValueError("contracted pair left ker(phi): inconsistent witness data")
+    at = {c: t for t, c in enumerate(free)}
+    coords = [[0] * k for _ in pairs]
+    for n, vec in enumerate(coords):
+        for p, row in zip(pivots, red):
+            vec[p] = row[at[k + n]]
+    # on integers: den_c * coordinates and den_g * g, so den_c**2 * den_g * R;
+    # R is summed at u < v and w < x only, as R(v, u, ., .) = -R(u, v, ., .)
+    # and R(., ., x, w) = -R(., ., w, x)
+    g_ints, den_g = clear_denominators([rat(x) for row in g_matrix for x in row])
+    gc = [[sum(g_ints[a * k + b] * vec[b] for b in range(k)) for a in range(k)] for vec in coords]
+    value = {(p, q): sum(a * b for a, b in zip(cp, gq)) for p, cp in zip(pairs, coords) for q, gq in zip(pairs, gc)}
+    oriented = [((u, v), (u, v) if u < v else (v, u), u < v) for u, v in itertools.product(range(d), repeat=2) if u != v]
+    entries = {}
+    for (u, v), p, up in oriented:
+        for (w, x), q, wp in oriented:
+            if val := value[p, q]:
+                entries[(u, v, w, x)] = val if up == wp else -val
+    return entries, den_c * den_c * den_g
 
 
 def flat_form_tensor(phi, g_matrix, kernel_basis) -> Tensor:
     """The flat-case curvature form
     R(u,v;w,x) = g(phi -| (u ^ v), phi -| (w ^ x)) with g given in the
-    coordinates of a basis of ker(phi)."""
-    d = len(phi)
-    phi = [rat(x) for x in phi]
-    g = [[rat(x) for x in row] for row in g_matrix]
-    kb = [[rat(x) for x in vec] for vec in kernel_basis]
-    k = len(kb)
-    kmat = [[kb[j][i] for j in range(k)] for i in range(d)]
+    coordinates of a basis of ker(phi).
 
-    # the kernel coordinates of phi -| (u ^ v) for u < v; (v, u) gives minus
-    # them and (u, u) zero, as solve is linear in the right-hand side
-    pairs = list(itertools.combinations(range(d), 2))
-    coords = []
-    for u, v in pairs:
-        vec = [Fraction(0)] * d
-        vec[v] += phi[u]
-        vec[u] -= phi[v]
-        sol = solve(kmat, vec)
-        if sol is None:
-            raise ValueError("contracted pair left ker(phi): inconsistent witness data")
-        coords.extend(sol)
-    # on integers: den_c * coordinates and den_g * g, one Fraction per entry
-    ints, den_c = clear_denominators(coords)
-    g_ints, den_g = clear_denominators([x for row in g for x in row])
-    zero = [0] * k
-    c = {(u, u): zero for u in range(d)}
-    for n, (u, v) in enumerate(pairs):
-        c[(u, v)] = ints[n * k:(n + 1) * k]
-        c[(v, u)] = [-x for x in c[(u, v)]]
-    gc = {key: [sum(g_ints[a * k + b] * vec[b] for b in range(k)) for a in range(k)] for key, vec in c.items()}
-    den = den_c * den_c * den_g
-    entries = {}
-    for u, v in itertools.product(range(d), repeat=2):
-        cu = c[(u, v)]
-        if cu is zero:
-            continue
-        for w, x in itertools.product(range(d), repeat=2):
-            val = sum(a * b for a, b in zip(cu, gc[(w, x)]))
-            if val:
-                entries[(u, v, w, x)] = Fraction(val, den)
-    return Tensor._raw(d, 4, entries)
+    The coordinates of all the contracted pairs come from one elimination
+    and the entries are summed on integers (``_flat_ints``), with one
+    Fraction per entry."""
+    entries, den = _flat_ints(phi, g_matrix, kernel_basis)
+    return Tensor._raw(len(phi), 4, {idx: Fraction(val, den) for idx, val in entries.items()})
+
+
+def _is_scaled_copy(form: CurvatureForm, expected: dict, den, factor) -> bool:
+    """True iff the form's tensor is factor * expected / den, expected being
+    an {index: int} dict without zeros.  The form's cleared entries are
+    compared with expected by cross-multiplying; as no entry on either side
+    is zero, equal sizes and a match at every entry of the form make the
+    index sets equal."""
+    entries = form.tensor.entries
+    if len(entries) != len(expected):
+        return False
+    ints, den_f = form.form.cleared()
+    factor = rat(factor)
+    left, right = den * factor.denominator, factor.numerator * den_f
+    return all(r * left == expected.get(idx, 0) * right for idx, r in zip(entries, ints))
+
+
+def _slice_metric(form: CurvatureForm, phi, kernel_basis):
+    """The flat-case g on the kernel basis: g(a, b) = R(u, a, u, b) with
+    u = e_k / phi_k, k the first nonzero of phi, i.e. the slice R(k, ., k, .)
+    over phi_k**2.  Summed on the form's cleared entries and the kernel
+    basis cleared to integers, with one Fraction per entry of g."""
+    d = form.dim
+    k = next(i for i, x in enumerate(phi) if x)
+    ints, den_f = form.form.cleared()
+    sliced = [(v, x, r) for (uu, v, ww, x), r in zip(form.tensor.entries, ints) if uu == k == ww]
+    kb, den_k = clear_denominators([x for vec in kernel_basis for x in vec])
+    kb = [kb[i * d:(i + 1) * d] for i in range(len(kernel_basis))]
+    square = rat(phi[k]) ** 2
+    top, bottom = square.denominator, den_f * den_k * den_k * square.numerator
+    return [[Fraction(sum(r * ka[v] * kc[x] for v, x, r in sliced) * top, bottom) for kc in kb] for ka in kb]
 
 
 class Eq91ViolationError(ValueError):
@@ -833,7 +894,19 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
     with R = eps * scale * B^2) or the flat case (hyperplane covector phi
     with a non-degenerate quadratic form on its kernel); dimension 2 returns
     the bare dim2 tag.  The complete defining formula is re-verified on all
-    basis tuples before the report is returned."""
+    basis tuples before the report is returned, by cross-multiplying the
+    form's cleared entries with the formula's integer entries.
+
+    A form is immutable, so its report is kept on it: a second call (the
+    screen finder's after the caller's own, say) returns the same report,
+    which callers must not change.  A form that raises raises again on
+    every call."""
+    if form._report is None:
+        form._report = _classify(form)
+    return form._report
+
+
+def _classify(form: CurvatureForm) -> ClassificationReport:
     d = form.dim
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -856,8 +929,7 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
         B, eps, scale = rec
         if B != [list(row) for row in zip(*B)]:
             raise ArithmeticError("recovered metric is not symmetric")
-        expected = metric_form_tensor(B).scale(Fraction(eps) * scale)
-        if expected != form.tensor:
+        if not _is_scaled_copy(form, *_metric_ints(B), eps * scale):
             raise ArithmeticError("metric witness failed the full formula check")
         checks.append("R(u,v;w,x) = eps*scale*(b(u,w)b(v,x)-b(u,x)b(v,w)) verified")
         return ClassificationReport("metric", {"B": B, "epsilon": eps, "scale": scale}, checks)
@@ -865,19 +937,13 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
     phi = _wedge_annihilator(R)
     if phi is None:
         raise ArithmeticError("non-invertible curvature map with no wedge annihilator: bug")
-    k = next(i for i, x in enumerate(phi) if x)
     kernel_basis = kernel([phi])
-    # g(a, b) = R(u, a, u, b) with u = e_k / phi_k: the slice R(k, ., k, .) over phi_k^2
-    sliced = [(v, x, val) for (uu, v, ww, x), val in form.tensor.entries.items() if uu == k == ww]
-    square = phi[k] * phi[k]
-    g = [[sum((val * ka[v] * kb[x] for v, x, val in sliced), Fraction(0)) / square for kb in kernel_basis]
-         for ka in kernel_basis]
+    g = _slice_metric(form, phi, kernel_basis)
     if det(g) == 0:
         raise ArithmeticError("flat-case quadratic form is degenerate despite trivial kernel")
     if g != [list(row) for row in zip(*g)]:
         raise ArithmeticError("flat-case bilinear form is not symmetric")
-    expected = flat_form_tensor(phi, g, kernel_basis)
-    if expected != form.tensor:
+    if not _is_scaled_copy(form, *_flat_ints(phi, g, kernel_basis), 1):
         raise ArithmeticError("flat witness failed the full formula check")
     checks.append("R(u,v;w,x) = g(phi -| (u^v), phi -| (w^x)) verified on all basis tuples")
     return ClassificationReport(
@@ -888,14 +954,14 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 # the symmetric-map generator
 
-def _compound_matrix(G, k):
-    """k-th compound (matrix of k x k minors): the induced action on the k-th
-    exterior power, rows/cols indexed by increasing k-subsets.
+def _compound_minors(G, k):
+    """(minors, den): the k x k minors of G cleared to integers (den_G times
+    G), keyed by (rows S, columns T) over increasing k-subsets; they are
+    den = den_G**k times the minors of G, the k-th compound.
 
-    The minors are those of G cleared to integers (den times G), built in
-    one pass by size: a minor on rows S and columns T is the expansion
-    along its first row, sum_m (-1)^m G[S0][T_m] M(S minus S0, T minus T_m),
-    from the minors one size smaller; each is divided by den**k once."""
+    Built in one pass by size: a minor on rows S and columns T is the
+    expansion along its first row, sum_m (-1)^m G[S0][T_m] M(S minus S0,
+    T minus T_m), from the minors one size smaller."""
     d = len(G)
     ints, den = clear_denominators([x for row in G for x in row])
     G = [ints[r * d:(r + 1) * d] for r in range(d)]
@@ -911,9 +977,7 @@ def _compound_matrix(G, k):
             for S in itertools.combinations(range(k - size, d), size)
             for T in cols
         }
-    subsets = list(itertools.combinations(range(d), k))
-    den **= k
-    return [[Fraction(minors[S, T], den) for T in subsets] for S in subsets], subsets
+    return minors, den ** k
 
 
 def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
@@ -925,6 +989,13 @@ def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
     with the inverse of G as the metric, rank-n G in the flat case with the
     kernel line of G as the hyperplane direction (claims exercised by the
     round-trip tests rather than assumed).
+
+    Read straight from the integer minors: with c(S) the complement of an
+    index subset S and s(S) the sign of the contraction e_S -| e_0..d-1 =
+    s(S) e_c(S), each entry R(a, b, w, x), a < b and w < x, is
+    s(a, b) s(c(w, x)) vol_scale**2 M(c(w, x), c(a, b)) for M the
+    (d - 2)-th compound of G, so one Fraction per entry; the antisymmetric
+    copies take its sign.
     """
     d = len(G)
     if d < 3:
@@ -932,24 +1003,27 @@ def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
     G = [[rat(x) for x in row] for row in G]
     if G != [list(row) for row in zip(*G)]:
         raise ValueError("G must be symmetric")
-    n = d - 1
-    vol = basis_multivector(d, tuple(range(d))).scale(rat(vol_scale))
-    comp, subsets = _compound_matrix(G, n - 1)
-    column = {S: c for c, S in enumerate(subsets)}
+    vs = rat(vol_scale)
+    minors, den = _compound_minors(G, d - 2)
+    num, den = vs.numerator ** 2, den * vs.denominator ** 2
+
+    def contraction(S):
+        rest = tuple(i for i in range(d) if i not in S)
+        return rest, sort_with_sign(S + rest)[1]
+
+    # (w, x) = c(S) and s(S) for the rows S of the compound, in their order
+    rows = [(S, *contraction(S)) for S in itertools.combinations(range(d), d - 2)]
     entries = {}
-    for (a, b) in pair_basis(d):
-        # e_a ^ e_b -| vol has one nonzero coordinate: the compound acts by reading its column
-        omega = contract_multivector(basis_multivector(d, (a, b)), vol)
-        coords_out = [
-            sum((row[column[S]] * val for S, val in omega.coords.items()), Fraction(0))
-            for row in comp
-        ]
-        sigma = Multivector(d, n - 1, {S: coords_out[i] for i, S in enumerate(subsets) if coords_out[i]})
-        img = contract_multivector(sigma, vol)
-        for (w, x), val in img.coords.items():
-            for uu, vv, sgn_uv in ((a, b, 1), (b, a, -1)):
-                for ww, xx, sgn_wx in ((w, x, 1), (x, w, -1)):
-                    entries[(uu, vv, ww, xx)] = val * sgn_uv * sgn_wx
+    for a, b in pair_basis(d) if num else ():  # vol_scale 0: the zero form
+        T, s_ab = contraction((a, b))
+        for S, (w, x), s_wx in rows:
+            if m := minors[S, T]:
+                val = Fraction(s_ab * s_wx * num * m, den)
+                neg = -val
+                entries[(a, b, w, x)] = val
+                entries[(a, b, x, w)] = neg
+                entries[(b, a, w, x)] = neg
+                entries[(b, a, x, w)] = val
     form = CurvatureForm(Tensor._raw(d, 4, entries))
     if not form.satisfies_decomposability():
         raise ArithmeticError("generated form violates the decomposability condition")

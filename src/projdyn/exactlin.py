@@ -6,6 +6,8 @@ determinant).  Values and results are `fractions.Fraction`; elimination
 clears each row's denominators once (`clear_denominators`) and runs over
 Python ints: Bareiss forward elimination, whose divisions are exact, then a
 fraction-free back-substitution, with one Fraction built per returned entry.
+The wedge and interior products clear each operand once in the same way,
+sum on the ints and build one Fraction per coordinate.
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 
@@ -212,13 +214,6 @@ class Tensor:
             accumulate(out, idx[:slot] + idx[slot + 1:], val * c)
         return Tensor(self.dim, self.order - 1, out)
 
-    def contract_slots(self, assignment: dict):
-        """Plug vectors into several slots at once ({slot: vector})."""
-        t = self
-        for slot in sorted(assignment, reverse=True):
-            t = t.contract_slot(slot, assignment[slot])
-        return t
-
 
 def basis_tensor(dim: int, idx) -> Tensor:
     return Tensor(dim, len(idx), {tuple(idx): Fraction(1)})
@@ -309,28 +304,48 @@ def vector(dim: int, coords) -> Multivector:
     return Multivector(dim, 1, {(i,): rat(c) for i, c in enumerate(coords) if rat(c)})
 
 
-def basis_vector(dim: int, i: int) -> Multivector:
-    return Multivector(dim, 1, {(i,): Fraction(1)})
-
-
 def basis_multivector(dim: int, idx) -> Multivector:
     return Multivector(dim, len(idx), {tuple(idx): Fraction(1)})
 
 
+def _wedge_ints(a: dict, b: dict) -> dict:
+    """The coordinates of a ^ b from coordinate dicts: the signed products
+    summed in the scan order of a, then b.  Int coordinates give ints."""
+    out = {}
+    for ia, va in a.items():
+        for ib, vb in b.items():
+            key, sign = sort_with_sign(ia + ib)
+            if sign:
+                accumulate(out, key, va * vb * sign)
+    return out
+
+
+def _cleared(m: Multivector):
+    """(coords, den): m's coordinates as ints, den times their values."""
+    ints, den = clear_denominators(m.coords.values())
+    return dict(zip(m.coords, ints)), den
+
+
+def _over(coords: dict, den) -> dict:
+    """Integer coordinates divided by den: one Fraction per coordinate."""
+    return {key: Fraction(v, den) for key, v in coords.items()}
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product; returns the zero multivector when the grade overflows."""
+    """Exterior product; returns the zero multivector when the grade overflows.
+
+    Each operand is cleared to integers once and the products are summed on
+    the ints (``_wedge_ints``), whose sum is den times the rational one: it
+    cancels at the same keys, so the keys come in the same order, and one
+    Fraction is built per coordinate.
+    """
     if a.dim != b.dim:
         raise ValueError("multivector dim mismatch")
     grade = a.grade + b.grade
     if grade > a.dim:
         return Multivector._raw(a.dim, grade, {})
-    out = {}
-    for ia, va in a.coords.items():
-        for ib, vb in b.coords.items():
-            key, sign = sort_with_sign(ia + ib)
-            if sign:
-                accumulate(out, key, va * vb * sign)
-    return Multivector._raw(a.dim, grade, out)
+    (ia, da), (ib, db) = _cleared(a), _cleared(b)
+    return Multivector._raw(a.dim, grade, _over(_wedge_ints(ia, ib), da * db))
 
 
 def wedge_power(pi: Multivector, m: int) -> Multivector:
@@ -343,24 +358,49 @@ def wedge_power(pi: Multivector, m: int) -> Multivector:
     return out
 
 
-def contract(xi, m: Multivector) -> Multivector:
-    """Interior product of a covector into a multivector (an antiderivation).
-
-    contract(xi, x ^ y) = <xi,x> y - <xi,y> x for grade 2.
-    """
-    if m.grade < 1:
-        raise ValueError("cannot contract a grade-0 multivector")
-    xi = [rat(c) for c in xi]
-    if len(xi) != m.dim:
-        raise ValueError("covector dim mismatch")
+def _contract_ints(xi, coords: dict) -> dict:
+    """The coordinates of xi -| m from a covector and m's coordinate dict,
+    summed in the scan order of m's keys, then their positions."""
     out = {}
-    for idx, val in m.coords.items():
+    for idx, val in coords.items():
         for pos, i in enumerate(idx):
             c = xi[i]
             if not c:
                 continue
             accumulate(out, idx[:pos] + idx[pos + 1:], val * c * (1 if pos % 2 == 0 else -1))
-    return Multivector._raw(m.dim, m.grade - 1, out)
+    return out
+
+
+def contract(xi, m: Multivector) -> Multivector:
+    """Interior product of a covector into a multivector (an antiderivation).
+
+    contract(xi, x ^ y) = <xi,x> y - <xi,y> x for grade 2.  Runs on xi and
+    m cleared to integers, with one Fraction built per coordinate.
+    """
+    if m.grade < 1:
+        raise ValueError("cannot contract a grade-0 multivector")
+    xi, dx = clear_denominators(xi)
+    if len(xi) != m.dim:
+        raise ValueError("covector dim mismatch")
+    coords, dm = _cleared(m)
+    return Multivector._raw(m.dim, m.grade - 1, _over(_contract_ints(xi, coords), dx * dm))
+
+
+def _contract_multivector_ints(pi: dict, omega: dict) -> dict:
+    """The coordinates of pi -| omega from coordinate dicts, summed in the
+    scan order of pi, then omega."""
+    out = {}
+    for s_idx, sval in pi.items():
+        s_set = set(s_idx)
+        for t_idx, tval in omega.items():
+            if not s_set.issubset(t_idx):
+                continue
+            rest = tuple(i for i in t_idx if i not in s_set)
+            # parity of the shuffle putting (s_idx, rest) into sorted order t_idx
+            _, sign = sort_with_sign(s_idx + rest)
+            if sign:
+                accumulate(out, rest, sval * tval * sign)
+    return out
 
 
 def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
@@ -369,24 +409,15 @@ def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
     Both arguments use the Multivector container; ``omega`` is read as an
     alternating N-form over the dual basis.  On basis elements, for S a
     subset of T, e_S -| e_T* = sign * e_{T\\S}* where the sign moves S to the
-    front of T.
+    front of T.  Runs on both operands cleared to integers, with one
+    Fraction built per coordinate.
     """
     if pi.dim != omega.dim:
         raise ValueError("dim mismatch")
     if pi.grade > omega.grade:
         raise ValueError("grade of the contracted multivector exceeds the form")
-    out = {}
-    for s_idx, sval in pi.coords.items():
-        s_set = set(s_idx)
-        for t_idx, tval in omega.coords.items():
-            if not s_set.issubset(t_idx):
-                continue
-            rest = tuple(i for i in t_idx if i not in s_set)
-            # parity of the shuffle putting (s_idx, rest) into sorted order t_idx
-            _, sign = sort_with_sign(s_idx + rest)
-            if sign:
-                accumulate(out, rest, sval * tval * sign)
-    return Multivector._raw(pi.dim, omega.grade - pi.grade, out)
+    (ip, dp), (io, do) = _cleared(pi), _cleared(omega)
+    return Multivector._raw(pi.dim, omega.grade - pi.grade, _over(_contract_multivector_ints(ip, io), dp * do))
 
 
 def is_decomposable(pi: Multivector) -> bool:
@@ -727,10 +758,6 @@ class SparseEchelon:
         self.pivots[lead] = red
         return True
 
-    def contains(self, vec) -> bool:
-        red, lead = self._reduce(vec)
-        return lead is None
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -758,11 +785,6 @@ class SparseEchelon:
 
 class FormatError(ValueError):
     """Malformed serialized data."""
-
-
-def parse_rational(s) -> Fraction:
-    """A serialized rational: a 'p/q' string or a finite JSON number."""
-    return JsonValue(s, "rational").rational()
 
 
 def _to_rational(x):

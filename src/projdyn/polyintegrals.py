@@ -313,8 +313,10 @@ class AntisymmetricForm:
     form antisymmetric in each slot pair (2i, 2i+1) and satisfying the
     column-exchange identities, with R(q, v) on its full diagonal.  Descends
     to a symmetric b-linear form on bivectors.  A form is immutable once
-    built: its kernel is computed at most once, on first use."""
+    built: its entries cleared to integers and its kernel are computed at
+    most once, on first use."""
 
+    _cleared = None
     _kernel = None
 
     def __init__(self, dim: int, b: int, tensor: Tensor):
@@ -372,16 +374,24 @@ class AntisymmetricForm:
             total += term
         return total
 
+    def cleared(self):
+        """(ints, den): den times the entry values, in the entries' order,
+        den clearing them all; computed once."""
+        if self._cleared is None:
+            self._cleared = clear_denominators(self.tensor.entries.values())
+        return self._cleared
+
     def kernel(self):
         """Vectors u with the form vanishing whenever u fills the first slot.
 
         The form is immutable, so the basis is eliminated once, on first
-        use; each call returns fresh lists of it."""
+        use, from rows of the cleared entries (the kernel does not see the
+        scale); each call returns fresh lists of it."""
         if self._kernel is None:
             rows = {}
-            for idx, val in self.tensor.entries.items():
-                rows.setdefault(idx[1:], {})[idx[0]] = val
-            mat = [[cols.get(i, Fraction(0)) for i in range(self.dim)] for _, cols in sorted(rows.items())]
+            for idx, v in zip(self.tensor.entries, self.cleared()[0]):
+                rows.setdefault(idx[1:], {})[idx[0]] = v
+            mat = [[cols.get(i, 0) for i in range(self.dim)] for _, cols in sorted(rows.items())]
             self._kernel = kernel(mat, self.dim)
         return [list(vec) for vec in self._kernel]
 

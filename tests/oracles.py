@@ -28,6 +28,15 @@
   full intersections of the pencil spans (``recover_square_root_by_spans``,
   on ``intersect_spans``): the references for the library's integer
   compatibility check and common-line recovery.
+* The exterior algebra and the curvature forms on Fractions: the wedge and
+  the two contractions as plain loops over rational coordinates, the
+  generator through two contractions with the volume form and the compound
+  from determinants, and the flat-case form with one ``solve`` per pair.
+  The library runs them on cleared integers; these are the references for
+  its values and key order.
+* ``exactlin`` helpers that no library code calls: a slot contraction at
+  several slots, the basis vector, span membership in a ``SparseEchelon``
+  and the reader of one serialized rational.
 """
 
 import itertools
@@ -43,9 +52,14 @@ from projdyn.exactlin import (
     Multivector,
     Tensor,
     accumulate,
+    basis_multivector,
+    clear_denominators,
+    det,
     kernel,
     rat,
     rref,
+    solve,
+    sort_with_sign,
     tensor_from_json,
 )
 from projdyn.polynomials import Poly
@@ -371,7 +385,7 @@ def contract_top_of_last_columns(tableau: YoungTableau, t: Tensor, p_vec, l: int
         raise ValueError("l out of range")
     col_slots = tableau.column_slots()
     slots = [col_slots[c - l + i][0] for i in range(l)]
-    reduced = t.contract_slots({s: p_vec for s in slots})
+    reduced = contract_slots(t, {s: p_vec for s in slots})
     new_cols = [j - 1 if i >= c - l else j for i, j in enumerate(cols)]
     new_cols = [j for j in new_cols if j > 0]
     if not new_cols:
@@ -606,3 +620,116 @@ def recover_square_root_by_spans(R: BivectorMap):
     s_norm = s * lead * lead
     eps = 1 if s_norm > 0 else -1
     return B_norm, eps, abs(s_norm)
+
+
+# -- the exterior algebra and the curvature forms on Fractions ----------------------
+
+
+def wedge_by_fractions(a: Multivector, b: Multivector) -> Multivector:
+    """a ^ b summed term by term on the rational coordinates."""
+    grade = a.grade + b.grade
+    out = {}
+    if grade <= a.dim:
+        for ia, va in a.coords.items():
+            for ib, vb in b.coords.items():
+                key, sign = sort_with_sign(ia + ib)
+                if sign:
+                    accumulate(out, key, va * vb * sign)
+    return Multivector._raw(a.dim, grade, out)
+
+
+def contract_by_fractions(xi, m: Multivector) -> Multivector:
+    """xi -| m summed term by term on the rational coordinates."""
+    xi = [rat(c) for c in xi]
+    out = {}
+    for idx, val in m.coords.items():
+        for pos, i in enumerate(idx):
+            if xi[i]:
+                accumulate(out, idx[:pos] + idx[pos + 1:], val * xi[i] * (1 if pos % 2 == 0 else -1))
+    return Multivector._raw(m.dim, m.grade - 1, out)
+
+
+def contract_multivector_by_fractions(pi: Multivector, omega: Multivector) -> Multivector:
+    """pi -| omega summed term by term on the rational coordinates."""
+    out = {}
+    for s_idx, sval in pi.coords.items():
+        for t_idx, tval in omega.coords.items():
+            if set(s_idx).issubset(t_idx):
+                rest = tuple(i for i in t_idx if i not in s_idx)
+                _, sign = sort_with_sign(s_idx + rest)
+                if sign:
+                    accumulate(out, rest, sval * tval * sign)
+    return Multivector._raw(pi.dim, omega.grade - pi.grade, out)
+
+
+def curvature_by_contractions(G, vol_scale=1) -> Tensor:
+    """The generated curvature form on Fractions: for each pair a < b,
+    contract e_a ^ e_b into the volume form, apply the (d - 2)-th compound
+    of G (its minors from ``det``), contract the image into the volume form
+    again, and write the four antisymmetric copies of each entry."""
+    d = len(G)
+    G = [[rat(x) for x in row] for row in G]
+    vol = basis_multivector(d, tuple(range(d))).scale(rat(vol_scale))
+    subsets = list(itertools.combinations(range(d), d - 2))
+    comp = [[det([[G[i][j] for j in T] for i in S]) for T in subsets] for S in subsets]
+    column = {S: c for c, S in enumerate(subsets)}
+    entries = {}
+    for a, b in itertools.combinations(range(d), 2):
+        omega = contract_multivector_by_fractions(basis_multivector(d, (a, b)), vol)
+        coords_out = [sum((row[column[S]] * val for S, val in omega.coords.items()), Fraction(0)) for row in comp]
+        sigma = Multivector(d, d - 2, {S: coords_out[i] for i, S in enumerate(subsets) if coords_out[i]})
+        img = contract_multivector_by_fractions(sigma, vol)
+        for (w, x), val in img.coords.items():
+            for uu, vv, sgn_uv in ((a, b, 1), (b, a, -1)):
+                for ww, xx, sgn_wx in ((w, x, 1), (x, w, -1)):
+                    entries[(uu, vv, ww, xx)] = val * sgn_uv * sgn_wx
+    return Tensor._raw(d, 4, entries)
+
+
+def flat_form_by_solves(phi, g_matrix, kernel_basis) -> Tensor:
+    """g(phi -| (u ^ v), phi -| (w ^ x)) on Fractions, the kernel
+    coordinates of each contracted pair from its own ``solve``."""
+    d = len(phi)
+    phi = [rat(x) for x in phi]
+    g = [[rat(x) for x in row] for row in g_matrix]
+    k = len(kernel_basis)
+    kmat = [[rat(kernel_basis[j][i]) for j in range(k)] for i in range(d)]
+    coords = {}
+    for u, v in itertools.product(range(d), repeat=2):
+        vec = [Fraction(0)] * d
+        vec[v] += phi[u]
+        vec[u] -= phi[v]
+        coords[(u, v)] = solve(kmat, vec)
+        if coords[(u, v)] is None:
+            raise ValueError("contracted pair left ker(phi): inconsistent witness data")
+    entries = {}
+    for (u, v), cu in coords.items():
+        for (w, x), cw in coords.items():
+            val = sum((g[a][b] * cu[a] * cw[b] for a in range(k) for b in range(k)), Fraction(0))
+            if val:
+                entries[(u, v, w, x)] = val
+    return Tensor._raw(d, 4, entries)
+
+
+# -- exactlin helpers without a library caller ------------------------------------
+
+
+def contract_slots(t: Tensor, assignment: dict) -> Tensor:
+    """Plug vectors into several slots at once ({slot: vector})."""
+    for slot in sorted(assignment, reverse=True):
+        t = t.contract_slot(slot, assignment[slot])
+    return t
+
+
+def basis_vector(dim: int, i: int) -> Multivector:
+    return Multivector(dim, 1, {(i,): Fraction(1)})
+
+
+def echelon_contains(echelon, vec) -> bool:
+    """Whether vec lies in the span held by a ``SparseEchelon``."""
+    return echelon._reduce(vec)[1] is None
+
+
+def parse_rational(s) -> Fraction:
+    """A serialized rational: a 'p/q' string or a finite JSON number."""
+    return JsonValue(s, "rational").rational()

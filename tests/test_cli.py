@@ -537,7 +537,7 @@ def test_json_output_round_trip(capsys, tmp_path):
                   "--output", str(out_path))
     assert code == 0
     report = json.loads(out_path.read_text())
-    from projdyn.exactlin import parse_rational
+    from oracles import parse_rational
 
     B = [[parse_rational(x) for x in row] for row in report["witnesses"]["B"]]
     assert B == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

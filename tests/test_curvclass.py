@@ -9,12 +9,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import intersect_spans, perm_sign, permute, recover_square_root_by_spans, same_subspace
+from oracles import (
+    curvature_by_contractions,
+    flat_form_by_solves,
+    intersect_spans,
+    perm_sign,
+    permute,
+    recover_square_root_by_spans,
+    same_subspace,
+)
 from projdyn.curvclass import (
     BivectorMap,
     CurvatureForm,
     _common_line,
-    _compound_matrix,
+    _compound_minors,
     _decomposable_span,
     _recover_square_root,
     DecomposabilityError,
@@ -292,16 +300,122 @@ def test_the_generator_chain_expands_each_form_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_a_form_is_classified_once_and_its_errors_every_time(monkeypatch):
+    from projdyn import compat, curvclass
+
+    calls = []
+    inner = curvclass._classify
+    monkeypatch.setattr(curvclass, "_classify", lambda form: calls.append(form) or inner(form))
+    rng = random.Random(21)
+    for G, verdict in ((rand_symmetric_invertible(rng, 4), "quadric"), (rand_symmetric_rank(rng, 4, 3), "hyperplane")):
+        calls.clear()
+        form = curvature_from_symmetric_map(G)
+        rep = classify_curvature_form(form)
+        screen = compat.find_compatible_screen(form)
+        assert screen.verdict == verdict
+        assert classify_curvature_form(form) is rep
+        assert len(calls) == 1
+        # a fresh form with the same entries is classified anew, to the same reports
+        fresh = CurvatureForm(form.tensor)
+        assert classify_curvature_form(fresh).to_json() == rep.to_json()
+        assert compat.find_compatible_screen(fresh).to_json() == screen.to_json()
+        assert len(calls) == 2
+    calls.clear()
+    degenerate = CurvatureForm(metric_form_tensor([[1, 0, 0], [0, 2, 0], [0, 0, 0]]))
+    for _ in range(2):
+        with pytest.raises(KernelNotTrivialError):
+            classify_curvature_form(degenerate)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_the_generator_matches_the_contraction_path(d):
+    rng = random.Random(40 + d)
+    thirds = [[x / 3 for x in row] for row in rand_symmetric_rank(rng, d, d - 1)]
+    for G in (rand_symmetric_invertible(rng, d), rand_symmetric_rank(rng, d, d - 1), thirds):
+        for vol_scale in (1, Fraction(3, 2)):
+            got = curvature_from_symmetric_map(G, vol_scale).tensor.entries
+            assert list(got.items()) == list(curvature_by_contractions(G, vol_scale).entries.items())
+            assert all(type(v) is Fraction for v in got.values())
+    assert curvature_from_symmetric_map(G, 0).tensor.entries == {} == curvature_by_contractions(G, 0).entries
+
+
+def test_flat_form_tensor_matches_one_solve_per_pair():
+    rng = random.Random(41)
+    for d in (3, 4, 5, 6):
+        phi = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        phi[rng.randrange(d)] = Fraction(-2, 5)
+        reduced = kernel([phi])
+        k = len(reduced)
+        mixed = [[sum(c * vec[i] for c, vec in zip(row, reduced)) for i in range(d)] for row in rand_invertible(rng, k)]
+        g = rand_symmetric_invertible(rng, k)
+        for basis in (reduced, mixed):
+            got = flat_form_tensor(phi, g, basis).entries
+            assert list(got.items()) == list(flat_form_by_solves(phi, g, basis).entries.items())
+        # a dependent basis: its free column has coordinate zero
+        padded = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        for i in range(k):
+            padded[i][:k] = g[i]
+        padded[k][k] = Fraction(3)
+        dependent = reduced + [reduced[0]]
+        assert flat_form_tensor(phi, padded, dependent) == flat_form_by_solves(phi, padded, dependent)
+        # a basis that misses part of ker(phi)
+        leaving = reduced[:-1] + [[Fraction(1)] * d]
+        for build in (flat_form_tensor, flat_form_by_solves):
+            with pytest.raises(ValueError, match="left ker"):
+                build(phi, g, leaving)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda B, eps, scale: ([[x + Fraction(1, 7) * (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(B)],
+                           eps, scale),
+    lambda B, eps, scale: (B, eps, scale * 2),
+    lambda B, eps, scale: (B, -eps, scale),
+])
+def test_perturbed_square_roots_fail_their_verification(monkeypatch, perturb):
+    from projdyn import curvclass
+
+    real = curvclass._recover_square_root
+    monkeypatch.setattr(curvclass, "_recover_square_root", lambda R: perturb(*real(R)))
+    rng = random.Random(42)
+    for d in (3, 4, 5):
+        with pytest.raises(ArithmeticError, match="recovered wedge square failed verification"):
+            classify_bivector_map(BivectorMap.wedge_square(rand_invertible(rng, d)))
+        with pytest.raises(ArithmeticError, match="metric witness failed the full formula check"):
+            classify_curvature_form(curvature_from_symmetric_map(rand_symmetric_invertible(rng, d)))
+
+
+def test_a_perturbed_flat_metric_fails_its_verification(monkeypatch):
+    from projdyn import curvclass
+
+    real = curvclass._slice_metric
+
+    def perturbed(form, phi, kernel_basis):
+        g = real(form, phi, kernel_basis)
+        for c in (Fraction(1), Fraction(2), Fraction(1, 3)):
+            bent = [[x + c * (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
+            if det(bent):
+                return bent
+
+    monkeypatch.setattr(curvclass, "_slice_metric", perturbed)
+    rng = random.Random(43)
+    for d in (3, 4, 5):
+        with pytest.raises(ArithmeticError, match="flat witness failed the full formula check"):
+            classify_curvature_form(curvature_from_symmetric_map(rand_symmetric_rank(rng, d, d - 1)))
+
+
 def test_compound_matrix_minors_match_determinants():
     rng = random.Random(8)
     for d in range(1, 7):
         G = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]
         G[0][0] = Fraction(0)
         for k in range(d + 1):
-            out, subsets = _compound_matrix(G, k)
-            assert subsets == list(itertools.combinations(range(d), k))
-            assert out == [[det([[G[i][j] for j in T] for i in S]) for T in subsets] for S in subsets]
-            assert all(type(x) is Fraction for row in out for x in row)
+            minors, den = _compound_minors(G, k)
+            subsets = list(itertools.combinations(range(d), k))
+            assert sorted(minors) == [(S, T) for S in subsets for T in subsets]
+            assert all(type(x) is int for x in minors.values())
+            assert {key: Fraction(x, den) for key, x in minors.items()} == {
+                (S, T): det([[G[i][j] for j in T] for i in S]) for S in subsets for T in subsets}
 
 
 def test_a_form_eliminates_its_kernel_once_and_hands_out_fresh_lists(monkeypatch):
@@ -317,7 +431,7 @@ def test_a_form_eliminates_its_kernel_once_and_hands_out_fresh_lists(monkeypatch
     first.append([1, 1, 1])
     assert degenerate.kernel() == [[0, 0, 1]]
     assert eliminated == [3]
-    # a metric request classifies twice (the report, then the screen finder)
+    # a metric request classifies once (the screen finder reuses the report)
     form = curvature_from_symmetric_map([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
     eliminated.clear()
     assert classify_curvature_form(form).case == "metric"

@@ -1,6 +1,6 @@
 """Layer timings of the curvature-form and bivector-map classifiers.
 
-Times five calls on fixed seeded inputs for d = 3-6, each on inputs built
+Times ten calls on fixed seeded inputs for d = 3-6, each on inputs built
 fresh outside the timer (so a value memoized on a map or a form is not
 reused across repeats), and writes the medians and quartiles in ms:
 
@@ -14,6 +14,14 @@ reused across repeats), and writes the medians and quartiles in ms:
   300 rows of width 6 to ``kernel``;
 * ``AntisymmetricForm.kernel``: the carriers of the metric and flat forms;
 * ``curvclass.classify_curvature_form``: the metric and flat forms;
+* ``compat.find_compatible_screen``: the metric and flat forms (each
+  classified inside the call, as the forms are fresh);
+* ``curvclass.curvature_from_symmetric_map``: the full-rank and corank-one
+  G of the metric and flat forms (digested with the entries' key order);
+* ``curvclass.classify_bivector_map``: the wedge square of an invertible B
+  (d >= 4);
+* ``exactlin.wedge``: two bivectors with every coordinate a small random
+  rational (d >= 4; digested with the coordinates' key order);
 * ``exactlin.kernel``: integer rows of rank d and d - 1 with 4d rows (below
   the tall-row cut-off of ``exactlin._eliminate``, 8 rows per column) and
   with 16d rows (past it).
@@ -22,7 +30,9 @@ Each call's result is also digested (sha256 of its repr), so two runs on
 different checkouts can be compared for identical answers.
 
 Each input is seeded by SEED and d; each time is the median (and
-quartiles) of REPEATS calls.
+quartiles) of REPEATS calls.  The repeats go round all the cases in turn,
+so each case's calls are spread over the whole run rather than caught
+together in one slow or fast spell of a shared host.
 
     python3 tools/bench_classify.py                       # this checkout
     python3 tools/bench_classify.py --src OTHER/src --out BENCH_other.json
@@ -76,7 +86,7 @@ def cases(d):
     """(function name, case label, function, make) tuples: make() builds the
     function's arguments fresh."""
     from projdyn import compat, curvclass, screens
-    from projdyn.exactlin import kernel, mat_inverse, vector, wedge
+    from projdyn.exactlin import Multivector, kernel, mat_inverse, vector, wedge
     from projdyn.polyintegrals import AntisymmetricForm
 
     rng = random.Random(f"{SEED}:{d}")
@@ -103,6 +113,15 @@ def cases(d):
     tall = {f"rows_{k}d_rank_{label}": integer_rows(rng, k * d, d, rank)
             for k in (4, 16) for label, rank in (("d", d), ("d-1", d - 1))}
 
+    def bivector():
+        return Multivector(d, 2, {pr: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for pr in curvclass.pair_basis(d)})
+
+    bivectors = (bivector(), bivector())
+
+    def generated_entries(G):
+        return list(curvclass.curvature_from_symmetric_map(G).tensor.entries.items())
+
     return [
         ("compatibility_check", "metric_quadric",
          compat.compatibility_check, lambda: (fresh_form(metric), screens.QuadraticRootScreen(quadric))),
@@ -126,7 +145,17 @@ def cases(d):
          curvclass.classify_curvature_form, lambda: (fresh_form(metric),)),
         ("classify_curvature_form", "flat",
          curvclass.classify_curvature_form, lambda: (fresh_form(flat),)),
-    ] + [("kernel", label, kernel, lambda rows=rows: ([list(row) for row in rows],)) for label, rows in tall.items()]
+        ("find_compatible_screen", "metric",
+         compat.find_compatible_screen, lambda: (fresh_form(metric),)),
+        ("find_compatible_screen", "flat",
+         compat.find_compatible_screen, lambda: (fresh_form(flat),)),
+        ("curvature_from_symmetric_map", "metric", generated_entries, lambda: (G_metric,)),
+        ("curvature_from_symmetric_map", "flat", generated_entries, lambda: (G_flat,)),
+    ] + [
+        ("classify_bivector_map", "wedge_square", curvclass.classify_bivector_map, lambda: (fresh_map(square),)),
+        ("wedge", "bivectors", wedge, lambda: bivectors),
+    ] * (d >= 4) + [
+        ("kernel", label, kernel, lambda rows=rows: ([list(row) for row in rows],)) for label, rows in tall.items()]
 
 
 def digest(value):
@@ -146,22 +175,25 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy
 
+    timed = [(f"d{d}", *case) for d in DIMS for case in cases(d)]
+    for _, _, _, fn, make in timed:
+        fn(*make())  # warm-up: lazy imports and first-call caches
+    times = [[] for _ in timed]
+    digests = [set() for _ in timed]
+    for _ in range(REPEATS):
+        for k, (_, _, _, fn, make) in enumerate(timed):
+            call = make()
+            start = time.perf_counter()
+            value = fn(*call)
+            times[k].append((time.perf_counter() - start) * 1e3)
+            digests[k].add(digest(value))
     results = {}
-    for d in DIMS:
-        for name, label, fn, make in cases(d):
-            fn(*make())  # warm-up: lazy imports and first-call caches
-            times, digests = [], set()
-            for _ in range(REPEATS):
-                call = make()
-                start = time.perf_counter()
-                value = fn(*call)
-                times.append((time.perf_counter() - start) * 1e3)
-                digests.add(digest(value))
-            q1, median, q3 = statistics.quantiles(times, n=4)
-            results.setdefault(name, {}).setdefault(f"d{d}", {})[label] = {
-                "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-                "result_sha256": sorted(digests),
-            }
+    for (dim, name, label, _, _), case_times, case_digests in zip(timed, times, digests):
+        q1, median, q3 = statistics.quantiles(case_times, n=4)
+        results.setdefault(name, {}).setdefault(dim, {})[label] = {
+            "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
+            "result_sha256": sorted(case_digests),
+        }
     report = {
         "tool": "tools/bench_classify.py",
         "seed": SEED,
