@@ -14,7 +14,8 @@ curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `pbb-dim --n`; `pbb-dim --b` is at most polyintegrals.MAX_PBB_DEGREE (10000).
 `young-dim` caps its basis at 10^6 group-algebra products and dimension 2000;
 `young-check` caps the tableau at 2000 boxes and the tensor's entries times
-the boxes squared at 4*10^6.
+the boxes squared at 4*10^6.  `classify-curvature` and `screen-find` classify
+a form of rank (its dim minus the dimension of its kernel) at most 20.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 
@@ -173,6 +174,20 @@ def cmd_young_check(args):
     return 0 if member else 1
 
 
+# The largest rank (dim minus the kernel's dimension) of a curvature form that
+# `classify-curvature` and `screen-find` classify, read from the kernel before
+# the dense (rank choose 2)**2 bivector map is built: at the cap a diagonal
+# metric form took about 0.4 s on a shared 2-vCPU Xeon, at rank 30 3.1 s.
+MAX_CLASSIFY_RANK = 20
+
+
+def _check_rank(form):
+    rank = form.dim - len(form.kernel())
+    if rank > MAX_CLASSIFY_RANK:
+        raise FormatError(f"--input: the curvature form has rank {rank} (dim {form.dim} minus its kernel), "
+                          f"at most {MAX_CLASSIFY_RANK}")
+
+
 def cmd_pbb_dim(args):
     n = JsonValue(args.n, "--n").integer(low=1, high=screens.MAX_SCREEN_DIM + 1)
     b = JsonValue(args.b, "--b").integer(low=1, high=polyintegrals.MAX_PBB_DEGREE + 1)
@@ -193,6 +208,7 @@ def cmd_classify(args):
 
 def cmd_classify_curvature(args):
     form = curvclass.CurvatureForm.from_json(_load_json(args.input, "curvature form"))
+    _check_rank(form)
     try:
         report = curvclass.classify_curvature_form(form)
     except curvclass.Eq91ViolationError as exc:
@@ -255,6 +271,7 @@ def cmd_screen_find(args):
     if form.tensor.is_zero():
         _emit(dumps({"error": "zero_form"}), args.output)
         return 1
+    _check_rank(form)
     report = compat.screen_find(form)
     _emit(dumps(report.to_json()), args.output)
     return 1 if report.verdict == "incompatible" else 0

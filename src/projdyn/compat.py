@@ -6,8 +6,9 @@ screen), and classify what remains; the metric case pins the screen inside
 a quadric, the flat case inside a hyperplane, and the verdict carries exact
 witnesses whose compatibility identity is re-verified before being
 reported.  That identity is linear in the form's entries, so it is decided
-on the entries and the screen's gradient data cleared to integers, one
-coefficient sum per monomial, with no polynomial products.
+on the form's integer table (its entries cleared once) and the screen's
+gradient data cleared to integers, one coefficient sum per monomial, with
+no polynomial products.
 
 The chart-level half implements pre-Lagrangians for second-order systems:
 the energy of a pre-Lagrangian, and the presymplectic test deciding exactly,
@@ -222,21 +223,20 @@ def compatibility_check(form: CurvatureForm, screen) -> bool:
     sum_i s_i dh_{t_i} R(q, v; t_j, t_k) over the three splits of the
     3-subset (signs +, -, +), with R(q, v; w, x) = sum R[u, v, w, x] q_u v_v.
     It is linear in the form's entries, so it is decided on integers: the
-    entries with w < x cleared once and phi, or G, cleared once (the
-    identity is homogeneous in both).  For a linear screen dh = phi and the
-    coefficient of q_u v_v is summed; for a quadratic-root screen dh = G q
-    and the coefficient of q_j q_u v_v is summed with (j, u) unordered.  The
-    identity holds iff every sum is zero.  Any other screen has no exact
-    gradient and raises TypeError.
+    entries with w < x from the form's integer table and phi, or G, cleared
+    once (the identity is homogeneous in both).  For a linear screen dh =
+    phi and the coefficient of q_u v_v is summed; for a quadratic-root
+    screen dh = G q and the coefficient of q_j q_u v_v is summed with (j, u)
+    unordered.  The identity holds iff every sum is zero.  Any other screen
+    has no exact gradient and raises TypeError.
     """
     grad = _gradient_terms(screen)
     if grad is None:
         raise TypeError("exact compatibility needs a linear or quadratic-root screen")
-    picked = [(idx, val) for idx, val in form.tensor.entries.items() if idx[2] < idx[3]]
-    ints, _ = clear_denominators([val for _, val in picked])
     images = {}  # (w, x) -> [(u, v, int)]
-    for ((u, v, w, x), _), c in zip(picked, ints):
-        images.setdefault((w, x), []).append((u, v, c))
+    for (u, v, w, x), c in zip(form.tensor.entries, form.table().vals):
+        if w < x:
+            images.setdefault((w, x), []).append((u, v, c))
     for t1, t2, t3 in itertools.combinations(range(form.dim), 3):
         sums = {}
         for t, pair, sign in ((t1, (t2, t3), 1), (t2, (t1, t3), -1), (t3, (t1, t2), 1)):
@@ -261,8 +261,8 @@ def quotient_form(form: CurvatureForm):
     form lives on the span of the standard basis vectors listed in the
     complement (a complement of the kernel), is well defined because the
     kernel annihilates every slot, and has trivial kernel by construction.
-    It is the restriction of the verified form, so its class is not checked
-    again.
+    It is the restriction of the verified form, a CurvatureForm whose class
+    is not checked again.
     """
     if form.tensor.is_zero():
         raise ValueError("the zero form has no quotient reduction")
@@ -272,7 +272,7 @@ def quotient_form(form: CurvatureForm):
         return [], form, list(range(d))
     _, pivots = rref(ker)
     complement = [j for j in range(d) if j not in set(pivots)]
-    return ker, CurvatureForm.from_antisymmetric(form.form.restrict(complement)), complement
+    return ker, form.restrict(complement), complement
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def hamiltonian_test(T, screen=None) -> ScreenReport:
         )
     log = ["homogenized exactly to a biquadratic impulsion polynomial"]
     bh = BiHomogeneousPoly.from_poly(R, d, 2)
-    form = CurvatureForm.from_antisymmetric(to_antisymmetric(bh))
+    form = CurvatureForm._member(d, 2, to_antisymmetric(bh).tensor)
     log.append("pair-antisymmetric carrier built; symmetry class verified")
     if form.tensor.is_zero():
         return ScreenReport(

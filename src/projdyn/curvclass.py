@@ -30,14 +30,15 @@ the support of w iff x ^ w = 0), kept as a primitive integer vector, and
 the multiples relating the images to the lines' wedges are compared by
 cross-multiplication, with one division per entry of the returned B.
 
-The curvature layer reads cleared integers as well.  A form's entries are
-cleared once (``AntisymmetricForm.cleared``); the kernel is eliminated
-from them, the flat-case metric is summed from one slice of them, and each
-witness is re-verified by cross-multiplying them with the integer entries
-of its defining formula (the 2 x 2 minors of B, or the flat form from one
-elimination), so no Fraction tensor is built to compare.  A form keeps
-its classification report.  The generator reads each entry straight from
-one integer minor of G, with one Fraction per entry.
+The curvature layer reads cleared integers as well.  A curvature form is
+the b = 2 ``AntisymmetricForm``, read through its one integer table: its
+wedge table and its map's columns come from it, the kernel is eliminated
+from it, the flat-case metric is summed from one slice of it, and each
+witness is re-verified by cross-multiplying it with the integer entries of
+its defining formula (the 2 x 2 minors of B, or the flat form from one
+elimination), so no Fraction tensor is built to compare.  A form keeps its
+classification report.  The generator reads each entry straight from one
+integer minor of G, with one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -687,81 +688,66 @@ def classify_bivector_map(R: BivectorMap) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 # curvature-type forms (the symmetric specialization)
 
-class CurvatureForm:
-    """Order-4 form with the curvature symmetries: pair antisymmetries and
-    the cyclic identity, i.e. Im AS of the 2x2 vertical tableau, checked once
-    on construction.  The class implies the pair-exchange symmetry that makes
-    the induced map from bivectors to 2-forms symmetric.
+class CurvatureForm(AntisymmetricForm):
+    """Order-4 form with the curvature symmetries, the b = 2 pair-antisymmetric
+    form: pair antisymmetries and the cyclic identity, i.e. Im AS of the 2x2
+    vertical tableau, checked once on construction.  The class implies the
+    pair-exchange symmetry that makes the induced map from bivectors to
+    2-forms symmetric.
 
     A form is immutable once built: its wedge table (with the
     decomposability verdict), its bivector map and its classification
-    report are built at most once, on first use."""
+    report are built at most once, on first use.  Its map shares the form's
+    integer table exactly: a member's entry at u > v or w > x is the
+    negative of the one at u < v, w < x, so the map's entries and the full
+    tensor clear to the same ints over the same den, as the map's columns,
+    its wedge table and ``_recover_square_root`` need."""
 
-    _table = None
+    _wedge = None
     _map = None
     _report = None
 
     def __init__(self, tensor: Tensor):
         if tensor.order != 4:
             raise ValueError("curvature forms have order 4")
-        self.form = AntisymmetricForm(tensor.dim, 2, tensor)
-
-    @property
-    def dim(self):
-        return self.form.dim
-
-    @property
-    def tensor(self):
-        return self.form.tensor
-
-    @classmethod
-    def from_antisymmetric(cls, af: AntisymmetricForm):
-        """Wrap a degree-2 form, whose constructor verified the class."""
-        if af.b != 2:
-            raise ValueError("need a degree-2 pair-antisymmetric form")
-        out = cls.__new__(cls)
-        out.form = af
-        return out
+        super().__init__(tensor.dim, 2, tensor)
 
     def _map_entries(self):
-        """The entries R[u, v, w, x] with u < v and w < x: those of the
-        bivector map, at source pair (u, v) and destination pair (w, x)."""
-        return [(idx, val) for idx, val in self.tensor.entries.items() if idx[0] < idx[1] and idx[2] < idx[3]]
+        """The entries R[u, v, w, x] with u < v and w < x, those of the
+        bivector map at source pair (u, v) and destination pair (w, x), as
+        (index, value, the table's int)."""
+        return [(idx, val, c) for (idx, val), c in zip(self.tensor.entries.items(), self.table().vals)
+                if idx[0] < idx[1] and idx[2] < idx[3]]
 
     def wedge_table(self) -> WedgeTable:
         """The wedge table of the bivector map, built once straight from the
         sparse entries (the dense matrix is not needed for it)."""
-        if self._table is None:
+        if self._wedge is None:
             d = self.dim
-            picked = self._map_entries()
-            ints, _ = clear_denominators([val for _, val in picked])
             # (u, v) is source pair number u (2d - u - 1) / 2 + v - u - 1 in the lexicographic basis
-            entries = [((2 * d - u - 1) * u // 2 + v - u - 1, w, x, c) for ((u, v, w, x), _), c in zip(picked, ints)]
-            self._table = _wedge_table(d, d, entries)
-        return self._table
+            entries = [((2 * d - u - 1) * u // 2 + v - u - 1, w, x, c) for (u, v, w, x), _, c in self._map_entries()]
+            self._wedge = _wedge_table(d, d, entries)
+        return self._wedge
 
     def bivector_map(self) -> BivectorMap:
         """The induced map into 2-forms: the (w, x) component of the image of
-        e_u ^ e_v is the tensor value at (u, v, w, x).  Built once; it shares
-        the form's wedge table, which its cleared matrix would reproduce."""
+        e_u ^ e_v is the tensor value at (u, v, w, x).  Built once; its
+        cleared columns are the table's ints and it shares the form's wedge
+        table."""
         if self._map is None:
             col = pair_index(self.dim)
             matrix = [[Fraction(0)] * len(col) for _ in col]
-            for (u, v, w, x), val in self._map_entries():
+            cols = [{} for _ in col]
+            for (u, v, w, x), val, c in self._map_entries():
                 matrix[col[(w, x)]][col[(u, v)]] = val
+                cols[col[(u, v)]][(w, x)] = c
             self._map = BivectorMap(self.dim, self.dim, matrix)
-            self._map._table = self._table
+            self._map._cleared = [dict(sorted(c.items())) for c in cols], self.table().den
+            self._map._table = self._wedge
         return self._map
 
     def satisfies_decomposability(self) -> bool:
         return self.wedge_table().preserves
-
-    def kernel(self):
-        """Exact kernel of u -> R_A(u, ., ., .) as a list of basis vectors."""
-        return self.form.kernel()
-
-    def diagonal_poly(self):
-        return self.form.diagonal_poly()
 
     def to_json(self):
         out = tensor_to_json(self.tensor)
@@ -854,14 +840,14 @@ def flat_form_tensor(phi, g_matrix, kernel_basis) -> Tensor:
 
 def _is_scaled_copy(form: CurvatureForm, expected: dict, den, factor) -> bool:
     """True iff the form's tensor is factor * expected / den, expected being
-    an {index: int} dict without zeros.  The form's cleared entries are
+    an {index: int} dict without zeros.  The form's integer table is
     compared with expected by cross-multiplying; as no entry on either side
     is zero, equal sizes and a match at every entry of the form make the
     index sets equal."""
     entries = form.tensor.entries
     if len(entries) != len(expected):
         return False
-    ints, den_f = form.form.cleared()
+    ints, den_f = form.table().vals, form.table().den
     factor = rat(factor)
     left, right = den * factor.denominator, factor.numerator * den_f
     return all(r * left == expected.get(idx, 0) * right for idx, r in zip(entries, ints))
@@ -870,11 +856,11 @@ def _is_scaled_copy(form: CurvatureForm, expected: dict, den, factor) -> bool:
 def _slice_metric(form: CurvatureForm, phi, kernel_basis):
     """The flat-case g on the kernel basis: g(a, b) = R(u, a, u, b) with
     u = e_k / phi_k, k the first nonzero of phi, i.e. the slice R(k, ., k, .)
-    over phi_k**2.  Summed on the form's cleared entries and the kernel
+    over phi_k**2.  Summed on the form's integer table and the kernel
     basis cleared to integers, with one Fraction per entry of g."""
     d = form.dim
     k = next(i for i, x in enumerate(phi) if x)
-    ints, den_f = form.form.cleared()
+    ints, den_f = form.table().vals, form.table().den
     sliced = [(v, x, r) for (uu, v, ww, x), r in zip(form.tensor.entries, ints) if uu == k == ww]
     kb, den_k = clear_denominators([x for vec in kernel_basis for x in vec])
     kb = [kb[i * d:(i + 1) * d] for i in range(len(kernel_basis))]
@@ -895,7 +881,7 @@ def classify_curvature_form(form: CurvatureForm) -> ClassificationReport:
     with a non-degenerate quadratic form on its kernel); dimension 2 returns
     the bare dim2 tag.  The complete defining formula is re-verified on all
     basis tuples before the report is returned, by cross-multiplying the
-    form's cleared entries with the formula's integer entries.
+    form's integer table with the formula's integer entries.
 
     A form is immutable, so its report is kept on it: a second call (the
     screen finder's after the caller's own, say) returns the same report,

@@ -43,7 +43,6 @@ from projdyn.young import (
     act,
     annihilated_by_all,
     antisymmetrizer_element,
-    check_imAS,
     compose_elements,
     index_array,
     slot_identity,
@@ -207,11 +206,10 @@ def _poly(dim: int, b: int, codes, sums, den) -> Poly:
     return Poly._raw(2 * dim, {_monomial(c, dim, b): Fraction(v, den) for c, v in zip(codes, sums)})
 
 
-def _diagonal_poly(T: Tensor, b: int, blocks) -> Poly:
-    """The diagonal of T with q in the slots of the first block and v in those
-    of the second, summed on T's cleared entries."""
-    table = ClearedTable.of(T)
-    return _poly(T.dim, b, *sorted_block_sums(table, blocks), table.den)
+def _diagonal_poly(table: ClearedTable, b: int, blocks) -> Poly:
+    """The diagonal of a cleared table with q in the slots of the first block
+    and v in those of the second."""
+    return _poly(table.dim, b, *sorted_block_sums(table, blocks), table.den)
 
 
 def _block_symmetric(table: ClearedTable, b: int) -> bool:
@@ -232,7 +230,7 @@ def polar_form(R: Poly, dim: int, b: int) -> Tensor:
 
 def poly_from_polar(T: Tensor, b: int) -> Poly:
     """Diagonal R(q, v) = R_S(q..q; v..v) of a block-symmetric polar tensor."""
-    return _diagonal_poly(T, b, [range(b), range(b, 2 * b)])
+    return _diagonal_poly(ClearedTable.of(T), b, [range(b), range(b, 2 * b)])
 
 
 def block_symmetric(T: Tensor, b: int) -> bool:
@@ -313,20 +311,21 @@ class AntisymmetricForm:
     form antisymmetric in each slot pair (2i, 2i+1) and satisfying the
     column-exchange identities, with R(q, v) on its full diagonal.  Descends
     to a symmetric b-linear form on bivectors.  A form is immutable once
-    built: its entries cleared to integers and its kernel are computed at
-    most once, on first use."""
+    built: its integer table and its kernel are computed at most once.  The
+    table is the only place where a form's entries are cleared; the class
+    check and every integer reader of the form read it."""
 
-    _cleared = None
+    _table = None
     _kernel = None
 
     def __init__(self, dim: int, b: int, tensor: Tensor):
         if tensor.dim != dim or tensor.order != 2 * b:
             raise ValueError("tensor has the wrong dim/order")
-        if not check_imAS(pair_tableau(b), tensor):
-            raise ValueError("tensor lacks the pair-antisymmetric symmetry class")
         self.dim = dim
         self.b = b
         self.tensor = tensor
+        if not table_in_imAS(pair_tableau(b), self.table()):
+            raise ValueError("tensor lacks the pair-antisymmetric symmetry class")
 
     @classmethod
     def _member(cls, dim: int, b: int, tensor: Tensor) -> "AntisymmetricForm":
@@ -336,17 +335,24 @@ class AntisymmetricForm:
         return out
 
     def restrict(self, coords) -> "AntisymmetricForm":
-        """The form on the span of the standard basis vectors at coords,
+        """The form, of this type, on the span of the basis vectors at coords,
         renumbered 0, 1, ... in that order.  Every identity of the class
-        permutes slots, not index values, so the restriction of a member is a
-        member and is wrapped without a re-check."""
+        permutes slots, not index values, so the restriction of a member is
+        a member and is wrapped without a re-check."""
         position = {c: k for k, c in enumerate(coords)}
         entries = {tuple(position[i] for i in idx): val for idx, val in self.tensor.entries.items()
                    if all(i in position for i in idx)}
-        return AntisymmetricForm._member(len(coords), self.b, Tensor._raw(len(coords), 2 * self.b, entries))
+        return self._member(len(coords), self.b, Tensor._raw(len(coords), 2 * self.b, entries))
+
+    def table(self) -> ClearedTable:
+        """The entries cleared to integers, in the entries' order, once."""
+        if self._table is None:
+            self._table = ClearedTable.of(self.tensor)
+        return self._table
 
     def diagonal_poly(self) -> Poly:
-        return _pair_diagonal(self.tensor, self.b)
+        """T(q, v, ..., q, v) as a polynomial: q and v fill each slot pair."""
+        return _diagonal_poly(self.table(), self.b, _pair_blocks(self.b))
 
     def value(self, idx) -> Fraction:
         return self.tensor.entries.get(tuple(idx), Fraction(0))
@@ -374,22 +380,15 @@ class AntisymmetricForm:
             total += term
         return total
 
-    def cleared(self):
-        """(ints, den): den times the entry values, in the entries' order,
-        den clearing them all; computed once."""
-        if self._cleared is None:
-            self._cleared = clear_denominators(self.tensor.entries.values())
-        return self._cleared
-
     def kernel(self):
         """Vectors u with the form vanishing whenever u fills the first slot.
 
         The form is immutable, so the basis is eliminated once, on first
-        use, from rows of the cleared entries (the kernel does not see the
+        use, from rows of the integer table (the kernel does not see the
         scale); each call returns fresh lists of it."""
         if self._kernel is None:
             rows = {}
-            for idx, v in zip(self.tensor.entries, self.cleared()[0]):
+            for idx, v in zip(self.tensor.entries, self.table().vals):
                 rows.setdefault(idx[1:], {})[idx[0]] = v
             mat = [[cols.get(i, 0) for i in range(self.dim)] for _, cols in sorted(rows.items())]
             self._kernel = kernel(mat, self.dim)
@@ -404,12 +403,6 @@ def pair_tableau(b: int) -> YoungTableau:
 def _pair_blocks(b: int):
     """The q-slots and the v-slots of the b slot pairs."""
     return [range(0, 2 * b, 2), range(1, 2 * b, 2)]
-
-
-def _pair_diagonal(T: Tensor, b: int) -> Poly:
-    """T(q, v, q, v, ..., q, v) as a polynomial: q fills the first and v the
-    second slot of each of the b slot pairs."""
-    return _diagonal_poly(T, b, _pair_blocks(b))
 
 
 def to_antisymmetric(R) -> AntisymmetricForm:

@@ -117,6 +117,44 @@ def test_young_check_caps_its_work_from_the_input_shape(capsys, boxes, entries, 
         assert elapsed < 1.0
 
 
+def _diagonal_metric_argv(command, dim, kernel):
+    """``command`` on the metric form of diag(1, 2, ..., 0, ..., 0) over ``dim``
+    coordinates, the last ``kernel`` of them in its kernel."""
+    from projdyn.curvclass import CurvatureForm, metric_form_tensor
+
+    g = [[(i + 1 if i < dim - kernel else 0) * (i == j) for j in range(dim)] for i in range(dim)]
+    return [command, "--input", json.dumps(CurvatureForm(metric_form_tensor(g)).to_json())]
+
+
+@pytest.mark.parametrize("command", ["classify-curvature", "screen-find"])
+@pytest.mark.parametrize("dim, kernel, capped", [
+    (cli.MAX_CLASSIFY_RANK, 0, False),
+    (cli.MAX_CLASSIFY_RANK + 1, 0, True),
+    (cli.MAX_CLASSIFY_RANK + 4, 4, False),
+    (cli.MAX_CLASSIFY_RANK + 4, 3, True),
+], ids=["rank-at-the-cap", "rank-past-the-cap", "rank-at-the-cap-with-a-kernel", "rank-past-the-cap-with-a-kernel"])
+def test_curvature_commands_cap_the_classified_rank(capsys, command, dim, kernel, capped):
+    # the rank (dim minus the kernel's dimension) is read before the bivector
+    # map is built: an over-cap form exits 2 at once, and a form with a kernel
+    # is capped by its rank, not its dim (screen-find classifies the quotient)
+    argv = _diagonal_metric_argv(command, dim, kernel)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if capped:
+        assert code == 2 and out == "" and err.startswith("input error:")
+        assert f"rank {dim - kernel}" in err and f"at most {cli.MAX_CLASSIFY_RANK}" in err
+        assert elapsed < 1.0
+    else:
+        verdict = json.loads(out)
+        assert err == ""
+        if command == "screen-find":
+            assert code == 0 and verdict["verdict"] == ("cylindric" if kernel else "quadric")
+        else:
+            assert (code, verdict.get("case", verdict.get("error"))) == ((1, "kernel_not_trivial") if kernel else (0, "metric"))
+
+
 def test_young_check_bad_schema_exits_2(capsys):
     code, _ = run(capsys, "young-check", "--tableau", '{"rows": [2,2]}', "--tensor", '{"dim": 2}')
     assert code == 2

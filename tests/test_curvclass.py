@@ -300,6 +300,70 @@ def test_the_generator_chain_expands_each_form_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_the_generator_chain_clears_each_form_once(monkeypatch):
+    # generate, classify, find the screen: the form's entries are cleared to
+    # integers once, into the table its class check reads; every other value
+    # list cleared on the way (G, the witnesses, the screen's gradient) has
+    # fewer than a quarter as many values
+    from projdyn import compat, curvclass, polyintegrals, young
+
+    sizes = []
+    for module in (young, polyintegrals, curvclass, compat):
+        def counted(values, inner=module.clear_denominators):
+            values = list(values)
+            sizes.append(len(values))
+            return inner(values)
+
+        monkeypatch.setattr(module, "clear_denominators", counted)
+    rng = random.Random(22)
+    for G, verdict in ((rand_symmetric_invertible(rng, 5), "quadric"), (rand_symmetric_rank(rng, 5, 4), "hyperplane")):
+        sizes.clear()
+        form = curvature_from_symmetric_map(G)
+        classify_curvature_form(form)
+        assert compat.find_compatible_screen(form).verdict == verdict
+        n = len(form.tensor.entries)
+        assert [size for size in sizes if 4 * size >= n] == [n]
+
+
+def test_a_form_map_clears_as_its_dense_matrix_does():
+    # a class member's entries at u > v or w > x are the negatives of those at
+    # u < v, w < x, so the map read from the form's one integer table has the
+    # columns and den of its own dense matrix cleared anew; a restriction
+    # through the kernel is a CurvatureForm with its own table, report and
+    # wedge table
+    from projdyn.compat import quotient_form
+
+    rng = random.Random(23)
+    big = rand_symmetric_invertible(rng, 4)
+    big = [[x * 2 ** 40 + Fraction(int(i == j), 7) for j, x in enumerate(row)] for i, row in enumerate(big)]
+    cylinder = CurvatureForm(metric_form_tensor([[Fraction(1, 2), 0, 0, 0], [0, 3, 0, 0], [0, 0, Fraction(-1, 5), 0],
+                                                 [0, 0, 0, 0]]))
+    ker, inner, complement = quotient_form(cylinder)
+    assert ker and complement == [0, 1, 2] and type(inner) is CurvatureForm
+    forms = {
+        "metric": curvature_from_symmetric_map(rand_symmetric_invertible(rng, 5)),
+        "flat": curvature_from_symmetric_map(rand_symmetric_rank(rng, 5, 4)),
+        "past 2**62": curvature_from_symmetric_map(big),
+        "restricted": inner,
+    }
+    assert max(map(abs, forms["past 2**62"].table().vals)) > 2 ** 62
+    for name, form in forms.items():
+        table = form.wedge_table()
+        R = form.bivector_map()
+        assert R.wedge_table() is table, name
+        dense = BivectorMap(form.dim, form.dim, R.matrix)
+        assert R.cleared() == dense.cleared(), name
+        assert [list(col) for col in R.cleared()[0]] == [list(col) for col in dense.cleared()[0]], name
+        again = dense.wedge_table()
+        assert table.codes.tolist() == again.codes.tolist() and table.values.tolist() == again.values.tolist(), name
+    assert inner.table() is not cylinder.table() and inner.table().dim == 3
+    report = classify_curvature_form(inner)
+    assert report.case == "metric" and inner._report is report and cylinder._report is None
+    assert inner.wedge_table() is not cylinder.wedge_table()
+    with pytest.raises(KernelNotTrivialError):
+        classify_curvature_form(cylinder)
+
+
 def test_a_form_is_classified_once_and_its_errors_every_time(monkeypatch):
     from projdyn import compat, curvclass
 

@@ -26,33 +26,26 @@ reused across repeats), and writes the medians and quartiles in ms:
   the tall-row cut-off of ``exactlin._eliminate``, 8 rows per column) and
   with 16d rows (past it).
 
-Each call's result is also digested (sha256 of its repr), so two runs on
-different checkouts can be compared for identical answers.
-
 Each input is seeded by SEED and d; each time is the median (and
-quartiles) of REPEATS calls.  The repeats go round all the cases in turn,
-so each case's calls are spread over the whole run rather than caught
-together in one slow or fast spell of a shared host.
+quartiles) of REPEATS calls.  The run loop, the result digests and the
+report are those of ``benchrun.py``: the repeats go round all the cases,
+and round every checkout named by ``--src``, in turn.
 
     python3 tools/bench_classify.py                       # this checkout
-    python3 tools/bench_classify.py --src OTHER/src --out BENCH_other.json
+    python3 tools/bench_classify.py --src src --out BENCH_classify.json --label "this change" \
+        --src OTHER/src --out BENCH_classify_parent.json --label "base"
 
-``--src`` names the ``src`` directory that projdyn is imported from; the
+``--src`` names a ``src`` directory that projdyn is imported from; the
 default is the one beside this script.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import os
-import platform
 import random
-import statistics
-import sys
-import time
 from fractions import Fraction
+
+import benchrun
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIMS = (3, 4, 5, 6)
@@ -82,9 +75,9 @@ def integer_rows(rng, count, d, rank):
     return [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(d)] for _ in range(count)]
 
 
-def cases(d):
-    """(function name, case label, function, make) tuples: make() builds the
-    function's arguments fresh."""
+def dim_cases(d):
+    """(function name, case label, function, make) tuples at dimension d:
+    make() builds the function's arguments fresh."""
     from projdyn import compat, curvclass, screens
     from projdyn.exactlin import Multivector, kernel, mat_inverse, vector, wedge
     from projdyn.polyintegrals import AntisymmetricForm
@@ -105,6 +98,10 @@ def cases(d):
         d, d, [wedge(w, vector(d, [rng.randint(-3, 3) for _ in range(d)])) for _ in curvclass.pair_basis(d)]).matrix
 
     def fresh_form(form):
+        """The form with nothing built on it yet; an older checkout's
+        CurvatureForm wraps an AntisymmetricForm."""
+        if issubclass(curvclass.CurvatureForm, AntisymmetricForm):
+            return curvclass.CurvatureForm._member(d, 2, form.tensor)
         return curvclass.CurvatureForm.from_antisymmetric(AntisymmetricForm._member(d, 2, form.tensor))
 
     def fresh_map(matrix):
@@ -138,9 +135,9 @@ def cases(d):
         ("_wedge_annihilator", "common_factor",
          curvclass._wedge_annihilator, lambda: (fresh_map(common),)),
         ("AntisymmetricForm.kernel", "metric",
-         AntisymmetricForm.kernel, lambda: (fresh_form(metric).form,)),
+         AntisymmetricForm.kernel, lambda: (AntisymmetricForm._member(d, 2, metric.tensor),)),
         ("AntisymmetricForm.kernel", "flat",
-         AntisymmetricForm.kernel, lambda: (fresh_form(flat).form,)),
+         AntisymmetricForm.kernel, lambda: (AntisymmetricForm._member(d, 2, flat.tensor),)),
         ("classify_curvature_form", "metric",
          curvclass.classify_curvature_form, lambda: (fresh_form(metric),)),
         ("classify_curvature_form", "flat",
@@ -158,60 +155,12 @@ def cases(d):
         ("kernel", label, kernel, lambda rows=rows: ([list(row) for row in rows],)) for label, rows in tall.items()]
 
 
-def digest(value):
-    if hasattr(value, "to_json"):
-        value = value.to_json()
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
-                        help="the src directory to import projdyn from")
-    parser.add_argument("--out", default=os.path.join(HERE, os.pardir, "BENCH_classify.json"))
-    parser.add_argument("--label", default="this checkout", help="names the timed checkout in the JSON")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    import numpy
-
-    timed = [(f"d{d}", *case) for d in DIMS for case in cases(d)]
-    for _, _, _, fn, make in timed:
-        fn(*make())  # warm-up: lazy imports and first-call caches
-    times = [[] for _ in timed]
-    digests = [set() for _ in timed]
-    for _ in range(REPEATS):
-        for k, (_, _, _, fn, make) in enumerate(timed):
-            call = make()
-            start = time.perf_counter()
-            value = fn(*call)
-            times[k].append((time.perf_counter() - start) * 1e3)
-            digests[k].add(digest(value))
-    results = {}
-    for (dim, name, label, _, _), case_times, case_digests in zip(timed, times, digests):
-        q1, median, q3 = statistics.quantiles(case_times, n=4)
-        results.setdefault(name, {}).setdefault(dim, {})[label] = {
-            "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-            "result_sha256": sorted(case_digests),
-        }
-    report = {
-        "tool": "tools/bench_classify.py",
-        "seed": SEED,
-        "repeats": REPEATS,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpus": os.cpu_count(),
-        "label": args.label,
-        "results": results,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    for name, per in results.items():
-        for dim, by_case in per.items():
-            for label, case in by_case.items():
-                print(f"{name:26s} {dim} {label:22s} {case['median_ms']:9.3f} ms")
+def cases():
+    """The cases of every dimension, keyed (function name, "d<d>", case
+    label) in the report."""
+    return [((name, f"d{d}", label), fn, make) for d in DIMS for name, label, fn, make in dim_cases(d)]
 
 
 if __name__ == "__main__":
-    main()
+    benchrun.main("tools/bench_classify.py", __doc__, cases, REPEATS, SEED,
+                  os.path.join(HERE, os.pardir, "BENCH_classify.json"))

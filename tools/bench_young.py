@@ -15,33 +15,27 @@ writes the medians and quartiles in ms:
 * ``young-check``: the CLI on one 1,000-box row with one entry (a member);
 * ``curvclass._wedge_table``: the bivector map of a metric form, d = 4-6.
 
-Each call's result is also digested (sha256 of its repr), so two runs on
-different checkouts can be compared for identical answers.
-
 Each input is seeded by SEED; each time is the median (and quartiles) of
-REPEATS calls.  The repeats go round all the cases in turn, so each case's
-calls are spread over the whole run rather than caught together in one slow
-or fast spell of a shared host.
+REPEATS calls.  The run loop, the result digests and the report are those
+of ``benchrun.py``: the repeats go round all the cases, and round every
+checkout named by ``--src``, in turn.
 
     python3 tools/bench_young.py                       # this checkout
-    python3 tools/bench_young.py --src OTHER/src --out BENCH_other.json
+    python3 tools/bench_young.py --src src --out BENCH_young.json --label "this change" \
+        --src OTHER/src --out BENCH_young_parent.json --label "base"
 
-``--src`` names the ``src`` directory that projdyn is imported from; the
+``--src`` names a ``src`` directory that projdyn is imported from; the
 default is the one beside this script.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
-import platform
 import random
-import statistics
-import sys
-import time
 from fractions import Fraction
+
+import benchrun
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPEATS = 9
@@ -64,10 +58,9 @@ def symmetric_congruence(rng, d):
 
 
 def cases():
-    """(function name, case label, function, make) tuples: make() builds the
-    function's arguments fresh."""
+    """((function name, case label), function, make) tuples: make() builds
+    the function's arguments fresh."""
     from projdyn import cli, curvclass, young
-    from projdyn.exactlin import clear_denominators
 
     rng = random.Random(SEED)
     tableau = young.YoungTableau
@@ -104,66 +97,11 @@ def cases():
     out.append(("young-check", f"row_{boxes}", cli.main, lambda: (list(argv),)))
     for d in (4, 5, 6):
         form = curvclass.curvature_from_symmetric_map(symmetric_congruence(rng, d))
-        picked = form._map_entries()
-        ints, _ = clear_denominators([val for _, val in picked])
-        entries = [((2 * d - u - 1) * u // 2 + v - u - 1, w, x, c) for ((u, v, w, x), _), c in zip(picked, ints)]
+        cols, _ = form.bivector_map().cleared()
+        entries = [(k, w, x, c) for k, col in enumerate(cols) for (w, x), c in col.items()]
         out.append(("_wedge_table", f"metric_d{d}", curvclass._wedge_table, lambda d=d, entries=entries: (d, d, entries)))
-    return out
-
-
-def digest(value):
-    if isinstance(value, list) and value and hasattr(value[0], "entries"):
-        value = [list(t.entries.items()) for t in value]
-    elif hasattr(value, "codes"):
-        value = (value.codes.tolist(), value.values.tolist(), value.preserves)
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
-                        help="the src directory to import projdyn from")
-    parser.add_argument("--out", default=os.path.join(HERE, os.pardir, "BENCH_young.json"))
-    parser.add_argument("--label", default="this checkout", help="names the timed checkout in the JSON")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    import numpy
-
-    timed = cases()
-    for _, _, fn, make in timed:
-        fn(*make())  # warm-up: lazy imports and first-call caches
-    times = [[] for _ in timed]
-    digests = [set() for _ in timed]
-    for _ in range(REPEATS):
-        for k, (_, _, fn, make) in enumerate(timed):
-            call = make()
-            start = time.perf_counter()
-            value = fn(*call)
-            times[k].append((time.perf_counter() - start) * 1e3)
-            digests[k].add(digest(value))
-    results = {}
-    for (name, label, _, _), case_times, case_digests in zip(timed, times, digests):
-        q1, median, q3 = statistics.quantiles(case_times, n=4)
-        results.setdefault(name, {})[label] = {
-            "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-            "result_sha256": sorted(case_digests),
-        }
-        print(f"{name:14s} {label:28s} {median:10.3f} ms")
-    report = {
-        "tool": "tools/bench_young.py",
-        "seed": SEED,
-        "repeats": REPEATS,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpus": os.cpu_count(),
-        "label": args.label,
-        "results": results,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    return [((name, label), fn, make) for name, label, fn, make in out]
 
 
 if __name__ == "__main__":
-    main()
+    benchrun.main("tools/bench_young.py", __doc__, cases, REPEATS, SEED, os.path.join(HERE, os.pardir, "BENCH_young.json"))
