@@ -15,7 +15,8 @@ curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `young-dim` caps its basis at 10^6 group-algebra products and dimension 2000;
 `young-check` caps the tableau at 2000 boxes and the tensor's entries times
 the boxes squared at 4*10^6.  `classify-curvature` and `screen-find` classify
-a form of rank (its dim minus the dimension of its kernel) at most 20.
+a form of at most 10000 entries and of rank (its dim minus the dimension of
+its kernel) at most 20.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 
@@ -179,9 +180,18 @@ def cmd_young_check(args):
 # the dense (rank choose 2)**2 bivector map is built: at the cap a diagonal
 # metric form took about 0.4 s on a shared 2-vCPU Xeon, at rank 30 3.1 s.
 MAX_CLASSIFY_RANK = 20
+# The most entries of a form the two commands classify, read first: the wedge
+# table grows with the square of the entry count.  Dense metric forms (every
+# entry of G nonzero) took 0.23 s (classify-curvature) and 0.26 s
+# (screen-find) at 7,060 entries (d = 10), and 0.87 and 1.10 s at 14,424
+# (d = 12), on the same host.
+MAX_CLASSIFY_ENTRIES = 10_000
 
 
-def _check_rank(form):
+def _check_classify_size(form):
+    entries = len(form.tensor.entries)
+    if entries > MAX_CLASSIFY_ENTRIES:
+        raise FormatError(f"--input: the curvature form has {entries} entries, at most {MAX_CLASSIFY_ENTRIES}")
     rank = form.dim - len(form.kernel())
     if rank > MAX_CLASSIFY_RANK:
         raise FormatError(f"--input: the curvature form has rank {rank} (dim {form.dim} minus its kernel), "
@@ -208,7 +218,7 @@ def cmd_classify(args):
 
 def cmd_classify_curvature(args):
     form = curvclass.CurvatureForm.from_json(_load_json(args.input, "curvature form"))
-    _check_rank(form)
+    _check_classify_size(form)
     try:
         report = curvclass.classify_curvature_form(form)
     except curvclass.Eq91ViolationError as exc:
@@ -271,7 +281,7 @@ def cmd_screen_find(args):
     if form.tensor.is_zero():
         _emit(dumps({"error": "zero_form"}), args.output)
         return 1
-    _check_rank(form)
+    _check_classify_size(form)
     report = compat.screen_find(form)
     _emit(dumps(report.to_json()), args.output)
     return 1 if report.verdict == "incompatible" else 0

@@ -43,7 +43,6 @@ from projdyn.polyintegrals import (
     BiHomogeneousPoly,
     ScreenIntegral,
     homogenize_polynomial,
-    to_antisymmetric,
     v_indices,
 )
 
@@ -397,7 +396,7 @@ def hamiltonian_test(T, screen=None) -> ScreenReport:
         )
     log = ["homogenized exactly to a biquadratic impulsion polynomial"]
     bh = BiHomogeneousPoly.from_poly(R, d, 2)
-    form = CurvatureForm._member(d, 2, to_antisymmetric(bh).tensor)
+    form = CurvatureForm._member(d, 2, bh.antisymmetric().tensor)
     log.append("pair-antisymmetric carrier built; symmetry class verified")
     if form.tensor.is_zero():
         return ScreenReport(
@@ -446,6 +445,6 @@ def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, to
         return np.concatenate([qv, w - g.dot(w) / g.dot(q) * q])
 
     y0 = np.concatenate([np.asarray(x, dtype=float) for x in (q0, v0, w0)])
-    _, states, _ = sc._dormand_prince(rhs, project, y0, float(t_span[0]), float(t_span[1]), tol, np.inf, {})
+    _, states, _ = sc._dormand_prince(rhs, project, y0, float(t_span[0]), float(t_span[1]), tol, {})
     ref = diag.evaluate_float(y0[:d].tolist() + y0[2 * d:].tolist())
     return max(abs(diag.evaluate_float(y[:d].tolist() + y[2 * d:].tolist()) - ref) for y in states)

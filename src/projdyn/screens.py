@@ -426,7 +426,7 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
+def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     """Integrate y' = rhs(t, y) from t0 to t1 with the Dormand-Prince 5(4)
     pair, mapping each accepted state back through project(y), which must
     return a new array; raises ValueError unless t0 <= t1.
@@ -462,7 +462,7 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
     d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((k0 / scale) ** 2)))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, (t1 - t0) * 0.1, max_step)
+    h = min(h, (t1 - t0) * 0.1)
 
     times = [t]
     ys = [y]
@@ -517,7 +517,7 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats):
             else:
                 rejected += 1
             factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-            h = min(h * min(5.0, max(0.2, factor)), max_step)
+            h *= min(5.0, max(0.2, factor))
     stats.update(accepted=accepted, rejected=rejected, domain_retries=domain_retries,
                  last_stage_reused=last_stage_reused, min_h=float(min_h))
     return times, ys, derivs
@@ -657,7 +657,7 @@ def _screen_from_header(header, d):
     raise FormatError("trajectory csv: an old header is read only for the builtin flat screen or unit sphere")
 
 
-def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
+def integrate(screen, force, q0, v0, t_span, tol=1e-10):
     """Integrate q'' = f(q) + lambda(q, q') q on the screen.
 
     The initial state is renormalized onto {h = 1, dh(v) = 0}; each accepted
@@ -707,7 +707,7 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10, max_step=np.inf):
 
     y0, drift = project_state(q0, v0)
     stats = {"rhs_evals": 0, "max_drift": 0.0}
-    times, ys, derivs = _dormand_prince(rhs, project, y0, t0, t1, tol, max_step, stats)
+    times, ys, derivs = _dormand_prince(rhs, project, y0, t0, t1, tol, stats)
     if drift > 10 * tol + 1e-14:
         raise ValueError(f"trajectory drift {drift:.3e} exceeds {10 * tol + 1e-14:.3e}")
     stats.update(rhs_evals=evals, max_drift=drift)
@@ -812,14 +812,14 @@ def _distance_to_trajectory(point, traj, dense_ts, dense_qs):
     return best
 
 
-def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
+def verify_projection(traj, to_screen, force, tol=1e-6):
     """Project every sample to the target screen, re-integrate there from the
     projected initial state, and measure the worst time-free distance from
     projected samples to the re-integrated curve.
 
     The target time span comes from quadrature of the time-change rate
-    b^2 = k(q)^-2 along the source samples.  Visibility loss mid-trajectory
-    truncates the comparison and is reported.
+    b^2 = k(q)^-2 along the source samples, lengthened by 5%.  Visibility
+    loss mid-trajectory truncates the comparison and is reported.
     """
     projected, exit_time = project_visible(traj, to_screen)
     total = len(traj.times)
@@ -829,7 +829,7 @@ def verify_projection(traj, to_screen, force, tol=1e-6, time_margin=0.05):
     rates = np.array([to_screen.value(q) ** -2 for q in traj.qs[:n_ok]])
     ts = traj.times[:n_ok]
     span = float((np.diff(ts) * (rates[1:] + rates[:-1]) / 2.0).sum())  # trapezoid rule
-    span = span * (1.0 + time_margin) + 1e-12
+    span = span * 1.05 + 1e-12
     Q0, V0 = projected[0]
     target = integrate(to_screen, force, Q0, V0, (0.0, span), tol=min(traj.tol, 1e-11))
     dense_ts = np.linspace(target.times[0], target.times[-1], 2048)  # the coarse scan of every distance

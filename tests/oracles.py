@@ -285,6 +285,12 @@ def transpose_slots(t: Tensor, m: int, n: int) -> Tensor:
     return permute(t, sigma)
 
 
+def block_symmetric(t: Tensor, b: int) -> bool:
+    """t equals its transposes of adjacent slots inside each of its two blocks
+    of b slots."""
+    return all(transpose_slots(t, m, m + 1) == t for m in [*range(b - 1), *range(b, 2 * b - 1)])
+
+
 # -- subspaces and multivector JSON ---------------------------------------------------
 
 

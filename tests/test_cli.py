@@ -155,6 +155,35 @@ def test_curvature_commands_cap_the_classified_rank(capsys, command, dim, kernel
             assert (code, verdict.get("case", verdict.get("error"))) == ((1, "kernel_not_trivial") if kernel else (0, "metric"))
 
 
+def _dense_metric_argv(command, dim):
+    """``command`` on the metric form of a G with every entry nonzero."""
+    from projdyn.curvclass import CurvatureForm, metric_form_tensor
+
+    g = [[(dim + 1 if i == j else 0) + (i + 1) * (j + 1) % 5 + 1 for j in range(dim)] for i in range(dim)]
+    return [command, "--input", json.dumps(CurvatureForm(metric_form_tensor(g)).to_json())]
+
+
+@pytest.mark.parametrize("command", ["classify-curvature", "screen-find"])
+@pytest.mark.parametrize("dim, entries, capped", [(10, 7060, False), (12, 14424, True)],
+                         ids=["entries-under-the-cap", "entries-past-the-cap"])
+def test_curvature_commands_cap_the_entry_count(capsys, command, dim, entries, capped):
+    # the entry count is read before the wedge table, which grows with its
+    # square, is built: a dense form past the cap exits 2 at once
+    argv = _dense_metric_argv(command, dim)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if capped:
+        assert code == 2 and out == "" and err.startswith("input error:")
+        assert f"{entries} entries, at most {cli.MAX_CLASSIFY_ENTRIES}" in err
+        assert elapsed < 1.0
+    else:
+        assert code == 0 and err == ""
+        verdict = json.loads(out)
+        assert verdict.get("case", verdict.get("verdict")) == ("metric" if command == "classify-curvature" else "quadric")
+
+
 def test_young_check_bad_schema_exits_2(capsys):
     code, _ = run(capsys, "young-check", "--tableau", '{"rows": [2,2]}', "--tensor", '{"dim": 2}')
     assert code == 2

@@ -1,4 +1,5 @@
-"""Homogenization, polar/antisymmetric forms, exchange identities, gdot."""
+"""Homogenization, the polar table and the antisymmetric form, exchange
+identities, gdot."""
 
 import functools
 import itertools
@@ -21,19 +22,16 @@ from projdyn.polyintegrals import (
     dim_Pbb,
     exchange_value,
     gdot,
-    gdot_is_zero,
     homogenize_polynomial,
     impulsion_poly_basis,
     is_impulsion_invariant,
     plucker,
-    polar_form,
-    poly_from_polar,
     qvar,
     reconstruct_polynomial,
     swap_blocks,
-    to_antisymmetric,
     vvar,
 )
+from projdyn.young import ClearedTable
 
 
 def random_pbb_element(rng, dim, b, span=3):
@@ -41,6 +39,21 @@ def random_pbb_element(rng, dim, b, span=3):
     for p in impulsion_poly_basis(dim, b):
         R = R + p.scale(Fraction(rng.randint(-span, span)))
     return R
+
+
+def polar_form(R, dim, b):
+    """The polar table of R as a Fraction tensor."""
+    return pin._polar_table(R, dim, b)[0].tensor()
+
+
+def poly_from_polar(T, b):
+    """The diagonal R_S(q..q; v..v) of a polar tensor."""
+    return pin._diagonal_poly(ClearedTable.of(T), b, [range(b), range(b, 2 * b)])
+
+
+def shear_free(T, b):
+    """The first-block symmetrization test of a tensor."""
+    return pin._shear_free(ClearedTable.of(T), b)
 
 
 def euclid_kinetic(dim, chart_vars):
@@ -143,7 +156,7 @@ def test_polar_form_violating_shear_detected():
     R = qvar(0, 2) * vvar(0, 2)
     T = polar_form(R, 2, 1)
     assert T == Tensor(2, 2, {(0, 0): 1})
-    assert not pin.first_block_symmetrization_vanishes(T, 1)
+    assert not shear_free(T, 1)
     with pytest.raises(ValueError):
         BiHomogeneousPoly.from_poly(R, 2)
 
@@ -186,14 +199,14 @@ def test_polar_round_trip_random():
         R = random_pbb_element(rng, dim, b)
         T = polar_form(R, dim, b)
         assert poly_from_polar(T, b) == R
-        assert pin.block_symmetric(T, b)
-        assert pin.first_block_symmetrization_vanishes(T, b)
+        assert oracles.block_symmetric(T, b)
+        assert shear_free(T, b)
 
 
 def test_polar_form_squared_impulsion_passes_constraint():
     R = plucker(2, 1, 0) ** 2
     T = polar_form(R, 2, 2)
-    assert pin.first_block_symmetrization_vanishes(T, 2)
+    assert shear_free(T, 2)
 
 
 def symmetrization_by_permutation_sum(T, b):
@@ -218,10 +231,10 @@ def test_first_block_symmetrization_matches_permutation_sum(data):
     T = Tensor(dim, 2 * b, {})
     for polar in basis_polars(dim, b):
         T = T + polar.scale(data.draw(coeff))
-    assert pin.first_block_symmetrization_vanishes(T, b)
+    assert shear_free(T, b)
     idx_strategy = st.tuples(*[st.integers(0, dim - 1)] * (2 * b))
     bent = T + Tensor(dim, 2 * b, data.draw(st.dictionaries(idx_strategy, coeff, min_size=1, max_size=3)))
-    assert pin.first_block_symmetrization_vanishes(bent, b) == symmetrization_by_permutation_sum(bent, b)
+    assert shear_free(bent, b) == symmetrization_by_permutation_sum(bent, b)
     assert symmetrization_by_permutation_sum(T, b)
 
 
@@ -229,7 +242,7 @@ def test_first_block_symmetrization_single_entry_never_vanishes():
     for b in (1, 2, 3):
         for idx in itertools.product(range(2), repeat=2 * b):
             T = Tensor(2, 2 * b, {idx: Fraction(3, 7)})
-            assert not pin.first_block_symmetrization_vanishes(T, b)
+            assert not shear_free(T, b)
             assert not symmetrization_by_permutation_sum(T, b)
 
 
@@ -238,14 +251,14 @@ def test_first_block_symmetrization_single_entry_never_vanishes():
 def test_to_antisymmetric_b1_is_polar():
     R = qvar(1, 2) * vvar(0, 2) - qvar(0, 2) * vvar(1, 2)
     bh = BiHomogeneousPoly.from_poly(R, 2)
-    af = to_antisymmetric(bh)
-    assert af.tensor == bh.polar
+    af = bh.antisymmetric()
+    assert af.tensor == polar_form(R, 2, 1)
 
 
 def test_to_antisymmetric_squared_impulsion():
     p = plucker(2, 1, 0)
     bh = BiHomogeneousPoly.from_poly(p * p, 2)
-    af = to_antisymmetric(bh)
+    af = bh.antisymmetric()
 
     def pv(a, c):
         return Fraction((1 if (a, c) == (1, 0) else 0) - (1 if (a, c) == (0, 1) else 0))
@@ -268,7 +281,7 @@ def test_to_antisymmetric_metric_formula():
     gvv = sum((vvar(i, d) * vvar(j, d) * b[i][j] for i in range(d) for j in range(d)), Poly.zero(2 * d))
     gqv = sum((qvar(i, d) * vvar(j, d) * b[i][j] for i in range(d) for j in range(d)), Poly.zero(2 * d))
     R = gqq * gvv - gqv * gqv
-    af = to_antisymmetric(BiHomogeneousPoly.from_poly(R, d))
+    af = BiHomogeneousPoly.from_poly(R, d).antisymmetric()
     for u, v, w, x in itertools.product(range(d), repeat=4):
         assert af.value((u, v, w, x)) == b[u][w] * b[v][x] - b[u][x] * b[v][w]
 
@@ -279,7 +292,7 @@ def test_antisymmetric_diagonal_round_trip_random():
         R = random_pbb_element(rng, dim, b)
         if R.is_zero():
             continue
-        af = to_antisymmetric(BiHomogeneousPoly.from_poly(R, dim, b))
+        af = BiHomogeneousPoly.from_poly(R, dim, b).antisymmetric()
         assert af.diagonal_poly() == R
 
 
@@ -290,7 +303,7 @@ def test_bivector_form_descends():
     rng = random.Random(7)
     dim, b = 3, 2
     R = random_pbb_element(rng, dim, b)
-    af = to_antisymmetric(BiHomogeneousPoly.from_poly(R, dim, b))
+    af = BiHomogeneousPoly.from_poly(R, dim, b).antisymmetric()
     for _ in range(10):
         q = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
         v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
@@ -302,7 +315,7 @@ def test_antisymmetric_form_kernel():
     # kinetic form on the flat screen: trivial kernel in dim 3
     screen = sc.flat_screen(3)
     R = homogenize_polynomial(euclid_kinetic(3, [0, 1]), screen)
-    af = to_antisymmetric(BiHomogeneousPoly.from_poly(R, 3))
+    af = BiHomogeneousPoly.from_poly(R, 3).antisymmetric()
     assert af.kernel() == []
 
 
@@ -339,17 +352,46 @@ def test_table_chain_matches_the_fraction_loops(case):
     oracles.assert_same_dict(poly_from_polar(polar, b).terms, oracles.poly_from_polar(polar, b).terms, increasing=False)
     element = BiHomogeneousPoly.from_poly(R, dim, b)
     assert element.poly is R
-    assert list(element.polar.entries.items()) == list(polar.entries.items())
+    assert list(element._table.tensor().entries.items()) == list(polar.entries.items())
     form = element.antisymmetric()
     expected = oracles.to_antisymmetric(polar, b)
     oracles.assert_same_dict(form.tensor.entries, expected.entries)
     assert all(type(v) is Fraction for v in form.tensor.entries.values())
     oracles.assert_same_dict(form.diagonal_poly().terms, oracles.pair_diagonal(expected, b).terms, increasing=False)
     assert form.diagonal_poly() == R
-    # the element built from its polar tensor runs the same table code
-    again = BiHomogeneousPoly(dim, b, polar)
-    assert again.poly == R and again.polar is polar
-    oracles.assert_same_dict(again.antisymmetric().tensor.entries, expected.entries)
+
+
+@st.composite
+def bihomogeneous_polys(draw):
+    """(dim, b, R): a few bidegree-(b, b) monomials with rational coefficients,
+    shear invariant or not, sometimes added to an element of P^{b,b}."""
+    dim, b = draw(st.sampled_from([(d, b) for d in (2, 3, 4) for b in (1, 2, 3)]))
+    half = st.lists(st.integers(0, dim - 1), min_size=b, max_size=b)
+    terms = {}
+    for q_ms, v_ms in draw(st.lists(st.tuples(half, half), min_size=1, max_size=5)):
+        exps = [0] * (2 * dim)
+        for i in q_ms:
+            exps[i] += 1
+        for i in v_ms:
+            exps[dim + i] += 1
+        terms[tuple(exps)] = Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from([1, 3, 10**6 + 3])))
+    R = Poly(2 * dim, terms)
+    if draw(st.booleans()):
+        for p in draw(st.lists(st.sampled_from(cached_basis(dim, b)), max_size=3)):
+            R = R + p.scale(draw(st.integers(-3, 3)))
+    return dim, b, R
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bihomogeneous_polys())
+def test_polar_table_is_block_symmetric_by_construction(case):
+    # from_poly decides no block symmetry: _polar_table writes every
+    # rearrangement of a monomial's q- and of its v-indices with one value,
+    # so the table equals its transposes inside each block
+    dim, b, R = case
+    T = polar_form(R, dim, b)
+    assert oracles.block_symmetric(T, b)
+    assert T == oracles.polar_form(R, dim, b)
 
 
 def test_antisymmetric_decides_the_class_once_on_the_candidate_table(monkeypatch):
@@ -383,24 +425,16 @@ def test_antisymmetric_decides_the_class_once_on_the_candidate_table(monkeypatch
 
 
 def test_table_chain_rejects_what_the_fraction_chain_rejects():
-    # a non-bihomogeneous polynomial: the polar form refuses it
+    # a non-bihomogeneous polynomial: the polar table refuses it
     bent = qvar(0, 3) * qvar(1, 3) * vvar(0, 3)
-    for build in (lambda: polar_form(bent, 3, 1), lambda: oracles.polar_form(bent, 3, 1),
+    for build in (lambda: pin._polar_table(bent, 3, 1), lambda: oracles.polar_form(bent, 3, 1),
                   lambda: BiHomogeneousPoly.from_poly(bent, 3, 1)):
         with pytest.raises(ValueError, match=r"^polynomial is not bi-homogeneous of degree \(1,1\)$"):
             build()
-    # a tensor that is not symmetric inside its first block of slots
-    asymmetric = Tensor(3, 4, {(0, 1, 2, 2): Fraction(1, 3)})
-    assert not pin.block_symmetric(asymmetric, 2)
-    with pytest.raises(ValueError, match=r"^polar tensor is not symmetric in its two blocks$"):
-        BiHomogeneousPoly(3, 2, asymmetric)
-    # block-symmetric tensors that violate the shear constraint, given as a
-    # tensor and as a polynomial
+    # block-symmetric polar forms that violate the shear constraint
     for R, b in ((qvar(0, 2) * vvar(0, 2), 1), (plucker(3, 0, 1) * qvar(2, 3) * vvar(2, 3), 2)):
         sheared = oracles.polar_form(R, R.nvars // 2, b)
-        assert pin.block_symmetric(sheared, b) and not pin.first_block_symmetrization_vanishes(sheared, b)
-        with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
-            BiHomogeneousPoly(R.nvars // 2, b, sheared)
+        assert oracles.block_symmetric(sheared, b) and not shear_free(sheared, b)
         with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
             BiHomogeneousPoly.from_poly(R, R.nvars // 2, b)
 
@@ -408,8 +442,7 @@ def test_table_chain_rejects_what_the_fraction_chain_rejects():
 def test_chain_clears_denominators_once_for_the_polar_table(monkeypatch):
     # one from_poly(...).antisymmetric() clears a value list twice: R's
     # coefficients for the polar table, and the form's entries for the
-    # carrier's class check; the diagonal is R itself, never rebuilt from the
-    # polar form
+    # carrier's class check
     from projdyn import young
 
     cleared = []
@@ -417,11 +450,6 @@ def test_chain_clears_denominators_once_for_the_polar_table(monkeypatch):
         inner = module.clear_denominators
         monkeypatch.setattr(module, "clear_denominators",
                             lambda values, inner=inner: cleared.append(1) or inner(values))
-
-    def refuse(*args):
-        raise AssertionError("poly_from_polar called")
-
-    monkeypatch.setattr(pin, "poly_from_polar", refuse)
     R = Poly.zero(8)
     for c, p in enumerate(cached_basis(4, 3), start=1):
         R = R + p.scale(Fraction(c, 7))
@@ -576,7 +604,6 @@ def test_gdot_zero_force_aliases():
     L = plucker(3, 0, 1)
     assert gdot(L, None).is_zero()
     assert gdot(L, sc.zero_force(3)).is_zero()
-    assert gdot_is_zero(L, sc.zero_force(3))
 
 
 # -- parity decomposition -----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     assert_same_dict,
     bianchi_sum_AS,
+    block_symmetric,
     contract_top_of_last_columns,
     example_pair_exchange_decompose,
     partitions,
@@ -613,10 +614,6 @@ def reference_bianchi(tableau, t, k, j):
     return total
 
 
-def reference_block_symmetric(t, b):
-    return all(transpose_slots(t, m, m + 1) == t for m in [*range(b - 1), *range(b, 2 * b - 1)])
-
-
 _ORACLE_SHAPES = ([2, 2], [2, 2, 2], [3, 2], [2, 1])
 
 
@@ -658,7 +655,8 @@ def test_identity_checks_match_the_transpose_reference(case):
         assert bianchi_sum_AS(vertical, t, k, j) == reference_bianchi(vertical, t, k, j)
     if t.order % 2 == 0:
         b = t.order // 2
-        assert polyintegrals.block_symmetric(t, b) == reference_block_symmetric(t, b)
+        identities = (young.slot_identity(t.order, [(m, m + 1)], -1) for m in [*range(b - 1), *range(b, 2 * b - 1)])
+        assert young.annihilated_by_all(identities, young.ClearedTable.of(t)) == block_symmetric(t, b)
 
 
 def test_identity_checks_see_both_verdicts():
@@ -692,7 +690,7 @@ def test_class_checks_clear_the_entries_once(monkeypatch):
 
 
 def test_no_pipeline_permutes_a_whole_tensor(monkeypatch):
-    # every slot identity and the pair interleave of to_antisymmetric run through
+    # every slot identity and the pair interleave of BiHomogeneousPoly.antisymmetric run through
     # the group-algebra action: Tensor has no whole-tensor permutation, and the
     # tests' reference (oracles.permute, which transpose_slots calls) refuses to run
     import oracles
