@@ -19,6 +19,9 @@ a form of at most 10000 entries and of rank (its dim minus the dimension of
 its kernel) at most 20.
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
+`integrate` and `verify-projection` exit 1 with one JSON error line when an
+orbit leaves its screen's domain, its step size underflows or it takes
+screens.MAX_STEPS (100000) steps short of its end time.
 
 --output is overwritten in place, then cut to the new length when it is a
 regular file (/dev/null, a FIFO or /dev/stdout is only written).  It ends up
@@ -249,13 +252,21 @@ def _scenario(args):
     return scn
 
 
+# what ends an integration early; integrate and verify-projection report it as one JSON line
+_STOPPED = (screens.DomainExitError, screens.StepUnderflowError, screens.StepBudgetError)
+
+
+def _emit_stopped(exc, output):
+    _emit(dumps({"error": type(exc).__name__, "message": str(exc)}), output)
+    return 1
+
+
 def cmd_integrate(args):
     scn = _scenario(args)
     try:
         traj = screens.integrate(**scn)
-    except (screens.DomainExitError, screens.StepUnderflowError) as exc:
-        _emit(dumps({"error": type(exc).__name__, "message": str(exc)}), args.output)
-        return 1
+    except _STOPPED as exc:
+        return _emit_stopped(exc, args.output)
     _emit(traj.to_csv(), args.output)
     return 0
 
@@ -302,8 +313,11 @@ def cmd_verify_projection(args):
     _check_tol(args.deviation_tol, "--deviation-tol")
     scn = _scenario(args)
     to_screen = screens.screen_from_json(_load_json(args.to_screen, "target screen"))
-    traj = screens.integrate(**scn)
-    report = screens.verify_projection(traj, to_screen, scn["force"], tol=args.deviation_tol)
+    try:
+        traj = screens.integrate(**scn)
+        report = screens.verify_projection(traj, to_screen, scn["force"], tol=args.deviation_tol)
+    except _STOPPED as exc:
+        return _emit_stopped(exc, args.output)
     _emit(dumps(report.to_json()), args.output)
     return 0 if report.passed else 1
 

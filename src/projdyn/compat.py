@@ -441,7 +441,7 @@ def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, to
     def project(y):
         qv, _ = screen.project_state(y[:d], y[d:2 * d])
         q, w = qv[:d], y[2 * d:]
-        g = screen.local(q, w)[1]
+        g = screen.local(q)[1]
         return np.concatenate([qv, w - g.dot(w) / g.dot(q) * q])
 
     y0 = np.concatenate([np.asarray(x, dtype=float) for x in (q0, v0, w0)])

@@ -6,13 +6,26 @@ q'' = f(q) + lambda q, the radial reaction lambda being recomputed from
 (q, q') at every right-hand-side evaluation so the motion stays on the
 screen; an adaptive embedded Runge-Kutta pair integrates the system in
 double precision with the constraint re-imposed after every accepted step.
-The same stepper, _dormand_prince, serves compat.parallel_transport_check.
-The right-hand side and the projections read h, dh and v^T H v from one
-call, Screen.local(q, v), which shares G q among them on a quadric; their
-small products use ndarray.dot, the kernel of @ without its dispatch cost.
-The projection of each accepted state records its drift from the screen as
-it goes, so no second pass over the samples checks it; the run's counters
-are plain ints and floats.
+The same stepper, _dormand_prince, serves compat.parallel_transport_check;
+it stops after MAX_STEPS steps.
+
+Each caller computes only what it reads.  Screen.local(q, v=None) is the one
+geometry kernel: h(q), dh(q) and, only when v is given, v^T H(q) v, sharing
+G q among them on a quadric.  The projections call it without v.  integrate
+builds one right-hand side per run.  A linear screen's reads h = phi q
+inline (dh = phi, v^T H v = 0), and evaluates a force homogenized over a
+linear screen of the same phi as f_H(q / h) / h^3 with that same h; every
+other screen's reads local(q, v).  Dense output finds its interval by
+bisect on a list of the times and sums the Hermite terms on Python floats.
+These keep the floating-point operations of the plain numpy expressions, in
+the same order, and so every bit.  The rule: elementwise arithmetic may move
+between numpy and Python floats, as each operation is rounded alike, but
+every dot stays a numpy call, because OpenBLAS dots are fused multiply-add
+chains that a Python sum does not reproduce.  Small products use
+ndarray.dot, the kernel of @ without its dispatch cost.  The projection of
+each accepted state records its drift from the screen as it goes, so no
+second pass over the samples checks it; the run's counters are plain ints
+and floats.
 
 The extended central projection maps states between screens while
 preserving the impulsion bivector q ^ q'.  All exact algebra lives in the
@@ -25,6 +38,7 @@ owns its stepper state, so independent runs may proceed concurrently.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from fractions import Fraction
@@ -50,6 +64,15 @@ class StepUnderflowError(RuntimeError):
     def __init__(self, message, t_fail):
         super().__init__(message)
         self.t_fail = t_fail
+
+
+class StepBudgetError(RuntimeError):
+    """The integration took MAX_STEPS steps without reaching its end time;
+    carries the time it reached."""
+
+    def __init__(self, message, t_stop):
+        super().__init__(message)
+        self.t_stop = t_stop
 
 
 class VisibilityError(ValueError):
@@ -82,16 +105,17 @@ class Screen:
     def in_domain(self, q) -> bool:
         q = np.asarray(q, dtype=float)
         with np.errstate(all="ignore"):  # only the verdict is read, not the values
-            return self.local(q, q) is not None
+            return self.local(q) is not None
 
-    def local(self, q, v):
+    def local(self, q, v=None):
         """(h(q), dh(q), v^T H(q) v) for float arrays q, v, or None outside the
-        validity domain; the gradient is read-only.  A subclass overrides
+        validity domain; the gradient is read-only.  Without v the third entry
+        is None and the Hessian term is not computed.  A subclass overrides
         in_domain, or local itself to share one evaluation of the geometry;
         the values must equal those of value, gradient and hessian."""
         if not self.in_domain(q):
             return None
-        return self.value(q), self.gradient(q), v @ self.hessian(q) @ v
+        return self.value(q), self.gradient(q), None if v is None else v @ self.hessian(q) @ v
 
     def project_state(self, q, v):
         """Renormalize a nearby state onto {h = 1, dh(v) = 0}: returns one new
@@ -100,12 +124,12 @@ class Screen:
         the geometry at the new q."""
         q, v = _floats(q), _floats(v)
         d = len(q)
-        geometry = self.local(q, v)
+        geometry = self.local(q)
         if geometry is None:
             raise ValueError("point outside the screen's validity domain")
         out = np.empty(2 * d)
         q = np.divide(q, geometry[0], out=out[:d])
-        geometry = self.local(q, v)
+        geometry = self.local(q)
         if geometry is None:
             raise ValueError("point outside the screen's validity domain")
         h, g, _ = geometry
@@ -138,9 +162,9 @@ class LinearFormScreen(Screen):
     def hessian(self, q):
         return self._hess
 
-    def local(self, q, v):
+    def local(self, q, v=None):
         h = float(self.phi.dot(q)) if all(map(math.isfinite, q.tolist())) else 0.0
-        return (h, self.phi, 0.0) if h > 0.0 else None
+        return (h, self.phi, None if v is None else 0.0) if h > 0.0 else None
 
     def to_json(self):
         return {"kind": "linear", "dim": self.dim, "phi": [format_rational(x) for x in self.phi_exact]}
@@ -167,8 +191,8 @@ class QuadraticRootScreen(Screen):
         self.sheet = None if sheet is None else np.array([float(x) for x in sheet], dtype=float)
 
     def value(self, q):
-        q = np.asarray(q, dtype=float)
-        return math.sqrt(q @ self.gmat @ q)
+        q = _floats(q)
+        return math.sqrt(q.dot(self.gmat).dot(q))
 
     def gradient(self, q):
         q = np.asarray(q, dtype=float)
@@ -180,13 +204,15 @@ class QuadraticRootScreen(Screen):
         gq = self.gmat @ q
         return self.gmat / h - np.outer(gq, gq) / h**3
 
-    def local(self, q, v):
+    def local(self, q, v=None):
         # (q G) q as in value(): for a non-diagonal G, q G and G q can differ in the last bit
         s = q.dot(self.gmat).dot(q) if all(map(math.isfinite, q.tolist())) else 0.0
         if s <= 0.0 or (self.sheet is not None and self.sheet.dot(q) <= 0.0):
             return None
         h = math.sqrt(s)
         gq = self.gmat.dot(q)
+        if v is None:
+            return h, gq / h, None
         gqv = gq.dot(v)
         # v^T (G/h - Gq (Gq)^T / h^3) v without forming the d x d matrix
         return h, gq / h, v.dot(self.gmat).dot(v) / h - gqv * gqv / h**3
@@ -272,7 +298,11 @@ class ProjectiveForceField:
     per-component SqrtElem/Poly expressions (in the 2*dim q,v-variable space,
     v-free) for the exact modules, or a function of no arguments that builds
     them on first read; fields are defined up to a radial term.
+    ``homogenized`` is (f_H, reference screen) for a field built by
+    homogenize_force, else None.
     """
+
+    homogenized = None
 
     def __init__(self, dim, func, exact=None, name="custom", params=None):
         self.dim = dim
@@ -303,6 +333,9 @@ def homogenize_force(f_H, screen, name="homogenized", exact=None, params=None):
     """Extend a screen-level field to the cone: f(q) = h(q)^-3 f_H(q / h(q)).
 
     The result has homogeneity degree -3 and restricts to f_H on the screen.
+    It records (f_H, screen) as its ``homogenized``, so that integrate on a
+    linear screen of the same phi evaluates f_H(q / h) / h^3 with the h(q)
+    it has already read.
     """
 
     value = screen.value
@@ -313,7 +346,9 @@ def homogenize_force(f_H, screen, name="homogenized", exact=None, params=None):
             raise DomainExitError("homogenized force evaluated at h(q) <= 0", None)
         return _floats(f_H(q / h)) / h**3
 
-    return ProjectiveForceField(screen.dim, func, exact=exact, name=name, params=params)
+    field = ProjectiveForceField(screen.dim, func, exact=exact, name=name, params=params)
+    field.homogenized = (f_H, screen)
+    return field
 
 
 def kepler_force(mu, center, reference_screen=None):
@@ -412,6 +447,12 @@ def force_from_json(obj, dim):
 # ---------------------------------------------------------------------------
 # adaptive Runge-Kutta (Dormand-Prince 5(4)) with constraint projection
 
+# The most steps one run of _dormand_prince takes: accepted, rejected and
+# halved on a domain exit, counted together.  No orbit the tests pin takes
+# more than about 400, so this only ends a run whose time span asks for far
+# more work than any result is read from; the span cannot tell that in advance.
+MAX_STEPS = 100_000
+
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -435,7 +476,8 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     DomainExitError outside the validity domain; a stage that does so halves
     the step.  The error norm is the root mean square over the len(y)
     components of the scaled difference of the embedded solutions.  Raises
-    StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1).
+    StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1), and
+    StepBudgetError when MAX_STEPS steps end short of t1.
     The derivative rhs writes must depend on the state alone: the pair is
     "first same as last", so when project(y5) returns the last stage's input
     bit for bit, that stage is the derivative at the accepted state and rhs
@@ -447,6 +489,7 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     if not t0 <= t1:
         raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
     accepted = rejected = domain_retries = last_stage_reused = 0
+    budget = MAX_STEPS
     min_h = math.inf
     # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
     n = len(y0)
@@ -472,6 +515,8 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     # a non-finite stage ends in a rejected step below; numpy need not warn
     with np.errstate(invalid="ignore", over="ignore"):
         while t < t1:
+            if accepted + rejected + domain_retries >= budget:
+                raise StepBudgetError(f"step budget of {budget} steps used up at t = {t}", t)
             h = min(h, t1 - t)
             if h < h_floor:
                 raise StepUnderflowError(f"step size underflow at t = {t}", t)
@@ -526,7 +571,9 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
 class TrajectorySample:
     """Sampled trajectory on a screen: times plus (q, v) states, the rows of
     one array ``states`` (``qs`` and ``vs`` are views of its halves), with the
-    stored derivatives enabling cubic Hermite interpolation between nodes.
+    stored derivatives enabling cubic Hermite interpolation between nodes;
+    the first ``interpolate`` keeps the times as a list of floats for the
+    reads that follow.
 
     ``stats`` holds what the integrator did (empty for samples built
     otherwise): ``accepted`` and ``rejected`` steps, ``rhs_evals`` (force
@@ -552,6 +599,7 @@ class TrajectorySample:
         self.derivs = None if derivs is None else np.asarray(derivs, dtype=float)
         self.tol = tol
         self.stats = {} if stats is None else stats
+        self._times = None
 
     def __len__(self):
         return len(self.times)
@@ -564,7 +612,7 @@ class TrajectorySample:
         dh = 0.0
         dv = 0.0
         for q, v in zip(self.qs, self.vs):
-            geometry = self.screen.local(q, v)
+            geometry = self.screen.local(q)
             if geometry is None:
                 raise ValueError("point outside the screen's validity domain")
             h, g, _ = geometry
@@ -573,25 +621,28 @@ class TrajectorySample:
         return dh, dv
 
     def interpolate(self, t):
-        """Cubic Hermite state at time t (requires stored derivatives)."""
+        """Cubic Hermite state at time t (requires stored derivatives), as a new
+        array: h00 y0 + h10 h d0 + h01 y1 + h11 h d1 on the interval that holds
+        t, summed left to right on Python floats component by component."""
         if self.derivs is None:
             raise ValueError("no derivatives stored; cannot interpolate")
-        ts = self.times
+        if self._times is None:
+            self._times = self.times.tolist()
+        ts = self._times
         if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"time {t} outside [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
+        t = float(t)
+        i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
         h = ts[i + 1] - ts[i]
         if h == 0.0:
             return self.states[i].copy()
         s = (t - ts[i]) / h
-        y0, y1 = self.states[i], self.states[i + 1]
-        d0, d1 = self.derivs[i], self.derivs[i + 1]
         h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
+        h10 = (s**3 - 2 * s**2 + s) * h
         h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        h11 = (s**3 - s**2) * h
+        (y0, y1), (d0, d1) = self.states[i:i + 2].tolist(), self.derivs[i:i + 2].tolist()
+        return np.array([h00 * a + h10 * da + h01 * b + h11 * db for a, da, b, db in zip(y0, d0, y1, d1)])
 
     # -- CSV ----------------------------------------------------------------
 
@@ -665,7 +716,8 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
     tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1],
     DomainExitError when the trajectory leaves the screen's validity domain,
     StepUnderflowError near force singularities and ZeroDivisionError when
-    the force is evaluated exactly at one, and ValueError when a projected
+    the force is evaluated exactly at one, StepBudgetError when MAX_STEPS
+    steps do not reach t_span[1], and ValueError when a projected
     state drifts from the screen by more than 10 * tol + 1e-14.  The returned
     sample's ``stats`` count the work done (see TrajectorySample).
     """
@@ -677,26 +729,50 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
     if not screen.on_screen(q0, v0, 1e-6):
         raise ValueError("initial state too far from the screen's tangent bundle")
     d = screen.dim
-    local, project_state = screen.local, screen.project_state
-    func = force._func if isinstance(force, ProjectiveForceField) else force
-    # on a linear screen local's h is phi.dot(q), the g.dot(q) of the radial reaction
-    linear = screen.kind == "linear"
+    project_state = screen.project_state
+    func, homogenized = (force._func, force.homogenized) if isinstance(force, ProjectiveForceField) else (force, None)
     evals = 0
 
-    def rhs(t, y, out):
-        """Write (v, f + lambda q) at state y into the stage row out."""
-        nonlocal evals
-        q, v = y[:d], y[d:]
-        geometry = local(q, v)
-        if geometry is None:
-            raise DomainExitError("trajectory left the validity domain", t)
-        evals += 1
-        fval = _floats(func(q))
-        h, g, hvv = geometry
-        out[:d] = v
-        # f + lambda q with the radial reaction inline, written in place as lambda q + f
-        acc = np.multiply(q, -(hvv + g.dot(fval)) / (h if linear else g.dot(q)), out=out[d:])
-        acc += fval
+    if screen.kind == "linear":
+        phi = screen.phi
+        # a force homogenized over a linear screen of this phi is read from the rhs's own h
+        f_H, reference = homogenized or (None, None)
+        if reference is not None and (reference.kind != "linear" or reference.phi.tobytes() != phi.tobytes()):
+            f_H = None
+
+        def rhs(t, y, out):
+            """Write (v, f + lambda q) at state y into the stage row out; h = phi q
+            is the dh(q) of the radial reaction, and v^T H v is 0."""
+            nonlocal evals
+            q = y[:d]
+            h = float(phi.dot(q)) if all(map(math.isfinite, q.tolist())) else 0.0
+            if not h > 0.0:
+                raise DomainExitError("trajectory left the validity domain", t)
+            evals += 1
+            # with f_H, the expression of homogenize_force's func, at the h that func would compute
+            fval = _floats(func(q)) if f_H is None else _floats(f_H(q / h)) / h**3
+            out[:d] = y[d:]
+            # f + lambda q written in place as lambda q + f; the 0.0 is v^T H v, which fixes the
+            # sign of a zero lambda
+            acc = np.multiply(q, -(0.0 + phi.dot(fval)) / h, out=out[d:])
+            acc += fval
+    else:
+        local = screen.local
+
+        def rhs(t, y, out):
+            """Write (v, f + lambda q) at state y into the stage row out."""
+            nonlocal evals
+            q, v = y[:d], y[d:]
+            geometry = local(q, v)
+            if geometry is None:
+                raise DomainExitError("trajectory left the validity domain", t)
+            evals += 1
+            fval = _floats(func(q))
+            _, g, hvv = geometry
+            out[:d] = v
+            # f + lambda q with the radial reaction inline, written in place as lambda q + f
+            acc = np.multiply(q, -(hvv + g.dot(fval)) / g.dot(q), out=out[d:])
+            acc += fval
 
     def project(y):
         """y renormalized onto the screen; keeps the largest drift of the states it returns."""
@@ -723,7 +799,7 @@ def central_project_state(from_screen, to_screen, q, v):
     Q = q / k(q) and Q' = k(q) v - dk(v) q, preserving q ^ v exactly."""
     q = _floats(q)
     v = _floats(v)
-    geometry = to_screen.local(q, v)
+    geometry = to_screen.local(q)
     if geometry is None or not 0.0 < geometry[0] < math.inf:
         if isinstance(to_screen, QuadraticRootScreen):  # its value has no real root where q^T G q < 0
             s = q.dot(to_screen.gmat).dot(q)

@@ -5,6 +5,11 @@
   None is reached by a JSON schema or the CLI, and the exact chain refuses a
   screen without exact coefficients, so they live beside the tests that use
   them rather than in ``projdyn``.
+* The float screen layer as it read before it computed only what each caller
+  reads: the cubic Hermite read as numpy expressions on whole rows, and the
+  renormalization and the central projection through the full geometry
+  ``Screen.local(q, v)``.  The library computes the same floating-point
+  operations in the same order, so these are the references for its bytes.
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
@@ -64,7 +69,7 @@ from projdyn.exactlin import (
 )
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
-from projdyn.screens import Screen
+from projdyn.screens import Screen, VisibilityError, _floats
 from projdyn.young import (
     NumberingError,
     YoungTableau,
@@ -132,6 +137,55 @@ def hessian_vv(screen, q, v) -> float:
     if geometry is None:
         raise ValueError("point outside the screen's validity domain")
     return geometry[2]
+
+
+def hermite_reference(traj, t):
+    """TrajectorySample.interpolate on numpy: the interval by searchsorted,
+    the weights on numpy scalars, the sum on whole rows."""
+    ts = traj.times
+    if not ts[0] <= t <= ts[-1]:
+        raise ValueError(f"time {t} outside [{ts[0]}, {ts[-1]}]")
+    i = int(np.searchsorted(ts, t, side="right") - 1)
+    i = min(max(i, 0), len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    if h == 0.0:
+        return traj.states[i].copy()
+    s = (t - ts[i]) / h
+    y0, y1 = traj.states[i], traj.states[i + 1]
+    d0, d1 = traj.derivs[i], traj.derivs[i + 1]
+    h00 = 2 * s**3 - 3 * s**2 + 1
+    h10 = s**3 - 2 * s**2 + s
+    h01 = -2 * s**3 + 3 * s**2
+    h11 = s**3 - s**2
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+
+
+def project_state_reference(screen, q, v):
+    """Screen.project_state with both evaluations of the geometry through
+    local(q, v), the Hessian term computed and dropped."""
+    q, v = _floats(q), _floats(v)
+    d = len(q)
+    geometry = screen.local(q, v)
+    if geometry is None:
+        raise ValueError("point outside the screen's validity domain")
+    out = np.empty(2 * d)
+    q = np.divide(q, geometry[0], out=out[:d])
+    geometry = screen.local(q, v)
+    if geometry is None:
+        raise ValueError("point outside the screen's validity domain")
+    h, g, _ = geometry
+    v = np.subtract(v, g.dot(v) / (h if screen.kind == "linear" else g.dot(q)) * q, out=out[d:])
+    return out, max(abs(h - 1.0), abs(float(g.dot(v))))
+
+
+def central_project_reference(to_screen, q, v):
+    """central_project_state through local(q, v) on the target screen."""
+    q, v = _floats(q), _floats(v)
+    geometry = to_screen.local(q, v)
+    if geometry is None or not 0.0 < geometry[0] < math.inf:
+        raise VisibilityError("point is not visible on the target screen")
+    k, dk, _ = geometry
+    return q / k, k * v - dk.dot(v) * q
 
 
 def assert_same_dict(got: dict, expected: dict, increasing=True):

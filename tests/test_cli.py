@@ -589,6 +589,29 @@ def test_verify_projection_cli(capsys):
     assert report["max_deviation"] <= 1e-6
 
 
+def test_verify_projection_reports_a_domain_exit_as_one_json_line(capsys):
+    # the eccentric sphere orbit reaches the flat screen's horizon, where the homogenized Kepler force stops it
+    code = main(["verify-projection", "--system", "kepler", "--screen", "sphere", "--dim", "3", "--q0", "0.6,0,0.8",
+                 "--v0", "2.4,0,-1.8", "--t-span", "0,3", "--tol", "1e-8", "--to-screen", '{"kind":"flat","dim":3}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out == '{"error":"DomainExitError","message":"homogenized force evaluated at h(q) <= 0"}\n'
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("integrate", []),
+    ("verify-projection", ["--to-screen", '{"kind": "sphere", "dim": 3}']),
+])
+def test_the_step_budget_ends_a_run_with_one_json_line(capsys, monkeypatch, command, extra):
+    monkeypatch.setattr(screens, "MAX_STEPS", 20)
+    code = main([command, *_PINNED_ORBITS["kepler-flat"][0], *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"] == "StepBudgetError"
+    assert report["message"].startswith("step budget of 20 steps used up at t = ")
+
+
 def test_unknown_file_exits_2(capsys):
     code, _ = run(capsys, "classify", "--input", "/nonexistent/file.json")
     assert code == 2

@@ -1,7 +1,10 @@
 """Screen dynamics: radial reaction, integration, central projection."""
 
+import hashlib
+import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -10,10 +13,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import CustomScreen, check_homogeneity, hessian_vv
+from oracles import (
+    CustomScreen,
+    central_project_reference,
+    check_homogeneity,
+    hermite_reference,
+    hessian_vv,
+    project_state_reference,
+)
 from projdyn import screens as sc
 from projdyn.screens import (
     DomainExitError,
+    StepBudgetError,
     StepUnderflowError,
     TrajectorySample,
     VisibilityError,
@@ -475,6 +486,8 @@ def test_local_matches_the_separate_calls(kind, q, v):
     h, g, hvv = geometry
     assert h == screen.value(q)
     assert np.array_equal(g, screen.gradient(q))
+    h_alone, g_alone, no_hvv = screen.local(q)
+    assert no_hvv is None and h_alone == h and g_alone.tobytes() == g.tobytes()
     if h > 0.1:  # the bound of test_hessian_vv_matches_hessian
         hess = screen.hessian(q)
         size = float(v @ v) * (np.abs(hess).max() + np.abs(g).max() ** 2 / h)
@@ -581,3 +594,120 @@ def test_integrate_time_span_direction():
     traj = integrate(screen, force, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (1.0, 1.0))
     assert len(traj) == 1 and traj.stats["accepted"] == 0 and traj.stats["rhs_evals"] == 1
 
+
+# -- the screen layer against its reference expressions, byte for byte -----------------
+
+BYTE_SCREENS = {
+    "flat": LOCAL_SCREENS["flat"],
+    "linear": lambda: sc.LinearFormScreen([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4)]),
+    "sphere": LOCAL_SCREENS["sphere"],
+    "hyperboloid": LOCAL_SCREENS["hyperboloid"],
+    "non-diagonal": LOCAL_SCREENS["non-diagonal"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BYTE_SCREENS)), st.lists(COORD_OR_NOT_FINITE, min_size=3, max_size=3),
+       st.lists(COORD, min_size=3, max_size=3))
+@example("hyperboloid", [0.3, 0.0, -1.0], [0.0, 1.0, 0.0])  # the other sheet
+@example("linear", [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])  # behind the chart
+def test_projections_match_the_full_geometry_byte_for_byte(kind, q, v):
+    screen = BYTE_SCREENS[kind]()
+    q, v = np.array(q), np.array(v)
+    with np.errstate(all="ignore"):  # q near the origin overflows q / h alike in both
+        try:
+            expected = project_state_reference(screen, q, v)
+        except ValueError:
+            with pytest.raises(ValueError, match="outside the screen's validity domain"):
+                screen.project_state(q, v)
+        else:
+            y, drift = screen.project_state(q, v)
+            assert y.tobytes() == expected[0].tobytes() and drift.hex() == expected[1].hex()
+        try:
+            expected = central_project_reference(screen, q, v)
+        except VisibilityError:
+            with pytest.raises(VisibilityError):
+                central_project_state(sphere_screen(3), screen, q, v)
+        else:
+            Q, V = central_project_state(sphere_screen(3), screen, q, v)
+            assert Q.tobytes() == expected[0].tobytes() and V.tobytes() == expected[1].tobytes()
+
+
+ROW = st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interpolate_matches_the_numpy_hermite_byte_for_byte(data):
+    n = data.draw(st.integers(1, 6))
+    steps = data.draw(st.lists(st.just(0.0) | st.floats(1e-9, 2.0), min_size=n - 1, max_size=n - 1))
+    times = list(itertools.accumulate(steps, initial=data.draw(st.floats(-5.0, 5.0))))
+    states, derivs = data.draw(st.lists(ROW, min_size=n, max_size=n)), data.draw(st.lists(ROW, min_size=n, max_size=n))
+    traj = TrajectorySample(flat_screen(3), times, [y[:3] for y in states], [y[3:] for y in states], derivs)
+    inside = st.floats(times[0], times[-1]) | st.sampled_from(times)
+    for t in data.draw(st.lists(inside | inside.map(np.float64), min_size=1, max_size=8)):
+        assert traj.interpolate(t).tobytes() == hermite_reference(traj, t).tobytes()
+    for t in (times[0] - 1.0, times[-1] + 1.0, math.nan):
+        with pytest.raises(ValueError) as expected:
+            hermite_reference(traj, t)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            traj.interpolate(t)
+
+
+@pytest.mark.parametrize("kind, q", [
+    ("flat", [0.3, 0.2, 1.0]),
+    ("linear", [0.3, 0.2, 1.0]),
+    ("sphere", [0.3, 0.2, 1.0]),
+    ("hyperboloid", [0.3, 0.2, 1.0]),
+    ("non-diagonal", [1.0, 0.2, 0.3]),
+])
+def test_interpolate_on_integrated_orbits_matches_the_numpy_hermite_byte_for_byte(kind, q):
+    screen = BYTE_SCREENS[kind]()
+    y0, _ = screen.project_state(q, [0.1, 0.5, 0.0])
+    traj = integrate(screen, sc.inverse_cube_force(3), y0[:3], y0[3:], (0.0, 1.0), tol=1e-9)
+    for t in itertools.chain(traj.times, np.linspace(0.0, 1.0, 301).tolist()):
+        assert traj.interpolate(t).tobytes() == hermite_reference(traj, t).tobytes()
+
+
+# The orbits of the benchmark's five screen/force pairs, rotated by one angle about the last axis:
+# (screen, force, start point, speed, tolerance, time span) and the SHA-256 of the bytes of times,
+# states and derivatives.  No CSV holds the derivatives, so only this pins them.
+_ORBIT_PINS = {
+    "kepler-flat": ((flat_screen, "kepler", (1.0, 0.0, 1.0), 0.35, 1e-10, 3.0),
+        "d48664bf62a2567392286ecdb616b4714e6904ca1fdded84c1db5f7c58454aa1"),
+    "kepler-sphere": ((sphere_screen, "kepler", (0.6, 0.0, 1.0), 0.8, 1e-10, 2.0),
+        "ac16d6577b24aa2fb698327f161d3091dfb01e3673e829e8c6ab06bc298cd10c"),
+    "oscillator-flat": ((flat_screen, "oscillator", (1.0, 0.0, 1.0), 0.7, 1e-10, 6.0),
+        "39595ee1397db12b4b7df0c1012e9f1d6ade1f2ac663dbfdd45b5b0e29241730"),
+    "inverse-cube-sphere": ((sphere_screen, "inverse_cube", (0.3, 0.0, 1.0), 0.5, 1e-11, 1.5),
+        "0bdec49dc8f3e9711d1e889b6a6aef1afe3de8ab3500b5df03f6b248ce1fd0a7"),
+    "free-hyperboloid": ((hyperboloid_screen, "zero", (0.3, 0.0, 1.2), 0.5, 1e-10, 6.0),
+        "6f1d76883edc7604d2ea3228826022c226e65ee1ae1a74d04a6df1c2c8c3d180"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_PINS))
+def test_benchmark_orbits_keep_every_bit(name):
+    (build, force_kind, start, speed, tol, span), digest = _ORBIT_PINS[name]
+    screen = build(3)
+    force = {"kepler": kepler_force(1.0, [0.0, 0.0, 1.0]), "oscillator": sc.oscillator_force(3),
+             "inverse_cube": sc.inverse_cube_force(3), "zero": zero_force(3)}[force_kind]
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    q0 = rot @ np.array(start)
+    traj = integrate(screen, force, q0 / screen.value(q0), rot @ np.array([0.0, speed, 0.0]), (0.0, span), tol)
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in (traj.times, traj.states, traj.derivs))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_step_budget_ends_the_run_with_the_time_it_reached(monkeypatch):
+    args = (flat_screen(3), kepler_force(1.0, [0.0, 0.0, 1.0]), [1.0, 0.0, 1.0], [0.0, 0.4, 0.0], (0.0, 3.0), 1e-8)
+    stats = integrate(*args).stats
+    steps = stats["accepted"] + stats["rejected"] + stats["domain_retries"]
+    assert stats["rejected"] > 0 and 250 * steps < sc.MAX_STEPS
+    monkeypatch.setattr(sc, "MAX_STEPS", steps)
+    assert integrate(*args).stats == stats
+    monkeypatch.setattr(sc, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetError, match=f"^step budget of {steps - 1} steps used up at t = ") as info:
+        integrate(*args)
+    assert 0.0 < info.value.t_stop < 3.0
