@@ -5,11 +5,11 @@
   None is reached by a JSON schema or the CLI, and the exact chain refuses a
   screen without exact coefficients, so they live beside the tests that use
   them rather than in ``projdyn``.
-* The float screen layer as it read before it computed only what each caller
-  reads: the cubic Hermite read as numpy expressions on whole rows, and the
-  renormalization and the central projection through the full geometry
-  ``Screen.local(q, v)``.  The library computes the same floating-point
-  operations in the same order, so these are the references for its bytes.
+* The float screen layer in its plain forms: the cubic Hermite read as numpy
+  expressions on whole rows, and the renormalization and the central
+  projection through the full geometry ``Screen.local(q, v)``.  The library
+  computes the same floating-point operations in the same order with less
+  work, so these are the references for its bytes.
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
