@@ -27,6 +27,15 @@ each accepted state records its drift from the screen as it goes, so no
 second pass over the samples checks it; the run's counters are plain ints
 and floats.
 
+Each DP5(4) step does only the float work it needs, by three more rules
+that keep every bit.  The fifth-order solution y5 is the last stage's input,
+since that stage's row of coefficients is the fifth-order weights with a 0
+for the last stage.  The error norm runs on Python floats and sums its
+squares in np.add.reduce's pairwise order (_pairwise_sum).  An exact h = 1,
+which a flat screen's q[axis] keeps along an orbit, skips its divisions,
+since x / 1.0 is x: the linear right-hand side calls f_H(q), the oscillator
+force returns -q, and project_state copies q and reads its geometry once.
+
 The extended central projection maps states between screens while
 preserving the impulsion bivector q ^ q'.  All exact algebra lives in the
 sibling modules; this module is deliberately floating point and talks to
@@ -128,10 +137,14 @@ class Screen:
         if geometry is None:
             raise ValueError("point outside the screen's validity domain")
         out = np.empty(2 * d)
-        q = np.divide(q, geometry[0], out=out[:d])
-        geometry = self.local(q)
-        if geometry is None:
-            raise ValueError("point outside the screen's validity domain")
+        if geometry[0] == 1.0:  # q / 1.0 is q, and so is its geometry
+            out[:d] = q
+            q = out[:d]
+        else:
+            q = np.divide(q, geometry[0], out=out[:d])
+            geometry = self.local(q)
+            if geometry is None:
+                raise ValueError("point outside the screen's validity domain")
         h, g, _ = geometry
         # on a linear screen h is phi.dot(q), the g.dot(q) below
         v = np.subtract(v, g.dot(v) / (h if self.kind == "linear" else g.dot(q)) * q, out=out[d:])
@@ -402,7 +415,8 @@ def oscillator_force(dim, axis=None):
     ]
 
     def func(q):
-        out = -q / q[axis] ** 4
+        h = q[axis]
+        out = -q if h == 1.0 else -q / h**4  # x / 1.0 is x
         out[axis] = 0.0
         return out
 
@@ -463,8 +477,49 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# The fifth-order weights are the last stage's row of A, with 0 for K[6]: the fifth-order
+# solution y5 = y + h * (b5 K) is that stage's input, byte for byte.
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _pairwise_sum(xs):
+    """np.add.reduce of the floats xs as one float64 array, bit for bit: numpy
+    adds its reduction to 0.0 in pairwise order, left to right below 8 terms,
+    on eight accumulators combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)) and then the tail up to 128, and above that as the sums of two
+    halves split at n / 2 rounded down to a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    r = xs[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r = [a + b for a, b in zip(r, xs[i:i + 8])]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        s += x
+    return 0.0 + s
+
+
+def _error_norm(y, y5, y4, tol):
+    """The root mean square of (y5 - y4) / (tol + tol * max(|y|, |y5|)), a NaN
+    in either max propagating, on Python floats: each operation is rounded as
+    numpy's, and the squares are summed in np.add.reduce's order."""
+    squares = []
+    for yi, y5i, y4i in zip(y.tolist(), y5.tolist(), y4.tolist()):
+        a, b = abs(yi), abs(y5i)
+        try:
+            e = (y5i - y4i) / (tol + tol * (a if a > b or a != a else b))
+        except ZeroDivisionError:  # a zero tol; numpy's x / 0 is inf or NaN, a rejected step alike
+            return math.nan
+        squares.append(e * e)
+    return math.sqrt(_pairwise_sum(squares) / len(squares))
 
 
 def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
@@ -474,14 +529,17 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
 
     rhs(t, y, out) writes the derivative at (t, y) into the row out and raises
     DomainExitError outside the validity domain; a stage that does so halves
-    the step.  The error norm is the root mean square over the len(y)
-    components of the scaled difference of the embedded solutions.  Raises
-    StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1), and
-    StepBudgetError when MAX_STEPS steps end short of t1.
+    the step.  When the halvings give up, the exit is raised again, given the
+    failing stage's time if it came without one.  The error norm is the root
+    mean square over the len(y) components of the scaled difference of the
+    embedded solutions (_error_norm).  Raises StepUnderflowError when the step
+    falls below 1e-14 * max(t1 - t0, 1), and StepBudgetError when MAX_STEPS
+    steps end short of t1.
     The derivative rhs writes must depend on the state alone: the pair is
-    "first same as last", so when project(y5) returns the last stage's input
-    bit for bit, that stage is the derivative at the accepted state and rhs
-    is not called again.  On return sets the counters ``accepted``,
+    "first same as last", its fifth-order solution y5 being the last stage's
+    input, so when project(y5) leaves y5 unchanged bit for bit, that stage is
+    the derivative at the accepted state and rhs is not called again.  On
+    return sets the counters ``accepted``,
     ``rejected``, ``domain_retries``, ``last_stage_reused`` and ``min_h`` of
     stats (see TrajectorySample) and returns (times, states, derivatives) as
     lists, one entry per accepted step plus the initial one.
@@ -524,21 +582,22 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
                 for a, c, k, k_before in stages:
                     stage_in = y + h * a.dot(k_before)
                     rhs(t + c * h, stage_in, k)
-            except DomainExitError:
-                # retry with a shorter step; report only if hopeless
+            except DomainExitError as exc:
+                # retry with a shorter step; report only if hopeless, at the failing stage's
+                # time when the exit came without one (a homogenized force's)
                 domain_retries += 1
+                t_stage = t + c * h
                 h *= 0.5
                 if h < h_floor:
+                    if exc.t_exit is None:
+                        exc.t_exit = t_stage
                     raise
                 continue
-            y5 = y + h * _DP_B5.dot(K)
-            y4 = y + h * _DP_B4.dot(K)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            e = (y5 - y4) / scale
-            err = math.sqrt(np.add.reduce(e * e) / n)
+            y5 = stage_in  # the fifth-order solution: see the note on the weights
+            err = _error_norm(y, y5, y + h * _DP_B4.dot(K), tol)
             if not math.isfinite(err):
                 # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
-                # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
+                # y5 or y4 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
                 rejected += 1
                 h *= 0.2
                 if h < h_floor:
@@ -550,8 +609,8 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
                 if t < t1 and h < min_h:
                     min_h = h
                 y = project(y5)
-                # the last stage ran at (t + 1.0 * h, stage_in), the accepted (t, y) when y is stage_in
-                if y.tobytes() == stage_in.tobytes():
+                # the last stage ran at (t + 1.0 * h, y5), the accepted (t, y) when y is y5
+                if y.tobytes() == y5.tobytes():
                     last_stage_reused += 1
                     k0[:] = k6
                 else:
@@ -749,8 +808,14 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
             if not h > 0.0:
                 raise DomainExitError("trajectory left the validity domain", t)
             evals += 1
-            # with f_H, the expression of homogenize_force's func, at the h that func would compute
-            fval = _floats(func(q)) if f_H is None else _floats(f_H(q / h)) / h**3
+            # with f_H, the expression of homogenize_force's func, at the h that func would compute;
+            # x / 1.0 is x, so an exact h = 1 (a flat screen's q[axis] along an orbit) skips it
+            if f_H is None:
+                fval = _floats(func(q))
+            elif h == 1.0:
+                fval = _floats(f_H(q))
+            else:
+                fval = _floats(f_H(q / h)) / h**3
             out[:d] = y[d:]
             # f + lambda q written in place as lambda q + f; the 0.0 is v^T H v, which fixes the
             # sign of a zero lambda

@@ -6,10 +6,12 @@
   screen without exact coefficients, so they live beside the tests that use
   them rather than in ``projdyn``.
 * The float screen layer in its plain forms: the cubic Hermite read as numpy
-  expressions on whole rows, and the renormalization and the central
-  projection through the full geometry ``Screen.local(q, v)``.  The library
-  computes the same floating-point operations in the same order with less
-  work, so these are the references for its bytes.
+  expressions on whole rows, the renormalization and the central
+  projection through the full geometry ``Screen.local(q, v)``, and the
+  Dormand-Prince stepper with its fifth-order solution from its own weights
+  and its error norm on numpy arrays.  The library computes the same
+  floating-point operations in the same order with less work, so these are
+  the references for its bytes.
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
@@ -69,7 +71,15 @@ from projdyn.exactlin import (
 )
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
-from projdyn.screens import Screen, VisibilityError, _floats
+from projdyn.screens import (
+    MAX_STEPS,
+    DomainExitError,
+    Screen,
+    StepBudgetError,
+    StepUnderflowError,
+    VisibilityError,
+    _floats,
+)
 from projdyn.young import (
     NumberingError,
     YoungTableau,
@@ -186,6 +196,124 @@ def central_project_reference(to_screen, q, v):
         raise VisibilityError("point is not visible on the target screen")
     k, dk, _ = geometry
     return q / k, k * v - dk.dot(v) * q
+
+
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def dormand_prince_reference(rhs, project, y0, t0, t1, tol, stats):
+    """screens._dormand_prince with y5 from the fifth-order weights and the
+    error norm on numpy arrays.
+
+    Integrate y' = rhs(t, y) from t0 to t1 with the Dormand-Prince 5(4)
+    pair, mapping each accepted state back through project(y), which must
+    return a new array; raises ValueError unless t0 <= t1.
+
+    rhs(t, y, out) writes the derivative at (t, y) into the row out and raises
+    DomainExitError outside the validity domain; a stage that does so halves
+    the step.  The error norm is the root mean square over the len(y)
+    components of the scaled difference of the embedded solutions.  Raises
+    StepUnderflowError when the step falls below 1e-14 * max(t1 - t0, 1), and
+    StepBudgetError when MAX_STEPS steps end short of t1.
+    The derivative rhs writes must depend on the state alone: the pair is
+    "first same as last", so when project(y5) returns the last stage's input
+    bit for bit, that stage is the derivative at the accepted state and rhs
+    is not called again.  On return sets the counters ``accepted``,
+    ``rejected``, ``domain_retries``, ``last_stage_reused`` and ``min_h`` of
+    stats (see TrajectorySample) and returns (times, states, derivatives) as
+    lists, one entry per accepted step plus the initial one.
+    """
+    if not t0 <= t1:
+        raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
+    accepted = rejected = domain_retries = last_stage_reused = 0
+    budget = MAX_STEPS
+    min_h = math.inf
+    # K[i] is stage i of the current step; K[0] is the derivative at (t, y)
+    n = len(y0)
+    K = np.empty((7, n))
+    k0, k6 = K[0], K[6]
+    # stage i: its row of A, its node c_i, its row of K and the stages before it
+    stages = [(_DP_A[i], float(_DP_C[i]), K[i], K[:i]) for i in range(1, 7)]
+    y = y0
+    t = t0
+    rhs(t, y, k0)
+    # deterministic initial step from the standard scale heuristic
+    scale = tol + tol * np.abs(y)
+    d0 = math.sqrt(float(np.mean((y / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((k0 / scale) ** 2)))
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    h = min(h, (t1 - t0) * 0.1)
+
+    times = [t]
+    ys = [y]
+    derivs = [k0.copy()]
+    h_floor = max(abs(t1 - t0), 1.0) * 1e-14
+
+    # a non-finite stage ends in a rejected step below; numpy need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        while t < t1:
+            if accepted + rejected + domain_retries >= budget:
+                raise StepBudgetError(f"step budget of {budget} steps used up at t = {t}", t)
+            h = min(h, t1 - t)
+            if h < h_floor:
+                raise StepUnderflowError(f"step size underflow at t = {t}", t)
+            try:
+                for a, c, k, k_before in stages:
+                    stage_in = y + h * a.dot(k_before)
+                    rhs(t + c * h, stage_in, k)
+            except DomainExitError:
+                # retry with a shorter step; report only if hopeless
+                domain_retries += 1
+                h *= 0.5
+                if h < h_floor:
+                    raise
+                continue
+            y5 = y + h * _DP_B5.dot(K)
+            y4 = y + h * _DP_B4.dot(K)
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+            e = (y5 - y4) / scale
+            err = math.sqrt(np.add.reduce(e * e) / n)
+            if not math.isfinite(err):
+                # a stage hit a singularity; shrink hard instead of trusting err.  A non-finite
+                # y5 lands here too: inf - finite is inf over an inf scale, NaN stays NaN
+                rejected += 1
+                h *= 0.2
+                if h < h_floor:
+                    raise StepUnderflowError(f"state became non-finite at t = {t}", t)
+                continue
+            if err <= 1.0:
+                accepted += 1
+                t = t + h
+                if t < t1 and h < min_h:
+                    min_h = h
+                y = project(y5)
+                # the last stage ran at (t + 1.0 * h, stage_in), the accepted (t, y) when y is stage_in
+                if y.tobytes() == stage_in.tobytes():
+                    last_stage_reused += 1
+                    k0[:] = k6
+                else:
+                    rhs(t, y, k0)
+                times.append(t)
+                ys.append(y)
+                derivs.append(k0.copy())
+            else:
+                rejected += 1
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+    stats.update(accepted=accepted, rejected=rejected, domain_retries=domain_retries,
+                 last_stage_reused=last_stage_reused, min_h=float(min_h))
+    return times, ys, derivs
 
 
 def assert_same_dict(got: dict, expected: dict, increasing=True):

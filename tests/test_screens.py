@@ -17,6 +17,7 @@ from oracles import (
     CustomScreen,
     central_project_reference,
     check_homogeneity,
+    dormand_prince_reference,
     hermite_reference,
     hessian_vv,
     project_state_reference,
@@ -611,6 +612,8 @@ BYTE_SCREENS = {
        st.lists(COORD, min_size=3, max_size=3))
 @example("hyperboloid", [0.3, 0.0, -1.0], [0.0, 1.0, 0.0])  # the other sheet
 @example("linear", [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])  # behind the chart
+@example("flat", [0.3, -0.2, 1.0], [0.5, 0.1, 0.2])  # h = 1 exactly: the first geometry serves
+@example("sphere", [0.0, 0.0, 1.0], [0.5, 0.1, 0.2])
 def test_projections_match_the_full_geometry_byte_for_byte(kind, q, v):
     screen = BYTE_SCREENS[kind]()
     q, v = np.array(q), np.array(v)
@@ -711,3 +714,178 @@ def test_step_budget_ends_the_run_with_the_time_it_reached(monkeypatch):
     with pytest.raises(StepBudgetError, match=f"^step budget of {steps - 1} steps used up at t = ") as info:
         integrate(*args)
     assert 0.0 < info.value.t_stop < 3.0
+
+
+def _horizon_run():
+    """The eccentric sphere orbit that reaches the flat screen's horizon, where
+    the homogenized Kepler force stops it (``integrate --system kepler --screen
+    sphere --q0 0.6,0,0.8 --v0 2.4,0,-1.8 --t-span 0,3 --tol 1e-8``)."""
+    scn = sc.builtin_scenario("sphere", 3, "kepler", 1.0, [0.6, 0.0, 0.8], [2.4, 0.0, -1.8], [0.0, 3.0])
+    return integrate(**{**scn, "tol": 1e-8})
+
+
+def test_a_homogenized_force_s_domain_exit_carries_the_failing_stage_s_time():
+    with pytest.raises(DomainExitError, match=r"^homogenized force evaluated at h\(q\) <= 0$") as info:
+        _horizon_run()
+    assert 0.0 < info.value.t_exit < 3.0
+
+
+# -- the stepper against its reference, byte for byte ------------------------------------
+
+_DORMAND_PRINCE = sc._dormand_prince
+
+
+def _stepper_screen(kind, d):
+    """The screens of the stepper comparison in dimension d: flat, a linear form
+    of non-unit coefficients, the sphere, the hyperboloid and an indefinite
+    quadric coupling each axis to the next."""
+    if kind == "flat":
+        return flat_screen(d)
+    if kind == "linear":
+        return sc.LinearFormScreen([Fraction(1, 3), Fraction(-2, 7), *[Fraction(1, 5)] * (d - 3), Fraction(5, 4)])
+    if kind == "sphere":
+        return sphere_screen(d)
+    if kind == "hyperboloid":
+        return hyperboloid_screen(d)
+    g = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        g[i][i] = Fraction(2 if i == 0 else -1 if i == d - 1 else 3)
+    for i in range(d - 1):
+        g[i][i + 1] = g[i + 1][i] = Fraction(1) if i == 0 else Fraction(1, 2)
+    return sc.QuadraticRootScreen(g)
+
+
+# a point in each screen's domain, its middle coordinates 0: (first two, last)
+_STEPPER_BASE = {"flat": (0.3, 0.1, 1.0), "linear": (0.3, 0.1, 1.0), "sphere": (0.3, 0.1, 1.0),
+                 "hyperboloid": (0.3, 0.1, 1.5), "non-diagonal": (1.0, 0.2, 0.3)}
+
+
+def _stepper_start(kind, d, offset):
+    a, b, last = _STEPPER_BASE[kind]
+    return np.array([a, b, *[0.0] * (d - 3), last]) + offset[:d]
+
+
+def _stepper_force(kind, d):
+    """A builtin force in dimension d; "kepler-linear" is homogenized over the
+    non-unit linear screen, so that screen's rhs evaluates f_H(q / h) / h^3."""
+    if kind == "kepler":
+        return kepler_force(1.0, [0.0] * (d - 1) + [1.0])
+    if kind == "kepler-linear":
+        return kepler_force(1.0, [0.0] * (d - 1) + [0.8], reference_screen=_stepper_screen("linear", d))
+    return {"oscillator": sc.oscillator_force, "inverse-cube": sc.inverse_cube_force, "zero": zero_force}[kind](d)
+
+
+def _bits(x):
+    """x's floats as bytes or hex strings, for a comparison bit for bit: a
+    sample's times, states, derivatives and stats; a tuple part by part."""
+    if isinstance(x, TrajectorySample):
+        return [_bits(part) for part in (x.times, x.states, x.derivs, x.stats)]
+    if isinstance(x, dict):
+        return sorted((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, tuple):
+        return [_bits(part) for part in x]
+    if isinstance(x, (list, np.ndarray)):
+        return np.array(x, dtype=float).tobytes()
+    return x.hex() if isinstance(x, float) else x
+
+
+def _run_stepper(stepper, call):
+    """call() with stepper as screens._dormand_prince: what it returned or
+    raised, and the bits of each stepper call's stats and (times, states,
+    derivatives)."""
+    runs = []
+
+    def recording(rhs, project, y0, t0, t1, tol, stats):
+        runs.append(stats)
+        runs.append(stepper(rhs, project, y0, t0, t1, tol, stats))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_dormand_prince", recording)
+        try:
+            result = call()
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            result = exc
+    return result, [_bits(run) for run in runs]
+
+
+def _assert_same_as_reference(call):
+    """call() takes the same steps, bit for bit, on screens._dormand_prince and
+    on its reference, and returns or raises the same; gives the library's result."""
+    expected, expected_runs = _run_stepper(dormand_prince_reference, call)
+    got, runs = _run_stepper(_DORMAND_PRINCE, call)
+    assert runs == expected_runs
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        # the library gives a homogenized force's exit the failing stage's time
+        assert vars(got) == vars(expected) or (expected.t_exit is None and got.t_exit is not None)
+    else:
+        assert _bits(got) == _bits(expected)
+    return got
+
+
+_OFFSET = st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5)
+_VELOCITY = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_STEPPER_BASE)), st.integers(3, 5),
+       st.sampled_from(["kepler", "kepler-linear", "oscillator", "inverse-cube", "zero"]),
+       _OFFSET, _VELOCITY, st.floats(6.0, 12.0), st.floats(0.0, 1.0))
+def test_integrate_steps_match_the_reference_stepper_byte_for_byte(kind, d, force_kind, offset, v, digits, span):
+    screen = _stepper_screen(kind, d)
+    q = _stepper_start(kind, d, offset)
+    assume(screen.in_domain(q))
+    y0, _ = screen.project_state(q, v[:d])
+    force = _stepper_force(force_kind, d)
+    _assert_same_as_reference(lambda: integrate(screen, force, y0[:d], y0[d:], (0.0, span), 10.0 ** -digits))
+
+
+def test_the_reference_stepper_comparison_meets_rejected_steps_and_domain_exits():
+    args = (flat_screen(3), kepler_force(1.0, [0.0, 0.0, 1.0]), [1.0, 0.0, 1.0], [0.0, 0.4, 0.0], (0.0, 3.0), 1e-8)
+    stats = _assert_same_as_reference(lambda: integrate(*args)).stats
+    assert stats["rejected"] > 0 and stats["last_stage_reused"] > 0
+    assert isinstance(_assert_same_as_reference(_horizon_run), DomainExitError)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_STEPPER_BASE)), st.integers(3, 5), _OFFSET, _VELOCITY, _VELOCITY,
+       st.floats(6.0, 12.0))
+def test_parallel_transport_steps_match_the_reference_stepper_byte_for_byte(kind, d, offset, v, w, digits):
+    # the state holds q, v and w: 3 d >= 9 components, so the error norm sums on eight accumulators
+    from projdyn.compat import parallel_transport_check
+    from projdyn.curvclass import CurvatureForm, metric_form_tensor
+
+    screen = _stepper_screen(kind, d)
+    q = _stepper_start(kind, d, offset)
+    assume(screen.in_domain(q))
+    y0, _ = screen.project_state(q, v[:d])
+    form = CurvatureForm(metric_form_tensor([[2 if i == j == 0 else int(i == j) for j in range(d)] for i in range(d)]))
+    _assert_same_as_reference(
+        lambda: parallel_transport_check(form, screen, y0[:d], y0[d:], w[:d], (0.0, 1.0), 10.0 ** -digits))
+
+
+_SUMMANDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, math.inf, -math.inf, math.nan]
+
+
+def test_pairwise_sum_matches_numpy_reduce_bit_for_bit():
+    """screens._pairwise_sum against np.add.reduce for n = 1 to 300, on finite
+    floats of mixed magnitudes, on signed zeros and subnormals alone and with
+    infinities and NaNs among them.
+
+    This pins numpy's summation order: the stepper's error norm sums its
+    squares on Python floats in that order, so that every accepted step is
+    the one numpy's reduce would accept.  A numpy whose reduce sums in
+    another order fails here, not silently in the orbits' bits."""
+    rng = random.Random(11)
+    draws = [
+        lambda: rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30),
+        lambda: rng.choice(_SUMMANDS[:6]),
+        lambda: rng.choice(_SUMMANDS) if rng.random() < 0.1 else rng.uniform(-1.0, 1.0),
+    ]
+    with np.errstate(all="ignore"):
+        for n in range(1, 301):
+            for draw in [*draws, lambda: -0.0]:
+                xs = [draw() for _ in range(n)]
+                got, expected = sc._pairwise_sum(xs), float(np.add.reduce(np.array(xs)))
+                assert got.hex() == expected.hex() or math.isnan(got) and math.isnan(expected), (n, xs)
