@@ -421,7 +421,8 @@ def parallel_transport_check(form: CurvatureForm, screen, q0, v0, w0, t_span, to
     through Screen.local (v^T H w by polarization), on the Dormand-Prince
     stepper of screens.integrate with the given tolerance.  Each accepted
     state is projected: (q, v) by Screen.project_state, and w loses its dh
-    component along q, which keeps q ^ w and so R(q, w, q, w).
+    component along q, which keeps q ^ w and so R(q, w, q, w).  Raises
+    ValueError unless tol is positive and finite.
     """
     d = screen.dim
     diag = form.diagonal_poly()

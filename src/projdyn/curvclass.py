@@ -171,14 +171,6 @@ class BivectorMap:
         coords = {pr: self.matrix[r][col] * sign for r, pr in enumerate(self.dst_pairs) if self.matrix[r][col]}
         return Multivector(self.dim_dst, 2, coords)
 
-    def apply(self, pi: Multivector) -> Multivector:
-        if pi.dim != self.dim_src or pi.grade != 2:
-            raise ValueError("input must be a bivector over the source space")
-        out = Multivector(self.dim_dst, 2, {})
-        for pr, val in pi.coords.items():
-            out = out + self.image_of_basis_pair(*pr).scale(val)
-        return out
-
     def rank(self) -> int:
         return rank(self.matrix)
 
@@ -350,14 +342,6 @@ class WedgePowerMap:
         self.R = R
         self.p = p
         self.images = images  # 2p-subset tuple -> Multivector over dst
-
-    def apply(self, m: Multivector) -> Multivector:
-        if m.grade != 2 * self.p or m.dim != self.R.dim_src:
-            raise ValueError("grade/dim mismatch")
-        out = Multivector(self.R.dim_dst, 2 * self.p, {})
-        for idx, val in m.coords.items():
-            out = out + self.images[idx].scale(val)
-        return out
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -966,7 +950,7 @@ def _compound_minors(G, k):
     return minors, den ** k
 
 
-def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
+def curvature_from_symmetric_map(G) -> CurvatureForm:
     """Curvature form from a symmetric map of the dual space into the space:
     conjugate the (n-1)-th wedge power of G by the volume pairing.
 
@@ -979,7 +963,7 @@ def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
     Read straight from the integer minors: with c(S) the complement of an
     index subset S and s(S) the sign of the contraction e_S -| e_0..d-1 =
     s(S) e_c(S), each entry R(a, b, w, x), a < b and w < x, is
-    s(a, b) s(c(w, x)) vol_scale**2 M(c(w, x), c(a, b)) for M the
+    s(a, b) s(c(w, x)) M(c(w, x), c(a, b)) for M the
     (d - 2)-th compound of G, so one Fraction per entry; the antisymmetric
     copies take its sign.
     """
@@ -989,9 +973,7 @@ def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
     G = [[rat(x) for x in row] for row in G]
     if G != [list(row) for row in zip(*G)]:
         raise ValueError("G must be symmetric")
-    vs = rat(vol_scale)
     minors, den = _compound_minors(G, d - 2)
-    num, den = vs.numerator ** 2, den * vs.denominator ** 2
 
     def contraction(S):
         rest = tuple(i for i in range(d) if i not in S)
@@ -1000,11 +982,11 @@ def curvature_from_symmetric_map(G, vol_scale=1) -> CurvatureForm:
     # (w, x) = c(S) and s(S) for the rows S of the compound, in their order
     rows = [(S, *contraction(S)) for S in itertools.combinations(range(d), d - 2)]
     entries = {}
-    for a, b in pair_basis(d) if num else ():  # vol_scale 0: the zero form
+    for a, b in pair_basis(d):
         T, s_ab = contraction((a, b))
         for S, (w, x), s_wx in rows:
             if m := minors[S, T]:
-                val = Fraction(s_ab * s_wx * num * m, den)
+                val = Fraction(s_ab * s_wx * m, den)
                 neg = -val
                 entries[(a, b, w, x)] = val
                 entries[(a, b, x, w)] = neg

@@ -203,17 +203,6 @@ class Tensor:
             total += term
         return total
 
-    def contract_slot(self, slot: int, vector):
-        """Plug a fixed vector into one slot, dropping it from the order."""
-        vec = [rat(c) for c in vector]
-        out = {}
-        for idx, val in self.entries.items():
-            c = vec[idx[slot]]
-            if not c:
-                continue
-            accumulate(out, idx[:slot] + idx[slot + 1:], val * c)
-        return Tensor(self.dim, self.order - 1, out)
-
 
 def basis_tensor(dim: int, idx) -> Tensor:
     return Tensor(dim, len(idx), {tuple(idx): Fraction(1)})

@@ -14,8 +14,7 @@ second from the first through R's polar form, an internal integer table:
 The module also homogenizes screen-level polynomial integrals on linear and
 quadratic-root screens, differentiates candidate integrals along a
 projective force field (including inverse-square fields through the
-square-root ring) and reconstructs bivariate polynomials from evaluation
-oracles.  Every step is exact and decides each invariance once; a
+square-root ring).  Every step is exact and decides each invariance once; a
 screen-level integral is a Poly (anything else raises TypeError).
 Everything operates on immutable values through pure functions.
 """
@@ -32,8 +31,6 @@ from projdyn.exactlin import (
     accumulate,
     clear_denominators,
     kernel,
-    mat_inverse,
-    mat_mul,
     rat,
 )
 from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
@@ -329,29 +326,6 @@ class AntisymmetricForm:
     def value(self, idx) -> Fraction:
         return self.tensor.entries.get(tuple(idx), Fraction(0))
 
-    def evaluate_bivectors(self, bivectors) -> Fraction:
-        """Value of the induced symmetric b-linear form on grade-2 inputs.
-
-        Expands each bivector over increasing index pairs only; the pair
-        antisymmetry of the tensor makes this the unique descent with
-        R_B(q ^ v) = R(q, v).
-        """
-        if len(bivectors) != self.b:
-            raise ValueError("need one bivector per slot pair")
-        total = Fraction(0)
-        for idx, val in self.tensor.entries.items():
-            if any(idx[2 * k] >= idx[2 * k + 1] for k in range(self.b)):
-                continue
-            term = val
-            for k, pi in enumerate(bivectors):
-                coef = pi.coords.get((idx[2 * k], idx[2 * k + 1]), Fraction(0))
-                if not coef:
-                    term = Fraction(0)
-                    break
-                term *= coef
-            total += term
-        return total
-
     def kernel(self):
         """Vectors u with the form vanishing whenever u fills the first slot.
 
@@ -550,7 +524,7 @@ def check_force_degree(force, dim):
     return comps
 
 
-def gdot(G: Poly, force=None, dim=None):
+def gdot(G: Poly, force=None):
     """Time derivative <dG/dq, v> + <dG/dv, f> of a candidate integral.
 
     ``G`` must satisfy the shear and scaling invariances (rejected
@@ -559,10 +533,9 @@ def gdot(G: Poly, force=None, dim=None):
     Poly for polynomial data and a SqrtElem when a root is involved; either
     answers ``.is_zero()`` exactly.  Radial force terms drop out identically.
     """
-    if dim is None:
-        if G.nvars % 2:
-            raise ValueError("pass dim explicitly")
-        dim = G.nvars // 2
+    if G.nvars % 2:
+        raise ValueError("G needs an even number of variables")
+    dim = G.nvars // 2
     if not is_impulsion_invariant(G, dim):
         raise ValueError("G does not satisfy the homogeneity/shear invariances")
     kinetic = Poly.zero(2 * dim)
@@ -591,112 +564,3 @@ def gdot(G: Poly, force=None, dim=None):
         except NotPolynomialError:
             return total
     return total
-
-
-def decompose_by_parity(G: Poly, force=None, dim=None):
-    """Split a polynomial first integral by velocity-degree parity.
-
-    Returns the nonzero parity sums (top parity first); each returned piece
-    is itself a first integral of the same system, and the top-degree
-    component is a first integral of free motion.
-    """
-    if dim is None:
-        dim = G.nvars // 2
-    if not gdot(G, force, dim).is_zero():
-        raise ValueError("input is not a first integral of the given system")
-    vidx = list(v_indices(dim))
-    comps = G.components_by(lambda exps: sum(exps[i] for i in vidx))
-    if not comps:
-        return []
-    b = max(comps)
-    top = Poly.zero(2 * dim)
-    other = Poly.zero(2 * dim)
-    for m, piece in comps.items():
-        if (b - m) % 2 == 0:
-            top = top + piece
-        else:
-            other = other + piece
-    leading = comps[b]
-    free_defect = Poly.zero(2 * dim)
-    for i in range(dim):
-        free_defect = free_defect + leading.diff(i) * vvar(i, dim)
-    if not free_defect.is_zero():
-        raise ArithmeticError("leading term is not a free-motion integral")
-    out = []
-    for piece in (top, other):
-        if piece.is_zero():
-            continue
-        if not gdot(piece, force, dim).is_zero():
-            raise ArithmeticError("parity component failed to be an integral")
-        out.append(piece)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomial reconstruction from an evaluation oracle
-
-def _simplex_points(m, k, box, shift_num=1, shift_den=None):
-    lo, hi = box
-    lo = [rat(x) for x in lo]
-    hi = [rat(x) for x in hi]
-    shift_den = shift_den or (k + 2)
-    pts = []
-    for alpha in itertools.product(range(k + 1), repeat=m):
-        if sum(alpha) > k:
-            continue
-        pts.append(tuple(
-            lo[i] + (hi[i] - lo[i]) * Fraction(alpha[i] * shift_den + shift_num, (k + 1) * shift_den + 2)
-            for i in range(m)
-        ))
-    return pts
-
-
-def _monomials_upto(m, k):
-    return [e for e in itertools.product(range(k + 1), repeat=m) if sum(e) <= k]
-
-
-def _vandermonde(points, monos):
-    return [[math.prod(p[i] ** e[i] for i in range(len(p))) if p else Fraction(1) for e in monos] for p in points]
-
-
-def reconstruct_polynomial(oracle, deg_x, deg_y, m, n, x_box=None, y_box=None):
-    """Recover the polynomial F(x, y) behind an exact evaluation oracle that
-    is polynomial of degree <= deg_x in x and <= deg_y in y.
-
-    Sample points form shifted simplex lattices inside the open boxes (these
-    are in general position for total-degree interpolation); a singular
-    interpolation matrix triggers a deterministic resample.  The recovered
-    polynomial is re-checked against the oracle on a fresh point set.
-    """
-    x_box = x_box or ([0] * m, [1] * m)
-    y_box = y_box or ([0] * n, [1] * n)
-    monos_x = _monomials_upto(m, deg_x)
-    monos_y = _monomials_upto(n, deg_y)
-    for attempt in range(1, 5):
-        xs = _simplex_points(m, deg_x, x_box, shift_num=attempt)
-        ys = _simplex_points(n, deg_y, y_box, shift_num=attempt)
-        Mx = _vandermonde(xs, monos_x)
-        My = _vandermonde(ys, monos_y)
-        Mx_inv = mat_inverse(Mx)
-        My_inv = mat_inverse(My)
-        if Mx_inv is None or My_inv is None:
-            continue  # not in general position; resample deterministically
-        F = [[rat(oracle(x, y)) for y in ys] for x in xs]
-        C = mat_mul(mat_mul(Mx_inv, F), [list(r) for r in zip(*My_inv)])
-        terms = {}
-        for a, ex in enumerate(monos_x):
-            for b_, ey in enumerate(monos_y):
-                if C[a][b_]:
-                    terms[tuple(ex) + tuple(ey)] = C[a][b_]
-        out = Poly(m + n, terms)
-        fresh_x = _simplex_points(m, deg_x, x_box, shift_num=2 * attempt + 3, shift_den=2 * (deg_x + 2) + 1)
-        fresh_y = _simplex_points(n, deg_y, y_box, shift_num=2 * attempt + 3, shift_den=2 * (deg_y + 2) + 1)
-        ok = all(
-            out.evaluate(list(x) + list(y)) == rat(oracle(x, y))
-            for x in fresh_x[: deg_x + 2]
-            for y in fresh_y[: deg_y + 2]
-        )
-        if ok:
-            return out
-        raise ArithmeticError("reconstructed polynomial disagrees with the oracle")
-    raise ArithmeticError("could not find sample points in general position")

@@ -211,13 +211,6 @@ class Poly:
             return False
         return True if degree is None else degs == {degree}
 
-    def components_by(self, key):
-        """Split into {key(exps): Poly} by any function of the exponent tuple."""
-        buckets = {}
-        for exps, coef in self.terms.items():
-            buckets.setdefault(key(exps), {})[exps] = coef
-        return {k: Poly._raw(self.nvars, v) for k, v in buckets.items()}
-
     def evaluate(self, point):
         point = [rat(x) for x in point]
         total = Fraction(0)

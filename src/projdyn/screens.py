@@ -514,10 +514,7 @@ def _error_norm(y, y5, y4, tol):
     squares = []
     for yi, y5i, y4i in zip(y.tolist(), y5.tolist(), y4.tolist()):
         a, b = abs(yi), abs(y5i)
-        try:
-            e = (y5i - y4i) / (tol + tol * (a if a > b or a != a else b))
-        except ZeroDivisionError:  # a zero tol; numpy's x / 0 is inf or NaN, a rejected step alike
-            return math.nan
+        e = (y5i - y4i) / (tol + tol * (a if a > b or a != a else b))
         squares.append(e * e)
     return math.sqrt(_pairwise_sum(squares) / len(squares))
 
@@ -525,7 +522,8 @@ def _error_norm(y, y5, y4, tol):
 def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     """Integrate y' = rhs(t, y) from t0 to t1 with the Dormand-Prince 5(4)
     pair, mapping each accepted state back through project(y), which must
-    return a new array; raises ValueError unless t0 <= t1.
+    return a new array; raises ValueError unless t0 <= t1 and tol is positive
+    and finite.
 
     rhs(t, y, out) writes the derivative at (t, y) into the row out and raises
     DomainExitError outside the validity domain; a stage that does so halves
@@ -546,6 +544,8 @@ def _dormand_prince(rhs, project, y0, t0, t1, tol, stats):
     """
     if not t0 <= t1:
         raise ValueError(f"time span [{t0}, {t1}] needs t0 <= t1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol = {tol} must be positive and finite")
     accepted = rejected = domain_retries = last_stage_reused = 0
     budget = MAX_STEPS
     min_h = math.inf
@@ -663,9 +663,6 @@ class TrajectorySample:
     def __len__(self):
         return len(self.times)
 
-    def state(self, i):
-        return self.qs[i], self.vs[i]
-
     def drift(self):
         """Max |h(q) - 1| and |dh(v)| over all samples."""
         dh = 0.0
@@ -772,12 +769,13 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
 
     The initial state is renormalized onto {h = 1, dh(v) = 0}; each accepted
     step is projected back as well, so the constraint drift stays at the
-    tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1],
-    DomainExitError when the trajectory leaves the screen's validity domain,
-    StepUnderflowError near force singularities and ZeroDivisionError when
-    the force is evaluated exactly at one, StepBudgetError when MAX_STEPS
-    steps do not reach t_span[1], and ValueError when a projected
-    state drifts from the screen by more than 10 * tol + 1e-14.  The returned
+    tolerance scale.  Raises ValueError unless t_span[0] <= t_span[1] and
+    tol is positive and finite, DomainExitError when the trajectory leaves
+    the screen's validity domain, StepUnderflowError near force singularities
+    and ZeroDivisionError when the force is evaluated exactly at one,
+    StepBudgetError when MAX_STEPS steps do not reach t_span[1], and
+    ValueError when a projected state drifts from the screen by more than
+    10 * tol + 1e-14.  The returned
     sample's ``stats`` count the work done (see TrajectorySample).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])

@@ -40,7 +40,9 @@
   generator through two contractions with the volume form and the compound
   from determinants, and the flat-case form with one ``solve`` per pair.
   The library runs them on cleared integers; these are the references for
-  its values and key order.
+  its values and key order.  Beside them, with no library counterpart: the
+  descent of a pair-antisymmetric form to bivectors, R_B(q ^ v) = R(q, v),
+  and the image of a multivector under a bivector map or its wedge power.
 * ``exactlin`` helpers that no library code calls: a slot contraction at
   several slots, the basis vector, span membership in a ``SparseEchelon``
   and the reader of one serialized rational.
@@ -70,7 +72,7 @@ from projdyn.exactlin import (
     tensor_from_json,
 )
 from projdyn.polynomials import Poly
-from projdyn.polyintegrals import pair_tableau, q_indices, qvar, v_indices, vvar
+from projdyn.polyintegrals import AntisymmetricForm, pair_tableau, q_indices, qvar, v_indices, vvar
 from projdyn.screens import (
     MAX_STEPS,
     DomainExitError,
@@ -850,14 +852,14 @@ def contract_multivector_by_fractions(pi: Multivector, omega: Multivector) -> Mu
     return Multivector._raw(pi.dim, omega.grade - pi.grade, out)
 
 
-def curvature_by_contractions(G, vol_scale=1) -> Tensor:
+def curvature_by_contractions(G) -> Tensor:
     """The generated curvature form on Fractions: for each pair a < b,
     contract e_a ^ e_b into the volume form, apply the (d - 2)-th compound
     of G (its minors from ``det``), contract the image into the volume form
     again, and write the four antisymmetric copies of each entry."""
     d = len(G)
     G = [[rat(x) for x in row] for row in G]
-    vol = basis_multivector(d, tuple(range(d))).scale(rat(vol_scale))
+    vol = basis_multivector(d, tuple(range(d)))
     subsets = list(itertools.combinations(range(d), d - 2))
     comp = [[det([[G[i][j] for j in T] for i in S]) for T in subsets] for S in subsets]
     column = {S: c for c, S in enumerate(subsets)}
@@ -899,13 +901,50 @@ def flat_form_by_solves(phi, g_matrix, kernel_basis) -> Tensor:
     return Tensor._raw(d, 4, entries)
 
 
+def evaluate_on_bivectors(form: AntisymmetricForm, bivectors) -> Fraction:
+    """The symmetric b-linear form that a pair-antisymmetric form induces on
+    bivectors, one bivector per slot pair.  Each bivector is expanded over
+    increasing index pairs only; the pair antisymmetry makes this the unique
+    descent with R_B(q ^ v) = R(q, v)."""
+    if len(bivectors) != form.b:
+        raise ValueError("need one bivector per slot pair")
+    total = Fraction(0)
+    for idx, val in form.tensor.entries.items():
+        if any(idx[2 * k] >= idx[2 * k + 1] for k in range(form.b)):
+            continue
+        term = val
+        for k, pi in enumerate(bivectors):
+            term *= pi.coords.get((idx[2 * k], idx[2 * k + 1]), Fraction(0))
+        total += term
+    return total
+
+
+def apply_map(f, m: Multivector) -> Multivector:
+    """The image of m under a ``BivectorMap`` or a ``WedgePowerMap``: the
+    images of its basis multivectors, scaled by its coordinates and summed."""
+    if isinstance(f, BivectorMap):
+        dim, grade, image = f.dim_dst, 2, lambda pr: f.image_of_basis_pair(*pr)
+    else:
+        dim, grade, image = f.R.dim_dst, 2 * f.p, f.images.__getitem__
+    out = Multivector(dim, grade, {})
+    for idx, val in m.coords.items():
+        out = out + image(idx).scale(val)
+    return out
+
+
 # -- exactlin helpers without a library caller ------------------------------------
 
 
 def contract_slots(t: Tensor, assignment: dict) -> Tensor:
-    """Plug vectors into several slots at once ({slot: vector})."""
+    """Plug vectors into several slots at once ({slot: vector}), dropping
+    each slot from the order, the highest slot first."""
     for slot in sorted(assignment, reverse=True):
-        t = t.contract_slot(slot, assignment[slot])
+        vec = [rat(c) for c in assignment[slot]]
+        out = {}
+        for idx, val in t.entries.items():
+            if c := vec[idx[slot]]:
+                accumulate(out, idx[:slot] + idx[slot + 1:], val * c)
+        t = Tensor(t.dim, t.order - 1, out)
     return t
 
 

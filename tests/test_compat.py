@@ -1,5 +1,6 @@
 """Pre-Lagrangians, compatibility identities, and the screen finder."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -477,6 +478,18 @@ def test_parallel_transport_drifts_on_a_mismatched_pair():
         t_span=(0.0, 3.0),
     )
     assert drift > 0.1
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf, -1e-10])
+def test_parallel_transport_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    from projdyn.curvclass import metric_form_tensor as mft
+
+    with pytest.raises(ValueError, match=r"^tol = .* must be positive and finite$"):
+        parallel_transport_check(
+            CurvatureForm(mft([[1, 0, 0], [0, 1, 0], [0, 0, 1]])), sc.sphere_screen(3),
+            q0=[0.0, 0.0, 1.0], v0=[1.0, 0.0, 0.0], w0=[0.3, 0.9, 0.0],
+            t_span=(0.0, 1.0), tol=tol,
+        )
 
 
 def test_quadratic_integral_symbolic_and_pipeline():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_map,
     curvature_by_contractions,
     flat_form_by_solves,
     intersect_spans,
@@ -116,7 +117,7 @@ def test_specific_partial_map_expansion():
     assert not preserves_decomposables(R)
     # witness: e0 ^ (e1 + e2) maps to e0^e1 + e2^e3, whose square is 2 e0123
     pi = wedge(vector(4, [1, 0, 0, 0]), vector(4, [0, 1, 1, 0]))
-    img = R.apply(pi)
+    img = apply_map(R, pi)
     assert not wedge(img, img).is_zero()
 
 
@@ -397,11 +398,9 @@ def test_the_generator_matches_the_contraction_path(d):
     rng = random.Random(40 + d)
     thirds = [[x / 3 for x in row] for row in rand_symmetric_rank(rng, d, d - 1)]
     for G in (rand_symmetric_invertible(rng, d), rand_symmetric_rank(rng, d, d - 1), thirds):
-        for vol_scale in (1, Fraction(3, 2)):
-            got = curvature_from_symmetric_map(G, vol_scale).tensor.entries
-            assert list(got.items()) == list(curvature_by_contractions(G, vol_scale).entries.items())
-            assert all(type(v) is Fraction for v in got.values())
-    assert curvature_from_symmetric_map(G, 0).tensor.entries == {} == curvature_by_contractions(G, 0).entries
+        got = curvature_from_symmetric_map(G).tensor.entries
+        assert list(got.items()) == list(curvature_by_contractions(G).entries.items())
+        assert all(type(v) is Fraction for v in got.values())
 
 
 def test_flat_form_tensor_matches_one_solve_per_pair():
@@ -510,7 +509,7 @@ def test_wedge_power_identity():
     eye = BivectorMap.wedge_square([[Fraction(int(i == j)) for j in range(d)] for i in range(d)])
     p2 = wedge_power_map(eye, 2)
     vol = basis_multivector(4, (0, 1, 2, 3))
-    assert p2.apply(vol) == vol
+    assert apply_map(p2, vol) == vol
 
 
 def test_wedge_power_of_wedge_square():
@@ -520,7 +519,7 @@ def test_wedge_power_of_wedge_square():
     p2 = wedge_power_map(R, 2)
     # on the volume element the power map multiplies by det(B)
     vol = basis_multivector(4, (0, 1, 2, 3))
-    assert p2.apply(vol) == vol.scale(det(B))
+    assert apply_map(p2, vol) == vol.scale(det(B))
 
 
 def test_wedge_power_product_formula_on_random_decomposables():
@@ -533,7 +532,7 @@ def test_wedge_power_product_formula_on_random_decomposables():
         vs = [vector(d, [Fraction(rng.randint(-2, 2)) for _ in range(d)]) for _ in range(4)]
         pi1 = wedge(vs[0], vs[1])
         pi2 = wedge(vs[2], vs[3])
-        assert p2.apply(wedge(pi1, pi2)) == wedge(R.apply(pi1), R.apply(pi2))
+        assert apply_map(p2, wedge(pi1, pi2)) == wedge(apply_map(R, pi1), apply_map(R, pi2))
 
 
 def test_wedge_power_rejects_bad_maps():
@@ -591,7 +590,7 @@ def test_inverse_of_preserving_map_preserves():
         for _ in range(5):
             vs = [vector(d, [Fraction(rng.randint(-2, 2)) for _ in range(d)]) for _ in range(2)]
             pi = wedge(vs[0], vs[1])
-            assert Rinv.apply(R.apply(pi)) == pi
+            assert apply_map(Rinv, apply_map(R, pi)) == pi
 
 
 # -- classification of bivector maps --------------------------------------------------

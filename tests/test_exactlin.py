@@ -821,13 +821,6 @@ def test_tensor_permute_is_a_bijection_on_entries(data):
     assert list(back.entries) == list(permute_by_accumulation(moved, inverse))
 
 
-def test_tensor_contract_slot():
-    t = Tensor(2, 2, {(0, 1): 1, (1, 0): -1})
-    q = [Fraction(2), Fraction(3)]
-    reduced = t.contract_slot(0, q)
-    assert reduced == Tensor(2, 1, {(1,): 2, (0,): -3})
-
-
 def test_tensor_equality_normalization():
     a = Tensor(2, 2, {(0, 1): Fraction(1, 2)})
     b = Tensor(2, 2, {(0, 1): Fraction(2, 4), (1, 1): 0})
@@ -892,9 +885,6 @@ def test_tensor_operations_keep_canonical_form(data):
             idx[pos] = jdx[k]
         moved.append((tuple(idx), val))
     assert_canonical(permute(ta, sigma).entries, moved)
-    slot, vec = data.draw(st.integers(0, 2)), data.draw(st.lists(UNIT, min_size=3, max_size=3))
-    assert_canonical(ta.contract_slot(slot, vec).entries,
-                     [(idx[:slot] + idx[slot + 1:], val * vec[idx[slot]]) for idx, val in a.items()])
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,6 @@ from projdyn.polynomials import NotPolynomialError, Poly, SqrtElem
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
     ForceHomogeneityError,
-    decompose_by_parity,
     dim_Pbb,
     exchange_value,
     gdot,
@@ -27,7 +26,6 @@ from projdyn.polyintegrals import (
     is_impulsion_invariant,
     plucker,
     qvar,
-    reconstruct_polynomial,
     swap_blocks,
     vvar,
 )
@@ -308,7 +306,7 @@ def test_bivector_form_descends():
         q = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
         v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
         pi_bv = wedge(vector(dim, q), vector(dim, v))
-        assert af.evaluate_bivectors([pi_bv] * b) == R.evaluate(q + v)
+        assert oracles.evaluate_on_bivectors(af, [pi_bv] * b) == R.evaluate(q + v)
 
 
 def test_antisymmetric_form_kernel():
@@ -530,6 +528,11 @@ def test_gdot_rejects_invariance_violation():
         gdot(qvar(0, 2) * vvar(0, 2))
 
 
+def test_gdot_rejects_an_odd_variable_count():
+    with pytest.raises(ValueError, match="even number of variables"):
+        gdot(Poly.variable(0, 3))
+
+
 def test_gdot_kepler_angular_momentum():
     force = sc.kepler_force(1.0, [0.0, 0.0, 1.0])
     L = plucker(3, 0, 1)
@@ -604,74 +607,6 @@ def test_gdot_zero_force_aliases():
     L = plucker(3, 0, 1)
     assert gdot(L, None).is_zero()
     assert gdot(L, sc.zero_force(3)).is_zero()
-
-
-# -- parity decomposition -----------------------------------------------------------------------
-
-def test_decompose_single_degree_returns_itself():
-    R = plucker(3, 0, 1)
-    parts = decompose_by_parity(R)
-    assert parts == [R]
-
-
-def test_decompose_mixed_parity_splits():
-    # energy-like quadratic plus angular-momentum-like linear term, free motion
-    E = plucker(3, 0, 2) ** 2 + plucker(3, 1, 2) ** 2
-    L = plucker(3, 0, 1)
-    parts = decompose_by_parity(E + L)
-    assert len(parts) == 2
-    assert parts[0] == E and parts[1] == L
-
-
-def test_decompose_even_with_constant():
-    # quadratic term plus a degree-0 part (both parities even from the top)
-    E = plucker(3, 0, 2) ** 2
-    G = E + Poly.const(6, Fraction(7, 2))
-    parts = decompose_by_parity(G)
-    assert parts == [G]
-
-
-def test_decompose_rejects_non_integral():
-    bad = qvar(0, 3) * vvar(1, 3) - qvar(1, 3) * vvar(0, 3) + qvar(2, 3) * vvar(2, 3)
-    with pytest.raises(ValueError):
-        decompose_by_parity(bad)
-
-
-# -- reconstruction ---------------------------------------------------------------------------------
-
-def test_reconstruct_product():
-    out = reconstruct_polynomial(lambda x, y: x[0] * y[0], 1, 1, 1, 1)
-    assert out == Poly(2, {(1, 1): 1})
-
-
-def test_reconstruct_constant():
-    out = reconstruct_polynomial(lambda x, y: Fraction(7), 0, 0, 1, 1)
-    assert out == Poly.const(2, 7)
-
-
-def test_reconstruct_homogenized_integral():
-    # the oracle evaluates a degree-(2,2) free-motion integral on rational
-    # points of a product of cones; reconstruction recovers the polynomial
-    d = 3
-    R = plucker(d, 0, 2) * plucker(d, 1, 2) + plucker(d, 0, 1) ** 2
-
-    def oracle(x, y):
-        return R.evaluate(list(x) + list(y))
-
-    out = reconstruct_polynomial(
-        oracle, 2, 2, d, d,
-        x_box=([1, 1, 1], [2, 2, 2]), y_box=([1, 1, 1], [2, 2, 2]),
-    )
-    assert out == R
-
-
-def test_reconstruct_bilinear_bivariate():
-    target = Poly(2, {(1, 1): Fraction(2), (0, 1): Fraction(-3), (1, 0): Fraction(1, 2), (0, 0): 5})
-
-    def oracle(x, y):
-        return target.evaluate([x[0], y[0]])
-
-    assert reconstruct_polynomial(oracle, 1, 1, 1, 1) == target
 
 
 # -- the polynomial layer against the plain Fraction loops -------------------------------

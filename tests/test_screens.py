@@ -596,6 +596,22 @@ def test_integrate_time_span_direction():
     assert len(traj) == 1 and traj.stats["accepted"] == 0 and traj.stats["rhs_evals"] == 1
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.0, math.nan, math.inf, -1e-10])
+def test_integrate_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    # refused by name before any force evaluation, not as a step underflow or a drift
+    # reported after the whole orbit
+    kepler = kepler_force(1.0, [0, 0, 1])
+    calls = []
+
+    def force(q):
+        calls.append(q)
+        return kepler(q)
+
+    with pytest.raises(ValueError, match=r"^tol = .* must be positive and finite$"):
+        integrate(flat_screen(3), force, [1, 0, 1], [0, 0.5, 0], (0, 1), tol)
+    assert calls == []
+
+
 # -- the screen layer against its reference expressions, byte for byte -----------------
 
 BYTE_SCREENS = {

@@ -1,5 +1,6 @@
 """The run loop, result digest and JSON report shared by the layer benches
-(``bench_classify.py`` and ``bench_young.py``).
+(``bench_classify.py``, ``bench_young.py``, ``bench_pbb.py`` and
+``bench_screens.py``).
 
 A bench gives a list of cases, each a (keys, function, make) triple: keys
 is the path of the case in the report's ``results``, and make() builds the
@@ -17,7 +18,12 @@ host speed during the run reaches every checkout alike.
 Each call's result is digested (sha256 of its repr, or of its JSON form),
 so runs on different checkouts can be compared for identical answers.
 Each checkout's medians and quartiles (in ms) and digests go to its own
-``--out`` file, named by its ``--label``.
+``--out`` file, named by its ``--label``.  The printed table gives each
+case's medians and, for every later checkout, its median's ratio to the
+first checkout's.  A case is flagged ``noisy`` when, for some later
+checkout, the interquartile range of it or of the first, over its own
+median, is wider than |ratio - 1|: that ratio is inside the spread of the
+runs and tells no difference.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ def main(tool, doc, cases, repeats, seed, default_out, argv=None):
         conn.send(False)
         proc.join()
 
-    medians = []
+    columns = []
     for (python, numpy_version, keys), runs, label, out in zip(hellos, rows, labels, outs):
         results, column = {}, []
         for k, path in enumerate(keys):
@@ -116,13 +122,18 @@ def main(tool, doc, cases, repeats, seed, default_out, argv=None):
                 "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
                 "result_sha256": sorted({run[k][1] for run in runs}),
             }
-            column.append(median)
-        medians.append(column)
+            column.append((median, (q3 - q1) / median))
+        columns.append(column)
         report = {"tool": tool, "seed": seed, "repeats": repeats, "python": python, "numpy": numpy_version,
                   "cpus": os.cpu_count(), "label": label, "results": results}
         with open(out, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print(" ".join(f"{label:>12.12s}" for label in labels), "  (median ms)")
+    ratios = [f"{'ratio ' + label:>12.12s}" for label in labels[1:]]
+    print(" ".join([f"{label:>12.12s}" for label in labels] + ratios), "  (median ms, ratio to the first)")
     for k, path in enumerate(hellos[0][2]):
-        print(" ".join(f"{column[k]:12.3f}" for column in medians), " ", " ".join(path))
+        (base, base_spread), *rest = [column[k] for column in columns]
+        ratio = [median / base for median, _ in rest]
+        noisy = any(max(base_spread, spread) > abs(r - 1) for (_, spread), r in zip(rest, ratio))
+        print(" ".join([f"{column[k][0]:12.3f}" for column in columns] + [f"{r:12.3f}" for r in ratio]),
+              "noisy" if noisy else "     ", " ".join(path))
