@@ -27,6 +27,23 @@ each accepted state records its drift from the screen as it goes, so no
 second pass over the samples checks it; the run's counters are plain ints
 and floats.
 
+The one exception to the rule is a product whose exact coefficients leave a
+single term in each sum.  Every other term of such a chain is an exact +-0
+(a zero coefficient times a finite float), so the chain's result is that
+term, a zero's sign aside.  A screen reads this structure once, when it is
+built.  A LinearFormScreen whose phi is a coordinate covector e_k records
+``axis`` = k; its local and the linear right-hand side read h = q[k] after
+the finiteness check, as a zero of either sign is outside the domain.  A
+QuadraticRootScreen whose G is the identity records ``identity``; its local
+reads q.q for q G q, q + 0.0 for G q (OpenBLAS writes +0.0 where q has -0.0,
+and so does q + 0.0) and v.v for v G v while v.v is finite, since the NaN
+of a non-finite v can carry another sign.  So the builtin flat screens and
+the unit sphere take these paths, and every other screen (the hyperboloid,
+a non-unit phi, any other G) keeps the dots.  The Kepler and inverse-cube
+forces at mu = 1 divide by r^3 * -1.0 (r2^2 * -1.0) instead of multiplying
+by -mu first: (-x) / y and x / (y * -1.0) round alike, and the product
+keeps a NaN's sign as -1.0 * x does, where -y would flip it.
+
 Each DP5(4) step does only the float work it needs, by three more rules
 that keep every bit.  The fifth-order solution y5 is the last stage's input,
 since that stage's row of coefficients is the fifth-order weights with a 0
@@ -165,6 +182,9 @@ class LinearFormScreen(Screen):
         self.phi.flags.writeable = False
         self.dim = len(self.phi)
         self._hess = np.zeros((self.dim, self.dim))
+        # k when phi is the coordinate covector e_k: then phi q is q[k] for a finite q
+        coords = self.phi.tolist()
+        self.axis = coords.index(1.0) if coords.count(0.0) == self.dim - 1 and 1.0 in coords else None
 
     def value(self, q):
         return float(self.phi.dot(_floats(q)))
@@ -176,7 +196,10 @@ class LinearFormScreen(Screen):
         return self._hess
 
     def local(self, q, v=None):
-        h = float(self.phi.dot(q)) if all(map(math.isfinite, q.tolist())) else 0.0
+        qs = q.tolist()
+        if not all(map(math.isfinite, qs)):
+            return None
+        h = qs[self.axis] if self.axis is not None else float(self.phi.dot(q))
         return (h, self.phi, None if v is None else 0.0) if h > 0.0 else None
 
     def to_json(self):
@@ -202,6 +225,8 @@ class QuadraticRootScreen(Screen):
             raise ValueError("screen quadratic form must be symmetric")
         self.dim = self.gmat.shape[0]
         self.sheet = None if sheet is None else np.array([float(x) for x in sheet], dtype=float)
+        # G = I: local reads q.q, q + 0.0 and v.v for q G q, G q and v G v
+        self.identity = bool(np.array_equal(self.gmat, np.eye(self.dim)))
 
     def value(self, q):
         q = _floats(q)
@@ -218,17 +243,23 @@ class QuadraticRootScreen(Screen):
         return self.gmat / h - np.outer(gq, gq) / h**3
 
     def local(self, q, v=None):
+        if not all(map(math.isfinite, q.tolist())):
+            return None
+        identity = self.identity
         # (q G) q as in value(): for a non-diagonal G, q G and G q can differ in the last bit
-        s = q.dot(self.gmat).dot(q) if all(map(math.isfinite, q.tolist())) else 0.0
+        s = q.dot(q) if identity else q.dot(self.gmat).dot(q)
         if s <= 0.0 or (self.sheet is not None and self.sheet.dot(q) <= 0.0):
             return None
         h = math.sqrt(s)
-        gq = self.gmat.dot(q)
+        gq = q + 0.0 if identity else self.gmat.dot(q)
         if v is None:
             return h, gq / h, None
         gqv = gq.dot(v)
+        vgv = v.dot(v) if identity else None
+        if vgv is None or not math.isfinite(vgv):
+            vgv = v.dot(self.gmat).dot(v)
         # v^T (G/h - Gq (Gq)^T / h^3) v without forming the d x d matrix
-        return h, gq / h, v.dot(self.gmat).dot(v) / h - gqv * gqv / h**3
+        return h, gq / h, vgv / h - gqv * gqv / h**3
 
     def to_json(self):
         return {
@@ -374,13 +405,15 @@ def kepler_force(mu, center, reference_screen=None):
     center = np.asarray(center, dtype=float)
     dim = len(center)
     screen = reference_screen or flat_screen(dim)
+    unit = mu == 1.0
 
     def f_H(x):
         delta = x - center
         r = math.sqrt(delta.dot(delta))
         if r == 0.0:
             raise ZeroDivisionError(f"kepler force evaluated at its center {center.tolist()}")
-        return -mu * delta / r**3
+        # at mu = 1 one array operation, bit for bit (module docstring)
+        return delta / (r**3 * -1.0) if unit else -mu * delta / r**3
 
     def exact():
         # f_i = -mu (q_i - c_i h) * s / (h * S^2) with S = |q - c h|^2, h = <phi, q>
@@ -436,11 +469,14 @@ def inverse_cube_force(dim, mu=1.0):
         for i in range(dim)
     ]
 
+    unit = mu == 1.0
+
     def func(q):
         r2 = float(q @ q)
         if r2 == 0.0:
             raise ZeroDivisionError("inverse-cube force evaluated at the origin")
-        return -mu * q / r2**2
+        # at mu = 1 one array operation, bit for bit (module docstring)
+        return q / (r2**2 * -1.0) if unit else -mu * q / r2**2
 
     return ProjectiveForceField(dim, func, exact=exact, name="inverse_cube", params={"mu": mu})
 
@@ -791,7 +827,7 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
     evals = 0
 
     if screen.kind == "linear":
-        phi = screen.phi
+        phi, axis = screen.phi, screen.axis
         # a force homogenized over a linear screen of this phi is read from the rhs's own h
         f_H, reference = homogenized or (None, None)
         if reference is not None and (reference.kind != "linear" or reference.phi.tobytes() != phi.tobytes()):
@@ -799,10 +835,12 @@ def integrate(screen, force, q0, v0, t_span, tol=1e-10):
 
         def rhs(t, y, out):
             """Write (v, f + lambda q) at state y into the stage row out; h = phi q
-            is the dh(q) of the radial reaction, and v^T H v is 0."""
+            (q[axis] on a coordinate covector) is the dh(q) of the radial
+            reaction, and v^T H v is 0."""
             nonlocal evals
             q = y[:d]
-            h = float(phi.dot(q)) if all(map(math.isfinite, q.tolist())) else 0.0
+            qs = q.tolist()
+            h = (qs[axis] if axis is not None else float(phi.dot(q))) if all(map(math.isfinite, qs)) else 0.0
             if not h > 0.0:
                 raise DomainExitError("trajectory left the validity domain", t)
             evals += 1

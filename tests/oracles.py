@@ -12,6 +12,11 @@
   and its error norm on numpy arrays.  The library computes the same
   floating-point operations in the same order with less work, so these are
   the references for its bytes.
+* The builtin screens and forces without their exact structure: a copy of a
+  screen with no recorded axis or identity, so every product is a dot, and
+  the Kepler and inverse-cube forces by the general mu expression
+  -mu * x / r^3.  They are the references for the bytes of the paths that
+  read that structure.
 * The P^{b,b} chain on Fractions, one plain loop per step: the polar form,
   its diagonal, the pair diagonal and the pair-antisymmetric form.  The
   library runs the same chain on one cleared integer table; these loops are
@@ -48,6 +53,7 @@
   and the reader of one serialized rational.
 """
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -76,11 +82,14 @@ from projdyn.polyintegrals import AntisymmetricForm, pair_tableau, q_indices, qv
 from projdyn.screens import (
     MAX_STEPS,
     DomainExitError,
+    ProjectiveForceField,
     Screen,
     StepBudgetError,
     StepUnderflowError,
     VisibilityError,
     _floats,
+    flat_screen,
+    homogenize_force,
 )
 from projdyn.young import (
     NumberingError,
@@ -198,6 +207,47 @@ def central_project_reference(to_screen, q, v):
         raise VisibilityError("point is not visible on the target screen")
     k, dk, _ = geometry
     return q / k, k * v - dk.dot(v) * q
+
+
+def without_exact_structure(screen):
+    """A copy of a linear or quadric screen that takes the general paths: no
+    recorded axis (h = phi q as a dot) and no identity flag (q G q, G q and
+    v G v as dots)."""
+    general = copy.copy(screen)
+    if screen.kind == "linear":
+        general.axis = None
+    else:
+        general.identity = False
+    return general
+
+
+def kepler_force_general(mu, center, reference_screen=None):
+    """screens.kepler_force by the general expression -mu * delta / r^3 at
+    every mu, without its exact components."""
+    center = np.asarray(center, dtype=float)
+    screen = reference_screen or flat_screen(len(center))
+
+    def f_H(x):
+        delta = x - center
+        r = math.sqrt(delta.dot(delta))
+        if r == 0.0:
+            raise ZeroDivisionError(f"kepler force evaluated at its center {center.tolist()}")
+        return -mu * delta / r**3
+
+    return homogenize_force(f_H, screen, name="kepler", params={"mu": mu, "center": [float(c) for c in center]})
+
+
+def inverse_cube_force_general(dim, mu=1.0):
+    """screens.inverse_cube_force by the general expression -mu * q / r2^2 at
+    every mu, without its exact components."""
+
+    def func(q):
+        r2 = float(q @ q)
+        if r2 == 0.0:
+            raise ZeroDivisionError("inverse-cube force evaluated at the origin")
+        return -mu * q / r2**2
+
+    return ProjectiveForceField(dim, func, name="inverse_cube", params={"mu": mu})
 
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])

@@ -20,7 +20,10 @@ from oracles import (
     dormand_prince_reference,
     hermite_reference,
     hessian_vv,
+    inverse_cube_force_general,
+    kepler_force_general,
     project_state_reference,
+    without_exact_structure,
 )
 from projdyn import screens as sc
 from projdyn.screens import (
@@ -905,3 +908,126 @@ def test_pairwise_sum_matches_numpy_reduce_bit_for_bit():
                 xs = [draw() for _ in range(n)]
                 got, expected = sc._pairwise_sum(xs), float(np.add.reduce(np.array(xs)))
                 assert got.hex() == expected.hex() or math.isnan(got) and math.isnan(expected), (n, xs)
+
+
+# -- the paths that read a screen's or a force's exact structure, byte for byte ---------------
+
+
+def test_the_exact_structure_is_recorded_only_where_it_holds():
+    assert flat_screen(3).axis == 2 and flat_screen(4, axis=1).axis == 1
+    assert sc.screen_from_json(flat_screen(4, axis=1).to_json()).axis == 1
+    # read from the float phi: a coefficient of 1e-20 is not a zero, though its exact form rounds to one
+    for phi in ([0, 2, 0], [1, 1, 0], [0, 0, -1], [0, 0, 0], [1e-20, 0, 1]):
+        assert sc.LinearFormScreen(phi).axis is None, phi
+    assert sphere_screen(2).identity and sphere_screen(5).identity
+    assert not hyperboloid_screen(3).identity
+    assert not sc.QuadraticRootScreen([[2, 0], [0, 2]]).identity
+    assert not LOCAL_SCREENS["non-diagonal"]().identity
+
+
+def _rotated_start(start, speed):
+    """The start point and velocity of _ORBIT_PINS, rotated by one radian about the last axis."""
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return rot @ np.array(start), rot @ np.array([0.0, speed, 0.0])
+
+
+def _structure_orbit(name):
+    """(screen, force, the force by its general mu expression, q0, v0, time span, tolerance)."""
+    if name in _ORBIT_PINS:
+        (build, force_kind, start, speed, tol, span), _ = _ORBIT_PINS[name]
+        forces = {"kepler": (kepler_force(1.0, [0.0, 0.0, 1.0]), kepler_force_general(1.0, [0.0, 0.0, 1.0])),
+                  "oscillator": (sc.oscillator_force(3),) * 2,
+                  "inverse_cube": (sc.inverse_cube_force(3), inverse_cube_force_general(3)),
+                  "zero": (zero_force(3),) * 2}
+        screen, (q0, v0) = build(3), _rotated_start(start, speed)
+        return (screen, *forces[force_kind], q0 / screen.value(q0), v0, span, tol)
+    if name == "oscillator-flat-axis-1":
+        return (flat_screen(4, axis=1), sc.oscillator_force(4, axis=1), sc.oscillator_force(4, axis=1),
+                [0.3, 1.0, 0.2, -0.4], [0.1, 0.0, 0.5, 0.2], 4.0, 1e-10)
+    if name == "kepler-flat-axis-1":
+        screen, center = flat_screen(4, axis=1), [0.0, 1.0, 0.0, 0.0]
+        return (screen, kepler_force(1.0, center, screen), kepler_force_general(1.0, center, screen),
+                [0.8, 1.0, 0.3, 0.1], [0.0, 0.0, 0.8, 0.2], 3.0, 1e-10)
+    if name == "kepler-flat-mu-0.5":
+        q0, v0 = _rotated_start((1.0, 0.0, 1.0), 0.6)
+        return (flat_screen(3), kepler_force(0.5, [0.0, 0.0, 1.0]), kepler_force_general(0.5, [0.0, 0.0, 1.0]),
+                q0, v0, 3.0, 1e-10)
+    assert name == "inverse-cube-sphere-mu-0.5"
+    q0, v0 = _rotated_start((0.3, 0.0, 1.0), 0.4)
+    return (sphere_screen(3), sc.inverse_cube_force(3, mu=0.5), inverse_cube_force_general(3, mu=0.5),
+            q0 / np.linalg.norm(q0), v0, 1.5, 1e-11)
+
+
+@pytest.mark.parametrize("name", [*_ORBIT_PINS, "oscillator-flat-axis-1", "kepler-flat-axis-1",
+                                  "kepler-flat-mu-0.5", "inverse-cube-sphere-mu-0.5"])
+def test_the_exact_structure_keeps_every_bit_of_an_orbit(name):
+    """Each orbit as built, and again on a copy of its screen without the
+    recorded axis or identity under its force by the general mu expression:
+    the same times, states, derivatives, stats and CSV bytes."""
+    screen, force, general, q0, v0, span, tol = _structure_orbit(name)
+    built = integrate(screen, force, q0, v0, (0.0, span), tol)
+    cleared = integrate(without_exact_structure(screen), general, q0, v0, (0.0, span), tol)
+    assert len(built) > 10
+    assert _bits(built) == _bits(cleared) and built.to_csv() == cleared.to_csv()
+
+
+def test_the_flat_axis_keeps_every_force_call_of_a_run_whose_stages_overflow():
+    """A finite force so large that the stages' sums overflow: a stage's q
+    turns infinite off the axis while q[axis] stays finite, which is a domain
+    exit on either path.  The force sees the same arguments, bit for bit."""
+
+    def run(screen):
+        calls = []
+
+        def func(q):
+            calls.append(q.tobytes())
+            return np.array([1.7e308 if q[0] > 0.5 else 0.0, 0.0, 0.0])
+
+        try:
+            integrate(screen, sc.ProjectiveForceField(3, func), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], (0.0, 2.0), 1e-10)
+        except (DomainExitError, StepUnderflowError) as exc:
+            return calls, type(exc), str(exc)
+        raise AssertionError("the run should stop")
+
+    built = run(flat_screen(3))
+    assert all(np.isfinite(np.frombuffer(q)).all() for q in built[0])
+    assert built == run(without_exact_structure(flat_screen(3)))
+
+
+# signed zeros, subnormals, magnitudes whose squares overflow, and non-finite entries of either sign
+_ENTRY = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300,
+     math.inf, -math.inf, math.nan, -math.nan]))
+
+
+def _outcome(call):
+    """What call() returns, as the type and bytes of each part, or its exception's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            value = call()
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    parts = value if isinstance(value, tuple) else (value,)
+    return [None if x is None else (type(x), np.asarray(x).tobytes()) for x in parts]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["flat", "flat-axis-1", "sphere"]), st.integers(2, 9),
+       st.lists(_ENTRY, min_size=9, max_size=9), st.lists(_ENTRY, min_size=9, max_size=9), st.sampled_from([1.0, 0.5]))
+@example("sphere", 3, [-0.0, 0.6, -0.0, *[0.0] * 6], [0.5, 0.1, 0.2, *[0.0] * 6], 1.0)  # G q keeps q's -0.0 as +0.0
+@example("sphere", 4, [0.6, 0.0, 0.8, *[0.0] * 6], [math.nan, -math.nan, 0.0, 0.5, *[0.0] * 5], 1.0)  # v G v's NaN
+@example("flat", 3, [0.0, 0.0, math.inf, *[0.0] * 6], [0.0] * 9, 1.0)  # h = inf: r is a NaN
+@example("flat", 3, [0.5, math.nan, 1.0, *[0.0] * 6], [0.0] * 9, 1.0)  # phi q is NaN, q[axis] is not
+def test_the_exact_structure_keeps_every_bit_of_the_geometry_and_the_forces(kind, dim, q, v, mu):
+    screen = {"flat": flat_screen, "flat-axis-1": lambda d: flat_screen(d, axis=1), "sphere": sphere_screen}[kind](dim)
+    general = without_exact_structure(screen)
+    q, v = np.array(q[:dim]), np.array(v[:dim])
+    for call in (lambda s: s.local(q), lambda s: s.local(q, v), lambda s: central_project_state(s, s, q, v),
+                 lambda s: s.project_state(q, v)):
+        assert _outcome(lambda: call(screen)) == _outcome(lambda: call(general))
+    center = [0.0] * (dim - 1) + [1.0]
+    kepler, kepler_ref = kepler_force(mu, center), kepler_force_general(mu, center)
+    for built, ref in ((kepler, kepler_ref), (kepler.homogenized[0], kepler_ref.homogenized[0]),
+                       (sc.inverse_cube_force(dim, mu), inverse_cube_force_general(dim, mu))):
+        assert _outcome(lambda: built(q)) == _outcome(lambda: ref(q))

@@ -1,6 +1,7 @@
-"""Layer timings of the float screen layer: the stepper, dense output and the
-central projection, on the five orbits of perfbench ``orbits`` and a Kepler
-orbit on the flat screen of dimension 4, and the parallel-transport check.
+"""Layer timings of the float screen layer: the stepper, dense output, the
+central projection, the screen geometry and the forces, on the five orbits
+of perfbench ``orbits`` and a Kepler orbit on the flat screen of dimension
+4, and the parallel-transport check.
 
 Each scenario is one of the workload's screen/force pairs (or the
 four-dimensional Kepler orbit, whose state has 8 components), started at its
@@ -14,14 +15,20 @@ and quartiles in ms of:
   that the first read builds are built in every repeat);
 * ``central_project_state``: every stored state of the orbit sent to the
   workload's target screen;
+* ``local``: ``Screen.local(q, v)`` and ``Screen.local(q)`` at every stored
+  state of the flat, sphere and hyperboloid orbits (the hyperboloid's
+  geometry takes the general quadric path, the unchanged control);
+* ``force``: one call of the Kepler and of the inverse-cube force at every
+  stored position of their orbits;
 * ``parallel_transport_check``: ``compat.parallel_transport_check`` of the
   metric form of diag(2, 1, 1) on the unit sphere, whose state of q, v and w
   has 9 components.
 
 Every case returns ``.tolist()`` data (times, states, derivatives and the
-stats of a run; the dense reads; the projected states) or a float (the
-transport check's drift, the largest over its states), whose float reprs
-round-trip, so equal digests on two checkouts mean bit-identical floats.
+stats of a run; the dense reads; the projected states; the geometry and
+the force values) or a float (the transport check's drift, the largest
+over its states), whose float reprs round-trip, so equal digests on two
+checkouts mean bit-identical floats.
 Each time is the median (and quartiles) of REPEATS calls.  The run loop,
 the result digests and the report are those of ``benchrun.py``: the
 repeats go round all the cases, and round every checkout named by
@@ -59,6 +66,9 @@ SCENARIOS = {
     "free-hyperboloid": ("hyperboloid", "zero", (0.3, 0.0, 1.2), 0.5, 1e-10, 6.0, "flat"),
     "kepler-flat-4d": ("flat", "kepler", (1.0, 0.0, 0.3, 1.0), 0.8, 1e-10, 3.0, "sphere"),
 }
+# the orbits whose stored states the local and force cases read
+LOCAL_SCENARIOS = ("kepler-flat", "kepler-sphere", "free-hyperboloid")
+FORCE_SCENARIOS = ("kepler-flat", "inverse-cube-sphere")
 # the transport check: (screen, diagonal of the metric form, q0, v0, w0, time span, tolerance)
 TRANSPORT = ("sphere", (2, 1, 1), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, 0.9, 0.0), 3.0, 1e-10)
 
@@ -78,6 +88,19 @@ def central_project_state(screen, target, qs, vs):
     from projdyn.screens import central_project_state
 
     return [[Q.tolist(), V.tolist()] for Q, V in (central_project_state(screen, target, q, v) for q, v in zip(qs, vs))]
+
+
+def local_geometry(screen, qs, vs):
+    out = []
+    for q, v in zip(qs, vs):
+        h, g, hvv = screen.local(q, v)
+        h_alone, g_alone, _ = screen.local(q)
+        out.append([float(h), g.tolist(), float(hvv), float(h_alone), g_alone.tolist()])
+    return out
+
+
+def force_values(field, qs):
+    return [field(q).tolist() for q in qs]
 
 
 def parallel_transport_check(form, screen, q0, v0, w0, span, tol):
@@ -121,6 +144,11 @@ def cases():
                         traj.screen, traj.times.copy(), traj.qs.copy(), traj.vs.copy(), traj.derivs.copy()), dense)))
         out.append(("central_project_state", name, central_project_state,
                     lambda screen=screen, target=target, traj=traj: (screen, target, traj.qs, traj.vs)))
+        if name in LOCAL_SCENARIOS:
+            out.append(("local", kind, local_geometry,
+                        lambda screen=screen, traj=traj: (screen, list(traj.qs), list(traj.vs))))
+        if name in FORCE_SCENARIOS:
+            out.append(("force", force_kind, force_values, lambda force=force, traj=traj: (force, list(traj.qs))))
     kind, diagonal, q0, v0, w0, span, tol = TRANSPORT
     gmat = [[diagonal[i] if i == j else 0 for j in range(len(diagonal))] for i in range(len(diagonal))]
     form, screen = CurvatureForm(metric_form_tensor(gmat)), builders[kind](len(diagonal))
