@@ -12,7 +12,8 @@ second from the first through R's polar form, an internal integer table:
   polynomial in the impulsion bivector q ^ v.
 
 The module also homogenizes screen-level polynomial integrals on linear and
-quadratic-root screens, differentiates candidate integrals along a
+quadratic-root screens, by polynomial substitution over a power of the
+screen's denominator, and differentiates candidate integrals along a
 projective force field (including inverse-square fields through the
 square-root ring).  Every step is exact and decides each invariance once; a
 screen-level integral is a Poly (anything else raises TypeError).
@@ -28,7 +29,6 @@ from fractions import Fraction
 from projdyn.exactlin import (
     SparseEchelon,
     Tensor,
-    accumulate,
     clear_denominators,
     kernel,
     rat,
@@ -354,87 +354,33 @@ def _pair_blocks(b: int):
 # ---------------------------------------------------------------------------
 # homogenization of screen-level integrals
 
-def _substitute_sqrt(poly: Poly, images) -> SqrtElem:
-    """poly(images) over one common denominator.
-
-    The images carry few distinct denominators (h or q^T G q for the
-    x-images, 1 or q^T G q for the w-images), so each term's denominator is a
-    product of their powers.  Each term's numerator is built from cached
-    powers of the image numerators and scaled once to the largest power of
-    every denominator; the scaled numerators are summed into one dict each.
-    """
-    base = images[0].base
-    nv = base.nvars
-    one = Poly.const(nv, 1)
-    dens = []
-    for img in images:
-        if img.D != one and img.D not in dens:
-            dens.append(img.D)
-    slots = [dens.index(img.D) if img.D in dens else None for img in images]
-    nums = [SqrtElem(img.P, img.Q, one, base) for img in images]
-    cache = {}
-    terms = []
-    for exps, coef in poly.terms.items():
-        num = SqrtElem.from_poly(Poly.const(nv, coef), base)
-        powers = [0] * len(dens)
-        for i, e in enumerate(exps):
-            if e:
-                if (i, e) not in cache:
-                    cache[(i, e)] = nums[i] ** e
-                num = num * cache[(i, e)]
-                if slots[i] is not None:
-                    powers[slots[i]] += e
-        terms.append((num, powers))
-    top = [max((powers[j] for _, powers in terms), default=0) for j in range(len(dens))]
-    scales = {}
-    P, Q = {}, {}
-    for num, powers in terms:
-        gaps = tuple(t - k for t, k in zip(top, powers))
-        if gaps not in scales:
-            scales[gaps] = math.prod((d ** g for d, g in zip(dens, gaps)), start=one)
-        for part, out in ((num.P, P), (num.Q, Q)):
-            for key, val in (part * scales[gaps]).terms.items():
-                accumulate(out, key, val)
-    D = math.prod((d ** t for d, t in zip(dens, top)), start=one)
-    return SqrtElem(Poly._raw(nv, P), Poly._raw(nv, Q), D, base)
-
-
 def _central_images(screen):
-    """The images of x_0.. and w_0.. under x = q / h(q) and
-    w = <dh,q> v - <dh,v> q, for a linear or quadratic-root screen."""
+    """Polynomial images for x = q / h(q) and w = <dh,q> v - <dh,v> q on a
+    linear or quadratic-root screen, and whether the screen is a quadric.
+
+    On a linear screen h = phi.q, w is W with W_i = h v_i - (phi.v) q_i; on
+    a quadratic-root screen h^2 = q^T G q and w is W / h with
+    W_i = (q^T G q) v_i - (q^T G v) q_i.  The images are those of q_0..,
+    W_0.. and of a denominator variable: h, or h^2 on a quadric.
+    """
     dim = screen.dim
     nv = 2 * dim
+    q = [qvar(i, dim) for i in range(dim)]
     if screen.kind == "linear":
         phi = [rat(x) for x in screen.phi_exact]
-        base = Poly.const(nv, 1)
         h = Poly(nv, {tuple(1 if k == i else 0 for k in range(nv)): phi[i] for i in range(dim) if phi[i]})
         phi_v = Poly(nv, {tuple(1 if k == dim + i else 0 for k in range(nv)): phi[i] for i in range(dim) if phi[i]})
-        x_imgs = [SqrtElem(qvar(i, dim), Poly.zero(nv), h, base) for i in range(dim)]
-        w_imgs = [
-            SqrtElem(h * vvar(i, dim) - phi_v * qvar(i, dim), Poly.zero(nv), Poly.const(nv, 1), base)
-            for i in range(dim)
-        ]
-    elif screen.kind == "quadratic_root":
+        return q + [h * vvar(i, dim) - phi_v * q[i] for i in range(dim)] + [h], False
+    if screen.kind == "quadratic_root":
         gm = [[rat(x) for x in row] for row in screen.gmat_exact]
-        gq = Poly.zero(nv)
+        gq = gqv = Poly.zero(nv)
         for i in range(dim):
             for j in range(dim):
                 if gm[i][j]:
-                    gq = gq + (qvar(i, dim) * qvar(j, dim)).scale(gm[i][j])
-        gqv = Poly.zero(nv)
-        for i in range(dim):
-            for j in range(dim):
-                if gm[i][j]:
-                    gqv = gqv + (qvar(i, dim) * vvar(j, dim)).scale(gm[i][j])
-        base = gq
-        x_imgs = [SqrtElem(Poly.zero(nv), qvar(i, dim), gq, base) for i in range(dim)]
-        w_imgs = [
-            SqrtElem(Poly.zero(nv), gq * vvar(i, dim) - gqv * qvar(i, dim), gq, base)
-            for i in range(dim)
-        ]
-    else:
-        raise NotPolynomialError("exact homogenization needs a linear or quadratic-root screen")
-    return x_imgs + w_imgs
+                    gq = gq + (q[i] * q[j]).scale(gm[i][j])
+                    gqv = gqv + (q[i] * vvar(j, dim)).scale(gm[i][j])
+        return q + [gq * vvar(i, dim) - gqv * q[i] for i in range(dim)] + [gq], True
+    raise NotPolynomialError("exact homogenization needs a linear or quadratic-root screen")
 
 
 def homogenize_polynomial(G_H: Poly, screen) -> Poly:
@@ -445,8 +391,35 @@ def homogenize_polynomial(G_H: Poly, screen) -> Poly:
     denominators; raises NotPolynomialError when the result is not a
     polynomial, which happens exactly when G_H is not (the restriction of) a
     first integral of free motion.
+
+    Each term c x^a w^b becomes c q^a W^b / h^k (``_central_images``), with
+    k = |a| on a linear screen and k = |a| + |b| on a quadric.  A class of
+    terms is lifted by one variable carrying each term's missing power of
+    the denominator, up to the class's largest k, and substituted once.  On
+    a quadric the terms of odd k carry the irrational h = sqrt(q^T G q), so
+    they must sum to zero; those of even k are a power of q^T G q apart.
+    The quotient by the denominator comes from ``exact_div``, whose terms
+    are in descending graded-lex order whatever the numerator's order.
     """
-    return _substitute_sqrt(G_H, _central_images(screen)).as_poly()
+    images, quadric = _central_images(screen)
+    dim = screen.dim
+    span, step = (2 * dim, 2) if quadric else (dim, 1)
+    classes = {}
+    for exps, coef in G_H.terms.items():
+        k = sum(exps[:span])
+        classes.setdefault(k % step, []).append((exps, coef, k))
+
+    def numerator(terms):
+        top = max(k for _, _, k in terms)
+        lifted = Poly._raw(G_H.nvars + 1, {exps + ((top - k) // step,): coef for exps, coef, k in terms})
+        return lifted.substitute(images), top // step
+
+    if 1 in classes and not numerator(classes[1])[0].is_zero():
+        raise NotPolynomialError("value has an irrational part")
+    if 0 not in classes:
+        return Poly.zero(2 * dim)
+    num, power = numerator(classes[0])
+    return num.exact_div(images[-1] ** power)
 
 
 class ScreenIntegral:
@@ -489,28 +462,18 @@ def _component_homogeneity(comp: SqrtElem, dim: int):
 
 
 def _exact_components(force, dim):
+    """The force's exact components as SqrtElems on one base: that of the
+    components with an irrational part, else the first component's."""
     if force is None:
         return None
     comps = getattr(force, "exact", force if isinstance(force, list) else None)
     if comps is None:
         return None
-    out = []
-    base = None
-    for c in comps:
-        if isinstance(c, Poly):
-            c = SqrtElem.from_poly(c, Poly.const(2 * dim, 1))
-        out.append(c)
-        if not c.Q.is_zero():
-            base = c.base
-    if base is not None:
-        # rebase rational components so all arithmetic shares one root
-        out = [
-            SqrtElem(c.P, c.Q, c.D, base) if c.Q.is_zero() or c.base == base else c
-            for c in out
-        ]
-        if any(not c.Q.is_zero() and c.base != base for c in out):
-            raise ForceHomogeneityError("components mix different square roots")
-    return out
+    out = [SqrtElem.from_poly(c, Poly.const(2 * dim, 1)) if isinstance(c, Poly) else c for c in comps]
+    roots = [c.base for c in out if not c.Q.is_zero()] or [c.base for c in out[:1]]
+    if any(root != roots[0] for root in roots):
+        raise ForceHomogeneityError("components mix different square roots")
+    return [c if c.base == roots[0] else SqrtElem(c.P, c.Q, c.D, roots[0]) for c in out]
 
 
 def check_force_degree(force, dim):
@@ -548,16 +511,12 @@ def gdot(G: Poly, force=None):
             comps = None
     if comps is None:
         return kinetic
-    base = next((c.base for c in comps if not c.Q.is_zero()), comps[0].base)
+    base = comps[0].base
     total = SqrtElem.from_poly(kinetic, base)
     for i in range(dim):
         dGdv = G.diff(dim + i)
-        if dGdv.is_zero():
-            continue
-        c = comps[i]
-        if c.base != base:
-            c = SqrtElem(c.P, c.Q, c.D, base)
-        total = total + c * SqrtElem.from_poly(dGdv, base)
+        if not dGdv.is_zero():
+            total = total + comps[i] * SqrtElem.from_poly(dGdv, base)
     if total.Q.is_zero():
         try:
             return total.as_poly()

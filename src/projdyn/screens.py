@@ -177,7 +177,7 @@ class LinearFormScreen(Screen):
     kind = "linear"
 
     def __init__(self, phi):
-        self.phi_exact = tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12) for x in phi)
+        self.phi_exact = tuple(Fraction(x) for x in phi)
         self.phi = np.array([float(x) for x in phi], dtype=float)
         self.phi.flags.writeable = False
         self.dim = len(self.phi)
@@ -216,10 +216,7 @@ class QuadraticRootScreen(Screen):
     kind = "quadratic_root"
 
     def __init__(self, gmat, sheet=None):
-        self.gmat_exact = tuple(
-            tuple(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**12) for x in row)
-            for row in gmat
-        )
+        self.gmat_exact = tuple(tuple(Fraction(x) for x in row) for row in gmat)
         self.gmat = np.array([[float(x) for x in row] for row in gmat], dtype=float)
         if not np.array_equal(self.gmat, self.gmat.T):
             raise ValueError("screen quadratic form must be symmetric")

@@ -118,20 +118,75 @@ def test_homogenize_rejects_non_integral():
         homogenize_polynomial(bad, screen)
 
 
-def test_homogenization_restricts_to_the_screen_integral():
+def _point_on_linear(rng, phi):
+    """A rational q with phi.q = 1 and v with phi.v = 0."""
+    k = max(i for i, c in enumerate(phi) if c)
+    q = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in phi]
+    v = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in phi]
+    q[k] = v[k] = 0
+    q[k] = (1 - sum(c * x for c, x in zip(phi, q))) / phi[k]
+    v[k] = -sum(c * x for c, x in zip(phi, v)) / phi[k]
+    return q, v
+
+
+def _point_on_quadric(rng, g):
+    """A rational q with q^T G q = 1 and last coordinate > 0, and v with
+    q^T G v = 0, for a G with G[-1][-1] = 1: the second point of the quadric
+    on a rational line through e_last, and a vector less its G-projection."""
+    dim = len(g)
+
+    def form(x, y):
+        return sum(g[i][j] * x[i] * y[j] for i in range(dim) for j in range(dim))
+
+    while True:
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
+        if form(u, u):
+            break
+    e = [Fraction(0)] * (dim - 1) + [Fraction(1)]
+    s = -2 * form(e, u) / form(u, u)
+    q = [a + s * b for a, b in zip(e, u)]
+    if q[-1] < 0:
+        q = [-x for x in q]
+    w = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(dim)]
+    return q, [b - form(q, w) * a for a, b in zip(q, w)]
+
+
+_ANGULAR = qvar(0, 3) * vvar(1, 3) - qvar(1, 3) * vvar(0, 3)
+_NON_DIAGONAL_G = [[2, Fraction(1, 3), 0], [Fraction(1, 3), 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("screen", [
+    sc.flat_screen(3),
+    sc.flat_screen(3, 0),
+    sc.LinearFormScreen([Fraction(2), Fraction(-1, 2), Fraction(3)]),
+    sc.sphere_screen(3),
+    sc.hyperboloid_screen(3),
+    sc.QuadraticRootScreen(_NON_DIAGONAL_G),
+], ids=["flat", "flat-axis-0", "linear-phi", "sphere", "hyperboloid", "non-diagonal-quadric"])
+def test_homogenization_restricts_to_the_screen_integral(screen):
     # homogenization followed by restriction to the screen is the identity:
-    # at x on the flat screen (x2 = 1) and w tangent to it (w2 = 0), q / h = x
-    # and <dh,q> v - <dh,v> q = w
+    # at q on the screen (h(q) = 1) and v tangent to it (dh(v) = 0),
+    # q / h = q and <dh,q> v - <dh,v> q = h v = v; and R is invariant under
+    # the shear v -> v + gamma q and the scaling (q, v) -> (lam q, v / lam)
     rng = random.Random(2)
-    screen = sc.flat_screen(3)
-    # the kinetic term, a momentum and a momentum times the angular momentum
-    angular = qvar(0, 3) * vvar(1, 3) - qvar(1, 3) * vvar(0, 3)
-    G_H = euclid_kinetic(3, [0, 1]) + vvar(0, 3) + angular * vvar(1, 3)
+    if screen.kind == "linear":
+        # the kinetic term, a momentum and a momentum times the angular momentum
+        G_H = euclid_kinetic(3, [0, 1]) + vvar(0, 3) + _ANGULAR * vvar(1, 3)
+    else:
+        # the kinetic term of the screen's form, and products of angular momenta
+        g = screen.gmat_exact
+        G_H = sum((vvar(i, 3) * vvar(j, 3)).scale(g[i][j] / 2) for i in range(3) for j in range(3))
+        G_H = G_H + _ANGULAR * _ANGULAR + plucker(3, 0, 2).scale(Fraction(-3, 4)) * _ANGULAR
     R = homogenize_polynomial(G_H, screen)
     for _ in range(10):
-        x = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2)] + [Fraction(1)]
-        w = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2)] + [Fraction(0)]
-        assert R.evaluate(x + w) == G_H.evaluate(x + w)
+        if screen.kind == "linear":
+            q, v = _point_on_linear(rng, screen.phi_exact)
+        else:
+            q, v = _point_on_quadric(rng, screen.gmat_exact)
+        assert R.evaluate(q + v) == G_H.evaluate(q + v)
+        gamma, lam = Fraction(rng.randint(-9, 9), rng.randint(1, 5)), Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        moved = [lam * x for x in q] + [(y + gamma * x) / lam for x, y in zip(q, v)]
+        assert R.evaluate(moved) == G_H.evaluate(q + v)
 
 
 def test_homogenized_sphere_kinetic_is_impulsion_invariant():
@@ -687,11 +742,9 @@ def test_sqrt_sum_with_equal_denominators_keeps_it(p1, q1, p2, q2, d):
     assert total.Q * cross_D == cross_Q * total.D
 
 
-def test_homogenization_denominator_is_a_power_of_the_quadric_form():
-    # summing with cross-multiplied denominators gave degree 4 * 32 here
+def test_homogenization_of_a_high_degree_non_integral_raises():
+    # summing with cross-multiplied denominators once gave degree 4 * 32 here
     dim = 3
     T = qvar(0, dim) ** 30 * vvar(0, dim) ** 2 + (qvar(1, dim) ** 30 * vvar(1, dim) ** 2).scale(Fraction(1, 3))
-    value = pin._substitute_sqrt(T, pin._central_images(sc.sphere_screen(dim)))
-    assert value.D.degree() <= 2 * T.degree()
-    with pytest.raises(NotPolynomialError):
-        value.as_poly()
+    with pytest.raises(NotPolynomialError, match="division left a remainder"):
+        homogenize_polynomial(T, sc.sphere_screen(dim))

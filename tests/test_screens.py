@@ -339,17 +339,33 @@ def test_trajectory_csv_round_trip():
 _NON_DIAGONAL = [[2, Fraction(1, 3), 0], [Fraction(1, 3), 1, 0], [0, 0, 1]]
 
 
+def _same_screen(a, b):
+    """The float coefficients, byte for byte, and the exact structure read from them."""
+    if a.kind == "linear":
+        return b.kind == "linear" and a.phi.tobytes() == b.phi.tobytes() and a.axis == b.axis
+    return b.kind == a.kind and a.gmat.tobytes() == b.gmat.tobytes() and a.identity == b.identity
+
+
+# a float coefficient is kept at its exact binary value, as a JSON number is read
 @pytest.mark.parametrize("screen, q0, v0", [
     (flat_screen(3), [0.0, 0.0, 1.0], [1.0, 0.5, 0.0]),
     (sc.LinearFormScreen([1, 0, Fraction(1, 2)]), [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]),
     (sphere_screen(3), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
     (hyperboloid_screen(3), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]),
     (sc.QuadraticRootScreen(_NON_DIAGONAL), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
-], ids=["flat", "linear-phi", "sphere", "hyperboloid", "non-diagonal-quadric"])
+    (sc.LinearFormScreen([0.1 + 0.2, 0.0, 1.0]), [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    (sc.LinearFormScreen([1e-20, 0.0, 1.0]), [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    (sc.QuadraticRootScreen([[1.1, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    (sc.QuadraticRootScreen([[1.0 + 1e-13, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [0.0, 0.0, 1.0],
+     [0.0, 1.0, 0.0]),
+], ids=["flat", "linear-phi", "sphere", "hyperboloid", "non-diagonal-quadric",
+        "float-phi-0.1+0.2", "float-phi-1e-20", "float-g-1.1", "float-g-1+1e-13"])
 def test_trajectory_csv_round_trip_keeps_the_screen(screen, q0, v0):
+    assert _same_screen(screen, sc.screen_from_json(screen.to_json()))
     traj = integrate(screen, zero_force(3), q0, v0, (0.0, 0.5), tol=1e-10)
     back = TrajectorySample.from_csv(traj.to_csv())
     assert back.screen.to_json() == screen.to_json()
+    assert _same_screen(screen, back.screen)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.states, traj.states)
 
@@ -916,7 +932,7 @@ def test_pairwise_sum_matches_numpy_reduce_bit_for_bit():
 def test_the_exact_structure_is_recorded_only_where_it_holds():
     assert flat_screen(3).axis == 2 and flat_screen(4, axis=1).axis == 1
     assert sc.screen_from_json(flat_screen(4, axis=1).to_json()).axis == 1
-    # read from the float phi: a coefficient of 1e-20 is not a zero, though its exact form rounds to one
+    # read from the float phi: a coefficient of 1e-20 is not a zero
     for phi in ([0, 2, 0], [1, 1, 0], [0, 0, -1], [0, 0, 0], [1e-20, 0, 1]):
         assert sc.LinearFormScreen(phi).axis is None, phi
     assert sphere_screen(2).identity and sphere_screen(5).identity
