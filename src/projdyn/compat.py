@@ -11,9 +11,11 @@ gradient data cleared to integers, one coefficient sum per monomial, with
 no polynomial products.
 
 The chart-level half implements pre-Lagrangians for second-order systems:
-the energy of a pre-Lagrangian, and the presymplectic test deciding exactly,
+the energy of a pre-Lagrangian, the presymplectic test deciding exactly,
 for a polynomial integral, when its velocity-quadratic part admits a
-potential completing it to a pre-Lagrangian.
+potential completing it to a pre-Lagrangian, and quadratic_integrals, which
+finds every first integral of velocity degree at most 2 of q'' = f(q) from
+one exact kernel, each a QuadraticIntegral ready for the screen finder.
 
 Every decision here is exact and made once (the screen finder leaves
 decomposability and the kernel to classify_curvature_form); input that is
@@ -37,12 +39,13 @@ from projdyn.curvclass import (
     classify_curvature_form,
     witnesses_to_json,
 )
-from projdyn.exactlin import accumulate, clear_denominators, format_rational, rref
+from projdyn.exactlin import accumulate, clear_denominators, format_rational, kernel, rref
 from projdyn.polynomials import NotPolynomialError, Poly
 from projdyn.polyintegrals import (
     BiHomogeneousPoly,
     ScreenIntegral,
     homogenize_polynomial,
+    impulsion_poly_basis,
     v_indices,
 )
 
@@ -166,13 +169,17 @@ class QuadraticIntegral:
     """A quadratic first integral G = T - U of a polynomial chart system.
 
     T is the velocity-quadratic part and U depends on position only, both
-    polynomials in the chart variables of the screen's affine chart; the
-    conservation of G along the system is decided exactly on construction.
+    polynomials in the chart variables of the screen's affine chart q_k = 1
+    (a linear screen h = q_k, k its ``axis``); the conservation of G along
+    the system is decided exactly on construction.
     """
 
     def __init__(self, screen, T: Poly, U: Poly, system: SecondOrderSystem):
         if not (isinstance(T, Poly) and isinstance(U, Poly) and isinstance(system, SecondOrderSystem)):
             raise TypeError("a quadratic integral needs exact polynomials and a polynomial chart system")
+        axis = getattr(screen, "axis", None)
+        if axis is None or screen.phi_exact != sc.flat_screen(screen.dim, axis).phi_exact:
+            raise TypeError("a quadratic integral needs a coordinate chart: a linear screen h = q_k")
         self.screen = screen
         self.T = T
         self.U = U
@@ -186,14 +193,47 @@ class QuadraticIntegral:
         if not system.time_derivative(self.G).is_zero():
             raise ValueError("G = T - U is not a first integral of the chart system")
 
-    def leading_term(self, axis=None) -> ScreenIntegral:
+    def leading_term(self) -> ScreenIntegral:
         """The velocity-quadratic part as screen-level data (ambient
         variables), ready for the screen-finder pipeline."""
-        d = self.screen.dim
-        return ScreenIntegral(self.screen, chart_extend(self.T, d, d - 1 if axis is None else axis))
+        return ScreenIntegral(self.screen, chart_extend(self.T, self.screen.dim, self.screen.axis))
 
-    def hamiltonian_test(self, axis=None) -> "ScreenReport":
-        return hamiltonian_test(self.leading_term(axis))
+    def hamiltonian_test(self) -> "ScreenReport":
+        return hamiltonian_test(self.leading_term())
+
+
+def quadratic_integrals(system: SecondOrderSystem):
+    """Every first integral of velocity degree at most 2 of q'' = f(q), over
+    one exact basis: the direct method (Hietarinta, Phys. Rep. 147 (1987) 87).
+
+    The ansatz is G = T + V.  T ranges over the Killing tensors of the chart,
+    the quadratic free integrals of R^{n+1} at q_n = 1, v_n = 0, and V over
+    the monomials of degree at most m + 3 in x, for a force of top degree m
+    (F dT/dy = -y dV/dx bounds V's degree by that).  dG/dt = 0 is linear in
+    the coefficients, one equation per monomial of dG/dt, so one kernel
+    holds every integral.  Each kernel vector, in the kernel's order,
+    becomes a QuadraticIntegral on the flat screen (U = -V), whose
+    constructor verifies its conservation exactly.  A force component that
+    depends on the velocity raises ValueError.
+    """
+    n = system.n
+    if any(f.degree_in(range(n, 2 * n)) > 0 for f in system.forces):
+        raise ValueError("the quadratic ansatz needs a force that depends on the position only")
+    one, zero = Poly.const(2 * n, 1), Poly.zero(2 * n)
+    chart = [xvar(i, n) for i in range(n)] + [one] + [yvar(i, n) for i in range(n)] + [zero]
+    killing = [p.substitute(chart) for p in impulsion_poly_basis(n + 1, 2)]
+    top = max(f.degree() for f in system.forces) + 3
+    potentials = [Poly.monomial(exps + (0,) * n) for exps in itertools.product(range(top + 1), repeat=n)
+                  if sum(exps) <= top]
+    columns = killing + potentials
+    derivatives = [system.time_derivative(c).terms for c in columns]
+    monomials = dict.fromkeys(e for dt in derivatives for e in dt)
+    screen, out = sc.flat_screen(n + 1), []
+    for vec in kernel([[dt.get(e, 0) for dt in derivatives] for e in monomials], len(columns)):
+        T = sum((c.scale(k) for c, k in zip(killing, vec) if k), zero)
+        V = sum((c.scale(k) for c, k in zip(potentials, vec[len(killing):]) if k), zero)
+        out.append(QuadraticIntegral(screen, T, -V, system))
+    return out
 
 
 # ---------------------------------------------------------------------------

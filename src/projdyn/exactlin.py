@@ -716,9 +716,8 @@ class SparseEchelon:
     coordinates are index tuples.  Pivot choice is by the smallest label under
     the given ordering, which makes the reduced basis canonical.  Rows are
     kept as primitive integer multiples of the rational rows, so reduction
-    runs over ints.  The stored rows are only partly reduced (a row may keep
-    entries at pivots inserted before it); ``basis()`` finishes the reduction
-    and divides by the pivots.
+    runs over ints.  The stored rows are only partly reduced: a row may keep
+    entries at pivots inserted before it.
     """
 
     def __init__(self):
@@ -750,23 +749,6 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def basis(self):
-        """The reduced echelon basis, ordered by pivot: each row is 1 at its
-        pivot and 0 at every other pivot.  It depends only on the span."""
-        reduced = {}
-        for piv in sorted(self.pivots, reverse=True):
-            row = self.pivots[piv]
-            # rows of larger pivots are final and hold no other pivot, so
-            # clearing one pivot from ``row`` never brings back another
-            for k in [k for k in row if k in reduced]:
-                row = _eliminate_sparse(row, reduced[k], k)
-            reduced[piv] = row
-        out = []
-        for piv in sorted(reduced):
-            p = reduced[piv][piv]
-            out.append({k: Fraction(v, p) for k, v in reduced[piv].items()})
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@
   and the image of a multivector under a bivector map or its wedge power.
 * ``exactlin`` helpers that no library code calls: a slot contraction at
   several slots, the basis vector, span membership in a ``SparseEchelon``
-  and the reader of one serialized rational.
+  and its reduced echelon basis, and the reader of one serialized rational.
 """
 
 import copy
@@ -66,6 +66,7 @@ from projdyn.exactlin import (
     JsonValue,
     Multivector,
     Tensor,
+    _eliminate_sparse,
     accumulate,
     basis_multivector,
     clear_denominators,
@@ -1005,6 +1006,25 @@ def basis_vector(dim: int, i: int) -> Multivector:
 def echelon_contains(echelon, vec) -> bool:
     """Whether vec lies in the span held by a ``SparseEchelon``."""
     return echelon._reduce(vec)[1] is None
+
+
+def echelon_basis(echelon):
+    """The reduced echelon basis of the span held by a ``SparseEchelon``,
+    ordered by pivot: each row is 1 at its pivot and 0 at every other pivot.
+    It depends only on the span."""
+    reduced = {}
+    for piv in sorted(echelon.pivots, reverse=True):
+        row = echelon.pivots[piv]
+        # rows of larger pivots are final and hold no other pivot, so
+        # clearing one pivot from ``row`` never brings back another
+        for k in [k for k in row if k in reduced]:
+            row = _eliminate_sparse(row, reduced[k], k)
+        reduced[piv] = row
+    out = []
+    for piv in sorted(reduced):
+        p = reduced[piv][piv]
+        out.append({k: Fraction(v, p) for k, v in reduced[piv].items()})
+    return out
 
 
 def parse_rational(s) -> Fraction:

@@ -628,3 +628,39 @@ def test_criterion_10_pre_lagrangian_energy():
             worst = max(worst, drift)
     assert worst <= 1e-8
     report(10, "pre-Lagrangian energy", f"(symbolic zero derivative; numeric drift {worst:.2e})")
+
+
+# ---------------------------------------------------------------------------
+# 11. every quadratic first integral of q'' = f(q), from one kernel
+
+def test_criterion_11_quadratic_integrals():
+    """compat.quadratic_integrals finds every first integral of velocity
+    degree at most 2: the kernel dimension counts them with the constant,
+    and the leading-term rank counts their Killing-tensor parts.  Free motion
+    gives all of P^{2,2}, checked against the hook-content dimension of the
+    (2, 2) class and dim_Pbb; every kernel holds the constant integral."""
+
+    def oscillator(*omegas):
+        n = len(omegas)
+        return cp.SecondOrderSystem(n, [cp.xvar(i, n).scale(-w * w) for i, w in enumerate(omegas)])
+
+    rows = [
+        ("free, n = 2", cp.SecondOrderSystem.free(2), 7, 6),
+        ("free, n = 3", cp.SecondOrderSystem.free(3), 21, 20),
+        ("isotropic, n = 2", cp.SecondOrderSystem.oscillator(2), 5, 4),
+        ("isotropic, n = 3", cp.SecondOrderSystem.oscillator(3), 13, 12),
+        ("1:2", oscillator(1, 2), 4, 3),
+        ("1:3", oscillator(1, 3), 3, 2),
+        ("1:2:3", oscillator(1, 2, 3), 6, 5),
+    ]
+    for name, system, dim, leading_rank in rows:
+        integrals = cp.quadratic_integrals(system)
+        echelon = SparseEchelon()
+        for integral in integrals:
+            echelon.insert(integral.T.terms)
+        assert (len(integrals), echelon.rank) == (dim, leading_rank), name
+        assert any(integral.T.is_zero() and integral.G == 1 for integral in integrals), name
+        if name.startswith("free"):
+            n = system.n
+            assert leading_rank == young.class_dimension(YoungTableau([2, 2]), n + 1) == pin.dim_Pbb(n, 2)
+    report(11, "quadratic integrals", "(seven systems; free motion gives P^{2,2})")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -27,6 +27,7 @@ from projdyn.compat import (
     lagrange_residuals,
     parallel_transport_check,
     presymplectic_check,
+    quadratic_integrals,
     quotient_form,
     screen_find,
     xvar,
@@ -39,7 +40,7 @@ from projdyn.curvclass import (
     flat_form_tensor,
     metric_form_tensor,
 )
-from projdyn.exactlin import Tensor, kernel, mat_inverse
+from projdyn.exactlin import SparseEchelon, Tensor, kernel, mat_inverse
 from projdyn.polynomials import Poly
 from projdyn.polyintegrals import ScreenIntegral, qvar, vvar
 
@@ -522,6 +523,85 @@ def test_quadratic_integral_rejects_a_force_field_without_a_chart_system():
     T = (vvar(0, 3) ** 2 + vvar(1, 3) ** 2).scale(Fraction(1, 2))
     with pytest.raises(TypeError):
         QuadraticIntegral(flat, T, Poly.zero(6), sc.zero_force(3))
+
+
+@pytest.mark.parametrize("screen", [sc.sphere_screen(3), sc.LinearFormScreen([1, 1, 1]),
+                                    sc.LinearFormScreen([0, Fraction(1, 10 ** 400), 1])])
+def test_quadratic_integral_rejects_a_screen_that_is_not_a_coordinate_chart(screen):
+    from projdyn.compat import QuadraticIntegral
+
+    n = 2
+    T = (yvar(0, n) ** 2 + yvar(1, n) ** 2).scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        QuadraticIntegral(screen, T, Poly.zero(2 * n), SecondOrderSystem.free(n))
+
+
+def test_quadratic_integral_reads_the_chart_axis_from_its_screen():
+    from projdyn.compat import QuadraticIntegral
+
+    n = 2
+    qi = QuadraticIntegral(sc.flat_screen(3, axis=0), yvar(0, n) * yvar(1, n), Poly.zero(4), SecondOrderSystem.free(n))
+    assert qi.leading_term().expr == vvar(1, 3) * vvar(2, 3)
+
+
+# -- the quadratic integrals finder ---------------------------------------------------
+
+def leading_rank(integrals):
+    echelon = SparseEchelon()
+    for integral in integrals:
+        echelon.insert(integral.T.terms)
+    return echelon.rank
+
+
+def linear_system(M):
+    """q'' = M q as a chart system."""
+    n = len(M)
+    return SecondOrderSystem(n, [sum((xvar(j, n).scale(M[i][j]) for j in range(n)), Poly.zero(2 * n))
+                                 for i in range(n)])
+
+
+def test_quadratic_integrals_are_verified_integrals_of_the_system():
+    Z = linear_system([[-1, 0], [0, -4]])
+    integrals = quadratic_integrals(Z)
+    assert (len(integrals), leading_rank(integrals)) == (4, 3)
+    for integral in integrals:
+        assert integral.system is Z and integral.screen.axis == 2
+        assert Z.time_derivative(integral.G).is_zero()
+
+
+@pytest.mark.parametrize("epsilon, counts", [(1, (3, 2)), (6, (3, 2)), (16, (2, 1)), (2, (2, 1))])
+def test_quadratic_integrals_find_the_separable_henon_heiles_cases(epsilon, counts):
+    """V = (x^2 + y^2)/2 + x^2 y + epsilon y^3/3 has a second quadratic
+    integral exactly when it separates: epsilon = 1 (in x + y, x - y) and
+    epsilon = 6 (in parabolic coordinates).  epsilon = 16 is integrable only
+    by a quartic integral."""
+    n = 2
+    x, y = xvar(0, n), xvar(1, n)
+    integrals = quadratic_integrals(SecondOrderSystem(n, [-(x + 2 * x * y), -(y + x * x + epsilon * y * y)]))
+    assert (len(integrals), leading_rank(integrals)) == counts
+
+
+def test_quadratic_integrals_refuse_a_velocity_dependent_force():
+    n = 2
+    damped = SecondOrderSystem(n, [-xvar(0, n), -xvar(1, n) - yvar(1, n)])
+    with pytest.raises(ValueError):
+        quadratic_integrals(damped)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([((1, 2), (4, 3)), ((1, 2, 3), (6, 5))]), st.data())
+def test_quadratic_integral_counts_survive_a_linear_change_of_coordinates(case, data):
+    """f(x) = A W A^-1 x is W = diag(-omega^2) in the coordinates A^-1 x, so
+    it keeps the oscillator's kernel dimension and leading-term rank."""
+    omegas, counts = case
+    n = len(omegas)
+    entry = st.fractions(-3, 3, max_denominator=3)
+    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    inverse = mat_inverse(A)
+    assume(inverse is not None)
+    M = [[sum(A[i][k] * -omegas[k] ** 2 * inverse[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    integrals = quadratic_integrals(linear_system(M))
+    assert (len(integrals), leading_rank(integrals)) == counts
 
 
 def test_screen_integral_rejects_a_callable():

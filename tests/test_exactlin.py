@@ -14,6 +14,7 @@ from oracles import (
     basis_vector,
     contract_by_fractions,
     contract_multivector_by_fractions,
+    echelon_basis,
     echelon_contains,
     intersect_spans,
     multivector_from_json,
@@ -412,7 +413,7 @@ def test_sparse_echelon_matches_rational_gauss_jordan(vectors):
         dense.append([ex.rat(vec.get(k, 0)) for k in range(5)])
         assert echelon.insert(vec) == (len(rref_by_fractions(dense)[1]) > before)
     red, pivots = rref_by_fractions(dense)
-    assert [[row.get(k, Fraction(0)) for k in range(5)] for row in echelon.basis()] == red[:len(pivots)]
+    assert [[row.get(k, Fraction(0)) for k in range(5)] for row in echelon_basis(echelon)] == red[:len(pivots)]
     assert all(echelon_contains(echelon, vec) for vec in vectors)
 
 
@@ -961,7 +962,7 @@ def test_sparse_echelon_keeps_canonical_form(vectors, coeffs):
     dependent = dense_sum((k, c * v) for c, vec in zip(coeffs, vectors) for k, v in vec.items())
     assert not echelon.insert(dependent)
     assert echelon_contains(echelon, dependent)
-    rows = echelon.basis()
+    rows = echelon_basis(echelon)
     for row in rows:
         assert_no_zero(row)
     dense = [[vec.get(k, Fraction(0)) for k in range(5)] for vec in vectors]
@@ -969,19 +970,19 @@ def test_sparse_echelon_keeps_canonical_form(vectors, coeffs):
     assert same_subspace([[row.get(k, Fraction(0)) for k in range(5)] for row in rows], dense)
 
 
-def echelon_basis(vectors):
+def basis_of(vectors):
     echelon = ex.SparseEchelon()
     for vec in vectors:
         echelon.insert(vec)
-    return echelon.basis()
+    return echelon_basis(echelon)
 
 
 def test_sparse_echelon_basis_is_reduced_for_later_pivot():
     # {1: 1} enters first, so the row of pivot 0 kept an entry at label 1
     a, b = {1: Fraction(-2)}, {0: Fraction(-2), 1: Fraction(-2)}
     expected = [{0: Fraction(1)}, {1: Fraction(1)}]
-    assert echelon_basis([a, b]) == expected
-    assert echelon_basis([b, a]) == expected
+    assert basis_of([a, b]) == expected
+    assert basis_of([b, a]) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -989,8 +990,8 @@ def test_sparse_echelon_basis_is_reduced_for_later_pivot():
        .flatmap(lambda vs: st.tuples(st.just(vs), st.permutations(vs))))
 def test_sparse_echelon_basis_is_independent_of_insertion_order(pair):
     vectors, shuffled = pair
-    rows = echelon_basis(vectors)
-    assert echelon_basis(shuffled) == rows
+    rows = basis_of(vectors)
+    assert basis_of(shuffled) == rows
     pivots = [min(row) for row in rows]
     for row, piv in zip(rows, pivots):
         assert row[piv] == 1
