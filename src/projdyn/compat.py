@@ -208,13 +208,16 @@ def quadratic_integrals(system: SecondOrderSystem):
 
     The ansatz is G = T + V.  T ranges over the Killing tensors of the chart,
     the quadratic free integrals of R^{n+1} at q_n = 1, v_n = 0, and V over
-    the monomials of degree at most m + 3 in x, for a force of top degree m
-    (F dT/dy = -y dV/dx bounds V's degree by that).  dG/dt = 0 is linear in
-    the coefficients, one equation per monomial of dG/dt, so one kernel
-    holds every integral.  Each kernel vector, in the kernel's order,
-    becomes a QuadraticIntegral on the flat screen (U = -V), whose
-    constructor verifies its conservation exactly.  A force component that
-    depends on the velocity raises ValueError.
+    the monomials of degree at most m + 2 in x, for a force of top degree m
+    (-1 if zero).  No integral needs more: with T = y.K(x) y and U = -V, the
+    y-linear part of dG/dt = 0 is grad U = 2 K f, of top part 2 K_2 f_m (K_2
+    the x-quadratic part of K, from products of two x_i y_j - x_j y_i, so
+    K_2(x) x = 0), and by Euler's identity U's degree-(m + 3) part is
+    2 (K_2(x) x).f_m / (m + 3) = 0.  dG/dt = 0 is linear in the coefficients,
+    one equation per monomial of dG/dt, so one kernel holds every integral.
+    Each kernel vector, in the kernel's order, becomes a QuadraticIntegral on
+    the flat screen, whose constructor verifies its conservation exactly.  A
+    force component that depends on the velocity raises ValueError.
     """
     n = system.n
     if any(f.degree_in(range(n, 2 * n)) > 0 for f in system.forces):
@@ -222,7 +225,7 @@ def quadratic_integrals(system: SecondOrderSystem):
     one, zero = Poly.const(2 * n, 1), Poly.zero(2 * n)
     chart = [xvar(i, n) for i in range(n)] + [one] + [yvar(i, n) for i in range(n)] + [zero]
     killing = [p.substitute(chart) for p in impulsion_poly_basis(n + 1, 2)]
-    top = max(f.degree() for f in system.forces) + 3
+    top = max(f.degree() for f in system.forces) + 2
     potentials = [Poly.monomial(exps + (0,) * n) for exps in itertools.product(range(top + 1), repeat=n)
                   if sum(exps) <= top]
     columns = killing + potentials

@@ -33,7 +33,7 @@ with the bound of the values found once for all the actions summed over it.
 Results stay tables (``act``) and become ``Fraction`` tensors only when
 read.  The identity action on rows sorted inside blocks of slots sums a
 table over rearrangements (``sorted_block_sums``): the diagonal of a form
-and the first-block symmetrization of a polar form are such sums.
+is such a sum.
 
 The same action decides membership in Im AS and Im SA.  Each slot identity
 of a class (an antisymmetry or symmetry under an adjacent transposition

@@ -24,7 +24,9 @@
   engine lists its outputs in sorted code order, so only the polar form,
   which the engine does not build, is compared in the loops' key order.
   The block exchange and R(v, -q) by ``Poly.substitute`` are the reference
-  for the library's exponent-tuple ``swap_blocks``.
+  for the library's exponent-tuple ``swap_blocks``, and the shear defect
+  R(q, v + gamma q) - R(q, v), by the same substitution, for its one-pass
+  ``is_impulsion_invariant`` and for the rank of the shear constraints.
 * Whole-tensor slot permutations, the sign of a permutation and subspace
   comparisons: the independent reference for the group-algebra action and
   for the exact spans that the library returns.  No pipeline permutes a
@@ -478,6 +480,16 @@ def substitute_v_minus_q(R: Poly, dim: int) -> Poly:
     """R(v, -q)."""
     images = [vvar(i, dim) for i in range(dim)] + [-qvar(i, dim) for i in range(dim)]
     return R.substitute(images)
+
+
+def shear_defect(R: Poly, dim: int) -> Poly:
+    """R(q, v + gamma q) - R(q, v) in the extended space with gamma as the
+    last variable; the zero polynomial iff R is shear invariant."""
+    nv = 2 * dim + 1
+    gamma = Poly.variable(2 * dim, nv)
+    images = [Poly.variable(i, nv) for i in range(dim)]
+    images += [Poly.variable(dim + i, nv) + gamma * Poly.variable(i, nv) for i in range(dim)]
+    return R.substitute(images) - R.extend(nv)
 
 
 # -- whole-tensor slot permutations -------------------------------------------------

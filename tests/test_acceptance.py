@@ -21,6 +21,7 @@ from oracles import (
     compatibility_repeated_argument,
     partitions,
     same_subspace,
+    shear_defect,
     substitute_v_minus_q,
 )
 from projdyn import screens as sc
@@ -182,7 +183,7 @@ def test_criterion_02_dimension_formula():
             M = len(monos)
             rows = {}
             for m in monos:
-                defect = pin.shear_defect(Poly.monomial(m), d)
+                defect = shear_defect(Poly.monomial(m), d)
                 for exps, coef in defect.terms.items():
                     key = exps  # includes the gamma power: one row per target monomial
                     assert coef.denominator == 1
@@ -191,7 +192,7 @@ def test_criterion_02_dimension_formula():
             # exact upper bound on the rank: the impulsion products solve everything
             span = pin.impulsion_poly_basis(d, b)
             for p_poly in span:
-                assert pin.shear_defect(p_poly, d).is_zero()
+                assert shear_defect(p_poly, d).is_zero()
             span_dim = len(span)
             rank_lower = _rank_mod_p(row_list, col_index)
             assert rank_lower == M - span_dim, (d, b)

@@ -581,6 +581,23 @@ def test_quadratic_integrals_find_the_separable_henon_heiles_cases(epsilon, coun
     assert (len(integrals), leading_rank(integrals)) == counts
 
 
+@pytest.mark.parametrize("system", [
+    SecondOrderSystem.free(3),
+    SecondOrderSystem(2, [Poly.const(4, 1), Poly.zero(4)]),
+    SecondOrderSystem.oscillator(3),
+    linear_system([[-1, 0], [0, -4]]),
+    SecondOrderSystem(2, [-(xvar(0, 2) + 2 * xvar(0, 2) * xvar(1, 2)),
+                          -(xvar(1, 2) + xvar(0, 2) * xvar(0, 2) + 6 * xvar(1, 2) * xvar(1, 2))]),
+])
+def test_quadratic_integral_potentials_stay_within_the_degree_bound(system):
+    """grad U = 2 K f has no part whose potential has degree m + 3, so every
+    U has degree at most m + 2 for a force of top degree m (-1 if zero)."""
+    m = max(f.degree() for f in system.forces)
+    integrals = quadratic_integrals(system)
+    assert integrals
+    assert all(integral.U.degree() <= m + 2 for integral in integrals)
+
+
 def test_quadratic_integrals_refuse_a_velocity_dependent_force():
     n = 2
     damped = SecondOrderSystem(n, [-xvar(0, n), -xvar(1, n) - yvar(1, n)])
@@ -620,8 +637,8 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
     # is checked once (when the carrier is built; the cylindric restriction of
     # a member is a member and is not re-checked), decomposability once (one
     # wedge-table expansion, kept on the form), the kernel twice (the
-    # cylindric split, then the classification), and from_poly leaves shear
-    # invariance to the polar form's first-block test
+    # cylindric split, then the classification), and shear invariance once
+    # (is_impulsion_invariant, called by from_poly)
     from projdyn import compat, curvclass, polyintegrals, young
 
     check_imAS = young.check_imAS
@@ -652,7 +669,7 @@ def test_hamiltonian_test_decides_each_fact_once(monkeypatch):
         classified.clear()
         rep = hamiltonian_test(ScreenIntegral(screen, term))
         assert rep.verdict == verdict
-        assert calls == {"table_in_imAS": 1, "_wedge_table": 1, "kernel": 2, "is_impulsion_invariant": 0}
+        assert calls == {"table_in_imAS": 1, "_wedge_table": 1, "kernel": 2, "is_impulsion_invariant": 1}
         # the oracle for the dropped re-check: the classified form is in the class
         [form] = classified
         assert check_imAS(polyintegrals.pair_tableau(2), form.tensor)

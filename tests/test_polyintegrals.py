@@ -49,11 +49,6 @@ def poly_from_polar(T, b):
     return pin._diagonal_poly(ClearedTable.of(T), b, [range(b), range(b, 2 * b)])
 
 
-def shear_free(T, b):
-    """The first-block symmetrization test of a tensor."""
-    return pin._shear_free(ClearedTable.of(T), b)
-
-
 def euclid_kinetic(dim, chart_vars):
     out = Poly.zero(2 * dim)
     for i in chart_vars:
@@ -209,7 +204,7 @@ def test_polar_form_violating_shear_detected():
     R = qvar(0, 2) * vvar(0, 2)
     T = polar_form(R, 2, 1)
     assert T == Tensor(2, 2, {(0, 0): 1})
-    assert not shear_free(T, 1)
+    assert not is_impulsion_invariant(R, 2)
     with pytest.raises(ValueError):
         BiHomogeneousPoly.from_poly(R, 2)
 
@@ -223,9 +218,9 @@ def test_from_poly_rejects_a_shear_variant_term():
 
 
 def test_from_poly_accepts_exactly_the_impulsion_invariant_polynomials():
-    # the polar form's first-block test is the only shear decision of
-    # from_poly; it agrees with the substitution test on P^{b,b} elements
-    # and on the same elements bent by one bidegree-(b, b) monomial
+    # is_impulsion_invariant is the only shear decision of from_poly, so
+    # from_poly accepts P^{b,b} elements and rejects the same elements bent
+    # by one bidegree-(b, b) monomial exactly when it says so
     rng = random.Random(7)
     for dim, b in [(2, 1), (3, 1), (2, 2), (3, 2)]:
         for _ in range(6):
@@ -253,50 +248,59 @@ def test_polar_round_trip_random():
         T = polar_form(R, dim, b)
         assert poly_from_polar(T, b) == R
         assert oracles.block_symmetric(T, b)
-        assert shear_free(T, b)
+        assert is_impulsion_invariant(R, dim)
 
 
 def test_polar_form_squared_impulsion_passes_constraint():
     R = plucker(2, 1, 0) ** 2
-    T = polar_form(R, 2, 2)
-    assert shear_free(T, 2)
+    assert oracles.block_symmetric(polar_form(R, 2, 2), 2)
+    assert is_impulsion_invariant(R, 2)
 
 
-def symmetrization_by_permutation_sum(T, b):
-    """Sum of all (b+1)! permutations of the first b+1 slots, one Tensor
-    per permutation: the reference for the one-pass class sums."""
-    total = Tensor(T.dim, T.order, {})
-    for perm in itertools.permutations(range(b + 1)):
-        total = total + oracles.permute(T, tuple(perm) + tuple(range(b + 1, 2 * b)))
-    return total.is_zero()
+def exponents(indices, dim):
+    """The exponent tuple of the product of the variables at the indices."""
+    exps = [0] * dim
+    for i in indices:
+        exps[i] += 1
+    return tuple(exps)
 
 
-@functools.lru_cache(maxsize=None)
-def basis_polars(dim, b):
-    return [polar_form(p, dim, b) for p in impulsion_poly_basis(dim, b)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_first_block_symmetrization_matches_permutation_sum(data):
-    dim, b = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]))
+@st.composite
+def bent_pbb_elements(draw):
+    """(R, dim): an integer combination of the P^{b,b} basis, b = 0..3, plus
+    one or two monomials of equal or of unequal q- and v-degree."""
+    dim = draw(st.integers(2, 4))
+    b = draw(st.integers(0, 3))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 5, 10**6 + 3]))
-    T = Tensor(dim, 2 * b, {})
-    for polar in basis_polars(dim, b):
-        T = T + polar.scale(data.draw(coeff))
-    assert shear_free(T, b)
-    idx_strategy = st.tuples(*[st.integers(0, dim - 1)] * (2 * b))
-    bent = T + Tensor(dim, 2 * b, data.draw(st.dictionaries(idx_strategy, coeff, min_size=1, max_size=3)))
-    assert shear_free(bent, b) == symmetrization_by_permutation_sum(bent, b)
-    assert symmetrization_by_permutation_sum(T, b)
+    R = Poly.zero(2 * dim)
+    for p in cached_basis(dim, b):
+        R = R + p.scale(draw(coeff))
+    for _ in range(draw(st.integers(1, 2))):
+        q_degree = draw(st.integers(0, 3))
+        v_degree = q_degree if draw(st.booleans()) else draw(st.integers(0, 3))
+        q_exps = exponents(draw(st.lists(st.integers(0, dim - 1), min_size=q_degree, max_size=q_degree)), dim)
+        v_exps = exponents(draw(st.lists(st.integers(0, dim - 1), min_size=v_degree, max_size=v_degree)), dim)
+        R = R + Poly.monomial(q_exps + v_exps, draw(coeff.filter(bool)))
+    return R, dim
 
 
-def test_first_block_symmetrization_single_entry_never_vanishes():
-    for b in (1, 2, 3):
-        for idx in itertools.product(range(2), repeat=2 * b):
-            T = Tensor(2, 2 * b, {idx: Fraction(3, 7)})
-            assert not shear_free(T, b)
-            assert not symmetrization_by_permutation_sum(T, b)
+@settings(max_examples=80, deadline=None)
+@given(bent_pbb_elements())
+def test_impulsion_invariance_matches_the_shear_substitution(case):
+    R, dim = case
+    bidegree = all(sum(exps[:dim]) == sum(exps[dim:]) for exps in R.terms)
+    assert is_impulsion_invariant(R, dim) == (bidegree and oracles.shear_defect(R, dim).is_zero())
+
+
+def test_no_single_monomial_is_impulsion_invariant():
+    # D q^a v^c = sum_i c_i q^(a + e_i) v^(c - e_i) has distinct monomials
+    for dim in (1, 2, 3):
+        for degree in (1, 2, 3):
+            halves = [exponents(idx, dim) for idx in itertools.combinations_with_replacement(range(dim), degree)]
+            for a, c in itertools.product(halves, repeat=2):
+                R = Poly.monomial(a + c, Fraction(3, 7))
+                assert not is_impulsion_invariant(R, dim)
+                assert not oracles.shear_defect(R, dim).is_zero()
 
 
 # -- the antisymmetric carrier --------------------------------------------------------
@@ -487,7 +491,7 @@ def test_table_chain_rejects_what_the_fraction_chain_rejects():
     # block-symmetric polar forms that violate the shear constraint
     for R, b in ((qvar(0, 2) * vvar(0, 2), 1), (plucker(3, 0, 1) * qvar(2, 3) * vvar(2, 3), 2)):
         sheared = oracles.polar_form(R, R.nvars // 2, b)
-        assert oracles.block_symmetric(sheared, b) and not shear_free(sheared, b)
+        assert oracles.block_symmetric(sheared, b) and not is_impulsion_invariant(R, R.nvars // 2)
         with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
             BiHomogeneousPoly.from_poly(R, R.nvars // 2, b)
 
@@ -568,7 +572,7 @@ def test_shear_invariances_symbolic():
     im_shear_q = [Poly.variable(i, nv) + gamma * Poly.variable(dim + i, nv) for i in range(dim)]
     im_shear_q += [Poly.variable(dim + i, nv) for i in range(dim)]
     assert R.substitute(im_shear_q) == R.extend(nv)
-    assert pin.shear_defect(R, dim).is_zero()
+    assert oracles.shear_defect(R, dim).is_zero()
 
 
 # -- gdot ------------------------------------------------------------------------------------

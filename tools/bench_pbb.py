@@ -1,7 +1,7 @@
 """Layer timings of the P^{b,b} chain: the impulsion basis, the
 pair-antisymmetric carrier and the time derivative along Kepler.
 
-Times fixed seeded inputs for d = 3-4 and b = 1-3, each call on arguments
+Times fixed seeded inputs for d = 3-4 and b = 1 to d, each call on arguments
 built outside the timer, and writes the medians and quartiles in ms:
 
 * ``impulsion_poly_basis``: the basis of P^{b,b} in dimension d;
@@ -95,7 +95,7 @@ def cases():
     for d in (3, 4):
         kepler = screens.kepler_force(1.0, [0.0] * (d - 1) + [1.0])
         conserved = [(i, j) for i, j in itertools.combinations(range(d), 2) if j < d - 1]
-        for b in (1, 2, 3):
+        for b in range(1, d + 1):
             rng = random.Random(SEED * 100 + 10 * d + b)
             label = f"d{d}_b{b}"
             basis = polyintegrals.impulsion_poly_basis(d, b)
