@@ -13,29 +13,34 @@ with every returned witness re-verified against its defining identity
 before the report is returned.
 
 Exact rational arithmetic throughout: the case distinctions here are rank
-decisions that rounding would corrupt.  They run on integers.  A map's
-matrix is cleared to integers once (den times the map), and its wedge table
-W[k1, k2] = R(e_k1) ^ R(e_k2) in the fourth exterior power is summed from
-the nonzero entries with numpy, in blocks, by the group algebra's engine
-(``young.sum_by_code``): sorted code order, int64 inside the 2**62 guard
-and one object-dtype path past it.  The decomposability verdict is the
-vanishing of every coefficient expanded from W.  Maps and forms are
-immutable, so W and the verdict are computed once per map, and a curvature
-form builds them straight from its sparse entries and shares them with its
-bivector map.
+decisions that rounding would corrupt.  They run on integers.  A map is
+kept only as its matrix cleared to integers (den times the map, one dict of
+nonzero entries per column): the rational matrix is cleared once, on
+construction, and the wedge-square, star and curvature-form maps are built
+straight as columns.  Its wedge table W[k1, k2] = R(e_k1) ^ R(e_k2) in the
+fourth exterior power is summed from the nonzero entries with numpy, in
+blocks, by the group algebra's engine (``young.sum_by_code``): sorted code
+order, int64 inside the 2**62 guard and one object-dtype path past it.  The
+decomposability verdict is the vanishing of every coefficient expanded from
+W.  Maps and forms are immutable, so W and the verdict are computed once
+per map, and a curvature form reads them from its map.
 The power map reads its images from the rows of W.  The square-root
 recovery runs on the integer columns too: each pencil's common line is
 found by intersecting the images' supports one plane at a time (x lies in
 the support of w iff x ^ w = 0), kept as a primitive integer vector, and
 the multiples relating the images to the lines' wedges are compared by
-cross-multiplication, with one division per entry of the returned B.
+cross-multiplication, with one division per entry of the returned B.  Each
+witness of the map classifier is checked on the columns: phi and zeta by
+the integer wedge and contraction kernels, a wedge square and the star case
+by cross-multiplying the columns with the 2 x 2 minors of B or C cleared to
+integers (contracted into the volume for the star case).
 
 The curvature layer reads cleared integers as well.  A curvature form is
 the b = 2 ``AntisymmetricForm``, read through its one integer table: its
-wedge table and its map's columns come from it, the kernel is eliminated
-from it, the flat-case metric is summed from one slice of it, and each
-witness is re-verified by cross-multiplying it with the integer entries of
-its defining formula (the 2 x 2 minors of B, or the flat form from one
+map's columns come from it, the kernel is eliminated from it, the
+flat-case metric is summed from one slice of it, and each witness is
+re-verified by cross-multiplying it with the integer entries of its
+defining formula (the 2 x 2 minors of B, or the flat form from one
 elimination), so no Fraction tensor is built to compare.  A form keeps its
 classification report.  The generator reads each entry straight from one
 integer minor of G, with one Fraction per entry.
@@ -53,12 +58,12 @@ from projdyn.exactlin import (
     JsonValue,
     Multivector,
     Tensor,
+    _contract_ints,
+    _contract_multivector_ints,
     _eliminate,
     _wedge_ints,
     basis_multivector,
     clear_denominators,
-    contract,
-    contract_multivector,
     det,
     format_rational,
     kernel,
@@ -68,7 +73,6 @@ from projdyn.exactlin import (
     sort_with_sign,
     tensor_from_json,
     tensor_to_json,
-    wedge,
 )
 from projdyn.polyintegrals import AntisymmetricForm
 from projdyn.screens import MAX_SCREEN_DIM
@@ -89,103 +93,96 @@ def pair_basis(dim):
     return list(itertools.combinations(range(dim), 2))
 
 
-def pair_index(dim):
-    return {pr: k for k, pr in enumerate(pair_basis(dim))}
-
-
 class BivectorMap:
-    """Linear map between second exterior powers as an exact matrix.
+    """Linear map between second exterior powers, kept as its cleared
+    integer columns.
 
     Columns follow the lexicographic pair basis of the source, rows the pair
-    basis of the destination.  No symmetry is assumed.  A map is immutable
-    once built, like the ``exactlin`` values: its matrix cleared to integers
-    and its wedge table (with the decomposability verdict) are computed at
-    most once, on first use.
+    basis of the destination.  No symmetry is assumed.  The map's state is
+    its dimensions and ``cleared()``: one {destination pair: int} dict of
+    the nonzero entries per column, in pair order, and den, the least
+    common denominator of the entries (the map is the columns over den).
+    It is set once, on construction, and a map is immutable, like the
+    ``exactlin`` values; its wedge table (with the decomposability verdict)
+    is computed from it at most once, on first use.
     """
 
-    _cleared = None
     _table = None
 
     def __init__(self, dim_src, dim_dst, matrix):
+        src, dst = pair_basis(dim_src), pair_basis(dim_dst)
+        if len(matrix) != len(dst) or any(len(row) != len(src) for row in matrix):
+            raise ValueError("matrix shape does not match the pair bases")
+        rows, den = _cleared_rows(matrix)
+        cols = [{pr: row[c] for pr, row in zip(dst, rows) if row[c]} for c in range(len(src))]
+        self._set(dim_src, dim_dst, cols, den)
+
+    def _set(self, dim_src, dim_dst, cols, den):
         self.dim_src = dim_src
         self.dim_dst = dim_dst
         self.src_pairs = pair_basis(dim_src)
-        self.dst_pairs = pair_basis(dim_dst)
-        if len(matrix) != len(self.dst_pairs) or any(len(row) != len(self.src_pairs) for row in matrix):
-            raise ValueError("matrix shape does not match the pair bases")
-        self.matrix = [[rat(x) for x in row] for row in matrix]
-        self._pair_col = pair_index(dim_src)
+        self.dst_pairs = self.src_pairs if dim_dst == dim_src else pair_basis(dim_dst)
+        self._pair_col = {pr: k for k, pr in enumerate(self.src_pairs)}
+        self._cols, self._den = cols, den
+
+    @classmethod
+    def _of(cls, dim_src, dim_dst, cols, den):
+        """The map of integer columns over den, keys in pair order; the
+        common factor of den and the entries is divided out, so den is the
+        one the rational matrix clears to."""
+        if den > 1 and (g := math.gcd(den, *(v for col in cols for v in col.values()))) > 1:
+            cols, den = [{key: v // g for key, v in col.items()} for col in cols], den // g
+        R = cls.__new__(cls)
+        R._set(dim_src, dim_dst, cols, den)
+        return R
 
     @classmethod
     def from_images(cls, dim_src, dim_dst, images):
         """Build from the list of images of the source pair basis."""
-        dst_pairs = pair_basis(dim_dst)
-        matrix = [
-            [img.coords.get(pr, Fraction(0)) for img in images]
-            for pr in dst_pairs
-        ]
-        return cls(dim_src, dim_dst, matrix)
+        return cls(dim_src, dim_dst, [[img.coords.get(pr, 0) for img in images] for pr in pair_basis(dim_dst)])
 
     @classmethod
     def wedge_square(cls, B):
         """R(x ^ y) = B(x) ^ B(y) for a linear map given as a matrix whose
-        columns are the images of the basis vectors: the 2 x 2 minors of B,
-        computed on B cleared to integers."""
-        dim_dst = len(B)
-        dim_src = len(B[0])
-        ints, den = clear_denominators([x for row in B for x in row])
-        b = [ints[r * dim_src:(r + 1) * dim_src] for r in range(dim_dst)]
-        den *= den
-        matrix = [[Fraction(b[i][p] * b[j][q] - b[j][p] * b[i][q], den) for p, q in pair_basis(dim_src)]
-                  for i, j in pair_basis(dim_dst)]
-        return cls(dim_src, dim_dst, matrix)
+        columns are the images of the basis vectors: the 2 x 2 minors of B
+        cleared to integers, over the square of its den."""
+        dim_dst, dim_src = len(B), len(B[0])
+        b, den = _cleared_rows(B)
+        return cls._of(dim_src, dim_dst, _minors(b, pair_basis(dim_src), pair_basis(dim_dst)), den * den)
 
     def cleared(self):
         """(columns, den): each column as a {destination pair: int} dict of
         den times its nonzero entries, den clearing the whole matrix."""
-        if self._cleared is None:
-            ncols = len(self.src_pairs)
-            ints, den = clear_denominators([x for row in self.matrix for x in row])
-            cols = [{} for _ in range(ncols)]
-            for r, pr in enumerate(self.dst_pairs):
-                for c, v in enumerate(ints[r * ncols:(r + 1) * ncols]):
-                    if v:
-                        cols[c][pr] = v
-            self._cleared = cols, den
-        return self._cleared
+        return self._cols, self._den
+
+    @property
+    def matrix(self):
+        """The rational matrix, rows over destination pairs, built from the
+        columns on each read."""
+        return [[Fraction(col.get(pr, 0), self._den) for col in self._cols] for pr in self.dst_pairs]
 
     def wedge_table(self) -> WedgeTable:
         """The wedge table of the cleared columns, built once."""
         if self._table is None:
-            cols, _ = self.cleared()
-            entries = [(k, i, j, v) for k, col in enumerate(cols) for (i, j), v in col.items()]
+            entries = [(k, i, j, v) for k, col in enumerate(self._cols) for (i, j), v in col.items()]
             self._table = _wedge_table(self.dim_src, self.dim_dst, entries)
         return self._table
 
-    def image_of_basis_pair(self, a, b) -> Multivector:
-        sign = 1
-        if a > b:
-            a, b = b, a
-            sign = -1
-        col = self._pair_col[(a, b)]
-        coords = {pr: self.matrix[r][col] * sign for r, pr in enumerate(self.dst_pairs) if self.matrix[r][col]}
-        return Multivector(self.dim_dst, 2, coords)
-
     def rank(self) -> int:
-        return rank(self.matrix)
+        return rank([[col.get(pr, 0) for col in self._cols] for pr in self.dst_pairs])
 
     def is_invertible(self) -> bool:
         return self.dim_src == self.dim_dst and self.rank() == len(self.src_pairs)
 
     def star_compose(self):
-        """Compose with the volume pairing on the destination: pi -> R(pi) -| vol,
-        landing in 2-forms over the destination (same pair indexing)."""
-        vol = basis_multivector(self.dim_dst, tuple(range(self.dim_dst)))
-        images = [
-            contract_multivector(self.image_of_basis_pair(*pr), vol)
-            for pr in self.src_pairs
-        ]
-        return BivectorMap.from_images(self.dim_src, self.dim_dst, images)
+        """Compose with the volume pairing on a destination of dimension 4:
+        pi -> R(pi) -| vol, landing in 2-forms (same pair indexing).  Each
+        cleared column is contracted into the volume, so den is kept."""
+        if self.dim_dst != 4:
+            raise ValueError("the star composition needs a destination of dimension 4")
+        vol = {(0, 1, 2, 3): 1}
+        cols = [dict(sorted(_contract_multivector_ints(col, vol).items())) for col in self._cols]
+        return BivectorMap._of(self.dim_src, self.dim_dst, cols, self._den)
 
     def to_json(self):
         return {
@@ -200,6 +197,21 @@ class BivectorMap:
         src, dst = (r.integer(key, low=1, high=MAX_SCREEN_DIM + 1) for key in ("dim_src", "dim_dst"))
         rows = [row.rationals(n=src * (src - 1) // 2) for row in r.items("matrix", dst * (dst - 1) // 2)]
         return cls(src, dst, rows)
+
+
+def _cleared_rows(matrix):
+    """(rows, den): the matrix cleared to integers, den times its entries."""
+    n = len(matrix[0]) if matrix else 0
+    ints, den = clear_denominators([x for row in matrix for x in row])
+    return [ints[r * n:(r + 1) * n] for r in range(len(matrix))], den
+
+
+def _minors(b, col_pairs, row_pairs):
+    """The nonzero 2 x 2 minors b[i][p] b[j][q] - b[j][p] b[i][q] of b, as
+    one {(i, j): minor} dict per column pair (p, q), keys in the order of
+    ``row_pairs``: the columns of the wedge square of b."""
+    return [{(i, j): m for i, j in row_pairs if (m := b[i][p] * b[j][q] - b[j][p] * b[i][q])}
+            for p, q in col_pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -427,42 +439,56 @@ def _normalize(vec):
     return [x / lead for x in vec]
 
 
-def _wedge_annihilator(R: BivectorMap):
-    """Nonzero phi in the destination with R(pi) ^ phi = 0 for all pi, or None.
-
-    One row per image and 3-subset t1 < t2 < t3: the e_t1 ^ e_t2 ^ e_t3
-    coordinate of R(pi) ^ phi, read off the cleared integer columns (the
-    kernel does not see the scale)."""
+def _annihilator(R: BivectorMap, rows_of):
+    """The first kernel vector, normalized, of the rows that ``rows_of``
+    reads off each cleared integer column (the kernel does not see the
+    scale), or None; e_0 when there are no rows (the zero map: anything
+    works).  Each column gives its rows from its nonzero entries only."""
     d = R.dim_dst
-    rows = []
-    for col in R.cleared()[0]:
-        for t1, t2, t3 in itertools.combinations(range(d), 3):
-            row = [0] * d
-            row[t3] += col.get((t1, t2), 0)
-            row[t2] -= col.get((t1, t3), 0)
-            row[t1] += col.get((t2, t3), 0)
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return [Fraction(1)] + [Fraction(0)] * (d - 1)  # the zero map: anything works
-    basis = kernel(rows)
-    return _normalize(basis[0]) if basis else None
-
-
-def _contraction_annihilator(R: BivectorMap):
-    """Nonzero zeta (destination dual) with zeta -| R(pi) = 0 for all pi, or None."""
-    d = R.dim_dst
-    rows = []
-    for col in R.cleared()[0]:
-        for j in range(d):
-            # the j-th component of zeta -| img, with img[(i, j)] = -img[(j, i)]
-            row = [col.get((i, j), 0) - col.get((j, i), 0) for i in range(d)]
-            if any(row):
-                rows.append(row)
+    rows = [row for col in R.cleared()[0] for row in rows_of(col, d)]
     if not rows:
         return [Fraction(1)] + [Fraction(0)] * (d - 1)
     basis = kernel(rows)
     return _normalize(basis[0]) if basis else None
+
+
+def _wedge_rows(col, d):
+    """The rows of R(pi) ^ phi = 0 for one image: for each 3-subset t1 <
+    t2 < t3 that holds a pair of its support, in subset order, the
+    e_t1 ^ e_t2 ^ e_t3 coordinate, with R(pi)[t1 t2] at t3, -R(pi)[t1 t3]
+    at t2 and R(pi)[t2 t3] at t1."""
+    rows = {}
+    for (i, j), v in col.items():
+        for t in range(d):
+            if t != i and t != j:
+                key = (t, i, j) if t < i else (i, t, j) if t < j else (i, j, t)
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = row = [0] * d
+                row[t] = -v if i < t < j else v
+    return [rows[key] for key in sorted(rows)]
+
+
+def _contraction_rows(col, d):
+    """The rows of zeta -| R(pi) = 0 for one image: for each index j of its
+    support, in order, the j-th component, with img[(i, j)] = -img[(j, i)]."""
+    rows = [None] * d
+    for (i, j), v in col.items():
+        for r, c, x in ((j, i, v), (i, j, -v)):
+            if rows[r] is None:
+                rows[r] = [0] * d
+            rows[r][c] = x
+    return [row for row in rows if row is not None]
+
+
+def _wedge_annihilator(R: BivectorMap):
+    """Nonzero phi in the destination with R(pi) ^ phi = 0 for all pi, or None."""
+    return _annihilator(R, _wedge_rows)
+
+
+def _contraction_annihilator(R: BivectorMap):
+    """Nonzero zeta (destination dual) with zeta -| R(pi) = 0 for all pi, or None."""
+    return _annihilator(R, _contraction_rows)
 
 
 def _decomposable_span(col: dict, d: int):
@@ -535,13 +561,13 @@ def _recover_square_root(R: BivectorMap):
     nonzero entry of 1, and its scale.
     """
     d = R.dim_src
+    cols, den = R.cleared()
     if d == 2:
-        m = R.matrix[0][0]
+        m = Fraction(cols[0].get((0, 1), 0), den)
         if not m:
             return None
         eps = 1 if m > 0 else -1
         return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], eps, abs(m)
-    cols, den = R.cleared()
 
     def image(i, j):
         return cols[R._pair_col[(min(i, j), max(i, j))]]
@@ -559,9 +585,8 @@ def _recover_square_root(R: BivectorMap):
     # m[(i, j)] = num / den_ij, read on the cleared column against x_i ^ x_j
     m = {}
     for i, j in itertools.combinations(range(d), 2):
-        img, xi, xj = image(i, j), lines[i], lines[j]
-        w = {(a, b): xi[a] * xj[b] - xi[b] * xj[a] for a, b in itertools.combinations(range(d), 2)}
-        w = {key: val for key, val in w.items() if val}
+        img = image(i, j)
+        [w] = _minors([[xi, xj] for xi, xj in zip(lines[i], lines[j])], [(0, 1)], R.dst_pairs)
         if not w:
             return None
         key = next(iter(w))
@@ -588,21 +613,22 @@ def _recover_square_root(R: BivectorMap):
     return B, eps, abs(s_norm)
 
 
-def _verify_wedge_square(R, B, factor) -> bool:
-    """True iff R = factor * B^2 on bivectors, entry by entry.  Each cleared
-    column of R (den times R) is compared with the 2 x 2 minors of B
-    cleared to integers (den_B**2 times those of B) by cross-multiplying."""
+def _verify_wedge_square(R, B, factor, star=False) -> bool:
+    """True iff R = factor * B^2 on bivectors, entry by entry, or with
+    ``star`` iff R(x ^ y) = (B x ^ B y) -| factor vol.  Each cleared column
+    of R (den times R) is compared with the 2 x 2 minors of B cleared to
+    integers (den_B**2 times those of B), with ``star`` contracted into the
+    volume, by cross-multiplying."""
     cols, den = R.cleared()
-    n = len(B[0])
-    ints, den_b = clear_denominators([x for row in B for x in row])
-    b = [ints[r * n:(r + 1) * n] for r in range(len(B))]
+    b, den_b = _cleared_rows(B)
+    minors = _minors(b, R.src_pairs, R.dst_pairs)
+    if star:
+        vol = {tuple(range(R.dim_dst)): 1}
+        minors = [_contract_multivector_ints(m, vol) for m in minors]
     factor = rat(factor)
     left, right = den_b * den_b * factor.denominator, factor.numerator * den
-    return all(
-        col.get((i, j), 0) * left == (b[i][p] * b[j][q] - b[j][p] * b[i][q]) * right
-        for (p, q), col in zip(R.src_pairs, cols)
-        for i, j in R.dst_pairs
-    )
+    return all(col.get(key, 0) * left == m.get(key, 0) * right
+               for col, m in zip(cols, minors) for key in col.keys() | m.keys())
 
 
 def classify_bivector_map(R: BivectorMap) -> ClassificationReport:
@@ -620,20 +646,20 @@ def classify_bivector_map(R: BivectorMap) -> ClassificationReport:
     d = R.dim_src
     checks = ["decomposability preservation verified by full expansion"]
 
+    cols = R.cleared()[0]
     phi = _wedge_annihilator(R)
     if phi is not None:
-        phi_mv = Multivector(d, 1, {(i,): x for i, x in enumerate(phi) if x})
-        for pr in R.src_pairs:
-            if not wedge(R.image_of_basis_pair(*pr), phi_mv).is_zero():
-                raise ArithmeticError("wedge annihilator failed verification")
+        phi_ints = {(i,): x for i, x in enumerate(clear_denominators(phi)[0]) if x}
+        if any(_wedge_ints(col, phi_ints) for col in cols):
+            raise ArithmeticError("wedge annihilator failed verification")
         checks.append("R(pi) ^ phi = 0 verified on the full pair basis")
         return ClassificationReport("phi_degenerate", {"phi": phi}, checks)
 
     zeta = _contraction_annihilator(R)
     if zeta is not None:
-        for pr in R.src_pairs:
-            if not contract(zeta, R.image_of_basis_pair(*pr)).is_zero():
-                raise ArithmeticError("contraction annihilator failed verification")
+        zeta_ints = clear_denominators(zeta)[0]
+        if any(_contract_ints(zeta_ints, col) for col in cols):
+            raise ArithmeticError("contraction annihilator failed verification")
         checks.append("zeta -| R(pi) = 0 verified on the full pair basis")
         return ClassificationReport("zeta_degenerate", {"zeta": zeta}, checks)
 
@@ -657,12 +683,9 @@ def classify_bivector_map(R: BivectorMap) -> ClassificationReport:
         rec = _recover_square_root(starred)
         if rec is not None:
             C, eps, scale = rec
+            if not _verify_wedge_square(R, C, eps * scale, star=True):
+                raise ArithmeticError("star wedge square failed verification")
             mu = basis_multivector(4, (0, 1, 2, 3)).scale(Fraction(eps) * scale)
-            check_map = BivectorMap.wedge_square(C)
-            for pr in R.src_pairs:
-                expected = contract_multivector(check_map.image_of_basis_pair(*pr), mu)
-                if expected != R.image_of_basis_pair(*pr):
-                    raise ArithmeticError("star wedge square failed verification")
             checks.append("R(x^y) = (C x ^ C y) -| mu verified on the full pair basis")
             return ClassificationReport("star_wedge_square", {"C": C, "mu": mu}, checks)
 
@@ -679,15 +702,13 @@ class CurvatureForm(AntisymmetricForm):
     pair-exchange symmetry that makes the induced map from bivectors to
     2-forms symmetric.
 
-    A form is immutable once built: its wedge table (with the
-    decomposability verdict), its bivector map and its classification
-    report are built at most once, on first use.  Its map shares the form's
-    integer table exactly: a member's entry at u > v or w > x is the
-    negative of the one at u < v, w < x, so the map's entries and the full
-    tensor clear to the same ints over the same den, as the map's columns,
-    its wedge table and ``_recover_square_root`` need."""
+    A form is immutable once built: its bivector map (with its wedge table
+    and the decomposability verdict) and its classification report are
+    built at most once, on first use.  Its map shares the form's integer
+    table exactly: a member's entry at u > v or w > x is the negative of
+    the one at u < v, w < x, so the map's columns are the table's ints at
+    u < v, w < x over the table's den, as the dense matrix would clear to."""
 
-    _wedge = None
     _map = None
     _report = None
 
@@ -696,42 +717,23 @@ class CurvatureForm(AntisymmetricForm):
             raise ValueError("curvature forms have order 4")
         super().__init__(tensor.dim, 2, tensor)
 
-    def _map_entries(self):
-        """The entries R[u, v, w, x] with u < v and w < x, those of the
-        bivector map at source pair (u, v) and destination pair (w, x), as
-        (index, value, the table's int)."""
-        return [(idx, val, c) for (idx, val), c in zip(self.tensor.entries.items(), self.table().vals)
-                if idx[0] < idx[1] and idx[2] < idx[3]]
-
-    def wedge_table(self) -> WedgeTable:
-        """The wedge table of the bivector map, built once straight from the
-        sparse entries (the dense matrix is not needed for it)."""
-        if self._wedge is None:
-            d = self.dim
-            # (u, v) is source pair number u (2d - u - 1) / 2 + v - u - 1 in the lexicographic basis
-            entries = [((2 * d - u - 1) * u // 2 + v - u - 1, w, x, c) for (u, v, w, x), _, c in self._map_entries()]
-            self._wedge = _wedge_table(d, d, entries)
-        return self._wedge
-
     def bivector_map(self) -> BivectorMap:
         """The induced map into 2-forms: the (w, x) component of the image of
-        e_u ^ e_v is the tensor value at (u, v, w, x).  Built once; its
-        cleared columns are the table's ints and it shares the form's wedge
-        table."""
+        e_u ^ e_v is the tensor value at (u, v, w, x).  Built once, straight
+        from the sparse entries and the table's ints."""
         if self._map is None:
-            col = pair_index(self.dim)
-            matrix = [[Fraction(0)] * len(col) for _ in col]
-            cols = [{} for _ in col]
-            for (u, v, w, x), val, c in self._map_entries():
-                matrix[col[(w, x)]][col[(u, v)]] = val
-                cols[col[(u, v)]][(w, x)] = c
-            self._map = BivectorMap(self.dim, self.dim, matrix)
-            self._map._cleared = [dict(sorted(c.items())) for c in cols], self.table().den
-            self._map._table = self._wedge
+            d = self.dim
+            # (u, v) is source pair number u (2d - u - 1) / 2 + v - u - 1 in the lexicographic basis
+            entries = sorted(((2 * d - u - 1) * u // 2 + v - u - 1, (w, x), c)
+                             for (u, v, w, x), c in zip(self.tensor.entries, self.table().vals) if u < v and w < x)
+            cols = [{} for _ in range(d * (d - 1) // 2)]
+            for k, wx, c in entries:
+                cols[k][wx] = c
+            self._map = BivectorMap._of(d, d, cols, self.table().den)
         return self._map
 
     def satisfies_decomposability(self) -> bool:
-        return self.wedge_table().preserves
+        return self.bivector_map().wedge_table().preserves
 
     def to_json(self):
         out = tensor_to_json(self.tensor)
@@ -750,15 +752,11 @@ def _metric_ints(b_matrix):
     """(entries, den): den times the curvature form of b, as an {index:
     int} dict without zeros in product order.  Each entry is one integer
     expression in b cleared to integers (den_b * b), and den = den_b**2."""
-    d = len(b_matrix)
-    ints, den = clear_denominators([x for row in b_matrix for x in row])
-    b = [ints[r * d:(r + 1) * d] for r in range(d)]
-    entries = {}
-    for u, v, w, x in itertools.product(range(d), repeat=4):
-        val = b[u][w] * b[v][x] - b[u][x] * b[v][w]
-        if val:
-            entries[(u, v, w, x)] = val
-    return entries, den * den
+    b, den = _cleared_rows(b_matrix)
+    # the minors of b's transpose, on ordered pairs: the columns (u, v) outer
+    pairs = list(itertools.product(range(len(b)), repeat=2))
+    minors = _minors([list(col) for col in zip(*b)], pairs, pairs)
+    return {uv + wx: val for uv, col in zip(pairs, minors) for wx, val in col.items()}, den * den
 
 
 def metric_form_tensor(b_matrix) -> Tensor:

@@ -6,8 +6,9 @@ determinant).  Values and results are `fractions.Fraction`; elimination
 clears each row's denominators once (`clear_denominators`) and runs over
 Python ints: Bareiss forward elimination, whose divisions are exact, then a
 fraction-free back-substitution, with one Fraction built per returned entry.
-The wedge and interior products clear each operand once in the same way,
-sum on the ints and build one Fraction per coordinate.
+The wedge product clears each operand once in the same way, sums on the
+ints and builds one Fraction per coordinate.  The interior products are
+integer kernels on coordinate dicts, for callers that hold cleared ints.
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 
@@ -349,7 +350,9 @@ def wedge_power(pi: Multivector, m: int) -> Multivector:
 
 def _contract_ints(xi, coords: dict) -> dict:
     """The coordinates of xi -| m from a covector and m's coordinate dict,
-    summed in the scan order of m's keys, then their positions."""
+    summed in the scan order of m's keys, then their positions.  The
+    interior product is an antiderivation: xi -| (x ^ y) = <xi,x> y -
+    <xi,y> x.  Int coordinates give ints."""
     out = {}
     for idx, val in coords.items():
         for pos, i in enumerate(idx):
@@ -360,24 +363,12 @@ def _contract_ints(xi, coords: dict) -> dict:
     return out
 
 
-def contract(xi, m: Multivector) -> Multivector:
-    """Interior product of a covector into a multivector (an antiderivation).
-
-    contract(xi, x ^ y) = <xi,x> y - <xi,y> x for grade 2.  Runs on xi and
-    m cleared to integers, with one Fraction built per coordinate.
-    """
-    if m.grade < 1:
-        raise ValueError("cannot contract a grade-0 multivector")
-    xi, dx = clear_denominators(xi)
-    if len(xi) != m.dim:
-        raise ValueError("covector dim mismatch")
-    coords, dm = _cleared(m)
-    return Multivector._raw(m.dim, m.grade - 1, _over(_contract_ints(xi, coords), dx * dm))
-
-
 def _contract_multivector_ints(pi: dict, omega: dict) -> dict:
     """The coordinates of pi -| omega from coordinate dicts, summed in the
-    scan order of pi, then omega."""
+    scan order of pi, then omega.  omega is read as an alternating form over
+    the dual basis, and pi is plugged into its first slots: for S a subset
+    of T, e_S -| e_T* = sign * e_{T\\S}* where the sign moves S to the front
+    of T.  Int coordinates give ints."""
     out = {}
     for s_idx, sval in pi.items():
         s_set = set(s_idx)
@@ -390,23 +381,6 @@ def _contract_multivector_ints(pi: dict, omega: dict) -> dict:
             if sign:
                 accumulate(out, rest, sval * tval * sign)
     return out
-
-
-def contract_multivector(pi: Multivector, omega: Multivector) -> Multivector:
-    """Plug a k-multivector into the first k slots of an N-form.
-
-    Both arguments use the Multivector container; ``omega`` is read as an
-    alternating N-form over the dual basis.  On basis elements, for S a
-    subset of T, e_S -| e_T* = sign * e_{T\\S}* where the sign moves S to the
-    front of T.  Runs on both operands cleared to integers, with one
-    Fraction built per coordinate.
-    """
-    if pi.dim != omega.dim:
-        raise ValueError("dim mismatch")
-    if pi.grade > omega.grade:
-        raise ValueError("grade of the contracted multivector exceeds the form")
-    (ip, dp), (io, do) = _cleared(pi), _cleared(omega)
-    return Multivector._raw(pi.dim, omega.grade - pi.grade, _over(_contract_multivector_ints(ip, io), dp * do))
 
 
 def is_decomposable(pi: Multivector) -> bool:

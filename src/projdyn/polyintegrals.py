@@ -165,9 +165,8 @@ def _polar_table(R: Poly, dim: int, b: int):
     the denominator lcm(R's denominators) * (b!)^2 its numerator is
     num(c) * e! f!.  Entries are listed term by term, each term's index rows
     in the order of set(permutations(...)) of its q- and then its v-indices.
+    R must be bi-homogeneous of degree (b, b).
     """
-    if not (R.is_homogeneous_in(list(q_indices(dim)), b) and R.is_homogeneous_in(list(v_indices(dim)), b)):
-        raise ValueError(f"polynomial is not bi-homogeneous of degree ({b},{b})")
     nums, den = clear_denominators(R.terms.values())
     halves = {}
     rows, vals, diagonal = [], [], {}
@@ -220,17 +219,20 @@ class BiHomogeneousPoly:
 
     @classmethod
     def from_poly(cls, R: Poly, dim: int, b: int = None):
-        """The element with diagonal R, once R passes the bidegree check of
-        the polar table and then ``is_impulsion_invariant``.  R itself is
-        kept as the diagonal, by the polarization identity: the polar form's
-        doubled diagonal R_S(q..q; v..v) is R."""
+        """The element with diagonal R, once R passes the bidegree check
+        (slice sums of each exponent tuple) and then
+        ``is_impulsion_invariant``; only then is the polar table built.  R
+        itself is kept as the diagonal, by the polarization identity: the
+        polar form's doubled diagonal R_S(q..q; v..v) is R."""
         if b is None:
             b = R.degree_in(list(q_indices(dim)))
             if b < 1:
                 raise ValueError("cannot infer the degree")
-        table, diagonal = _polar_table(R, dim, b)
+        if any(sum(e[:dim]) != b or sum(e[dim:2 * dim]) != b for e in R.terms):
+            raise ValueError(f"polynomial is not bi-homogeneous of degree ({b},{b})")
         if not is_impulsion_invariant(R, dim):
             raise ValueError("polar tensor violates the shear constraint")
+        table, diagonal = _polar_table(R, dim, b)
         out = cls.__new__(cls)
         out.dim, out.b, out.poly = dim, b, R
         out._table, out._diagonal = table, diagonal

@@ -49,7 +49,8 @@
   The library runs them on cleared integers; these are the references for
   its values and key order.  Beside them, with no library counterpart: the
   descent of a pair-antisymmetric form to bivectors, R_B(q ^ v) = R(q, v),
-  and the image of a multivector under a bivector map or its wedge power.
+  the image of a basis bivector read from a map's rational matrix, and the
+  image of a multivector under a bivector map or its wedge power.
 * ``exactlin`` helpers that no library code calls: a slot contraction at
   several slots, the basis vector, span membership in a ``SparseEchelon``
   and its reduced echelon basis, and the reader of one serialized rational.
@@ -982,11 +983,21 @@ def evaluate_on_bivectors(form: AntisymmetricForm, bivectors) -> Fraction:
     return total
 
 
+def bivector_image(R: BivectorMap, a: int, b: int) -> Multivector:
+    """R(e_a ^ e_b) as a Fraction multivector, read from the rational
+    matrix (for a > b, the negative of R(e_b ^ e_a))."""
+    sign = 1
+    if a > b:
+        a, b, sign = b, a, -1
+    col = R.src_pairs.index((a, b))
+    return Multivector(R.dim_dst, 2, {pr: row[col] * sign for pr, row in zip(R.dst_pairs, R.matrix) if row[col]})
+
+
 def apply_map(f, m: Multivector) -> Multivector:
     """The image of m under a ``BivectorMap`` or a ``WedgePowerMap``: the
     images of its basis multivectors, scaled by its coordinates and summed."""
     if isinstance(f, BivectorMap):
-        dim, grade, image = f.dim_dst, 2, lambda pr: f.image_of_basis_pair(*pr)
+        dim, grade, image = f.dim_dst, 2, lambda pr: bivector_image(f, *pr)
     else:
         dim, grade, image = f.R.dim_dst, 2 * f.p, f.images.__getitem__
     out = Multivector(dim, grade, {})

@@ -184,6 +184,25 @@ def test_curvature_commands_cap_the_entry_count(capsys, command, dim, entries, c
         assert verdict.get("case", verdict.get("verdict")) == ("metric" if command == "classify-curvature" else "quadric")
 
 
+@pytest.mark.parametrize("dim, entries, capped", [(10, 2025, False), (12, 4356, True)],
+                         ids=["map-entries-under-the-cap", "map-entries-past-the-cap"])
+def test_classify_caps_the_map_entry_count(capsys, dim, entries, capped):
+    # the nonzero entries are counted before the wedge table, which grows with
+    # their square, is built: a dense map past the cap exits 2 at once
+    pairs = dim * (dim - 1) // 2
+    rows = [[f"{(r * pairs + c) % 7 + 1}/{c % 3 + 1}" for c in range(pairs)] for r in range(pairs)]
+    start = time.perf_counter()
+    code = main(["classify", "--input", json.dumps({"dim_src": dim, "dim_dst": dim, "matrix": rows})])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if capped:
+        assert code == 2 and out == "" and err.startswith("input error:")
+        assert f"{entries} nonzero entries, at most {cli.MAX_CLASSIFY_MAP_ENTRIES}" in err
+        assert elapsed < 1.0
+    else:
+        assert (code, err) == (1, "") and json.loads(out)["error"] == "decomposability_failed"
+
+
 def test_young_check_bad_schema_exits_2(capsys):
     code, _ = run(capsys, "young-check", "--tableau", '{"rows": [2,2]}', "--tensor", '{"dim": 2}')
     assert code == 2

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     apply_map,
+    bivector_image,
+    contract_multivector_by_fractions,
     curvature_by_contractions,
     flat_form_by_solves,
     intersect_spans,
@@ -38,7 +40,7 @@ from projdyn.curvclass import (
     preserves_decomposables,
     wedge_power_map,
 )
-from projdyn.exactlin import Tensor, accumulate, basis_multivector, det, kernel, vector, wedge
+from projdyn.exactlin import Multivector, Tensor, accumulate, basis_multivector, det, kernel, vector, wedge
 from projdyn.polyintegrals import pair_tableau
 from projdyn.young import check_imAS
 
@@ -124,7 +126,7 @@ def test_specific_partial_map_expansion():
 def preserves_by_fraction_expansion(R):
     """The biquadratic expansion over Fraction on every ordered pair of
     basis pairs: the reference for the integer expansion."""
-    images = {pr: R.image_of_basis_pair(*pr) for pr in R.src_pairs}
+    images = {pr: bivector_image(R, *pr) for pr in R.src_pairs}
     coeffs = {}
     for (a, b) in R.src_pairs:
         for (c, d) in R.src_pairs:
@@ -192,7 +194,7 @@ def wedge_power_by_multivector_loop(R, p):
         for matching, sign in _matchings(subset):
             img = None
             for (a, b) in matching:
-                piece = R.image_of_basis_pair(a, b)
+                piece = bivector_image(R, a, b)
                 img = piece if img is None else wedge(img, piece)
             img = img.scale(sign)
             if value is None:
@@ -349,9 +351,9 @@ def test_a_form_map_clears_as_its_dense_matrix_does():
     }
     assert max(map(abs, forms["past 2**62"].table().vals)) > 2 ** 62
     for name, form in forms.items():
-        table = form.wedge_table()
         R = form.bivector_map()
-        assert R.wedge_table() is table, name
+        table = R.wedge_table()
+        assert form.bivector_map() is R and R.wedge_table() is table, name
         dense = BivectorMap(form.dim, form.dim, R.matrix)
         assert R.cleared() == dense.cleared(), name
         assert [list(col) for col in R.cleared()[0]] == [list(col) for col in dense.cleared()[0]], name
@@ -360,7 +362,7 @@ def test_a_form_map_clears_as_its_dense_matrix_does():
     assert inner.table() is not cylinder.table() and inner.table().dim == 3
     report = classify_curvature_form(inner)
     assert report.case == "metric" and inner._report is report and cylinder._report is None
-    assert inner.wedge_table() is not cylinder.wedge_table()
+    assert inner.bivector_map().wedge_table() is not cylinder.bivector_map().wedge_table()
     with pytest.raises(KernelNotTrivialError):
         classify_curvature_form(cylinder)
 
@@ -675,6 +677,113 @@ def test_classify_dim3_invertible_is_wedge_square():
     R = BivectorMap(3, 3, M)
     rep = classify_bivector_map(R)
     assert rep.case == "wedge_square"
+
+
+def test_wedge_square_columns_are_those_of_its_rational_matrix():
+    # the minors are cleared once, and the common factor of den**2 and the
+    # minors is divided out: the columns, their key order and den are those
+    # that the rational matrix of minors clears to
+    rng = random.Random(24)
+    for d in (2, 3, 4, 5):
+        for _ in range(4):
+            B = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4))) for _ in range(d)] for _ in range(d)]
+            minors = [[B[i][p] * B[j][q] - B[j][p] * B[i][q] for p, q in pair_basis(d)] for i, j in pair_basis(d)]
+            R, dense = BivectorMap.wedge_square(B), BivectorMap(d, d, minors)
+            assert R.matrix == minors
+            assert [list(col.items()) for col in R.cleared()[0]] == [list(col.items()) for col in dense.cleared()[0]]
+            assert R.cleared()[1] == dense.cleared()[1]
+
+
+def test_star_compose_matches_the_fraction_contraction():
+    # each integer column contracted into the volume against the rational
+    # image contracted on Fractions, as a map cleared anew
+    rng = random.Random(25)
+    vol = basis_multivector(4, (0, 1, 2, 3))
+    maps = [BivectorMap(4, 4, [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 6))) for _ in range(6)]
+                               for _ in range(6)]) for _ in range(10)]
+    maps += [BivectorMap.wedge_square(rand_invertible(rng, 4)) for _ in range(5)]
+    for R in maps:
+        star = R.star_compose()
+        expected = BivectorMap.from_images(
+            4, 4, [contract_multivector_by_fractions(bivector_image(R, *pr), vol) for pr in R.src_pairs])
+        assert star.matrix == expected.matrix
+        assert [list(col.items()) for col in star.cleared()[0]] == [list(col.items()) for col in expected.cleared()[0]]
+        assert star.cleared()[1] == expected.cleared()[1]
+    with pytest.raises(ValueError):
+        BivectorMap.wedge_square(rand_invertible(rng, 5)).star_compose()
+
+
+def test_annihilator_rows_are_those_of_the_dense_scan():
+    # the rows read from a column's nonzero entries are the nonzero rows of
+    # the scan over every 3-subset (phi) and every index (zeta), in order
+    from projdyn.curvclass import _contraction_rows, _wedge_rows
+
+    rng = random.Random(26)
+    for d in (2, 3, 4, 6):
+        for _ in range(10):
+            col = {pr: rng.randint(-3, 3) for pr in pair_basis(d) if rng.random() < 0.4}
+            col = {pr: v for pr, v in col.items() if v}
+            wedge_rows = []
+            for t1, t2, t3 in itertools.combinations(range(d), 3):
+                row = [0] * d
+                row[t3] += col.get((t1, t2), 0)
+                row[t2] -= col.get((t1, t3), 0)
+                row[t1] += col.get((t2, t3), 0)
+                wedge_rows.append(row)
+            contraction_rows = [[col.get((i, j), 0) - col.get((j, i), 0) for i in range(d)] for j in range(d)]
+            assert _wedge_rows(col, d) == [row for row in wedge_rows if any(row)]
+            assert _contraction_rows(col, d) == [row for row in contraction_rows if any(row)]
+
+
+def _changed_entries(witness):
+    """Copies of a vector or matrix witness with one entry raised by 1."""
+    if isinstance(witness[0], list):
+        for i, j in itertools.product(range(len(witness)), repeat=2):
+            out = [list(row) for row in witness]
+            out[i][j] += 1
+            yield out
+    else:
+        for i in range(len(witness)):
+            out = list(witness)
+            out[i] += 1
+            yield out
+
+
+def test_every_map_witness_check_refuses_a_changed_witness(monkeypatch):
+    # each witness is checked on the integer columns: a witness with one
+    # entry, epsilon or the scale changed fails its check
+    from projdyn import curvclass
+
+    rng = random.Random(27)
+    phi = vector(4, [1, 2, -1, 3])
+    common = BivectorMap.from_images(4, 4, [wedge(phi, vector(4, [rng.randint(-3, 3) for _ in range(4)]))
+                                            for _ in pair_basis(4)])
+    h = [vector(4, v) for v in kernel([[1, -1, 2, 1]])]
+    inside = BivectorMap.from_images(4, 4, [sum((wedge(h[a], h[b]).scale(rng.randint(-3, 3))
+                                                 for a, b in pair_basis(3)), Multivector(4, 2, {}))
+                                            for _ in pair_basis(4)])
+    square = BivectorMap.wedge_square(rand_invertible(rng, 4))
+    star = BivectorMap.wedge_square(rand_invertible(rng, 4)).star_compose()
+    cases = [
+        (common, "phi_degenerate", "_wedge_annihilator", "wedge annihilator"),
+        (inside, "zeta_degenerate", "_contraction_annihilator", "contraction annihilator"),
+        (square, "wedge_square", "_recover_square_root", "recovered wedge square"),
+        (star, "star_wedge_square", "_recover_square_root", "star wedge square"),
+    ]
+    for R, case, name, message in cases:
+        assert classify_bivector_map(R).case == case
+        inner = getattr(curvclass, name)
+        if name == "_recover_square_root":
+            B, eps, scale = inner(square if case == "wedge_square" else star.star_compose())
+            changes = [(b, eps, scale) for b in _changed_entries(B)] + [(B, -eps, scale), (B, eps, scale * 2)]
+        else:
+            changes = list(_changed_entries(inner(R)))
+        for changed in changes:
+            with monkeypatch.context() as m:
+                # the star case recovers nothing from R itself, then C from its star composition
+                m.setattr(curvclass, name, lambda M, changed=changed: changed if inner(M) is not None else None)
+                with pytest.raises(ArithmeticError, match=f"^{message} failed verification$"):
+                    classify_bivector_map(R)
 
 
 @st.composite

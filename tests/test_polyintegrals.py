@@ -482,10 +482,9 @@ def test_antisymmetric_decides_the_class_once_on_the_candidate_table(monkeypatch
 
 
 def test_table_chain_rejects_what_the_fraction_chain_rejects():
-    # a non-bihomogeneous polynomial: the polar table refuses it
+    # a non-bihomogeneous polynomial: from_poly refuses it before any table
     bent = qvar(0, 3) * qvar(1, 3) * vvar(0, 3)
-    for build in (lambda: pin._polar_table(bent, 3, 1), lambda: oracles.polar_form(bent, 3, 1),
-                  lambda: BiHomogeneousPoly.from_poly(bent, 3, 1)):
+    for build in (lambda: oracles.polar_form(bent, 3, 1), lambda: BiHomogeneousPoly.from_poly(bent, 3, 1)):
         with pytest.raises(ValueError, match=r"^polynomial is not bi-homogeneous of degree \(1,1\)$"):
             build()
     # block-symmetric polar forms that violate the shear constraint
@@ -494,6 +493,24 @@ def test_table_chain_rejects_what_the_fraction_chain_rejects():
         assert oracles.block_symmetric(sheared, b) and not is_impulsion_invariant(R, R.nvars // 2)
         with pytest.raises(ValueError, match=r"^polar tensor violates the shear constraint$"):
             BiHomogeneousPoly.from_poly(R, R.nvars // 2, b)
+
+
+def test_from_poly_rejects_before_it_builds_the_polar_table(monkeypatch):
+    # the bidegree, then the shear invariance, are decided on R itself: a
+    # rejected R never pays for the polar table
+    calls = []
+    table = pin._polar_table
+    monkeypatch.setattr(pin, "_polar_table", lambda *args: calls.append(args) or table(*args))
+    sheared = plucker(4, 0, 1) * plucker(4, 2, 3) * qvar(0, 4) ** 2 * vvar(1, 4) ** 2
+    assert not is_impulsion_invariant(sheared, 4)
+    bent = sheared * qvar(3, 4)
+    for R, message in ((sheared, r"^polar tensor violates the shear constraint$"),
+                       (bent, r"^polynomial is not bi-homogeneous of degree \(4,4\)$")):
+        with pytest.raises(ValueError, match=message):
+            BiHomogeneousPoly.from_poly(R, 4, 4)
+    assert calls == []
+    BiHomogeneousPoly.from_poly(plucker(4, 0, 1) ** 4, 4, 4)
+    assert len(calls) == 1
 
 
 def test_chain_clears_denominators_once_for_the_polar_table(monkeypatch):

@@ -18,8 +18,10 @@ reused across repeats), and writes the medians and quartiles in ms:
   classified inside the call, as the forms are fresh);
 * ``curvclass.curvature_from_symmetric_map``: the full-rank and corank-one
   G of the metric and flat forms (digested with the entries' key order);
-* ``curvclass.classify_bivector_map``: the wedge square of an invertible B
-  (d >= 4);
+* ``curvclass.classify_bivector_map`` (d >= 4): the wedge square of an
+  invertible B, the map with a common wedge factor (phi), the wedge square
+  of B with its last row zeroed (zeta), and at d = 4 the star composition
+  of the wedge square of B;
 * ``exactlin.wedge``: two bivectors with every coordinate a small random
   rational (d >= 4; digested with the coordinates' key order);
 * ``exactlin.kernel``: integer rows of rank d and d - 1 with 4d rows (below
@@ -96,6 +98,8 @@ def dim_cases(d):
     w = vector(d, [rng.randint(-2, 2) or 1 for _ in range(d)])
     common = curvclass.BivectorMap.from_images(
         d, d, [wedge(w, vector(d, [rng.randint(-3, 3) for _ in range(d)])) for _ in curvclass.pair_basis(d)]).matrix
+    inside = curvclass.BivectorMap.wedge_square(B[:-1] + [[Fraction(0)] * d]).matrix
+    star = curvclass.BivectorMap.wedge_square(B).star_compose().matrix if d == 4 else None
 
     def fresh_form(form):
         """The form with nothing built on it yet; an older checkout's
@@ -150,8 +154,12 @@ def dim_cases(d):
         ("curvature_from_symmetric_map", "flat", generated_entries, lambda: (G_flat,)),
     ] + [
         ("classify_bivector_map", "wedge_square", curvclass.classify_bivector_map, lambda: (fresh_map(square),)),
+        ("classify_bivector_map", "phi", curvclass.classify_bivector_map, lambda: (fresh_map(common),)),
+        ("classify_bivector_map", "zeta", curvclass.classify_bivector_map, lambda: (fresh_map(inside),)),
         ("wedge", "bivectors", wedge, lambda: bivectors),
     ] * (d >= 4) + [
+        ("classify_bivector_map", "star", curvclass.classify_bivector_map, lambda: (fresh_map(star),)),
+    ] * (d == 4) + [
         ("kernel", label, kernel, lambda rows=rows: ([list(row) for row in rows],)) for label, rows in tall.items()]
 
 
