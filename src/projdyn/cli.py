@@ -16,8 +16,8 @@ curvature form's "dim", a bivector map's "dim_src" and "dim_dst", and
 `young-check` caps the tableau at 2000 boxes and the tensor's entries times
 the boxes squared at 4*10^6.  `classify-curvature` and `screen-find` classify
 a form of at most 10000 entries and of rank (its dim minus the dimension of
-its kernel) at most 20, and `classify` a bivector map of at most 2500
-nonzero entries.
+its kernel) at most 20, and `classify` a bivector map of at most 2025
+entries (source pairs times destination pairs).
 `project` writes the samples before the first one hidden from the target
 screen and, when it stops early, says so in one "note:" line on stderr.
 `integrate` and `verify-projection` exit 1 with one JSON error line when an
@@ -190,14 +190,15 @@ MAX_CLASSIFY_RANK = 20
 # (screen-find) at 7,060 entries (d = 10), and 0.87 and 1.10 s at 14,424
 # (d = 12), on the same host.
 MAX_CLASSIFY_ENTRIES = 10_000
-# The most nonzero entries of a bivector map that `classify` classifies, read
-# once the map is built and before its wedge table, which grows with their
-# square.  Under the cap a wedge square with 2,363 entries (d = 11) took 0.42 s
-# and a map of 2,500 entries that fails the decomposability test 0.41 s, on
-# the same host; a dense d = 12 map (4,356 entries) took 1.1 s.  A sparse map
-# over a large space costs about as much as reading its JSON: the identity
-# map over d = 50 (7.5 MB of JSON) took 6.9 s, most of it in the reader.
-MAX_CLASSIFY_MAP_ENTRIES = 2_500
+# The most entries (source pairs times destination pairs) of a bivector map
+# that `classify` reads, read from its two dimensions before the rows: the
+# reader builds one Fraction per entry, zeros included, and the wedge table
+# grows with the square of the nonzero ones.  Under the cap dense d = 10
+# maps took 0.13-0.59 s with entries of at most three digits, and wedge
+# squares of a dense B with 13-digit entries (the object-dtype path) 0.85 s;
+# a dense d = 11 map took 1.0 s, on the same host.  The identity map over
+# d = 50 (7.5 MB of JSON) is refused in 0.07 s, most of it in the parser.
+MAX_CLASSIFY_MAP_ENTRIES = 2_025
 
 
 def _check_classify_size(form):
@@ -218,11 +219,14 @@ def cmd_pbb_dim(args):
 
 
 def cmd_classify(args):
-    R = curvclass.BivectorMap.from_json(_load_json(args.input, "bivector map"))
-    entries = sum(map(len, R.cleared()[0]))
+    r = _load_json(args.input, "bivector map")
+    # the dimensions are read as BivectorMap.from_json reads them, before the rows
+    src, dst = (r.integer(key, low=1, high=screens.MAX_SCREEN_DIM + 1) for key in ("dim_src", "dim_dst"))
+    entries = (src * (src - 1) // 2) * (dst * (dst - 1) // 2)
     if entries > MAX_CLASSIFY_MAP_ENTRIES:
-        raise FormatError(f"--input: the bivector map has {entries} nonzero entries, "
-                          f"at most {MAX_CLASSIFY_MAP_ENTRIES}")
+        raise FormatError(f"--input: the bivector map has {entries} entries (source pairs times "
+                          f"destination pairs), at most {MAX_CLASSIFY_MAP_ENTRIES}")
+    R = curvclass.BivectorMap.from_json(r)
     try:
         report = curvclass.classify_bivector_map(R)
     except curvclass.DecomposabilityError as exc:

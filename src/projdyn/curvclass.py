@@ -15,7 +15,7 @@ before the report is returned.
 Exact rational arithmetic throughout: the case distinctions here are rank
 decisions that rounding would corrupt.  They run on integers.  A map is
 kept only as its matrix cleared to integers (den times the map, one dict of
-nonzero entries per column): the rational matrix is cleared once, on
+nonzero entries per nonzero column): the rational matrix is cleared once, on
 construction, and the wedge-square, star and curvature-form maps are built
 straight as columns.  Its wedge table W[k1, k2] = R(e_k1) ^ R(e_k2) in the
 fourth exterior power is summed from the nonzero entries with numpy, in
@@ -48,6 +48,7 @@ integer minor of G, with one Fraction per entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -99,12 +100,13 @@ class BivectorMap:
 
     Columns follow the lexicographic pair basis of the source, rows the pair
     basis of the destination.  No symmetry is assumed.  The map's state is
-    its dimensions and ``cleared()``: one {destination pair: int} dict of
-    the nonzero entries per column, in pair order, and den, the least
-    common denominator of the entries (the map is the columns over den).
-    It is set once, on construction, and a map is immutable, like the
-    ``exactlin`` values; its wedge table (with the decomposability verdict)
-    is computed from it at most once, on first use.
+    its dimensions, its nonzero columns as a {source pair index: column}
+    dict in index order, each column a {destination pair: int} dict of its
+    nonzero entries in pair order, and den, the least common denominator of
+    the entries (the map is the columns over den).  It is set once, on
+    construction, and a map is immutable, like the ``exactlin`` values; the
+    pair bases and its wedge table (with the decomposability verdict) are
+    computed from it at most once, on first use.
     """
 
     _table = None
@@ -114,27 +116,36 @@ class BivectorMap:
         if len(matrix) != len(dst) or any(len(row) != len(src) for row in matrix):
             raise ValueError("matrix shape does not match the pair bases")
         rows, den = _cleared_rows(matrix)
-        cols = [{pr: row[c] for pr, row in zip(dst, rows) if row[c]} for c in range(len(src))]
+        cols = {c: col for c in range(len(src)) if (col := {pr: row[c] for pr, row in zip(dst, rows) if row[c]})}
         self._set(dim_src, dim_dst, cols, den)
 
     def _set(self, dim_src, dim_dst, cols, den):
         self.dim_src = dim_src
         self.dim_dst = dim_dst
-        self.src_pairs = pair_basis(dim_src)
-        self.dst_pairs = self.src_pairs if dim_dst == dim_src else pair_basis(dim_dst)
-        self._pair_col = {pr: k for k, pr in enumerate(self.src_pairs)}
         self._cols, self._den = cols, den
 
     @classmethod
     def _of(cls, dim_src, dim_dst, cols, den):
-        """The map of integer columns over den, keys in pair order; the
-        common factor of den and the entries is divided out, so den is the
-        one the rational matrix clears to."""
-        if den > 1 and (g := math.gcd(den, *(v for col in cols for v in col.values()))) > 1:
-            cols, den = [{key: v // g for key, v in col.items()} for col in cols], den // g
+        """The map of the nonzero integer columns ``cols`` over den, keys in
+        order; the common factor of den and the entries is divided out, so
+        den is the one the rational matrix clears to."""
+        if den > 1 and (g := math.gcd(den, *(v for col in cols.values() for v in col.values()))) > 1:
+            cols, den = {k: {key: v // g for key, v in col.items()} for k, col in cols.items()}, den // g
         R = cls.__new__(cls)
         R._set(dim_src, dim_dst, cols, den)
         return R
+
+    @functools.cached_property
+    def src_pairs(self):
+        return pair_basis(self.dim_src)
+
+    @functools.cached_property
+    def dst_pairs(self):
+        return self.src_pairs if self.dim_dst == self.dim_src else pair_basis(self.dim_dst)
+
+    @functools.cached_property
+    def _pair_col(self):
+        return {pr: k for k, pr in enumerate(self.src_pairs)}
 
     @classmethod
     def from_images(cls, dim_src, dim_dst, images):
@@ -148,28 +159,31 @@ class BivectorMap:
         cleared to integers, over the square of its den."""
         dim_dst, dim_src = len(B), len(B[0])
         b, den = _cleared_rows(B)
-        return cls._of(dim_src, dim_dst, _minors(b, pair_basis(dim_src), pair_basis(dim_dst)), den * den)
+        minors = _minors(b, pair_basis(dim_src), pair_basis(dim_dst))
+        return cls._of(dim_src, dim_dst, {k: col for k, col in enumerate(minors) if col}, den * den)
 
     def cleared(self):
         """(columns, den): each column as a {destination pair: int} dict of
         den times its nonzero entries, den clearing the whole matrix."""
-        return self._cols, self._den
+        return [self._cols.get(k, {}) for k in range(len(self.src_pairs))], self._den
 
     @property
     def matrix(self):
         """The rational matrix, rows over destination pairs, built from the
         columns on each read."""
-        return [[Fraction(col.get(pr, 0), self._den) for col in self._cols] for pr in self.dst_pairs]
+        cols, den = self.cleared()
+        return [[Fraction(col.get(pr, 0), den) for col in cols] for pr in self.dst_pairs]
 
     def wedge_table(self) -> WedgeTable:
-        """The wedge table of the cleared columns, built once."""
+        """The wedge table of the nonzero columns, built once."""
         if self._table is None:
-            entries = [(k, i, j, v) for k, col in enumerate(self._cols) for (i, j), v in col.items()]
+            entries = [(k, i, j, v) for k, col in self._cols.items() for (i, j), v in col.items()]
             self._table = _wedge_table(self.dim_src, self.dim_dst, entries)
         return self._table
 
     def rank(self) -> int:
-        return rank([[col.get(pr, 0) for col in self._cols] for pr in self.dst_pairs])
+        cols, _ = self.cleared()
+        return rank([[col.get(pr, 0) for col in cols] for pr in self.dst_pairs])
 
     def is_invertible(self) -> bool:
         return self.dim_src == self.dim_dst and self.rank() == len(self.src_pairs)
@@ -181,7 +195,7 @@ class BivectorMap:
         if self.dim_dst != 4:
             raise ValueError("the star composition needs a destination of dimension 4")
         vol = {(0, 1, 2, 3): 1}
-        cols = [dict(sorted(_contract_multivector_ints(col, vol).items())) for col in self._cols]
+        cols = {k: dict(sorted(_contract_multivector_ints(col, vol).items())) for k, col in self._cols.items()}
         return BivectorMap._of(self.dim_src, self.dim_dst, cols, self._den)
 
     def to_json(self):
@@ -439,56 +453,42 @@ def _normalize(vec):
     return [x / lead for x in vec]
 
 
-def _annihilator(R: BivectorMap, rows_of):
-    """The first kernel vector, normalized, of the rows that ``rows_of``
-    reads off each cleared integer column (the kernel does not see the
-    scale), or None; e_0 when there are no rows (the zero map: anything
-    works).  Each column gives its rows from its nonzero entries only."""
+def _wedge_annihilator(R: BivectorMap):
+    """Nonzero phi in the destination with R(pi) ^ phi = 0 for all pi, or None.
+
+    One row per image and 3-subset t1 < t2 < t3: the e_t1 ^ e_t2 ^ e_t3
+    coordinate of R(pi) ^ phi, read off the cleared integer columns (the
+    kernel does not see the scale)."""
     d = R.dim_dst
-    rows = [row for col in R.cleared()[0] for row in rows_of(col, d)]
+    rows = []
+    for col in R.cleared()[0]:
+        for t1, t2, t3 in itertools.combinations(range(d), 3):
+            row = [0] * d
+            row[t3] += col.get((t1, t2), 0)
+            row[t2] -= col.get((t1, t3), 0)
+            row[t1] += col.get((t2, t3), 0)
+            if any(row):
+                rows.append(row)
     if not rows:
-        return [Fraction(1)] + [Fraction(0)] * (d - 1)
+        return [Fraction(1)] + [Fraction(0)] * (d - 1)  # the zero map: anything works
     basis = kernel(rows)
     return _normalize(basis[0]) if basis else None
 
 
-def _wedge_rows(col, d):
-    """The rows of R(pi) ^ phi = 0 for one image: for each 3-subset t1 <
-    t2 < t3 that holds a pair of its support, in subset order, the
-    e_t1 ^ e_t2 ^ e_t3 coordinate, with R(pi)[t1 t2] at t3, -R(pi)[t1 t3]
-    at t2 and R(pi)[t2 t3] at t1."""
-    rows = {}
-    for (i, j), v in col.items():
-        for t in range(d):
-            if t != i and t != j:
-                key = (t, i, j) if t < i else (i, t, j) if t < j else (i, j, t)
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = row = [0] * d
-                row[t] = -v if i < t < j else v
-    return [rows[key] for key in sorted(rows)]
-
-
-def _contraction_rows(col, d):
-    """The rows of zeta -| R(pi) = 0 for one image: for each index j of its
-    support, in order, the j-th component, with img[(i, j)] = -img[(j, i)]."""
-    rows = [None] * d
-    for (i, j), v in col.items():
-        for r, c, x in ((j, i, v), (i, j, -v)):
-            if rows[r] is None:
-                rows[r] = [0] * d
-            rows[r][c] = x
-    return [row for row in rows if row is not None]
-
-
-def _wedge_annihilator(R: BivectorMap):
-    """Nonzero phi in the destination with R(pi) ^ phi = 0 for all pi, or None."""
-    return _annihilator(R, _wedge_rows)
-
-
 def _contraction_annihilator(R: BivectorMap):
     """Nonzero zeta (destination dual) with zeta -| R(pi) = 0 for all pi, or None."""
-    return _annihilator(R, _contraction_rows)
+    d = R.dim_dst
+    rows = []
+    for col in R.cleared()[0]:
+        for j in range(d):
+            # the j-th component of zeta -| img, with img[(i, j)] = -img[(j, i)]
+            row = [col.get((i, j), 0) - col.get((j, i), 0) for i in range(d)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return [Fraction(1)] + [Fraction(0)] * (d - 1)
+    basis = kernel(rows)
+    return _normalize(basis[0]) if basis else None
 
 
 def _decomposable_span(col: dict, d: int):
@@ -585,8 +585,9 @@ def _recover_square_root(R: BivectorMap):
     # m[(i, j)] = num / den_ij, read on the cleared column against x_i ^ x_j
     m = {}
     for i, j in itertools.combinations(range(d), 2):
-        img = image(i, j)
-        [w] = _minors([[xi, xj] for xi, xj in zip(lines[i], lines[j])], [(0, 1)], R.dst_pairs)
+        img, xi, xj = image(i, j), lines[i], lines[j]
+        w = {(a, b): xi[a] * xj[b] - xi[b] * xj[a] for a, b in itertools.combinations(range(d), 2)}
+        w = {key: val for key, val in w.items() if val}
         if not w:
             return None
         key = next(iter(w))
@@ -726,9 +727,9 @@ class CurvatureForm(AntisymmetricForm):
             # (u, v) is source pair number u (2d - u - 1) / 2 + v - u - 1 in the lexicographic basis
             entries = sorted(((2 * d - u - 1) * u // 2 + v - u - 1, (w, x), c)
                              for (u, v, w, x), c in zip(self.tensor.entries, self.table().vals) if u < v and w < x)
-            cols = [{} for _ in range(d * (d - 1) // 2)]
+            cols = {}
             for k, wx, c in entries:
-                cols[k][wx] = c
+                cols.setdefault(k, {})[wx] = c
             self._map = BivectorMap._of(d, d, cols, self.table().den)
         return self._map
 
@@ -752,11 +753,15 @@ def _metric_ints(b_matrix):
     """(entries, den): den times the curvature form of b, as an {index:
     int} dict without zeros in product order.  Each entry is one integer
     expression in b cleared to integers (den_b * b), and den = den_b**2."""
-    b, den = _cleared_rows(b_matrix)
-    # the minors of b's transpose, on ordered pairs: the columns (u, v) outer
-    pairs = list(itertools.product(range(len(b)), repeat=2))
-    minors = _minors([list(col) for col in zip(*b)], pairs, pairs)
-    return {uv + wx: val for uv, col in zip(pairs, minors) for wx, val in col.items()}, den * den
+    d = len(b_matrix)
+    ints, den = clear_denominators([x for row in b_matrix for x in row])
+    b = [ints[r * d:(r + 1) * d] for r in range(d)]
+    entries = {}
+    for u, v, w, x in itertools.product(range(d), repeat=4):
+        val = b[u][w] * b[v][x] - b[u][x] * b[v][w]
+        if val:
+            entries[(u, v, w, x)] = val
+    return entries, den * den
 
 
 def metric_form_tensor(b_matrix) -> Tensor:

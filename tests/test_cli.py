@@ -184,20 +184,23 @@ def test_curvature_commands_cap_the_entry_count(capsys, command, dim, entries, c
         assert verdict.get("case", verdict.get("verdict")) == ("metric" if command == "classify-curvature" else "quadric")
 
 
-@pytest.mark.parametrize("dim, entries, capped", [(10, 2025, False), (12, 4356, True)],
-                         ids=["map-entries-under-the-cap", "map-entries-past-the-cap"])
-def test_classify_caps_the_map_entry_count(capsys, dim, entries, capped):
-    # the nonzero entries are counted before the wedge table, which grows with
-    # their square, is built: a dense map past the cap exits 2 at once
+@pytest.mark.parametrize("dim, dense, entries, capped",
+                         [(10, True, 2025, False), (12, True, 4356, True), (30, False, 189225, True)],
+                         ids=["map-entries-under-the-cap", "map-entries-past-the-cap", "sparse-map-past-the-cap"])
+def test_classify_caps_the_map_entry_count(capsys, dim, dense, entries, capped):
+    # the entries, source pairs times destination pairs, are counted from the
+    # two dimensions before the rows are read: a map past the cap exits 2 at
+    # once, and so does a sparse one (the identity) over a large space
     pairs = dim * (dim - 1) // 2
-    rows = [[f"{(r * pairs + c) % 7 + 1}/{c % 3 + 1}" for c in range(pairs)] for r in range(pairs)]
+    rows = [[f"{(r * pairs + c) % 7 + 1}/{c % 3 + 1}" if dense else str(int(r == c)) for c in range(pairs)]
+            for r in range(pairs)]
     start = time.perf_counter()
     code = main(["classify", "--input", json.dumps({"dim_src": dim, "dim_dst": dim, "matrix": rows})])
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     if capped:
         assert code == 2 and out == "" and err.startswith("input error:")
-        assert f"{entries} nonzero entries, at most {cli.MAX_CLASSIFY_MAP_ENTRIES}" in err
+        assert f"{entries} entries (source pairs times destination pairs), at most {cli.MAX_CLASSIFY_MAP_ENTRIES}" in err
         assert elapsed < 1.0
     else:
         assert (code, err) == (1, "") and json.loads(out)["error"] == "decomposability_failed"

@@ -713,28 +713,6 @@ def test_star_compose_matches_the_fraction_contraction():
         BivectorMap.wedge_square(rand_invertible(rng, 5)).star_compose()
 
 
-def test_annihilator_rows_are_those_of_the_dense_scan():
-    # the rows read from a column's nonzero entries are the nonzero rows of
-    # the scan over every 3-subset (phi) and every index (zeta), in order
-    from projdyn.curvclass import _contraction_rows, _wedge_rows
-
-    rng = random.Random(26)
-    for d in (2, 3, 4, 6):
-        for _ in range(10):
-            col = {pr: rng.randint(-3, 3) for pr in pair_basis(d) if rng.random() < 0.4}
-            col = {pr: v for pr, v in col.items() if v}
-            wedge_rows = []
-            for t1, t2, t3 in itertools.combinations(range(d), 3):
-                row = [0] * d
-                row[t3] += col.get((t1, t2), 0)
-                row[t2] -= col.get((t1, t3), 0)
-                row[t1] += col.get((t2, t3), 0)
-                wedge_rows.append(row)
-            contraction_rows = [[col.get((i, j), 0) - col.get((j, i), 0) for i in range(d)] for j in range(d)]
-            assert _wedge_rows(col, d) == [row for row in wedge_rows if any(row)]
-            assert _contraction_rows(col, d) == [row for row in contraction_rows if any(row)]
-
-
 def _changed_entries(witness):
     """Copies of a vector or matrix witness with one entry raised by 1."""
     if isinstance(witness[0], list):
